@@ -37,10 +37,11 @@ The classification follows mechanically (:func:`classify`):
 - a ``reg_pos`` register read with no tracker walk to anchor the
   register mirror → **order-dependent**;
 - *two* replay streams, or any replay stream plus the ``reg_pos`` read →
-  **merge-replay-exact** (fan-out mode ``"merge"``): per-worker local
-  tracker+alert state, merged by a deterministic serial reconciliation
-  that folds provably-silent chunks and replays the rest from their
-  entry state (the merge engine in :mod:`repro.stat4.parallel`);
+  **merge-replay-exact** (fan-out mode ``"merge"``): a worker speculates
+  from a snapshot of the tracker+alert state, and a deterministic serial
+  reconciliation adopts a proven speculation, folds provably-silent
+  chunks and replays the rest from their entry state (the merge engine
+  in :mod:`repro.stat4.parallel`);
 - one replay stream → **replay-exact** (fan-out mode ``"tracked"`` or
   ``"alerting"``);
 - monoid effects only → **merge-exact** (mode ``"tally"``).
@@ -82,7 +83,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make
-from repro.stat4.distributions import DistributionKind, TrackSpec
+from repro.stat4.distributions import (
+    DistributionKind,
+    KernelShape,
+    TrackSpec,
+    enumerate_shapes,
+    shape_key_of_spec,
+)
 
 __all__ = [
     "Classification",
@@ -248,63 +255,6 @@ SHAPE_IRRELEVANT_FIELDS: Mapping[str, str] = {
     "accept_hi": "value filter applied during extraction, before the kernel",
     "generation": "slot-reset marker; _state_for handles resets in apply order",
 }
-
-
-@dataclass(frozen=True)
-class KernelShape:
-    """A point of the kernel-shape lattice the classifier enumerates."""
-
-    kind: DistributionKind
-    tracked: bool  # spec.percent is not None  (a tracker exists)
-    alerting: bool  # spec.k_sigma > 0
-    percentile_alert: bool  # spec.percentile_alert truthy
-
-    @classmethod
-    def of_spec(cls, spec: TrackSpec) -> "KernelShape":
-        """Project a TrackSpec — every shape field read, on every branch."""
-        return cls(
-            kind=spec.kind,
-            tracked=spec.percent is not None,
-            alerting=spec.k_sigma > 0,
-            percentile_alert=bool(spec.percentile_alert),
-        )
-
-    @property
-    def key(self) -> str:
-        """Stable string key of this shape (the eligibility-table key)."""
-        parts = [self.kind.value]
-        if self.tracked:
-            parts.append("tracked")
-        if self.alerting:
-            parts.append("alerting")
-        if self.percentile_alert:
-            parts.append("percentile_alert")
-        return "+".join(parts)
-
-
-def shape_key_of_spec(spec: TrackSpec) -> str:
-    """The eligibility-table key of a spec (what the engine looks up)."""
-    return KernelShape.of_spec(spec).key
-
-
-def enumerate_shapes() -> List[KernelShape]:
-    """Every constructible kernel shape, in deterministic order.
-
-    TrackSpec validation makes the lattice smaller than 3×2×2×2: a tracker
-    (``percent``) exists only on dense frequency slots, and a
-    ``percentile_alert`` requires a tracker.
-    """
-    shapes: List[KernelShape] = []
-    for kind in DistributionKind:
-        tracked_options = (False, True) if kind is DistributionKind.FREQUENCY else (False,)
-        for tracked in tracked_options:
-            for alerting in (False, True):
-                pa_options = (False, True) if tracked else (False,)
-                for percentile_alert in pa_options:
-                    shapes.append(
-                        KernelShape(kind, tracked, alerting, percentile_alert)
-                    )
-    return shapes
 
 
 def audit_spec_fields(
@@ -863,7 +813,7 @@ def kernel_table_diagnostics() -> List[Diagnostic]:
 
 
 # --------------------------------------------------------------------------
-# Generated kernels (compiled tier, ST51x)
+# Generated kernels (ST51x)
 # --------------------------------------------------------------------------
 
 #: Everything a generated kernel may contain.  The arithmetic mirrors the
@@ -894,22 +844,13 @@ _GENERATED_ALLOWED = frozenset(
 #: multiply, MSB-search square root) and the sparse-table hooks.
 _GENERATED_NAME_CALLS = frozenset(
     {
-        "range", "len", "int", "bool", "float", "min", "max",
-        "checked_multiply", "approx_isqrt", "square", "increment",
-        "ValueError",
+        "range", "len", "checked_multiply", "approx_isqrt", "square",
+        "increment", "ValueError",
     }
 )
 
-#: Methods a generated kernel may call on locals (list/ndarray surface).
-_GENERATED_METHODS = frozenset({"append", "sum", "any", "all", "astype"})
-
-#: The numpy namespace slice the generated-numpy backend may touch.
-_GENERATED_NP_ATTRS = frozenset(
-    {
-        "empty", "zeros", "arange", "asarray", "fromiter",
-        "bincount", "nonzero", "argmax", "int64", "float64", "bool_",
-    }
-)
+#: Methods a generated kernel may call on locals (the digest buffer).
+_GENERATED_METHODS = frozenset({"append"})
 
 
 def _generated_source_violations(tree: ast.AST) -> List[Tuple[int, str]]:
@@ -927,12 +868,7 @@ def _generated_source_violations(tree: ast.AST) -> List[Tuple[int, str]]:
         elif isinstance(node, ast.Attribute):
             if not isinstance(node.ctx, ast.Load):
                 violations.append((lineno, "attribute store"))
-            elif isinstance(node.value, ast.Name) and node.value.id == "np":
-                if node.attr not in _GENERATED_NP_ATTRS:
-                    violations.append(
-                        (lineno, f"numpy attribute np.{node.attr} not whitelisted")
-                    )
-            elif node.attr not in _GENERATED_METHODS and node.attr != "shape":
+            elif node.attr not in _GENERATED_METHODS:
                 violations.append(
                     (lineno, f"attribute .{node.attr} not whitelisted")
                 )
@@ -949,22 +885,24 @@ def _generated_source_violations(tree: ast.AST) -> List[Tuple[int, str]]:
 
 
 def check_generated_kernels() -> List[Diagnostic]:
-    """Audit the compiled tier's generated sources (ST510/ST511).
+    """Audit the generated per-packet kernels (ST510/ST511).
 
-    ST510 walks each reference source (one per constructible shape) and
-    rejects any construct outside :data:`_GENERATED_ALLOWED` — the same
-    restricted operation set the templates claim to compile from.
+    ST510 walks each reference source (one per shape the batch engine
+    dispatches to a generated kernel) and rejects any construct outside
+    :data:`_GENERATED_ALLOWED` — the same restricted operation set the
+    templates claim to compile from.
 
     ST511 cross-checks each source's ``# parallel-mode:`` pragma against
     :func:`derive_eligibility_table` for its shape.  The effect-collector
-    proof behind ST501/ST502 cannot apply here — generated kernels return
-    deltas and never touch engine state, so their effect sets are empty
-    and the dataflow would vacuously prove ``tally`` for everything;
-    instead the pragma must equal the mode the *shape* dataflow derives
-    (``None`` → ``serial``), keeping fan-out derived from analysis rather
-    than a hand table inside the code generator.
+    proof behind ST501/ST502 cannot apply here — generated kernels take
+    and return their state as plain values and never touch engine state,
+    so their effect sets are empty and the dataflow would vacuously prove
+    ``tally`` for everything; instead the pragma must equal the mode the
+    *shape* dataflow derives (``None`` → ``serial``), keeping fan-out
+    derived from analysis rather than a hand table inside the code
+    generator.
     """
-    from repro.stat4.compiled import reference_sources  # lazy: avoids cycle
+    from repro.stat4.compiled import reference_sources
 
     table = derive_eligibility_table()
     diagnostics: List[Diagnostic] = []

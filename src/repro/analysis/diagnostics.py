@@ -135,11 +135,11 @@ RULES: Dict[str, Rule] = {
               "documented exceptions carry a '# race-ok' pragma"),
         # -- generated kernels (ST51x) --------------------------------------
         _rule("ST510", Severity.ERROR, "generated kernel outside op set",
-              "compiled tier: generated source must stay inside the "
+              "generated kernels: source must stay inside the "
               "restricted operation set (adds, shifts, compares, constant "
               "multiplies)"),
         _rule("ST511", Severity.ERROR, "generated kernel pragma drift",
-              "compiled tier: a generated kernel's '# parallel-mode:' "
+              "generated kernels: a kernel's '# parallel-mode:' "
               "pragma must match the dataflow-derived eligibility for its "
               "shape"),
     )

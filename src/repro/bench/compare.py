@@ -143,14 +143,12 @@ def compare_reports(
     """Check a bench report against baseline floors.
 
     A (kernel, backend) floor the report has no measurement for is only a
-    regression when the backend *should* have run: a missing numpy or
-    compiled measurement on a numpy-less machine, a backend outside the
-    run's ``report["backends"]`` selection (a ``--backend python`` matrix
-    leg), or the staleness twin the merge kernel did not run under
-    (``merge_parallel`` vs ``merge_parallel_bounded``) are recorded as
-    unmeasured (``current=None, regressed=False``) so restricted runs
-    stay green, while the CI leg that measures everything still gates
-    every floor.
+    regression when the backend *should* have run: a missing numpy
+    measurement on a numpy-less machine, or a backend outside the run's
+    ``report["backends"]`` selection (a ``--backend python`` matrix leg),
+    is recorded as unmeasured (``current=None, regressed=False``) so
+    restricted runs stay green, while the CI leg that measures everything
+    still gates every floor.
 
     Conversely, every measured (kernel, backend) pair with no committed
     floor yields a ``missing_floor`` WARN row — never a silent pass.
@@ -160,11 +158,6 @@ def compare_reports(
     measured = report.get("speedups", {})
     has_numpy = report.get("numpy") is not None
     run_backends = report.get("backends")
-    staleness = (report.get("merge") or {}).get("staleness")
-    merge_twins = ("merge_parallel", "merge_parallel_bounded")
-    measured_merge = (
-        "merge_parallel_bounded" if staleness == "bounded" else "merge_parallel"
-    )
     floors = baseline["speedups"]
     rows: List[ComparisonRow] = []
     for kernel in sorted(floors):
@@ -172,14 +165,8 @@ def compare_reports(
             floor = float(floors[kernel][backend])
             current = measured.get(kernel, {}).get(backend)
             if current is None:
-                skippable = (
-                    (backend in ("numpy", "compiled") and not has_numpy)
-                    or (run_backends is not None and backend not in run_backends)
-                    or (
-                        kernel in merge_twins
-                        and staleness is not None
-                        and kernel != measured_merge
-                    )
+                skippable = (backend == "numpy" and not has_numpy) or (
+                    run_backends is not None and backend not in run_backends
                 )
                 rows.append(
                     ComparisonRow(

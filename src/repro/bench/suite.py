@@ -387,7 +387,6 @@ def _time_merge_parallel_kernels(
     repeats: int,
     backends: List[str],
     workers: int,
-    staleness: str = "exact",
 ) -> Any:
     """The ``merge_parallel`` kernel: tracked+alerting fan-out with merge.
 
@@ -395,14 +394,13 @@ def _time_merge_parallel_kernels(
     the process pool with shared-memory columns (the same transport the
     ``shm_parallel_mean_variance`` floor gates), against the scalar
     per-packet loop.  Returns ``(kernel rows, merge section)``; the
-    section records the chunk-resolution mix (adopted / folded / replayed
-    / stale) per backend so the replay-fallback rate is a reported number
-    rather than prose — CI surfaces it next to the speedup delta.
+    section records the chunk-resolution mix (adopted / folded / replayed)
+    per backend so the replay-fallback rate is a reported number rather
+    than prose — CI surfaces it next to the speedup delta.
 
     This kernel pins its own geometry at four workers: below two the
-    engine delegates to the serial exact loop (there is no serial fast
-    path for this shape — that is the point of the merge engine), which
-    would measure the scalar path against itself; the committed floor
+    engine delegates to the serial generated kernel, which would measure
+    the serial engine instead of the merge engine; the committed floor
     gates the engine at its deployment geometry, not the CI matrix axis.
     """
     from repro.stat4.parallel import ParallelBatchEngine
@@ -410,16 +408,11 @@ def _time_merge_parallel_kernels(
     workers = max(workers, 4)
     config, build_spec = _merge_workload()
     contexts = _make_service_contexts(packets)
-    # Bounded staleness trades the replay fallback away, so it is a
-    # different kernel with its own committed floor — the row name keys
-    # the floor, and compare.py skips whichever staleness twin a run
-    # did not measure.
-    name = "merge_parallel_bounded" if staleness == "bounded" else "merge_parallel"
+    name = "merge_parallel"
     results: List[Dict[str, Any]] = []
     section: Dict[str, Any] = {
         "packets": packets,
         "workers": workers,
-        "staleness": staleness,
         "backends": {},
     }
 
@@ -451,7 +444,6 @@ def _time_merge_parallel_kernels(
                 workers=workers,
                 executor="process",
                 share_columns=True,
-                staleness=staleness,
             )
             engine.process(batch)
             holder["engine"] = engine
@@ -477,13 +469,11 @@ def _time_merge_parallel_kernels(
             engine.merge_adopted_chunks
             + engine.merge_folded_chunks
             + engine.merge_replayed_chunks
-            + engine.merge_stale_chunks
         )
         section["backends"][backend] = {
             "adopted_chunks": engine.merge_adopted_chunks,
             "folded_chunks": engine.merge_folded_chunks,
             "replayed_chunks": engine.merge_replayed_chunks,
-            "stale_chunks": engine.merge_stale_chunks,
             "fallback_replay_rate": (
                 engine.merge_replayed_chunks / resolved if resolved else 0.0
             ),
@@ -887,16 +877,15 @@ def run_suite(
     scenarios: bool = False,
     scenarios_only: bool = False,
     scenario_engine: str = "scalar",
-    staleness: str = "exact",
 ) -> Dict[str, Any]:
     """Run the full suite; returns the report as a plain dict.
 
     Args:
         quick: the CI profile — fewer packets, fewer repeats, cheaper
             experiment set.
-        backend: ``"auto"`` benchmarks every available backend (numpy,
-            compiled, and python when numpy is importable); a specific
-            backend name restricts to that one.
+        backend: ``"auto"`` benchmarks every available backend (numpy
+            and python when numpy is importable); a specific backend name
+            restricts to that one.
         skip_experiments: kernels only (used by unit tests).
         packets / repeats: override the profile (tests use tiny values).
         workers: worker count for the parallel ingest kernels
@@ -910,24 +899,15 @@ def run_suite(
         scenarios_only: skip the perf kernels entirely — the scenario CI
             job wants quality rows without paying for timing runs.
         scenario_engine: replay path for the scenario rows — ``"scalar"``,
-            ``"parallel"`` (process pool + shared-memory columns),
-            ``"bounded"`` (merge engine with ``staleness="bounded"``), or
+            ``"parallel"`` (process pool + shared-memory columns), or
             ``"both"`` (scalar + parallel).
-        staleness: merge-engine reconciliation for the ``merge_parallel``
-            kernel (``repro bench --staleness``) — ``"exact"`` keeps the
-            replay fallback, ``"bounded"`` skips it; recorded in the
-            report's ``merge`` section.
     """
     if pool not in ("thread", "process"):
         raise ValueError(f"unknown pool {pool!r}; pick 'thread' or 'process'")
-    if staleness not in ("exact", "bounded"):
-        raise ValueError(
-            f"unknown staleness {staleness!r}; pick 'exact' or 'bounded'"
-        )
-    if scenario_engine not in ("scalar", "parallel", "bounded", "both"):
+    if scenario_engine not in ("scalar", "parallel", "both"):
         raise ValueError(
             f"unknown scenario engine {scenario_engine!r}; "
-            "pick 'scalar', 'parallel', 'bounded' or 'both'"
+            "pick 'scalar', 'parallel' or 'both'"
         )
     run_scenario_rows = scenarios or scenarios_only
     profile_packets, profile_repeats = _QUICK_PROFILE if quick else _FULL_PROFILE
@@ -935,8 +915,8 @@ def run_suite(
     reps = repeats if repeats is not None else profile_repeats
     if backend == "auto":
         # numpy first: backends[0] drives the cluster-scaling, shipping,
-        # and scenario sections, which predate the compiled tier.
-        backends = ["numpy", "compiled", "python"] if HAS_NUMPY else ["python"]
+        # and scenario sections.
+        backends = ["numpy", "python"] if HAS_NUMPY else ["python"]
     else:
         backends = [resolve_backend(backend)]
     if scenarios_only:
@@ -950,14 +930,14 @@ def run_suite(
         kernels.extend(_time_parallel_kernels(n, reps, backends, workers, pool))
         kernels.extend(_time_shm_parallel_kernels(n, reps, backends, workers))
         merge_rows, merge_section = _time_merge_parallel_kernels(
-            n, reps, backends, workers, staleness
+            n, reps, backends, workers
         )
         kernels.extend(merge_rows)
         service_rows, service_section = _time_service_kernels(n, reps, backends)
         kernels.extend(service_rows)
     # Absolute per-packet cost per row: the speedup ratios re-anchor
-    # whenever the scalar baseline moves, so tier-vs-tier comparisons
-    # (numpy vs compiled) need a machine-local absolute column too.
+    # whenever the scalar baseline moves, so backend-vs-backend
+    # comparisons need a machine-local absolute column too.
     for row in kernels:
         row["ns_per_packet"] = 1e9 / row["pps"] if row["pps"] > 0 else None
     report: Dict[str, Any] = {
@@ -1051,17 +1031,16 @@ def format_report(report: Dict[str, Any]) -> str:
         lines.append("")
         lines.append(
             f"merge-engine chunk resolution ({merge['packets']:,} packets, "
-            f"{merge['workers']} workers, staleness={merge['staleness']}):"
+            f"{merge['workers']} workers):"
         )
         lines.append(
             f"  {'backend':<8} {'adopted':>8} {'folded':>7} {'replayed':>9} "
-            f"{'stale':>6} {'fallback':>9}"
+            f"{'fallback':>9}"
         )
         for backend, row in merge["backends"].items():
             lines.append(
                 f"  {backend:<8} {row['adopted_chunks']:>8} "
                 f"{row['folded_chunks']:>7} {row['replayed_chunks']:>9} "
-                f"{row['stale_chunks']:>6} "
                 f"{row['fallback_replay_rate'] * 100:>8.1f}%"
             )
     service = report.get("service")
@@ -1128,16 +1107,15 @@ def format_merge_markdown(report: Dict[str, Any]) -> str:
     lines = [
         "### Merge-engine chunk resolution",
         "",
-        f"{merge['packets']:,} packets, {merge['workers']} workers, "
-        f"staleness={merge['staleness']}",
+        f"{merge['packets']:,} packets, {merge['workers']} workers",
         "",
-        "| backend | adopted | folded | replayed | stale | fallback replay |",
-        "| --- | ---: | ---: | ---: | ---: | ---: |",
+        "| backend | adopted | folded | replayed | fallback replay |",
+        "| --- | ---: | ---: | ---: | ---: |",
     ]
     for backend, row in merge["backends"].items():
         lines.append(
             f"| {backend} | {row['adopted_chunks']} | {row['folded_chunks']} "
-            f"| {row['replayed_chunks']} | {row['stale_chunks']} "
+            f"| {row['replayed_chunks']} "
             f"| {row['fallback_replay_rate'] * 100:.1f}% |"
         )
     lines.append("")
@@ -1149,9 +1127,9 @@ def format_kernels_markdown(report: Dict[str, Any]) -> str:
 
     CI appends this to ``GITHUB_STEP_SUMMARY`` next to the floor
     verdicts: the speedup ratios re-anchor whenever the scalar baseline
-    moves, so the absolute ns/packet column is what makes tier-vs-tier
-    comparisons (numpy vs compiled) readable across revisions of the
-    same runner.
+    moves, so the absolute ns/packet column is what makes
+    backend-vs-backend comparisons readable across revisions of the same
+    runner.
     """
     kernels = report.get("kernels")
     if not kernels:

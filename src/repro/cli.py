@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--backend",
-        choices=["auto", "numpy", "compiled", "python"],
+        choices=["auto", "numpy", "python"],
         default="auto",
         help="batch backend for --batched",
     )
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--backend",
-        choices=["auto", "numpy", "compiled", "python"],
+        choices=["auto", "numpy", "python"],
         default="auto",
         help="batch backend(s) to measure (auto = every available one)",
     )
@@ -222,21 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scenario-engine",
-        choices=["scalar", "parallel", "bounded", "both"],
+        choices=["scalar", "parallel", "both"],
         default="scalar",
         help=(
             "replay engine(s) for the scenario suite (default scalar; "
-            "'bounded' benches the merge engine without replay fallback, "
             "'both' runs the gated scalar+parallel pair)"
-        ),
-    )
-    bench.add_argument(
-        "--staleness",
-        choices=["exact", "bounded"],
-        default="exact",
-        help=(
-            "merge-engine reconciliation for the merge_parallel kernel: "
-            "exact keeps the replay fallback, bounded skips it"
         ),
     )
 
@@ -286,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["scalar", "parallel"], default="scalar"
     )
     serve.add_argument(
-        "--backend", choices=["auto", "numpy", "compiled", "python"], default="auto"
+        "--backend", choices=["auto", "numpy", "python"], default="auto"
     )
     serve.add_argument(
         "--workers", type=int, default=4, help="parallel-engine worker count"
@@ -296,16 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         default="process",
         help="parallel-engine executor",
-    )
-    serve.add_argument(
-        "--staleness",
-        choices=["exact", "bounded"],
-        default="exact",
-        help=(
-            "merge-engine reconciliation for tracked+alerting bindings: "
-            "exact is bit-identical to scalar, bounded trades digest "
-            "exactness for throughput"
-        ),
     )
     serve.add_argument(
         "--queue-depth",
@@ -631,7 +611,6 @@ def _cmd_bench(args) -> int:
         scenarios=want_scenarios,
         scenarios_only=args.scenarios_only,
         scenario_engine=args.scenario_engine,
-        staleness=args.staleness,
     )
     path = write_report(report, output=args.output)
     if args.json:
@@ -767,7 +746,6 @@ def _cmd_serve(args) -> int:
         backend=args.backend,
         workers=args.workers,
         pool=args.pool,
-        staleness=args.staleness,
         queue_depth=args.queue_depth,
         policy=args.policy,
         degraded_after=args.degraded_after,

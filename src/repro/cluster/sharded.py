@@ -153,7 +153,7 @@ class ShardedStat4:
         shards: cluster size (≥ 1; 1 degenerates to a plain Stat4).
         config: per-shard register geometry — uniform across the cluster,
             the merge functions require equal cell vector lengths.
-        backend: batch backend for every shard (``auto``/``numpy``/``compiled``/``python``).
+        backend: batch backend for every shard (``auto``/``numpy``/``python``).
         hash_seed: routing seed (see :func:`~repro.cluster.hashing.fnv1a64`).
     """
 

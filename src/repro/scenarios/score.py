@@ -55,10 +55,6 @@ __all__ = [
 BATCH_SIZE = 2048
 
 #: The gated engine pair: every committed scenario floor exists for both.
-#: ``replay_scenario`` additionally accepts ``"bounded"`` — the merge
-#: engine with ``staleness="bounded"`` (replay fallback skipped, digests
-#: from per-chunk speculation) — as an ungated variant for benching the
-#: accuracy/throughput trade of bounded staleness.
 ENGINES = ("scalar", "parallel")
 
 
@@ -145,19 +141,15 @@ def _make_engine(
 ) -> BatchEngine:
     if engine == "scalar":
         return BatchEngine(stat4, backend=backend)
-    if engine in ("parallel", "bounded"):
+    if engine == "parallel":
         return ParallelBatchEngine(
             stat4,
             backend=backend,
             workers=workers,
             executor="process",
             share_columns=share_columns,
-            staleness="bounded" if engine == "bounded" else "exact",
         )
-    raise ValueError(
-        f"unknown replay engine {engine!r}; pick one of "
-        f"{ENGINES + ('bounded',)}"
-    )
+    raise ValueError(f"unknown replay engine {engine!r}; pick one of {ENGINES}")
 
 
 def replay_scenario(

@@ -165,11 +165,8 @@ class DetectionService:
             :func:`default_config`).
         bindings: ``(stage, match, spec)`` entries (same defaulting).
         engine: ``"scalar"`` or ``"parallel"``.
-        backend: batch backend (``auto``/``numpy``/``compiled``/``python``).
+        backend: batch backend (``auto``/``numpy``/``python``).
         workers / pool: parallel-engine fan-out shape.
-        staleness: merge-engine reconciliation for tracked+alerting
-            bindings (``"exact"`` is bit-identical to scalar;
-            ``"bounded"`` skips the replay fallback for throughput).
         queue_depth / policy / degraded_after: pipeline knobs (see
             :class:`ServicePipeline`).
         with_http: serve the JSON API (off for in-process bench use).
@@ -187,7 +184,6 @@ class DetectionService:
         backend: str = "auto",
         workers: int = 4,
         pool: str = "process",
-        staleness: str = "exact",
         queue_depth: int = 8,
         policy: str = "block",
         degraded_after: float = 5.0,
@@ -243,11 +239,9 @@ class DetectionService:
                 backend=backend,
                 workers=workers,
                 executor=pool,
-                staleness=staleness,
             )
         else:
             raise ValueError(f"unknown engine {engine!r}; pick scalar or parallel")
-        self.staleness = staleness
 
         self.metrics = ServiceMetrics(clock=clock)
         self.alerts = AlertLog(capacity=alert_capacity)
@@ -362,12 +356,10 @@ class DetectionService:
             # Merge-engine observability: how tracked+alerting chunks were
             # reconciled since start (adopt/fold are the fast paths; a high
             # replay share means chunks keep crossing alert boundaries).
-            payload["staleness"] = self.staleness
             payload["merge_chunks"] = {
                 "adopted": self.engine.merge_adopted_chunks,
                 "folded": self.engine.merge_folded_chunks,
                 "replayed": self.engine.merge_replayed_chunks,
-                "stale": self.engine.merge_stale_chunks,
             }
         return payload
 
@@ -497,6 +489,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server: _ServiceHTTPServer
     protocol_version = "HTTP/1.1"
+    # _send_json writes headers and body separately; on a keep-alive
+    # connection Nagle's algorithm would hold the body until the client's
+    # delayed ACK (~40 ms on Linux loopback).
+    disable_nagle_algorithm = True
 
     # -- helpers -----------------------------------------------------------
 

@@ -21,8 +21,8 @@ integer-only semantics are the spec; differential tests enforce equality):
   Binding lookups are memoized per unique key (entries are fixed for the
   duration of a batch, exactly like a pipeline between control-plane
   writes), matched packets are partitioned into per-distribution event
-  streams in scalar order, and each stream runs the fastest *exact* kernel
-  available:
+  streams in scalar order, and each stream runs the one *exact* kernel its
+  shape dispatches to (:func:`kernel_of`):
 
   * dense frequency slots with no percentile tracker and no k·σ check use a
     counting kernel — occurrences are tallied per unique value
@@ -32,33 +32,32 @@ integer-only semantics are the spec; differential tests enforce equality):
     final lazy-σ value is identical; only *how often* it was recomputed
     differs);
   * tracked frequency slots with no alerts use the same counting kernel for
-    cells and moments plus a **vectorized percentile stepper** (numpy
-    backend): the one-step-per-packet walk of Figure 3 is replayed exactly
+    cells and moments plus a replay of the exact observe/tick sequence
+    through the tracker — a **vectorized percentile stepper** on the numpy
+    backend: the one-step-per-packet walk of Figure 3 is replayed exactly
     through a cumulative-count formulation — between position moves the
     low/high/at counters are affine in the running observation counts, so
     the next move point is one vectorized compare away (see
     ``_tracker_walk``);
-  * sparse hashed slots run a specialized per-packet loop that memoizes
-    the per-stage probe slots per unique key (the multiply-shift hashes
-    are computed once per batch instead of once per packet) and syncs the
-    derived-measure registers once per batch, like the counting kernel;
   * time-series slots scan for interval closes with the same
     ``now − start ≥ interval`` float comparison the scalar path evaluates
     (vectorized on the numpy backend) and sum the in-between values in one
     step, calling the library's own ``_close_interval`` at each close so
     window/alert/silent-gap semantics stay byte-for-byte the library's;
-  * everything else that is order-dependent (percentile stepping with
-    alerts attached, k·σ checks on dense slots) runs the library's own
-    per-packet update methods in a tight loop — still faster than the
-    scalar path because lookups, extraction, and context plumbing are
-    amortized.
+  * everything order-dependent — dense frequency with a k·σ check or a
+    percentile alert, and hashed sparse slots — runs a generated
+    monomorphic per-packet loop (:mod:`repro.stat4.compiled`): the
+    library's update inlined with every spec constant baked in, the
+    sparse probe paths memoized per unique key, and the derived-measure
+    registers synced once per run.
 
 The numpy backend is optional: ``backend="auto"`` uses numpy when
-importable and falls back to pure Python otherwise.  Both backends are
-exact; numpy only accelerates counting, close-point scans, and the
-percentile walk.  :mod:`repro.stat4.parallel` builds a worker-pool
-execution layer on top of this engine (chunked tallies merged through the
-same ``observe_frequencies`` telescoping).
+importable and falls back to pure Python otherwise.  Both backends run the
+same kernel per shape and are exact; numpy only accelerates counting,
+close-point scans, the percentile walk, and the value gathers.
+:mod:`repro.stat4.parallel` builds a worker-pool execution layer on top of
+this engine (chunked tallies merged through the same
+``observe_frequencies`` telescoping).
 
 What is *not* preserved: per-register read/write accounting and the
 σ-recomputation counter (the batch path coalesces touches by design).
@@ -75,7 +74,8 @@ import array as _array
 
 from repro.p4.switch import Digest, PacketContext, StandardMetadata
 from repro.stat4.binding import TRACK_ACTION, binding_key_of
-from repro.stat4.distributions import DistributionKind, TrackSpec
+from repro.stat4.compiled import KernelLibrary
+from repro.stat4.distributions import DistributionKind, KernelShape, TrackSpec
 from repro.stat4.library import Stat4, _to_us
 from repro.traffic.columns import ColumnStore, slice_backing
 
@@ -89,6 +89,8 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "HAS_NUMPY",
+    "GENERATED_KERNELS",
+    "kernel_of",
     "resolve_backend",
     "PacketBatch",
     "BatchResult",
@@ -106,29 +108,43 @@ _MISS = object()
 
 
 def resolve_backend(backend: str = "auto") -> str:
-    """Normalize a backend request to ``"numpy"``, ``"python"``, or
-    ``"compiled"``.
-
-    ``"compiled"`` is the generated-kernel tier (:mod:`repro.stat4.compiled`):
-    it requires numpy, and uses numba on top when importable.
+    """Normalize a backend request to ``"numpy"`` or ``"python"``.
 
     Raises:
-        RuntimeError: if ``"numpy"`` or ``"compiled"`` is requested but
-            numpy is not importable.
+        RuntimeError: if ``"numpy"`` is requested but numpy is not
+            importable.
         ValueError: on an unknown backend name.
     """
     if backend == "auto":
         return "numpy" if HAS_NUMPY else "python"
-    if backend in ("numpy", "compiled"):
+    if backend == "numpy":
         if not HAS_NUMPY:
             raise RuntimeError(
-                f"{backend} backend requested but numpy is not importable; "
+                "numpy backend requested but numpy is not importable; "
                 "use backend='python' or 'auto'"
             )
         return backend
     if backend == "python":
         return "python"
     raise ValueError(f"unknown batch backend {backend!r}")
+
+
+#: Kernels that run a generated per-packet loop (:mod:`repro.stat4.compiled`);
+#: every other kernel is a hand-written vectorised one in this module.
+GENERATED_KERNELS = ("exact_loop", "sparse_fast")
+
+
+def kernel_of(shape: KernelShape) -> str:
+    """The one kernel that runs a shape — the dispatch table of
+    :meth:`BatchEngine._process_run`, and the ``BatchResult.kernels`` name
+    its events are counted under."""
+    if shape.kind is DistributionKind.TIME_SERIES:
+        return "time_series"
+    if shape.kind is DistributionKind.SPARSE_FREQUENCY:
+        return "sparse_fast"
+    if shape.alerting or shape.percentile_alert:
+        return "exact_loop"
+    return "percentile_fast" if shape.tracked else "frequency_fast"
 
 
 class PacketBatch:
@@ -431,8 +447,9 @@ class BatchResult:
         digests: every digest emitted, in scalar order (packet-major,
             binding-stage-minor).
         kernels: events handled per kernel, keyed by kernel name
-            (``frequency_fast`` / ``percentile_fast`` / ``sparse_fast`` /
-            ``time_series`` / ``exact_loop``; the parallel engine adds
+            (:func:`kernel_of`: ``frequency_fast`` / ``percentile_fast`` /
+            ``time_series`` for the vectorised kernels, ``exact_loop`` /
+            ``sparse_fast`` for the generated loops; the parallel engine adds
             ``frequency_parallel`` / ``percentile_parallel`` /
             ``alert_parallel`` for its fanned-out modes).
         backend: the backend that ran the batch.
@@ -508,22 +525,15 @@ class BatchEngine:
 
     Args:
         stat4: the library instance to drive.
-        backend: ``"auto"`` (numpy when available), ``"numpy"``,
-            ``"python"``, or ``"compiled"`` (generated specialized
-            kernels, numba-jitted when the ``jit`` extra is installed).
+        backend: ``"auto"`` (numpy when available), ``"numpy"``, or
+            ``"python"``.
     """
 
     def __init__(self, stat4: Stat4, backend: str = "auto"):
         self.stat4 = stat4
         self.backend = resolve_backend(backend)
-        # The compiled tier layers on the numpy kernels: any run its
-        # generated kernels decline falls through to them.
-        self._np = _np if self.backend in ("numpy", "compiled") else None
-        self._compiled = None
-        if self.backend == "compiled":
-            from repro.stat4.compiled import CompiledKernelLibrary
-
-            self._compiled = CompiledKernelLibrary(stat4)
+        self._np = _np if self.backend == "numpy" else None
+        self._library = KernelLibrary(stat4)
 
     # -- entry point ----------------------------------------------------------
 
@@ -708,43 +718,23 @@ class BatchEngine:
         # of the run, resetting the slot iff it was repurposed (exactly
         # the scalar per-application behaviour).
         state = self.stat4._state_for(spec)
-        if self._compiled is not None and self._compiled.run(
-            self, spec, state, segment, batch, sink, result
-        ):
-            return
-        values = batch.values_for(spec)
-        if spec.kind is DistributionKind.FREQUENCY and spec.k_sigma <= 0:
-            if state.tracker is None:
-                self._frequency_kernel(state, segment, values, result)
-                return
-            if (
-                self._np is not None
-                and not spec.percentile_alert
-                and state.tracker.steps_per_update == 1
-            ):
-                self._percentile_kernel(state, segment, values, result)
-                return
-        if spec.kind is DistributionKind.TIME_SERIES:
+        name = kernel_of(KernelShape.of_spec(spec))
+        result.kernels[name] = result.kernels.get(name, 0) + len(segment)
+        if name in GENERATED_KERNELS:
+            self._library.run(spec, state, segment, batch, sink)
+        elif name == "time_series":
             self._time_series_kernel(
-                state, segment, values, batch.timestamps, sink, result
+                state, segment, batch.values_for(spec), batch.timestamps, sink
             )
-        elif spec.kind is DistributionKind.SPARSE_FREQUENCY:
-            self._sparse_kernel(
-                state, segment, values, batch.timestamps, sink, result
-            )
+        elif name == "percentile_fast":
+            self._percentile_kernel(state, segment, batch.values_for(spec))
         else:
-            self._exact_loop(
-                state, segment, values, batch.timestamps, sink, result
-            )
+            self._frequency_kernel(state, segment, batch.values_for(spec))
 
     # -- kernels -------------------------------------------------------------
 
     def _frequency_kernel(
-        self,
-        state,
-        segment: List[_Event],
-        values: Column,
-        result: BatchResult,
+        self, state, segment: List[_Event], values: Column
     ) -> None:
         """Dense frequency slots with no tracker and no k·σ check.
 
@@ -770,15 +760,11 @@ class BatchEngine:
             else:
                 observed.append(value)
         state.values_dropped += dropped
-        result.kernels["frequency_fast"] = (
-            result.kernels.get("frequency_fast", 0) + len(segment)
-        )
-        if not observed:
-            return
-        self._apply_counts(state, self._tally(observed, size))
+        if observed:
+            self._apply_counts(state, self._tally(observed, size))
 
     def _apply_counts(
-        self, state, counts: Sequence[Tuple[int, int]]
+        self, state, counts: Iterable[Tuple[int, int]]
     ) -> None:
         """Fold ``(value, occurrences)`` tallies into cells and moments.
 
@@ -830,51 +816,40 @@ class BatchEngine:
     _WALK_ROUNDS = 256
 
     def _percentile_kernel(
-        self,
-        state,
-        segment: List[_Event],
-        values: Column,
-        result: BatchResult,
+        self, state, segment: List[_Event], values: Column
     ) -> None:
-        """Tracked frequency slots with no alerts (numpy backend only).
+        """Tracked frequency slots with no alerts.
 
         Cells and moments take the counting kernel (the tracker's state
-        does not feed them), and the percentile tracker replays the exact
-        observe/tick event sequence through the vectorized stepper
-        (:meth:`_tracker_walk`).  The percentile registers are synced once
-        at the end — same final contents as the scalar per-packet
-        ``_sync_percentile`` calls, and written only if the scalar path
-        would have synced at least once (an observation landed, or the
-        tracker already had a position and a value-free packet ticked it).
+        does not feed them), then the percentile tracker replays the run's
+        exact observe/tick sequence (:meth:`_walk_tracker`).
         """
-        stat4 = self.stat4
-        size = stat4.config.counter_size
-        tracker = state.tracker
+        self._frequency_kernel(state, segment, values)
+        self._walk_tracker(state, segment, values)
+
+    def _walk_tracker(self, state, segment: List[_Event], values: Column) -> None:
+        """Replay a run's observe/tick sequence through the slot's tracker.
+
+        Dropped values are excluded entirely and value-free packets tick,
+        precisely the scalar ``_update_frequency`` flow; the walk is
+        :meth:`_tracker_replay` (the vectorized stepper on numpy, the
+        scalar tracker without it).  The percentile registers are synced
+        once at the end — same final contents as the scalar per-packet
+        ``_sync_percentile`` calls, and written only if the scalar path
+        would have synced at least once.
+        """
+        size = self.stat4.config.counter_size
         events: List[int] = []
-        observed: List[int] = []
-        dropped = 0
         for pkt, _stage, _spec in segment:
             value = values[pkt]
             if value is None:
                 events.append(-1)  # value-free packet: a tracker tick
-            elif value >= size:
-                # Scalar path returns before the tracker: no tick either.
-                dropped += 1
-            else:
+            elif value < size:
                 events.append(value)
-                observed.append(value)
-        state.values_dropped += dropped
-        result.kernels["percentile_fast"] = (
-            result.kernels.get("percentile_fast", 0) + len(segment)
-        )
-        had_value = tracker.has_value
-        if observed:
-            self._apply_counts(state, self._tally(observed, size))
-        if events:
-            self._tracker_walk(
-                tracker, self._np.asarray(events, dtype=self._np.int64)
-            )
-        if observed or (had_value and len(events) > len(observed)):
+            # else: dropped — the scalar path returns before the tracker.
+        tracker = state.tracker
+        if self._tracker_replay(tracker, events):
+            stat4 = self.stat4
             dist = state.spec.dist
             stat4.reg_pos.write(dist, tracker.value)
             stat4.reg_low.write(dist, tracker.low)
@@ -994,8 +969,8 @@ class BatchEngine:
         can chunk a run and walk it window by window (the parallel merge
         engine folds provably-silent chunks through exactly this entry
         point).  Dispatches to the vectorized :meth:`_tracker_walk` when
-        numpy is available and the tracker moves one step per packet, and
-        to the scalar tracker otherwise; both count moves identically.
+        numpy is available and to the scalar tracker otherwise; both count
+        moves identically.
         Returns ``True`` when the window requires a position-register
         sync under the serial write gate: an observation landed, or the
         tracker entered the window holding a position and a value-free
@@ -1005,7 +980,7 @@ class BatchEngine:
             return False
         had_value = tracker.has_value
         observed = sum(1 for value in events if value >= 0)
-        if self._np is not None and tracker.steps_per_update == 1:
+        if self._np is not None:
             self._tracker_walk(
                 tracker, self._np.asarray(events, dtype=self._np.int64)
             )
@@ -1018,58 +993,6 @@ class BatchEngine:
                     tracker.observe(value)
         return bool(observed or (had_value and len(events) > observed))
 
-    def _sparse_kernel(
-        self,
-        state,
-        segment: List[_Event],
-        values: Column,
-        timestamps: List[float],
-        sink: _DigestSink,
-        result: BatchResult,
-    ) -> None:
-        """Sparse hashed slots: the exact per-packet loop, batch-amortized.
-
-        Probe order, eviction choice, and the k·σ judgement are all
-        order-dependent, so every event still runs individually — but the
-        multiply-shift probe path is memoized per unique key for the batch
-        (:meth:`~repro.stat4.sparse.HashedCells.probe_path`), and the
-        derived-measure registers are synced once at the end instead of
-        per packet.  Final register contents are identical either way:
-        ``_maybe_alert`` judges samples against the live ``state.stats``,
-        never the registers.
-        """
-        stat4 = self.stat4
-        spec = state.spec
-        cells = stat4.sparse_cells[spec.dist]
-        stats = state.stats
-        increment = cells.increment
-        # Bulk-memoize the multiply-shift probe paths: one hash pipeline
-        # per unique key for the whole batch.
-        probes = cells.probe_paths(
-            {values[pkt] for pkt, _s, _sp in segment if values[pkt] is not None}
-        )
-        alerts = spec.k_sigma > 0
-        touched = False
-        result.kernels["sparse_fast"] = (
-            result.kernels.get("sparse_fast", 0) + len(segment)
-        )
-        for pkt, stage, _spec in segment:
-            value = values[pkt]
-            if value is None:
-                continue
-            path = probes[value]
-            old, new, evicted = increment(value, path)
-            if evicted:
-                stats.remove_value(evicted)
-            stats.observe_frequency(old)
-            touched = True
-            if alerts:
-                now = timestamps[pkt]
-                sink.set(pkt, stage, now)
-                stat4._maybe_alert(state, sink, sample=new, index=value, now=now)
-        if touched:
-            stat4._sync_stats(state)
-
     def _time_series_kernel(
         self,
         state,
@@ -1077,7 +1000,6 @@ class BatchEngine:
         values: Column,
         timestamps: List[float],
         sink: _DigestSink,
-        result: BatchResult,
     ) -> None:
         """Segmented time-series scan: chunk-sum between interval closes.
 
@@ -1106,7 +1028,6 @@ class BatchEngine:
         m = len(segment)
         ts = [timestamps[e[0]] for e in segment]
         counts = [values[e[0]] if values[e[0]] is not None else 0 for e in segment]
-        result.kernels["time_series"] = result.kernels.get("time_series", 0) + m
         idx = 0
         if state.interval_start is None:
             state.interval_start = ts[0]
@@ -1163,36 +1084,3 @@ class BatchEngine:
             k = stop
             block <<= 1
         return -1
-
-    def _exact_loop(
-        self,
-        state,
-        segment: List[_Event],
-        values: Column,
-        timestamps: List[float],
-        sink: _DigestSink,
-        result: BatchResult,
-    ) -> None:
-        """Order-dependent slots: run the library's own per-packet updates.
-
-        Percentile stepping moves at most one unit per packet, k·σ checks
-        judge each sample against the pre-update moments, and sparse hashed
-        slots evict by probe order — none of that can be reordered, so this
-        loop calls the exact scalar methods with the context plumbing
-        stripped away.
-        """
-        stat4 = self.stat4
-        kind = state.spec.kind
-        if kind is DistributionKind.FREQUENCY:
-            update = stat4._update_frequency
-        elif kind is DistributionKind.SPARSE_FREQUENCY:
-            update = stat4._update_sparse
-        else:
-            update = stat4._update_time_series
-        result.kernels["exact_loop"] = (
-            result.kernels.get("exact_loop", 0) + len(segment)
-        )
-        for pkt, stage, _spec in segment:
-            now = timestamps[pkt]
-            sink.set(pkt, stage, now)
-            update(state, sink, values[pkt], now)

@@ -1,87 +1,71 @@
 # p4-ok-file — host-side batch code generator; the per-packet P4 semantics
 # it specializes live (and are linted) in repro.stat4.library, and the
 # generated sources themselves are audited by ST510/ST511.
-# race-ok file: the library is engine-private (one per BatchEngine); the
-# parallel engine hands each worker its own engine instance.
-"""Generated monomorphic batch kernels — the compiled tier.
+# race-ok file: KernelLibrary holds no mutable state, and the one kernel
+# cache is a functools.lru_cache, which is safe to share across threads.
+"""Generated per-packet kernels for the order-dependent shapes.
 
 The paper's pitch is that Stat4 runs at line rate because the restricted
 operation set (adds, shifts, compares, table lookups) compiles to cheap
 hardware stages.  The software analogue of "compiles" is taken literally
-here: for each of the ten constructible kernel shapes (``DistributionKind``
-× tracker × k-sigma × percentile-alert, exactly the lattice the ST5xx
-concurrency pass enumerates), this module *generates Python source* for a
-monomorphic batch kernel — every spec constant (cell domain, width mask,
-k·σ, cooldown, percentile weights, interval) baked in as a literal, every
-polymorphic dispatch of the interpreted tier (attribute lookups, None
-checks, register accounting) specialized away — and ``exec``-compiles it
-once per ``(shape, constants, generation)``.
+here: for every kernel shape whose update cannot be reordered — dense
+frequency with a k·σ check and/or a percentile alert, tracked or not, and
+hashed sparse frequency with or without k·σ — this module *generates
+Python source* for a monomorphic per-packet loop.  Every spec constant
+(cell domain, width mask, k·σ, cooldown, percentile weights) is baked in
+as a literal, every polymorphic dispatch of the scalar library (attribute
+lookups, None checks, register accounting) is specialized away, and the
+source is ``exec``-compiled once per ``(shape, constants)``.
 
-Two interchangeable backends execute the generated source:
+The loops run over plain Python ints, so they need no numpy: the
+:class:`KernelLibrary` gathers a run's values into plain lists on every
+backend.  The same loop serves three callers —
+:class:`~repro.stat4.batch.BatchEngine`, the merge workers' speculation,
+and the parallel reconciler's replay (:mod:`repro.stat4.parallel`) — so
+a chunk replayed on the parent and a chunk speculated in a worker run
+the same code.
 
-- **generated-numpy** (always available): the ``exec``-compiled function
-  itself.  Array-shaped kernels (the tally and tracked frequency folds,
-  the time-series close scan) are fully vectorized; the alerting/merge
-  and sparse shapes run a specialized per-packet loop over plain Python
-  ints — no ``ScaledStats``/register indirection per packet.
-- **numba** (optional, the ``jit`` packaging extra): array-shaped kernels
-  are additionally wrapped in ``numba.njit``.  Import failure, compile
-  failure, or a mid-run execution failure all degrade cleanly to the
-  generated-numpy function for that kernel (counted in
-  :attr:`CompiledKernelLibrary.jit_failures`).
+A frequency kernel's working state travels as one flat tuple (see
+:func:`pack_frequency_state`); the loop takes it as its trailing
+positional arguments and returns it, updated, in the same layout.  A
+worker can therefore speculate from a shipped snapshot and hand back an
+exit state the parent installs exactly as a serial run's.
 
-Exactness contract: a compiled kernel leaves *bit-identical* state to the
-scalar library — registers, moments (including the lazy ``_cached_sd`` /
-``_sd_dirty`` pair), tracker state, cooldown stamps, digests and their
-order.  The hypothesis three-way differential (scalar vs numpy vs
-compiled) in ``tests/stat4/test_compiled.py`` gates this, shape by shape.
+Exactness contract: a generated kernel leaves *bit-identical* state to the
+scalar library — registers, moments, tracker state, cooldown stamps,
+digests and their order.  The hypothesis differentials in
+``tests/stat4/test_batch_differential.py`` and
+``tests/stat4/test_parallel_differential.py`` gate this.
 
 The generated source stays inside the restricted op set the analyzer can
 audit — integer add/sub/shift/mask, compile-time-constant multiplies,
-``checked_multiply`` for the two runtime multiplies of the σ²·N² check,
-``approx_isqrt``, and a short whitelist of vector primitives.  Rule ST510
-walks every generated kernel's AST against that whitelist, and ST511
-cross-checks each kernel's ``# parallel-mode:`` pragma against the
-dataflow-derived eligibility table, so fan-out stays derived from
-analysis rather than a hand table (see
+``checked_multiply`` for the runtime multiplies of the σ²·N² check, and
+``approx_isqrt``.  Rule ST510 walks every generated kernel's AST against
+that whitelist, and ST511 cross-checks each kernel's ``# parallel-mode:``
+pragma against the dataflow-derived eligibility table (see
 :func:`repro.analysis.concurrency.check_generated_kernels`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.analysis.concurrency import KernelShape, enumerate_shapes
 from repro.core.approx import approx_isqrt
 from repro.p4.values import checked_multiply
-from repro.stat4.distributions import DistributionKind, TrackSpec
-from repro.stat4.library import _to_us
+from repro.stat4.distributions import (
+    DistributionKind,
+    DistributionState,
+    KernelShape,
+    TrackSpec,
+    enumerate_shapes,
+)
+from repro.traffic.columns import DIGEST_KIND_KSIGMA, DIGEST_KIND_PERCENTILE
 
-try:  # pragma: no cover - exercised by environment
-    import numpy as _np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAS_NUMPY = False
-
-try:  # pragma: no cover - numba is an optional extra (``pip install .[jit]``)
-    import numba as _numba
-
-    HAS_NUMBA = True
-except Exception:  # pragma: no cover - any import-time failure counts
-    _numba = None
-    HAS_NUMBA = False
-
-
-#: Kernel families whose generated source is pure array code (no callable
-#: arguments, no Python-object state) and therefore eligible for numba.
-_JIT_FAMILIES = ("frequency", "tracked")
-
-#: Cap on cached compiled kernels; rebinds mint new generations, and the
-#: stale entries are purged eagerly, so this only guards pathological
-#: constant churn.
+#: Cap on cached compiled kernels per process.  A rebind mints a new
+#: generation, which is part of the cache key, so a rebound slot misses
+#: and recompiles; the cap bounds what stale generations can pin.
 _CACHE_LIMIT = 64
 
 
@@ -102,7 +86,6 @@ class KernelConstants:
     cooldown: float
     wl: int
     wh: int
-    interval: float
     generation: int
 
     @classmethod
@@ -117,7 +100,6 @@ class KernelConstants:
             cooldown=max(config.alert_cooldown, spec.cooldown),
             wl=percent,
             wh=100 - percent,
-            interval=spec.interval if spec.interval is not None else 0.0,
             generation=spec.generation,
         )
 
@@ -136,90 +118,6 @@ def _header(shape: KernelShape, mode: str) -> List[str]:
         f"# shape: {shape.key}",
         f"# parallel-mode: {mode}",
     ]
-
-
-def _fold_lines(c: KernelConstants, pad: str) -> List[str]:
-    """The telescoped ``observe_frequencies`` fold over a bincount tally.
-
-    Mirrors ``BatchEngine._apply_counts``: closed-form moment deltas per
-    unique value, with a per-occurrence replay for cells that would wrap
-    the register width mid-run.  Emits moment *deltas* (the engine folds
-    them into the Python-bignum ScaledStats fields) plus the touched
-    cell indices.
-    """
-    p = pad
-    return [
-        f"{p}d_count = 0",
-        f"{p}d_xsum = 0",
-        f"{p}d_xsumsq = 0",
-        f"{p}d_updates = 0",
-        f"{p}if obs.shape[0] == 0:",
-        f"{p}    hit = np.empty(0, np.int64)",
-        f"{p}else:",
-        f"{p}    counts = np.bincount(obs, minlength={c.size})",
-        f"{p}    hit = np.nonzero(counts)[0]",
-        f"{p}    old = cells[hit]",
-        f"{p}    rep = counts[hit]",
-        f"{p}    wrap = (old + rep) > {c.width_mask}",
-        f"{p}    safe = ~wrap",
-        f"{p}    if bool(safe.any()):",
-        f"{p}        old_s = old[safe]",
-        f"{p}        rep_s = rep[safe]",
-        f"{p}        d_count = d_count + int((old_s == 0).sum())",
-        f"{p}        grew = int(rep_s.sum())",
-        f"{p}        d_xsum = d_xsum + grew",
-        f"{p}        d_updates = d_updates + grew",
-        f"{p}        d_xsumsq = d_xsumsq + int(((old_s * rep_s) << 1).sum())",
-        f"{p}        d_xsumsq = d_xsumsq + int((rep_s * rep_s).sum())",
-        f"{p}        cells[hit[safe]] = old_s + rep_s",
-        f"{p}    if bool(wrap.any()):",
-        f"{p}        wrap_at = np.nonzero(wrap)[0]",
-        f"{p}        for k in range(wrap_at.shape[0]):",
-        f"{p}            j = int(wrap_at[k])",
-        f"{p}            current = int(old[j])",
-        f"{p}            for _ in range(int(rep[j])):",
-        f"{p}                if current == 0:",
-        f"{p}                    d_count = d_count + 1",
-        f"{p}                d_xsum = d_xsum + 1",
-        f"{p}                d_xsumsq = d_xsumsq + (current << 1) + 1",
-        f"{p}                d_updates = d_updates + 1",
-        f"{p}                current = (current + 1) & {c.width_mask}",
-        f"{p}            cells[int(hit[j])] = current",
-    ]
-
-
-def _frequency_source(shape: KernelShape, c: KernelConstants) -> str:
-    """Plain dense frequency (no tracker, no alerts): the tally fold."""
-    lines = _header(shape, "tally")
-    lines += [
-        "def kernel(vals, cells):",
-        "    present = vals[vals >= 0]",
-        f"    in_dom = present < {c.size}",
-        "    dropped = int(present.shape[0]) - int(in_dom.sum())",
-        "    obs = present[in_dom]",
-    ]
-    lines += _fold_lines(c, "    ")
-    lines += ["    return dropped, d_count, d_xsum, d_xsumsq, d_updates, hit"]
-    return "\n".join(lines) + "\n"
-
-
-def _tracked_source(shape: KernelShape, c: KernelConstants) -> str:
-    """Tracked frequency without alerts: fold + the event stream for the
-    engine's vectorized tracker walk (``-1`` marks a tick)."""
-    lines = _header(shape, "tracked")
-    lines += [
-        "def kernel(vals, cells):",
-        f"    keep = vals < {c.size}",
-        "    events = vals[keep]",
-        "    dropped = int(vals.shape[0]) - int(events.shape[0])",
-        "    obs = events[events >= 0]",
-    ]
-    lines += _fold_lines(c, "    ")
-    lines += [
-        "    observed = int(obs.shape[0])",
-        "    return dropped, d_count, d_xsum, d_xsumsq, d_updates, hit, events, observed",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _rebalance_lines(c: KernelConstants, pad: str) -> List[str]:
@@ -259,7 +157,9 @@ def _sync_percentile_lines(c: KernelConstants, pad: str, pa: bool) -> List[str]:
             )
             inner = p + "            "
         lines.append(f"{inner}last_pa = now")
-        lines.append(f"{inner}records.append((2, i, pos, previous))")
+        lines.append(
+            f"{inner}records.append(({DIGEST_KIND_PERCENTILE}, i, pos, previous))"
+        )
     return lines
 
 
@@ -293,23 +193,15 @@ def _ksigma_lines(c: KernelConstants, pad: str, sample: str, index: str) -> List
         f"{inner}scaled_sample = checked_multiply(count, {sample}, runtime_operands=2)",
         f"{inner}if scaled_sample > threshold:",
         f"{inner}    last_alert = now",
-        f"{inner}    records.append((1, i, {index}, {sample}, scaled_sample, "
-        "xsum, cached_sd, count))",
+        f"{inner}    records.append(({DIGEST_KIND_KSIGMA}, i, {index}, {sample}, "
+        "scaled_sample, xsum, cached_sd, count))",
     ]
     return lines
 
 
-def _scalar_loop_source(shape: KernelShape, c: KernelConstants) -> str:
-    """Alerting / percentile-alert frequency shapes: the monomorphic
-    per-packet loop (``Stat4._update_frequency`` with every constant and
-    attribute lookup specialized away; state lives in plain locals)."""
-    tracked = shape.tracked
-    pa = shape.percentile_alert
-    mode = "merge" if tracked else "alerting"
-    lines = _header(shape, mode)
-    params = [
-        "vlist",
-        "tlist",
+def _frequency_state_names(shape: KernelShape) -> List[str]:
+    """The flat working-state layout of a dense frequency kernel."""
+    names = [
         "cells",
         "count",
         "xsum",
@@ -319,16 +211,24 @@ def _scalar_loop_source(shape: KernelShape, c: KernelConstants) -> str:
         "sd_dirty",
         "last_alert",
     ]
-    if pa:
-        params.append("last_pa")
-    if tracked:
-        params += ["freqs", "low", "high", "total", "moves", "pos", "pos_mirror"]
-    params += ["square", "records"]
-    lines.append(f"def kernel({', '.join(params)}):")
+    if shape.percentile_alert:
+        names.append("last_pa")
+    if shape.tracked:
+        names += ["freqs", "low", "high", "total", "moves", "pos", "pos_mirror"]
+    return names
+
+
+def _frequency_loop_source(shape: KernelShape, c: KernelConstants) -> str:
+    """Dense frequency with alerts: the monomorphic per-packet loop
+    (``Stat4._update_frequency`` with every constant and attribute lookup
+    specialized away; state lives in plain locals)."""
+    tracked = shape.tracked
+    state = _frequency_state_names(shape)
+    lines = _header(shape, "merge" if tracked else "alerting")
+    lines.append(f"def kernel(vlist, tlist, square, records, {', '.join(state)}):")
     lines.append("    dropped = 0")
     lines.append("    observed = 0")
-    if tracked:
-        lines.append("    synced = False")
+    lines.append("    synced = False")
     lines.append("    for i in range(len(vlist)):")
     lines.append("        v = vlist[i]")
     lines.append("        now = tlist[i]")
@@ -337,9 +237,7 @@ def _scalar_loop_source(shape: KernelShape, c: KernelConstants) -> str:
         # value-free packet: tick + sync iff the tracker has a position
         lines.append("            if pos >= 0:")
         lines += _rebalance_lines(c, "                ")
-        lines += _sync_percentile_lines(c, "                ", pa)
-    else:
-        lines.append("            pass")
+        lines += _sync_percentile_lines(c, "                ", shape.percentile_alert)
     lines.append("            continue")
     lines.append(f"        if v >= {c.size}:")
     lines.append("            dropped = dropped + 1")
@@ -370,98 +268,38 @@ def _scalar_loop_source(shape: KernelShape, c: KernelConstants) -> str:
             "            high = high + 1",
         ]
         lines += _rebalance_lines(c, "        ")
-        lines += _sync_percentile_lines(c, "        ", pa)
+        lines += _sync_percentile_lines(c, "        ", shape.percentile_alert)
     if shape.alerting:
         lines += _ksigma_lines(c, "        ", sample="new", index="v")
-    rets = [
-        "dropped",
-        "observed",
-        "count",
-        "xsum",
-        "xsumsq",
-        "updates",
-        "cached_sd",
-        "sd_dirty",
-        "last_alert",
-    ]
-    if pa:
-        rets.append("last_pa")
-    if tracked:
-        rets += ["low", "high", "total", "moves", "pos", "synced"]
-    lines.append(f"    return {', '.join(rets)}")
+    lines.append(f"    return dropped, observed, synced, ({', '.join(state)},)")
     return "\n".join(lines) + "\n"
 
 
-def _time_series_source(shape: KernelShape, c: KernelConstants) -> str:
-    """Windowed time series: the galloping close scan, interval-start
-    evolution included (``Stat4._update_time_series`` is deterministic in
-    the timestamp column alone, so closes precompute exactly)."""
-    lines = _header(shape, "serial")
-    lines += [
-        "def kernel(ts, counts, start, acc):",
-        "    n = ts.shape[0]",
-        "    closes = []",
-        "    sums = []",
-        "    idx = 0",
-        "    while idx < n:",
-        "        j = -1",
-        "        k = idx",
-        "        block = 32",
-        "        while k < n:",
-        "            stop = k + block",
-        "            if stop > n:",
-        "                stop = n",
-        f"            hits = (ts[k:stop] - start) >= {c.interval!r}",
-        "            if bool(hits.any()):",
-        "                j = k + int(np.argmax(hits))",
-        "                break",
-        "            k = stop",
-        "            block = block << 1",
-        "        if j < 0:",
-        "            acc = acc + int(counts[idx:n].sum())",
-        "            break",
-        "        if j > idx:",
-        "            acc = acc + int(counts[idx:j].sum())",
-        "        closes.append(j)",
-        "        sums.append(acc)",
-        "        now = float(ts[j])",
-        f"        start = start + {c.interval!r}",
-        f"        if now - start >= {c.interval!r}:",
-        "            start = now",
-        "        acc = int(counts[j])",
-        "        idx = j + 1",
-        "    return closes, sums, acc",
-    ]
-    return "\n".join(lines) + "\n"
+_SPARSE_STATE = (
+    "count",
+    "xsum",
+    "xsumsq",
+    "updates",
+    "cached_sd",
+    "sd_dirty",
+    "last_alert",
+)
 
 
-def _sparse_source(shape: KernelShape, c: KernelConstants) -> str:
+def _sparse_loop_source(shape: KernelShape, c: KernelConstants) -> str:
     """Hashed sparse frequency: per-packet probe/evict/observe loop with
     the moments and the k·σ gate inlined (``Stat4._update_sparse``)."""
-    alerting = shape.alerting
+    state = ", ".join(_SPARSE_STATE)
     lines = _header(shape, "serial")
-    params = [
-        "vlist",
-        "tlist",
-        "increment",
-        "probes",
-        "count",
-        "xsum",
-        "xsumsq",
-        "updates",
-        "cached_sd",
-        "sd_dirty",
-        "last_alert",
-        "square",
-        "records",
-    ]
-    lines.append(f"def kernel({', '.join(params)}):")
-    lines.append("    touched = False")
+    lines.append(
+        f"def kernel(vlist, tlist, square, records, increment, probes, {state}):"
+    )
+    lines.append("    observed = 0")
     lines.append("    for i in range(len(vlist)):")
     lines.append("        v = vlist[i]")
     lines.append("        if v < 0:")
     lines.append("            continue")
-    if alerting:
+    if shape.alerting:
         lines.append("        now = tlist[i]")
     lines.append("        old, new, evicted = increment(v, probes[v])")
     # ScaledStats.remove_value for the evicted resident
@@ -488,422 +326,269 @@ def _sparse_source(shape: KernelShape, c: KernelConstants) -> str:
         "        xsumsq = xsumsq + (old << 1) + 1",
         "        updates = updates + 1",
         "        sd_dirty = True",
-        "        touched = True",
+        "        observed = observed + 1",
     ]
-    if alerting:
+    if shape.alerting:
         lines += _ksigma_lines(c, "        ", sample="new", index="v")
-    lines.append(
-        "    return count, xsum, xsumsq, updates, cached_sd, sd_dirty, "
-        "last_alert, touched"
-    )
+    lines.append(f"    return observed, ({state},)")
     return "\n".join(lines) + "\n"
 
 
 def generate_kernel_source(shape: KernelShape, constants: KernelConstants) -> str:
-    """The monomorphic kernel source for one shape × constants point."""
-    if shape.kind is DistributionKind.FREQUENCY:
-        if not shape.alerting and not shape.percentile_alert:
-            if shape.tracked:
-                return _tracked_source(shape, constants)
-            return _frequency_source(shape, constants)
-        return _scalar_loop_source(shape, constants)
-    if shape.kind is DistributionKind.TIME_SERIES:
-        return _time_series_source(shape, constants)
-    return _sparse_source(shape, constants)
+    """The monomorphic kernel source for one shape × constants point.
 
-
-def family_of(shape: KernelShape) -> str:
-    """The template family (and kernel-counter suffix) of a shape."""
-    if shape.kind is DistributionKind.TIME_SERIES:
-        return "time_series"
+    Raises:
+        ValueError: for a shape the engine runs through a vectorised
+            kernel (plain tally, tracked-only, time series).
+    """
     if shape.kind is DistributionKind.SPARSE_FREQUENCY:
-        return "sparse"
-    if shape.alerting or shape.percentile_alert:
-        return "merge" if shape.tracked else "alerting"
-    return "tracked" if shape.tracked else "frequency"
+        return _sparse_loop_source(shape, constants)
+    if shape.kind is DistributionKind.FREQUENCY and (
+        shape.alerting or shape.percentile_alert
+    ):
+        return _frequency_loop_source(shape, constants)
+    raise ValueError(f"shape {shape.key!r} has no generated kernel")
 
 
 #: Canonical constants for the lint's reference sources: every optional
 #: block (margin, cooldown gates) present, so ST510 audits the fullest
 #: emission of each template.
-_REFERENCE_CONSTANTS = None
-
-
-def reference_constants() -> KernelConstants:
-    global _REFERENCE_CONSTANTS
-    if _REFERENCE_CONSTANTS is None:
-        _REFERENCE_CONSTANTS = KernelConstants(
-            size=256,
-            width_mask=(1 << 32) - 1,
-            k_sigma=2,
-            min_samples=8,
-            margin=1,
-            cooldown=0.25,
-            wl=90,
-            wh=10,
-            interval=0.008,
-            generation=0,
-        )
-    return _REFERENCE_CONSTANTS
+_REFERENCE_CONSTANTS = KernelConstants(
+    size=256,
+    width_mask=(1 << 32) - 1,
+    k_sigma=2,
+    min_samples=8,
+    margin=1,
+    cooldown=0.25,
+    wl=90,
+    wh=10,
+    generation=0,
+)
 
 
 def reference_sources() -> Dict[str, str]:
-    """One representative generated source per constructible shape.
+    """One generated source per shape the engine dispatches to a
+    generated kernel — what ST510 (restricted op set) and ST511 (pragma
+    vs derived eligibility) audit.
 
-    What ST510 (restricted op set) and ST511 (pragma vs derived
-    eligibility) audit; also how the ten shapes stay countable without a
-    hand-maintained list.
+    The shape set comes from the engine's own dispatch
+    (:func:`repro.stat4.batch.kernel_of`), not from a list kept here.
     """
-    const = reference_constants()
-    return {shape.key: generate_kernel_source(shape, const) for shape in enumerate_shapes()}
+    from repro.stat4.batch import GENERATED_KERNELS, kernel_of
+
+    return {
+        shape.key: generate_kernel_source(shape, _REFERENCE_CONSTANTS)
+        for shape in enumerate_shapes()
+        if kernel_of(shape) in GENERATED_KERNELS
+    }
 
 
 # -- compilation ----------------------------------------------------------------------
 
 
-#: The only names generated source may resolve beyond its arguments; the
-#: exec namespace is restricted to exactly these (plus ``np`` and the two
-#: sanctioned arithmetic helpers), so a template drifting outside the op
-#: set fails loudly at run time as well as under ST510.
-_EXEC_BUILTINS = {
-    "range": range,
-    "len": len,
-    "int": int,
-    "bool": bool,
-    "float": float,
-    "min": min,
-    "max": max,
-    "ValueError": ValueError,
-    # numpy reductions lazily import helpers through the *caller's*
-    # builtins; generated source itself can't import (ST510 bans the
-    # statement form, and the AST walk is the enforcement mechanism).
-    "__import__": __import__,
-}
+#: The only builtins generated source may resolve; the exec namespace is
+#: restricted to exactly these (plus the two sanctioned arithmetic
+#: helpers), so a template drifting outside the op set fails loudly at run
+#: time as well as under ST510.
+_EXEC_BUILTINS = {"range": range, "len": len, "ValueError": ValueError}
 
 
 def exec_compile(source: str) -> Callable[..., Any]:
     """Compile generated kernel source; returns its ``kernel`` callable."""
     namespace: Dict[str, Any] = {
-        "np": _np,
         "approx_isqrt": approx_isqrt,
         "checked_multiply": checked_multiply,
         "__builtins__": _EXEC_BUILTINS,
     }
-    code = compile(source, "<repro.stat4.compiled>", "exec")
-    exec(code, namespace)
+    exec(compile(source, "<repro.stat4.compiled>", "exec"), namespace)
     return namespace["kernel"]
 
 
-@dataclass
-class CompiledKernel:
-    """One compiled kernel: source, both backends, and its provenance."""
+@functools.lru_cache(maxsize=_CACHE_LIMIT)
+def compiled_kernel(
+    shape: KernelShape, constants: KernelConstants
+) -> Callable[..., Any]:
+    """The process-wide compiled kernel for one ``(shape, constants)``.
 
-    shape_key: str
-    family: str
-    source: str
-    py_fn: Callable[..., Any]
-    fn: Callable[..., Any]
-    jit: bool
-    generation: int
-    constants: KernelConstants
+    The one kernel cache: engines (through :class:`KernelLibrary`) and
+    merge workers alike compile each point once per process and reuse it.
+    """
+    return exec_compile(generate_kernel_source(shape, constants))
 
 
-class CompiledKernelLibrary:
-    """Compiles, caches, and runs the generated kernels for one engine.
+# -- frequency working state ----------------------------------------------------------
+
+
+def pack_frequency_state(
+    state: DistributionState, cells: List[int], pos_register: int
+) -> Tuple[Any, ...]:
+    """A dense frequency slot's kernel state as one flat tuple.
+
+    ``cells`` is the slot's cell registers (a list the kernel mutates in
+    place) and ``pos_register`` the current ``reg_pos`` value, which the
+    scalar ``_sync_percentile`` reads as the previous position.  The
+    layout matches the generated kernel's trailing arguments.
+    """
+    stats = state.stats
+    packed: List[Any] = [
+        cells,
+        stats.count,
+        stats.xsum,
+        stats.xsumsq,
+        stats.updates,
+        stats._cached_sd,
+        stats._sd_dirty,
+        state.last_alert,
+    ]
+    spec = state.spec
+    if spec.percentile_alert:
+        packed.append(state.last_percentile_alert)
+    tracker = state.tracker
+    if tracker is not None:
+        position = tracker._position
+        packed += [
+            list(tracker.freqs),
+            tracker.low,
+            tracker.high,
+            tracker.total,
+            tracker.moves,
+            position if position is not None else -1,
+            pos_register,
+        ]
+    return tuple(packed)
+
+
+def copy_frequency_state(packed: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """A copy whose cell and freqs lists a kernel may mutate freely."""
+    return tuple(list(item) if isinstance(item, list) else item for item in packed)
+
+
+# -- the engine-side library ----------------------------------------------------------
+
+
+class KernelLibrary:
+    """Runs the generated kernels for one engine.
 
     Args:
         stat4: the library instance the owning engine drives.
-        jit: ``"auto"`` (njit the array-shaped families when numba is
-            importable) or ``"off"``.
-
-    Attributes:
-        compiles: kernels generated + exec-compiled.
-        invalidations: recompiles forced by a binding-generation change
-            (``Stat4Runtime.rebind``): the drift guard.
-        jit_kernels: kernels currently running under numba.
-        jit_failures: numba compile/run failures that degraded a kernel
-            back to generated-numpy.
     """
 
-    def __init__(self, stat4, jit: str = "auto"):
-        if _np is None:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("the compiled tier requires numpy")
-        if jit not in ("auto", "off"):
-            raise ValueError(f"unknown jit mode {jit!r}")
+    def __init__(self, stat4):
         self.stat4 = stat4
-        self.jit_mode = jit
-        self._kernels: Dict[Tuple[str, KernelConstants], CompiledKernel] = {}
-        self._active: Dict[int, CompiledKernel] = {}
-        self.compiles = 0
-        self.invalidations = 0
-        self.jit_kernels = 0
-        self.jit_failures = 0
 
-    # -- cache ----------------------------------------------------------------
+    def kernel_for(self, spec: TrackSpec) -> Callable[..., Any]:
+        """The compiled kernel for a spec.
 
-    def kernel_for(self, spec: TrackSpec) -> CompiledKernel:
-        """The compiled kernel for a spec, (re)compiling on first use or
-        when the binding generation drifted (rebind invalidation)."""
-        dist = spec.dist
-        active = self._active.get(dist)
-        if active is not None and active.generation != spec.generation:
-            # The slot was rebound under us: purge every kernel compiled
-            # against the stale generation and recompile below.
-            self.invalidations += 1
-            for key in [
-                k for k, v in self._kernels.items() if v.generation == active.generation
-            ]:
-                if self._kernels[key].jit:
-                    self.jit_kernels -= 1
-                del self._kernels[key]
-            self._active.pop(dist, None)
-        shape = KernelShape.of_spec(spec)
-        constants = KernelConstants.of_spec(
-            spec, self.stat4.config, self.stat4.counters.width
-        )
-        key = (shape.key, constants)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._compile(shape, constants)
-            while len(self._kernels) >= _CACHE_LIMIT:
-                evicted = self._kernels.pop(next(iter(self._kernels)))
-                if evicted.jit:
-                    self.jit_kernels -= 1
-            self._kernels[key] = kernel
-        self._active[dist] = kernel
-        return kernel
-
-    def _compile(self, shape: KernelShape, constants: KernelConstants) -> CompiledKernel:
-        source = generate_kernel_source(shape, constants)
-        py_fn = exec_compile(source)
-        fn = py_fn
-        jit = False
-        family = family_of(shape)
-        if (
-            HAS_NUMBA
-            and self.jit_mode == "auto"
-            and family in _JIT_FAMILIES
-        ):  # pragma: no cover - numba absent in the reference environment
-            try:
-                fn = _numba.njit(py_fn)
-                jit = True
-                self.jit_kernels += 1
-            except Exception:
-                fn = py_fn
-                self.jit_failures += 1
-        self.compiles += 1
-        return CompiledKernel(
-            shape_key=shape.key,
-            family=family,
-            source=source,
-            py_fn=py_fn,
-            fn=fn,
-            jit=jit,
-            generation=constants.generation,
-            constants=constants,
+        The binding generation is part of :class:`KernelConstants`, so a
+        slot rebound by ``Stat4Runtime.rebind`` misses the cache and gets
+        a fresh kernel.
+        """
+        stat4 = self.stat4
+        return compiled_kernel(
+            KernelShape.of_spec(spec),
+            KernelConstants.of_spec(spec, stat4.config, stat4.counters.width),
         )
 
-    def _invoke(self, kernel: CompiledKernel, build_args: Callable[[], tuple]):
-        """Call a kernel; a numba failure degrades to generated-numpy.
+    # -- gathers ----------------------------------------------------------------
 
-        ``build_args`` re-materializes the inputs on retry so a partial
-        in-place mutation from a failed jitted call cannot leak.
+    def _gather(self, spec, segment, batch) -> Tuple[List[int], List[float]]:
+        """A run's value and timestamp lists, in event order.
+
+        Value-free packets read as ``-1`` (the columns sentinel).  When the
+        run covers every packet of a single-stage batch in order, the
+        batch columns are the run's columns; otherwise a list
+        comprehension picks the run's packets.
         """
-        if not kernel.jit:
-            return kernel.fn(*build_args())
-        try:
-            return kernel.fn(*build_args())
-        except Exception:
-            kernel.fn = kernel.py_fn
-            kernel.jit = False
-            self.jit_failures += 1
-            self.jit_kernels -= 1
-            return kernel.py_fn(*build_args())
-
-    # -- dispatch -------------------------------------------------------------
-
-    def run(self, engine, spec, state, segment, batch, sink, result) -> bool:
-        """Run one spec-run through its compiled kernel.
-
-        Returns False (leaving all state untouched) when this run cannot
-        take the compiled tier — the engine falls through to the numpy
-        kernels, exactly as numpy falls through to the exact loop.
-        """
-        kind = spec.kind
-        if kind is DistributionKind.FREQUENCY:
-            tracker = state.tracker
-            if tracker is not None and tracker.steps_per_update != 1:
-                return False
-            if spec.k_sigma <= 0 and not spec.percentile_alert:
-                # Array-fold families bound moment deltas by the register
-                # width; wider registers stay on the bignum numpy tier.
-                if self.stat4.counters.width > 32:
-                    return False
-                if tracker is None:
-                    return self._run_frequency(engine, spec, state, segment, batch, result)
-                return self._run_tracked(engine, spec, state, segment, batch, result)
-            return self._run_scalar_loop(
-                engine, spec, state, segment, batch, sink, result
-            )
-        if kind is DistributionKind.TIME_SERIES:
-            return self._run_time_series(
-                engine, spec, state, segment, batch, sink, result
-            )
-        if kind is DistributionKind.SPARSE_FREQUENCY:
-            return self._run_sparse(engine, spec, state, segment, batch, sink, result)
-        return False
-
-    # -- gathers --------------------------------------------------------------
-
-    def _gather(self, spec, segment, batch, need_ts: bool):
-        """Per-segment value (and timestamp) columns as contiguous arrays.
-
-        The common case — every packet of the batch in this segment, in
-        order — reuses the batch's cached columns zero-copy; other
-        segments gather by fancy-indexing with the packet-index vector.
-        """
-        np = _np
+        values = batch.values_for(spec)
+        timestamps = batch.timestamps
         n = len(segment)
-        col = batch.values_array_for(spec)
-        pkts = np.fromiter((event[0] for event in segment), dtype=np.int64, count=n)
-        identity = n == len(col) and bool((pkts == np.arange(n)).all())
-        vals = col if identity else col[pkts]
-        ts = None
-        if need_ts:
-            tsa = batch.timestamps_array()
-            ts = tsa if identity else tsa[pkts]
-        return vals, ts
+        if (
+            n == len(batch)
+            and segment[-1][0] == n - 1
+            and len(self.stat4.binding_tables) == 1
+        ):
+            return [-1 if value is None else value for value in values], timestamps
+        pkts = [event[0] for event in segment]
+        return (
+            [-1 if values[pkt] is None else values[pkt] for pkt in pkts],
+            [timestamps[pkt] for pkt in pkts],
+        )
 
-    # -- family runners -------------------------------------------------------
+    # -- runs -------------------------------------------------------------------
 
-    def _apply_fold(self, state, cells, base, d_count, d_xsum, d_xsumsq, d_updates, hit):
-        """Fold kernel-returned moment deltas and touched cells back in."""
+    def run(self, spec, state, segment, batch, sink) -> None:
+        """Run one spec-run through its generated kernel.
+
+        Leaves the slot's working state and every register exactly as the
+        scalar loop over the same events would.
+        """
+        kernel = self.kernel_for(spec)
+        vlist, tlist = self._gather(spec, segment, batch)
+        records: List[Tuple[int, ...]] = []
+        if spec.kind is DistributionKind.SPARSE_FREQUENCY:
+            self._run_sparse(kernel, state, vlist, tlist, records)
+        else:
+            stat4 = self.stat4
+            base = stat4.config.cell_index(spec.dist, 0)
+            cells = stat4.counters._cells[base : base + stat4.config.counter_size]
+            packed = pack_frequency_state(
+                state, cells, stat4.reg_pos._cells[spec.dist]
+            )
+            dropped, observed, synced, exit_state = kernel(
+                vlist, tlist, state.stats.square, records, *packed
+            )
+            state.values_dropped += dropped
+            self.install_frequency_state(state, exit_state, observed, synced)
+        self.install_records(spec, records, segment, 0, batch.timestamps, sink)
+
+    def _run_sparse(self, kernel, state, vlist, tlist, records) -> None:
+        unique = {value for value in vlist if value >= 0}
+        if not unique:
+            return
         stat4 = self.stat4
+        cells = stat4.sparse_cells[state.spec.dist]
         stats = state.stats
-        stats.count += int(d_count)
-        stats.xsum += int(d_xsum)
-        stats.xsumsq += int(d_xsumsq)
-        stats.updates += int(d_updates)
-        stats._sd_dirty = True
-        raw = stat4.counters._cells
-        for value in hit.tolist():
-            raw[base + value] = int(cells[value])
-        stat4._sync_stats(state)
-
-    def _count(self, result, family: str, events: int) -> None:
-        name = f"compiled_{family}"
-        result.kernels[name] = result.kernels.get(name, 0) + events
-
-    def _run_frequency(self, engine, spec, state, segment, batch, result) -> bool:
-        stat4 = self.stat4
-        kernel = self.kernel_for(spec)
-        vals, _ = self._gather(spec, segment, batch, need_ts=False)
-        base = stat4.config.cell_index(spec.dist, 0)
-        size = stat4.config.counter_size
-        holder: Dict[str, Any] = {}
-
-        def build():
-            cells = _np.asarray(
-                stat4.counters._cells[base : base + size], dtype=_np.int64
-            )
-            holder["cells"] = cells
-            return (vals, cells)
-
-        dropped, d_count, d_xsum, d_xsumsq, d_updates, hit = self._invoke(kernel, build)
-        state.values_dropped += int(dropped)
-        self._count(result, kernel.family, len(segment))
-        if int(d_updates):
-            self._apply_fold(
-                state, holder["cells"], base, d_count, d_xsum, d_xsumsq, d_updates, hit
-            )
-        return True
-
-    def _run_tracked(self, engine, spec, state, segment, batch, result) -> bool:
-        stat4 = self.stat4
-        kernel = self.kernel_for(spec)
-        vals, _ = self._gather(spec, segment, batch, need_ts=False)
-        base = stat4.config.cell_index(spec.dist, 0)
-        size = stat4.config.counter_size
-        tracker = state.tracker
-        holder: Dict[str, Any] = {}
-
-        def build():
-            cells = _np.asarray(
-                stat4.counters._cells[base : base + size], dtype=_np.int64
-            )
-            holder["cells"] = cells
-            return (vals, cells)
-
-        out = self._invoke(kernel, build)
-        dropped, d_count, d_xsum, d_xsumsq, d_updates, hit, events, observed = out
-        state.values_dropped += int(dropped)
-        self._count(result, kernel.family, len(segment))
-        had_value = tracker.has_value
-        if int(d_updates):
-            self._apply_fold(
-                state, holder["cells"], base, d_count, d_xsum, d_xsumsq, d_updates, hit
-            )
-        events = _np.asarray(events, dtype=_np.int64)
-        observed = int(observed)
-        if events.shape[0]:
-            engine._tracker_walk(tracker, events)
-        if observed or (had_value and int(events.shape[0]) > observed):
-            dist = spec.dist
-            stat4.reg_pos.write(dist, tracker.value)
-            stat4.reg_low.write(dist, tracker.low)
-            stat4.reg_high.write(dist, tracker.high)
-        return True
-
-    def _install_records(self, spec, segment, sink, records, tlist) -> None:
-        """Replay kernel alert records into the digest sink, scalar-shaped."""
-        stat4 = self.stat4
-        for rec in records:
-            i = rec[1]
-            event = segment[i]
-            sink.set(event[0], event[1], tlist[i])
-            if rec[0] == 1:
-                sink.emit_digest(
-                    spec.alert,
-                    dist=spec.dist,
-                    index=rec[2],
-                    sample=rec[3],
-                    scaled_sample=rec[4],
-                    xsum=rec[5],
-                    stddev_nx=rec[6],
-                    count=rec[7],
-                    generation=spec.generation,
-                )
-            else:
-                sink.emit_digest(
-                    spec.percentile_alert,
-                    dist=spec.dist,
-                    position=rec[2],
-                    previous=rec[3],
-                    percent=spec.percent if spec.percent is not None else 0,
-                    generation=spec.generation,
-                )
-        stat4.alerts_emitted += len(records)
-
-    def _run_scalar_loop(
-        self, engine, spec, state, segment, batch, sink, result
-    ) -> bool:
-        stat4 = self.stat4
-        kernel = self.kernel_for(spec)
-        vals, ts = self._gather(spec, segment, batch, need_ts=True)
-        vlist = vals.tolist()
-        tlist = ts.tolist()
-        base = stat4.config.cell_index(spec.dist, 0)
-        size = stat4.config.counter_size
-        counters = stat4.counters
-        stats = state.stats
-        tracker = state.tracker
-        tracked = tracker is not None
-        pa = bool(spec.percentile_alert)
-        records: List[tuple] = []
-        cells = counters._cells[base : base + size]
-        args: List[Any] = [
+        observed, exit_state = kernel(
             vlist,
             tlist,
+            stats.square,
+            records,
+            cells.increment,
+            cells.probe_paths(unique),
+            stats.count,
+            stats.xsum,
+            stats.xsumsq,
+            stats.updates,
+            stats._cached_sd,
+            stats._sd_dirty,
+            state.last_alert,
+        )
+        (
+            stats.count,
+            stats.xsum,
+            stats.xsumsq,
+            stats.updates,
+            stats._cached_sd,
+            stats._sd_dirty,
+            state.last_alert,
+        ) = exit_state
+        if observed:
+            stat4._sync_stats(state)
+
+    def install_frequency_state(
+        self,
+        state: DistributionState,
+        packed: Tuple[Any, ...],
+        observed: int,
+        synced: bool,
+    ) -> None:
+        """Install a frequency kernel's exit state into the slot and its
+        registers — the cells, the derived measures when a value landed,
+        and the position registers when the tracker synced."""
+        stat4 = self.stat4
+        spec = state.spec
+        stats = state.stats
+        (
             cells,
             stats.count,
             stats.xsum,
@@ -912,134 +597,61 @@ class CompiledKernelLibrary:
             stats._cached_sd,
             stats._sd_dirty,
             state.last_alert,
-        ]
-        if pa:
-            args.append(state.last_percentile_alert)
-        if tracked:
-            freqs = list(tracker.freqs)
-            pos = tracker._position if tracker._position is not None else -1
-            args += [
-                freqs,
-                tracker.low,
-                tracker.high,
-                tracker.total,
-                tracker.moves,
-                pos,
-                stat4.reg_pos._cells[spec.dist],
-            ]
-        args += [stats.square, records]
-        out = kernel.fn(*args)
-        (
-            dropped,
-            observed,
-            count,
-            xsum,
-            xsumsq,
-            updates,
-            cached_sd,
-            sd_dirty,
-            last_alert,
-        ) = out[:9]
-        idx = 9
-        if pa:
-            state.last_percentile_alert = out[idx]
-            idx += 1
-        state.values_dropped += dropped
-        stats.count = count
-        stats.xsum = xsum
-        stats.xsumsq = xsumsq
-        stats.updates = updates
-        stats._cached_sd = cached_sd
-        stats._sd_dirty = sd_dirty
-        state.last_alert = last_alert
-        counters._cells[base : base + size] = cells
-        if tracked:
-            low, high, total, moves, pos, synced = out[idx : idx + 6]
+        ) = packed[:8]
+        rest = packed[8:]
+        if spec.percentile_alert:
+            state.last_percentile_alert = rest[0]
+            rest = rest[1:]
+        base = stat4.config.cell_index(spec.dist, 0)
+        stat4.counters._cells[base : base + stat4.config.counter_size] = cells
+        tracker = state.tracker
+        if tracker is not None:
+            freqs, low, high, total, moves, pos, _pos_register = rest
             tracker.freqs[:] = freqs
             tracker.low = low
             tracker.high = high
             tracker.total = total
             tracker.moves = moves
             tracker._position = pos if pos >= 0 else None
-        self._install_records(spec, segment, sink, records, tlist)
         if observed:
             stat4._sync_stats(state)
-        if tracked and synced:
-            dist = spec.dist
-            stat4.reg_pos.write(dist, pos)
-            stat4.reg_low.write(dist, low)
-            stat4.reg_high.write(dist, high)
-        self._count(result, kernel.family, len(segment))
-        return True
+        if synced:
+            stat4.reg_pos.write(spec.dist, tracker.value)
+            stat4.reg_low.write(spec.dist, tracker.low)
+            stat4.reg_high.write(spec.dist, tracker.high)
 
-    def _run_time_series(
-        self, engine, spec, state, segment, batch, sink, result
-    ) -> bool:
-        stat4 = self.stat4
-        kernel = self.kernel_for(spec)
-        vals, ts = self._gather(spec, segment, batch, need_ts=True)
-        counts = _np.where(vals >= 0, vals, 0)
-        dist = spec.dist
-        i0 = 0
-        if state.interval_start is None:
-            first = float(ts[0])
-            state.interval_start = first
-            stat4.reg_interval_start.write(dist, _to_us(first))
-            state.current_count += int(counts[0])
-            i0 = 1
-        closes, sums, acc = kernel.fn(
-            ts[i0:], counts[i0:], state.interval_start, state.current_count
-        )
-        for j_rel, completed in zip(closes, sums):
-            j = i0 + j_rel
-            event = segment[j]
-            now = float(ts[j])
-            state.current_count = completed
-            sink.set(event[0], event[1], now)
-            stat4._close_interval(state, sink, now)
-        state.current_count = int(acc)
-        stat4.reg_current.write(dist, int(acc))
-        self._count(result, kernel.family, len(segment))
-        return True
+    def install_records(self, spec, records, segment, start, timestamps, sink) -> None:
+        """Replay kernel digest records into the sink, scalar-shaped.
 
-    def _run_sparse(self, engine, spec, state, segment, batch, sink, result) -> bool:
+        A record's second field is its packet's position in the kernel's
+        input, which started at ``segment[start]``; the record is tagged
+        with that event's ``(packet, stage)`` and stamped with the batch
+        timestamp of its packet, so the sink's scalar-order sort puts it
+        exactly where the serial loop would have emitted it.
+        """
         stat4 = self.stat4
-        kernel = self.kernel_for(spec)
-        vals, ts = self._gather(spec, segment, batch, need_ts=True)
-        vlist = vals.tolist()
-        tlist = ts.tolist()
-        self._count(result, kernel.family, len(segment))
-        unique = {value for value in vlist if value >= 0}
-        if not unique:
-            return True
-        cells = stat4.sparse_cells[spec.dist]
-        probes = cells.probe_paths(unique)
-        stats = state.stats
-        records: List[tuple] = []
-        out = kernel.fn(
-            vlist,
-            tlist,
-            cells.increment,
-            probes,
-            stats.count,
-            stats.xsum,
-            stats.xsumsq,
-            stats.updates,
-            stats._cached_sd,
-            stats._sd_dirty,
-            state.last_alert,
-            stats.square,
-            records,
-        )
-        count, xsum, xsumsq, updates, cached_sd, sd_dirty, last_alert, touched = out
-        stats.count = count
-        stats.xsum = xsum
-        stats.xsumsq = xsumsq
-        stats.updates = updates
-        stats._cached_sd = cached_sd
-        stats._sd_dirty = sd_dirty
-        state.last_alert = last_alert
-        self._install_records(spec, segment, sink, records, tlist)
-        if touched:
-            stat4._sync_stats(state)
-        return True
+        for record in records:
+            pkt, stage, _spec = segment[start + record[1]]
+            sink.set(pkt, stage, timestamps[pkt])
+            if record[0] == DIGEST_KIND_KSIGMA:
+                sink.emit_digest(
+                    spec.alert,
+                    dist=spec.dist,
+                    index=record[2],
+                    sample=record[3],
+                    scaled_sample=record[4],
+                    xsum=record[5],
+                    stddev_nx=record[6],
+                    count=record[7],
+                    generation=spec.generation,
+                )
+            else:
+                sink.emit_digest(
+                    spec.percentile_alert,
+                    dist=spec.dist,
+                    position=record[2],
+                    previous=record[3],
+                    percent=spec.percent if spec.percent is not None else 0,
+                    generation=spec.generation,
+                )
+        stat4.alerts_emitted += len(records)

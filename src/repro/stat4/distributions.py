@@ -18,14 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.percentile import PercentileTracker
 from repro.core.stats import ScaledStats
 from repro.p4.errors import ValueRangeError
 from repro.stat4.extract import ExtractSpec
 
-__all__ = ["DistributionKind", "TrackSpec", "DistributionState"]
+__all__ = [
+    "DistributionKind",
+    "TrackSpec",
+    "DistributionState",
+    "KernelShape",
+    "enumerate_shapes",
+    "shape_key_of_spec",
+]
 
 
 class DistributionKind(Enum):
@@ -145,6 +152,69 @@ class TrackSpec:
         if value < self.accept_lo:
             return False
         return self.accept_hi == 0 or value < self.accept_hi
+
+
+@dataclass(frozen=True)
+class KernelShape:
+    """The projection of a :class:`TrackSpec` onto the fields that change
+    its per-packet update: kind × tracker × k·σ × percentile alert.
+
+    The batch engine picks a kernel per shape, the compiled kernels are
+    generated per shape, and the concurrency analyzer classifies fan-out
+    per shape.
+    """
+
+    kind: DistributionKind
+    tracked: bool  # spec.percent is not None  (a tracker exists)
+    alerting: bool  # spec.k_sigma > 0
+    percentile_alert: bool  # spec.percentile_alert truthy
+
+    @classmethod
+    def of_spec(cls, spec: TrackSpec) -> "KernelShape":
+        """Project a TrackSpec — every shape field read, on every branch."""
+        return cls(
+            kind=spec.kind,
+            tracked=spec.percent is not None,
+            alerting=spec.k_sigma > 0,
+            percentile_alert=bool(spec.percentile_alert),
+        )
+
+    @property
+    def key(self) -> str:
+        """Stable string key of this shape (the eligibility-table key)."""
+        parts = [self.kind.value]
+        if self.tracked:
+            parts.append("tracked")
+        if self.alerting:
+            parts.append("alerting")
+        if self.percentile_alert:
+            parts.append("percentile_alert")
+        return "+".join(parts)
+
+
+def shape_key_of_spec(spec: TrackSpec) -> str:
+    """The eligibility-table key of a spec (what the engine looks up)."""
+    return KernelShape.of_spec(spec).key
+
+
+def enumerate_shapes() -> List[KernelShape]:
+    """Every constructible kernel shape, in deterministic order.
+
+    TrackSpec validation makes the lattice smaller than 3×2×2×2: a tracker
+    (``percent``) exists only on dense frequency slots, and a
+    ``percentile_alert`` requires a tracker.
+    """
+    shapes: List[KernelShape] = []
+    for kind in DistributionKind:
+        tracked_options = (False, True) if kind is DistributionKind.FREQUENCY else (False,)
+        for tracked in tracked_options:
+            for alerting in (False, True):
+                pa_options = (False, True) if tracked else (False,)
+                for percentile_alert in pa_options:
+                    shapes.append(
+                        KernelShape(kind, tracked, alerting, percentile_alert)
+                    )
+    return shapes
 
 
 @dataclass

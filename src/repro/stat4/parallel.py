@@ -11,9 +11,10 @@ concurrently, **without giving up bit-identity** with the scalar loop:
   processed strictly in order, so all cross-batch state (interval cursors,
   percentile walks, eviction order) evolves exactly as in serial replay;
 - *within* one batch, the work fanned out to workers is chunked value
-  **tallying** for dense frequency runs; everything order-dependent is
-  replayed on the main thread from the per-chunk sub-tallies (or runs the
-  serial kernels outright).
+  **tallying** for dense frequency runs (plus one speculative kernel run
+  for the merge shapes); everything order-dependent is reconciled on the
+  main thread from the per-chunk sub-tallies, or runs the serial kernels
+  outright.
 
 Zero-copy shipping
 ------------------
@@ -59,14 +60,11 @@ serially on top:
   already had a position and a value-free packet ticked it).  Digest
   stream: empty in this mode, trivially identical.
 - ``"alerting"`` (no tracker, ``k_sigma > 0``): the k·σ judgement reads
-  the live moments *at each packet*, so alert decisions replay per packet
-  on the main thread — against a local dict of wrapped cell counts (one
-  register read per unique value, one write at the end) and the live
-  ``ScaledStats``, calling the library's own ``_maybe_alert`` so gate
-  order, cooldown stamping, and digest fields are byte-for-byte the
-  scalar path's.  The worker tallies are not wasted: a whole chunk is
-  **folded without per-packet replay when no packet in it can possibly
-  alert**, which is provable from the sub-tally alone in two cases:
+  the live moments *at each packet*, so alert decisions must replay in
+  order on the main thread.  The worker tallies are not wasted: a whole
+  chunk is **folded without per-packet replay when no packet in it can
+  possibly alert**, which is provable from the sub-tally alone in two
+  cases:
 
   * ``stats.count + occurrences < spec.min_samples`` — every
     ``observe_frequency`` grows N by at most 1, so N stays below the
@@ -76,38 +74,33 @@ serially on top:
     every packet's ``now ≤ chunk_max_ts``, and since no alert fires in a
     folded chunk, ``last_alert`` cannot move mid-chunk.
 
-  Folded chunks cost O(distinct values); un-foldable chunks replay per
-  packet but still skip the per-packet register reads/writes and
-  ``_sync_stats`` of the scalar loop.  Alert counts and digest order are
-  bit-identical by construction: every ``_maybe_alert`` call sees exactly
-  the scalar path's ``(stats, sample, now)`` triple, and digests are
-  tagged with their ``(packet, stage)`` and re-sorted by the shared sink.
+  A folded chunk costs O(distinct values) through ``_apply_counts``; any
+  other chunk **replays**: the serial generated kernel
+  (:mod:`repro.stat4.compiled`) runs on the chunk's sub-segment from the
+  live state, exactly as :class:`~repro.stat4.batch.BatchEngine` would.
+  Every chunk ends with the live state and registers correct, so the next
+  chunk's gate reads the true serial state.
 
 - ``"merge"`` (tracker plus a digest stream: ``frequency+tracked+alerting``
-  and both ``percentile_alert`` shapes): the OctoSketch-style local-state
-  merge.  These runs interleave *two* replay streams — ``_sync_percentile``
-  reads the ``reg_pos`` register per packet, and percentile-move digests
-  interleave with k·σ digests order-dependently — so no per-chunk summary
-  derives the stream.  Instead, every worker still tallies, and
-  speculating workers additionally run a **fully local replica** of the
-  slot (local ``ScaledStats`` moments, local ``PercentileTracker``, local
-  cell dict, a local ``reg_pos`` mirror, local cooldown stamps) from a
-  batch-entry snapshot fanned out over the same shared-memory columns,
-  buffering digest records with chunk-relative sequence numbers.  The
-  single-threaded merge then walks the chunks in order and resolves each
-  deterministically:
+  and both ``percentile_alert`` shapes): the OctoSketch-style speculate-
+  and-reconcile scheme.  These runs interleave *two* replay streams —
+  ``_sync_percentile`` reads the ``reg_pos`` register per packet, and
+  percentile-move digests interleave with k·σ digests order-dependently —
+  so no per-chunk summary derives the stream.  Every worker still
+  tallies, and the first chunk's worker additionally **speculates**: it
+  runs the same generated kernel the serial engine runs, from a
+  batch-entry snapshot of the slot (its flat kernel state, see
+  :func:`~repro.stat4.compiled.pack_frequency_state`), and ships back the
+  kernel's exit state and digest records.  The single-threaded reconciler
+  then walks the chunks in order and resolves each deterministically:
 
-  * **adopt** — the per-chunk *tracker fixpoint* check compares the live
-    slot against the snapshot the worker's local walk started from
-    (moments, tracker freqs/position/low/high/total/moves, every cell,
-    both cooldown stamps, and the ``reg_pos`` mirror).  When they are
-    equal — the common case for a steady-state run's first chunk — the
-    local walk provably lands where the serial walk would: the replay
-    routine is the *same code* the serial fallback runs
-    (:class:`_MergeLocal`), so an equal entry state makes its exit state
-    and digest stream the serial ones by construction.  The claimed exit
-    is installed wholesale and the local digests are re-sequenced onto
-    the shared sink under their absolute ``(packet, stage)`` tags.
+  * **adopt** — the *tracker fixpoint* check compares the live slot's
+    packed kernel state (moments, tracker, cooldown stamps, every cell,
+    the ``reg_pos`` register) against the snapshot the worker started
+    from.  When they are equal, the worker ran the serial kernel on the
+    serial entry state, so its exit state and digest stream are the
+    serial ones by construction: the exit is installed as a serial run's
+    would be, and the digests are re-tagged onto the shared sink.
   * **fold** — a chunk whose *both* streams are provably silent merges
     without replay: the ``min_samples`` headroom and covering-cooldown
     arguments of the alerting mode, applied per stream against its own
@@ -115,21 +108,12 @@ serially on top:
     percentile moves; the percentile gate also reads ``stats.count``, so
     the same headroom bound covers value-free ticks).  With no digest
     possible, the tracker and the moments are independent state machines
-    — neither reads the other — so the chunk folds through the
-    telescoped moment identity plus a resumable tracker walk
-    (:meth:`~repro.stat4.batch.BatchEngine._tracker_replay`) from the
-    chunk's entry state.
-  * **replay** — anything else replays per packet from the chunk's true
-    entry state through the same shared local-state routine, holding the
-    ``reg_pos`` register mirror the scalar ``_sync_percentile`` would
-    read.  Output stays bit-identical to scalar in all cases.
-
-  ``staleness="bounded"`` (opt-in) skips the fixpoint check and the
-  replay fallback: every chunk folds its moments/cells/tracker exactly,
-  but adopts the digests its worker speculated against the batch-entry
-  snapshot — the alert stream may lag state changes by at most one batch
-  prefix, while registers, moments, and the tracker stay bit-exact.  The
-  trade is benched through the scenario scorer (see BENCHMARKS.md).
+    — neither reads the other — so the chunk folds through
+    ``_apply_counts`` plus a resumable tracker walk
+    (:meth:`~repro.stat4.batch.BatchEngine._tracker_replay`) and one
+    position-register sync.
+  * **replay** — anything else runs the serial kernel on the chunk's
+    sub-segment, as in the alerting mode.
 
 Since the concurrency analyzer landed, this argument is *checked*, not
 just written down: :data:`DECLARED_ELIGIBILITY` below is the table the
@@ -149,24 +133,24 @@ from __future__ import annotations
 import atexit
 import pickle
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.percentile import PercentileTracker
-from repro.core.stats import ScaledStats, square_for_target
-from repro.p4.switch import Digest
 from repro.stat4.batch import (
     BatchEngine,
     BatchResult,
-    Column,
     PacketBatch,
     _DigestSink,
     _Event,
 )
-from repro.stat4.distributions import DistributionState, TrackSpec
+from repro.stat4.compiled import (
+    KernelConstants,
+    compiled_kernel,
+    copy_frequency_state,
+    pack_frequency_state,
+)
+from repro.stat4.distributions import DistributionState, KernelShape, TrackSpec
 from repro.stat4.library import Stat4
 from repro.traffic.columns import (
-    DIGEST_KIND_KSIGMA,
-    DIGEST_KIND_PERCENTILE,
     ColumnDescriptor,
     SharedColumnSegment,
     attach_column,
@@ -192,7 +176,7 @@ __all__ = [
 _EXECUTOR_KINDS = ("auto", "thread", "process", "serial")
 
 #: The fan-out table the exactness argument above claims, keyed by kernel
-#: shape (:func:`repro.analysis.concurrency.shape_key_of_spec`); values
+#: shape (:func:`repro.stat4.distributions.shape_key_of_spec`); values
 #: are the fan-out mode or ``None`` for serial.  The engine does NOT
 #: consume this table directly — ``_fan_out_mode`` consumes the table the
 #: concurrency analyzer derives from the kernel ASTs, and the first
@@ -345,41 +329,111 @@ def _chunk_max(timestamps: Optional[Sequence[float]]) -> Optional[float]:
     return max(timestamps)
 
 
+class _MergeEntry(NamedTuple):
+    """Picklable batch-entry snapshot of one merge-mode run's slot.
+
+    The run's kernel shape and constants, its squaring routine, and its
+    packed kernel state (:func:`~repro.stat4.compiled.pack_frequency_state`).
+    Built during the submit phase *without* calling ``_state_for`` (slot
+    repurposing must still happen in apply order), shipped to the
+    speculating worker, and kept by the parent as the reference the
+    tracker-fixpoint check compares the live slot against.  A snapshot
+    that turns out wrong — the apply phase resets the slot, or an earlier
+    run of the same batch mutates it first — simply fails the check, and
+    the chunk falls back to fold/replay; exactness never depends on the
+    snapshot being right.
+    """
+
+    shape: KernelShape
+    constants: KernelConstants
+    square: Any
+    state: Tuple[Any, ...]
+
+
+def _kernel_list(column: Any) -> List[Any]:
+    """A chunk column as the plain list a generated kernel reads
+    (value-free packets as ``-1``)."""
+    if hasattr(column, "tolist"):
+        return column.tolist()
+    return [-1 if value is None else value for value in column]
+
+
+def _speculate(
+    entry: _MergeEntry, values: Any, timestamps: Any, encode: bool
+) -> Tuple[Any, int, bool, Tuple[Any, ...]]:
+    """Run the serial generated kernel on one chunk from the snapshot.
+
+    Returns the claim the reconciler may adopt: ``(records, observed,
+    synced, exit_state)``, with the digest records packed into one int64
+    blob when ``encode`` (the process-pool ship-back shape).
+    """
+    records: List[Tuple[int, ...]] = []
+    kernel = compiled_kernel(entry.shape, entry.constants)
+    _dropped, observed, synced, exit_state = kernel(
+        _kernel_list(values),
+        _kernel_list(timestamps),
+        entry.square,
+        records,
+        *copy_frequency_state(entry.state),
+    )
+    shipped: Any = records
+    if encode and records:
+        try:
+            shipped = encode_digest_records(records)
+        except OverflowError:  # a field beyond int64: ship the raw tuples
+            shipped = records
+    return shipped, observed, synced, exit_state
+
+
 def _tally_task(
     values: Sequence[Optional[int]],
     size: int,
     timestamps: Optional[Sequence[float]] = None,
-) -> Tuple[Dict[int, int], int, Optional[float]]:
-    """Worker task over in-memory chunks (thread views or pickled lists)."""
+    entry: Optional[_MergeEntry] = None,
+    encode: bool = False,
+) -> Tuple[Dict[int, int], int, Optional[float], Any]:
+    """Worker task over in-memory chunks (thread views or pickled lists):
+    the chunk's tally, its max timestamp, and — when a snapshot was
+    shipped — the speculative kernel run."""
     tally, dropped = _tally_chunk(values, size)
-    return tally, dropped, _chunk_max(timestamps)
+    claim = None
+    if entry is not None:
+        claim = _speculate(entry, values, timestamps, encode)
+    return tally, dropped, _chunk_max(timestamps), claim
 
 
-def _tally_task_shm(
+def _tally_task_shm(  # worker-context
     values_desc: ColumnDescriptor,
     start: int,
     stop: int,
     size: int,
     ts_desc: Optional[ColumnDescriptor] = None,
-) -> Tuple[Dict[int, int], int, Optional[float]]:
-    """Worker task over a shared-memory column: attach, read in place.
+    entry: Optional[_MergeEntry] = None,
+) -> Tuple[Dict[int, int], int, Optional[float], Any]:
+    """Worker task over shared-memory columns: attach, read in place.
 
-    The pickled inputs are descriptors plus chunk bounds (~100 bytes);
-    the chunk's rows never cross the process boundary.  Views are dropped
-    before the segment handle closes so the parent's unlink can reclaim
-    the memory promptly.
+    The pickled inputs are descriptors plus chunk bounds (~100 bytes) and,
+    for the speculating chunk, the slot snapshot; the chunk's rows never
+    cross the process boundary.  Views are dropped before the segment
+    handle closes so the parent's unlink can reclaim the memory promptly.
     """
     with attach_column(values_desc) as column:
         window = column.values[start:stop]
         tally, dropped = _tally_chunk(window, size)
+        values = window.tolist() if entry is not None else None
         del window
     max_ts: Optional[float] = None
+    timestamps = None
     if ts_desc is not None:
         with attach_column(ts_desc) as column:
             window = column.values[start:stop]
             max_ts = _chunk_max(window)
+            timestamps = window.tolist() if entry is not None else None
             del window
-    return tally, dropped, max_ts
+    claim = None
+    if entry is not None:
+        claim = _speculate(entry, values, timestamps, encode=True)
+    return tally, dropped, max_ts, claim
 
 
 def _merge_tallies(
@@ -399,364 +453,6 @@ def _merge_tallies(
         for value, count in tally.items():
             total[value] = total.get(value, 0) + count
     return sorted(total.items()), dropped
-
-
-class _MergeEntry:
-    """Picklable batch-entry snapshot of one merge-mode run's slot state.
-
-    Built during the submit phase *without* calling ``_state_for`` (slot
-    repurposing must still happen in apply order), shipped to speculating
-    workers so each can run a fully local replay, and kept by the parent
-    as the reference state the per-chunk tracker-fixpoint check compares
-    the live slot against at merge time.  A snapshot that turns out wrong
-    — the apply phase resets the slot, or an earlier run of the same
-    batch mutates it first — simply fails the fixpoint check, and the
-    chunk falls back to fold/replay; exactness never depends on the
-    snapshot being right.
-    """
-
-    __slots__ = (
-        "size",
-        "width_mask",
-        "k_sigma",
-        "min_samples",
-        "margin",
-        "cooldown",
-        "percentile_alert",
-        "percent",
-        "steps_per_update",
-        "square",
-        "count_is_constant",
-        "count",
-        "xsum",
-        "xsumsq",
-        "freqs",
-        "low",
-        "high",
-        "position",
-        "total",
-        "moves",
-        "cells",
-        "pos_mirror",
-        "last_alert",
-        "last_percentile_alert",
-    )
-
-    def wire_copy(self, strip_arrays: bool = False) -> "_MergeEntry":
-        """A shippable copy; ``strip_arrays`` drops the freqs/cells arrays
-        (they travel as shared-memory columns instead of pickle)."""
-        clone = _MergeEntry()
-        for name in self.__slots__:
-            setattr(clone, name, getattr(self, name))
-        if strip_arrays:
-            clone.freqs = None
-            clone.cells = None
-        return clone
-
-    def local_state(self) -> "_MergeLocal":
-        """Build a fully local replica of the slot from this snapshot."""
-        tracker = PercentileTracker(
-            self.size,
-            percent=self.percent,
-            steps_per_update=self.steps_per_update,
-        )
-        tracker.freqs[:] = self.freqs
-        tracker.low = self.low
-        tracker.high = self.high
-        tracker.total = self.total
-        tracker.moves = self.moves
-        tracker._position = self.position
-        stats = ScaledStats(
-            square=self.square, count_is_constant=self.count_is_constant
-        )
-        stats.count = self.count
-        stats.xsum = self.xsum
-        stats.xsumsq = self.xsumsq
-        stats._sd_dirty = True
-        return _MergeLocal(
-            self,
-            stats,
-            tracker,
-            {},
-            self.cells,
-            self.pos_mirror,
-            self.last_alert,
-            self.last_percentile_alert,
-        )
-
-
-class _MergeLocal:
-    """A fully local tracker+alert state and the shared chunk replay.
-
-    One pure routine (:meth:`replay`) drives both sides of the merge:
-    workers speculate chunks against the shipped batch-entry snapshot
-    (fresh local objects), and the parent replays unprovable chunks
-    against the *live* objects — so the speculative stream and the
-    fallback stream are the same code by construction, and both
-    reproduce the scalar ``_update_frequency`` event order exactly:
-    value-free packets tick-then-sync (gated on the tracker holding a
-    position), dropped values return before the tracker, in-domain
-    values run cell RMW → ``tracker.observe`` → percentile sync →
-    k·σ judgement, with the percentile digest's ``previous`` read from
-    the ``reg_pos`` register *mirror* (which can lag the tracker — it
-    starts at the register's entry value, possibly never written yet).
-    """
-
-    __slots__ = (
-        "entry",
-        "stats",
-        "tracker",
-        "cells",
-        "entry_cells",
-        "pos_mirror",
-        "last_alert",
-        "last_percentile_alert",
-        "records",
-        "observed",
-        "dropped",
-        "touched",
-        "synced",
-    )
-
-    def __init__(
-        self,
-        entry: _MergeEntry,
-        stats: ScaledStats,
-        tracker: PercentileTracker,
-        cells: Dict[int, int],
-        entry_cells: Any,
-        pos_mirror: int,
-        last_alert: Optional[float],
-        last_percentile_alert: Optional[float],
-    ):
-        self.entry = entry
-        self.stats = stats
-        self.tracker = tracker
-        self.cells = cells
-        self.entry_cells = entry_cells
-        self.pos_mirror = pos_mirror
-        self.last_alert = last_alert
-        self.last_percentile_alert = last_percentile_alert
-        self.records: List[Tuple[int, ...]] = []
-        self.observed = 0
-        self.dropped = 0
-        self.touched = False
-        self.synced = False
-
-    def replay(self, values: Any, timestamps: Any) -> None:
-        """Replay one chunk's events in scalar ``_update_frequency`` order.
-
-        ``values`` may carry either ``None`` (list form) or the columns
-        sentinel ``-1`` (encoded form) for value-free packets; timestamps
-        are coerced to plain floats so local arithmetic matches scalar.
-        """
-        entry = self.entry
-        size = entry.size
-        width_mask = entry.width_mask
-        stats = self.stats
-        tracker = self.tracker
-        cells = self.cells
-        entry_cells = self.entry_cells
-        for idx in range(len(values)):
-            raw = values[idx]
-            if raw is None or raw < 0:
-                if tracker.has_value:
-                    tracker.tick()
-                    self._sync_percentile(idx, float(timestamps[idx]))
-                continue
-            value = int(raw)
-            if value >= size:
-                self.dropped += 1
-                continue
-            old = cells.get(value)
-            if old is None:
-                old = int(entry_cells[value])
-            sample = stats.observe_frequency(old)
-            cells[value] = sample & width_mask
-            self.touched = True
-            self.observed += 1
-            now = float(timestamps[idx])
-            tracker.observe(value)
-            self._sync_percentile(idx, now)
-            self._maybe_alert(idx, value, sample, now)
-
-    def _sync_percentile(self, idx: int, now: float) -> None:
-        # Callers only reach this with the tracker holding a position,
-        # mirroring library._sync_percentile's reachable paths.
-        previous = self.pos_mirror
-        position = self.tracker.value
-        self.pos_mirror = position
-        self.synced = True
-        if position != previous:
-            self._maybe_percentile_alert(idx, position, previous, now)
-
-    def _maybe_percentile_alert(
-        self, idx: int, position: int, previous: int, now: float
-    ) -> None:
-        entry = self.entry
-        if not entry.percentile_alert:
-            return
-        if self.stats.count < entry.min_samples:
-            return
-        last = self.last_percentile_alert
-        if last is not None and entry.cooldown > 0:
-            if now - last < entry.cooldown:
-                return
-        self.last_percentile_alert = now
-        self.records.append((DIGEST_KIND_PERCENTILE, idx, position, previous))
-
-    def _maybe_alert(self, idx: int, value: int, sample: int, now: float) -> None:
-        entry = self.entry
-        if entry.k_sigma <= 0:
-            return
-        stats = self.stats
-        if stats.count < entry.min_samples:
-            return
-        last = self.last_alert
-        if last is not None and entry.cooldown > 0 and (now - last) < entry.cooldown:
-            return
-        if not stats.is_outlier(sample, k_sigma=entry.k_sigma, margin=entry.margin):
-            return
-        self.last_alert = now
-        self.records.append(
-            (
-                DIGEST_KIND_KSIGMA,
-                idx,
-                value,
-                sample,
-                stats.scaled(sample),
-                stats.xsum,
-                stats.stddev_nx,
-                stats.count,
-            )
-        )
-
-
-class _MergeSpeculation:
-    """A speculating worker's claimed chunk outcome: local digest records
-    (chunk-relative sequence numbers; a ``bytes`` blob on the shm path)
-    plus the claimed exit state of its local slot replica."""
-
-    __slots__ = (
-        "records",
-        "count",
-        "xsum",
-        "xsumsq",
-        "freqs",
-        "low",
-        "high",
-        "position",
-        "total",
-        "moves",
-        "cells",
-        "pos_mirror",
-        "last_alert",
-        "last_percentile_alert",
-        "observed",
-        "touched",
-        "synced",
-    )
-
-
-def _ship_speculation(local: _MergeLocal, encode: bool) -> _MergeSpeculation:
-    """Pack a local replay's outcome for the trip back to the parent."""
-    sim = _MergeSpeculation()
-    records: Any = local.records
-    if encode and records:
-        try:
-            records = encode_digest_records(records)
-        except OverflowError:  # a field beyond int64: ship the raw tuples
-            records = local.records
-    sim.records = records
-    stats = local.stats
-    sim.count = stats.count
-    sim.xsum = stats.xsum
-    sim.xsumsq = stats.xsumsq
-    tracker = local.tracker
-    sim.freqs = list(tracker.freqs)
-    sim.low = tracker.low
-    sim.high = tracker.high
-    sim.position = tracker._position
-    sim.total = tracker.total
-    sim.moves = tracker.moves
-    sim.cells = local.cells
-    sim.pos_mirror = local.pos_mirror
-    sim.last_alert = local.last_alert
-    sim.last_percentile_alert = local.last_percentile_alert
-    sim.observed = local.observed
-    sim.touched = local.touched
-    sim.synced = local.synced
-    return sim
-
-
-def _merge_task(
-    values: Sequence[Optional[int]],
-    size: int,
-    timestamps: Sequence[float],
-    entry: Optional[_MergeEntry] = None,
-    encode: bool = False,
-) -> Tuple[Dict[int, int], int, Optional[float], Optional[_MergeSpeculation]]:
-    """Merge-mode worker task over in-memory chunks: tally plus (when an
-    entry snapshot was shipped) the fully local speculative replay."""
-    tally, dropped = _tally_chunk(values, size)
-    max_ts = _chunk_max(timestamps)
-    sim = None
-    if entry is not None:
-        local = entry.local_state()
-        local.replay(values, timestamps)
-        sim = _ship_speculation(local, encode=encode)
-    return tally, dropped, max_ts, sim
-
-
-def _merge_task_shm(  # worker-context
-    values_desc: ColumnDescriptor,
-    start: int,
-    stop: int,
-    size: int,
-    ts_desc: ColumnDescriptor,
-    entry: Optional[_MergeEntry] = None,
-    freqs_desc: Optional[ColumnDescriptor] = None,
-    cells_desc: Optional[ColumnDescriptor] = None,
-) -> Tuple[Dict[int, int], int, Optional[float], Optional[_MergeSpeculation]]:
-    """Merge-mode worker task over shared-memory columns.
-
-    The entry snapshot's two arrays (tracker freqs, cell counts) ride in
-    the same segment as the value/timestamp columns; the pickled payload
-    is descriptors plus the snapshot's scalar fields.  Digest records
-    ship back as one encoded int64 blob.
-    """
-    with attach_column(values_desc) as vcol, attach_column(ts_desc) as tcol:
-        vwindow = vcol.values[start:stop]
-        twindow = tcol.values[start:stop]
-        tally, dropped = _tally_chunk(vwindow, size)
-        max_ts = _chunk_max(twindow)
-        sim = None
-        if entry is not None:
-            if freqs_desc is not None:
-                with attach_column(freqs_desc) as col:
-                    entry.freqs = [int(v) for v in col.values]
-            if cells_desc is not None:
-                with attach_column(cells_desc) as col:
-                    entry.cells = [int(v) for v in col.values]
-            local = entry.local_state()
-            local.replay(vwindow, twindow)
-            sim = _ship_speculation(local, encode=True)
-        del vwindow, twindow
-    return tally, dropped, max_ts, sim
-
-
-class _CellWindow:
-    """Read-only view of one slot's cell registers, indexable by value —
-    the parent-side stand-in for the snapshot's shipped cells array."""
-
-    __slots__ = ("_counters", "_base")
-
-    def __init__(self, counters: Any, base: int):
-        self._counters = counters
-        self._base = base
-
-    def __getitem__(self, value: int) -> int:
-        return self._counters.read(self._base + value)
 
 
 class ParallelBatchEngine(BatchEngine):
@@ -784,21 +480,12 @@ class ParallelBatchEngine(BatchEngine):
             task payload in ``shipped_bytes`` / ``shipped_tasks`` /
             ``last_batch_shipped_bytes`` (bench instrumentation; adds a
             ``pickle.dumps`` per task, so off by default).
-        staleness: merge-engine digest policy.  ``"exact"`` (default)
-            keeps the replay fallback, so output is bit-identical to
-            scalar.  ``"bounded"`` adopts every chunk's speculative digest
-            stream (computed against the batch-entry snapshot) and skips
-            the fixpoint/replay machinery: registers, moments, and the
-            tracker stay bit-exact, but alert decisions may lag state by
-            at most one batch prefix.  Opt-in; benched via the scenario
-            scorer.
 
     Merge-engine accounting (cumulative across batches):
     ``merge_adopted_chunks`` fixpoint-proven speculations installed,
     ``merge_folded_chunks`` provably-silent folds,
-    ``merge_replayed_chunks`` serial fallback replays (the exact-mode
-    boundary-crossing rate), ``merge_stale_chunks`` bounded-mode stale
-    adoptions.
+    ``merge_replayed_chunks`` serial kernel replays (the
+    boundary-crossing rate).
     """
 
     def __init__(
@@ -810,7 +497,6 @@ class ParallelBatchEngine(BatchEngine):
         min_chunk: int = 512,
         share_columns: bool = True,
         measure_shipping: bool = False,
-        staleness: str = "exact",
     ):
         super().__init__(stat4, backend=backend)
         if workers < 1:
@@ -819,23 +505,17 @@ class ParallelBatchEngine(BatchEngine):
             raise ValueError(
                 f"unknown executor {executor!r}; pick one of {_EXECUTOR_KINDS}"
             )
-        if staleness not in ("exact", "bounded"):
-            raise ValueError(
-                f"unknown staleness {staleness!r}; pick 'exact' or 'bounded'"
-            )
         self.workers = workers
         self.executor = executor
         self.min_chunk = min_chunk
         self.share_columns = share_columns
         self.measure_shipping = measure_shipping
-        self.staleness = staleness
         self.shipped_bytes = 0
         self.shipped_tasks = 0
         self.last_batch_shipped_bytes = 0
         self.merge_adopted_chunks = 0
         self.merge_folded_chunks = 0
         self.merge_replayed_chunks = 0
-        self.merge_stale_chunks = 0
 
     # -- fan-out policy -------------------------------------------------------
 
@@ -860,7 +540,7 @@ class ParallelBatchEngine(BatchEngine):
             plus a serial tracker replay.
             ``"alerting"`` — replay-exact via the alert stream: merge
             plus a serial alert replay with per-chunk gate folding.
-            ``"merge"`` — merge-replay-exact: local-state speculation
+            ``"merge"`` — merge-replay-exact: first-chunk speculation
             reconciled by adopt/fold/replay (see the module docstring).
             ``None`` — order-dependent: run the serial kernels.
         """
@@ -954,58 +634,31 @@ class ParallelBatchEngine(BatchEngine):
         the chunk falls back to fold/replay.
         """
         stat4 = self.stat4
-        size = stat4.config.counter_size
-        entry = _MergeEntry()
-        entry.size = size
-        entry.width_mask = (1 << stat4.counters.width) - 1
-        entry.k_sigma = spec.k_sigma
-        entry.min_samples = spec.min_samples
-        entry.margin = spec.margin
-        entry.cooldown = max(stat4.config.alert_cooldown, spec.cooldown)
-        entry.percentile_alert = bool(spec.percentile_alert)
-        entry.percent = spec.percent if spec.percent is not None else 50
         state = stat4._states.get(spec.dist)
-        if state is not None and state.spec == spec and state.tracker is not None:
-            stats = state.stats
-            tracker = state.tracker
-            entry.steps_per_update = tracker.steps_per_update
-            entry.square = stats.square
-            entry.count_is_constant = stats.count_is_constant
-            entry.count = stats.count
-            entry.xsum = stats.xsum
-            entry.xsumsq = stats.xsumsq
-            entry.freqs = list(tracker.freqs)
-            entry.low = tracker.low
-            entry.high = tracker.high
-            entry.position = tracker._position
-            entry.total = tracker.total
-            entry.moves = tracker.moves
-            entry.last_alert = state.last_alert
-            entry.last_percentile_alert = state.last_percentile_alert
-            base = stat4.config.cell_index(spec.dist, 0)
-            counters = stat4.counters
-            entry.cells = [counters.read(base + i) for i in range(size)]
-            entry.pos_mirror = stat4.reg_pos.read(spec.dist)
+        if state is not None and state.spec == spec:
+            packed = self._packed_state(state)
         else:
-            entry.steps_per_update = 1
-            entry.square = square_for_target()
-            entry.count_is_constant = False
-            entry.count = entry.xsum = entry.xsumsq = 0
-            entry.freqs = [0] * size
-            entry.low = entry.high = entry.total = entry.moves = 0
-            entry.position = None
-            entry.last_alert = None
-            entry.last_percentile_alert = None
-            entry.cells = [0] * size
-            entry.pos_mirror = 0
-        return entry
+            state = DistributionState.fresh(spec, stat4.config.counter_size)
+            packed = pack_frequency_state(
+                state, [0] * stat4.config.counter_size, 0
+            )
+        return _MergeEntry(
+            KernelShape.of_spec(spec),
+            KernelConstants.of_spec(spec, stat4.config, stat4.counters.width),
+            state.stats.square,
+            packed,
+        )
 
-    def _speculates(self, chunk_index: int) -> bool:
-        """Which chunks run the local speculation: all of them in bounded
-        mode; only the first (the one whose fixpoint can hold) in exact
-        mode — later chunks' entry states almost always differ from the
-        batch-entry snapshot, so their speculation would be wasted."""
-        return self.staleness == "bounded" or chunk_index == 0
+    def _packed_state(self, state: DistributionState) -> Tuple[Any, ...]:
+        """The live slot's packed kernel state, registers included."""
+        stat4 = self.stat4
+        dist = state.spec.dist
+        base = stat4.config.cell_index(dist, 0)
+        return pack_frequency_state(
+            state,
+            stat4.counters._cells[base : base + stat4.config.counter_size],
+            stat4.reg_pos._cells[dist],
+        )
 
     def _submit_run(
         self,
@@ -1018,15 +671,15 @@ class ParallelBatchEngine(BatchEngine):
         need_ts: bool,
         entry: Optional[_MergeEntry] = None,
     ) -> Tuple[List[Tuple[int, int]], List[Any], Optional[SharedColumnSegment]]:
-        """Dispatch one run's chunk tallies; returns (bounds, futures, shm).
+        """Dispatch one run's chunk tasks; returns (bounds, futures, shm).
 
         Thread pools get zero-copy views of the encoded columns.  Process
         pools get shared-memory descriptors (``share_columns=True``) or
         pickled list chunks (the legacy fallback, also taken when segment
-        creation fails — e.g. no ``/dev/shm``).  Merge-mode runs (``entry``
-        given) dispatch the local-state tasks instead: speculating chunks
-        carry the batch-entry snapshot, whose freqs/cells arrays ride the
-        shared segment as two extra int64 columns on the shm path.
+        creation fails — e.g. no ``/dev/shm``).  A merge-mode run
+        (``entry`` given) ships its snapshot with the first chunk only:
+        later chunks' entry states almost always differ from the
+        batch-entry snapshot, so their speculation would be wasted.
         """
         bounds = self._chunk_bounds(len(segment))
         futures: List[Any] = []
@@ -1037,18 +690,11 @@ class ParallelBatchEngine(BatchEngine):
             for i, (start, stop) in enumerate(bounds):
                 vwin = slice_backing(column, start, stop)
                 twin = slice_backing(ts, start, stop) if ts is not None else None
-                if entry is not None:
-                    futures.append(
-                        pool.submit(
-                            _merge_task,
-                            vwin,
-                            size,
-                            twin,
-                            entry if self._speculates(i) else None,
-                        )
+                futures.append(
+                    pool.submit(
+                        _tally_task, vwin, size, twin, entry if i == 0 else None
                     )
-                else:
-                    futures.append(pool.submit(_tally_task, vwin, size, twin))
+                )
             return bounds, futures, None
         segment_shm: Optional[SharedColumnSegment] = None
         if self.share_columns:
@@ -1059,35 +705,16 @@ class ParallelBatchEngine(BatchEngine):
                 packed = [("values", "q", column)]
                 if ts is not None:
                     packed.append(("timestamps", "d", ts))
-                if entry is not None:
-                    packed.append(("entry_freqs", "q", encode_column(entry.freqs)))
-                    packed.append(("entry_cells", "q", encode_column(entry.cells)))
                 segment_shm = SharedColumnSegment.pack(packed)
             except Exception:
                 segment_shm = None  # no usable /dev/shm: ship lists below
         if segment_shm is not None:
             values_desc = segment_shm.descriptors["values"]
             ts_desc = segment_shm.descriptors.get("timestamps")
-            if entry is not None:
-                freqs_desc = segment_shm.descriptors["entry_freqs"]
-                cells_desc = segment_shm.descriptors["entry_cells"]
-                wire = entry.wire_copy(strip_arrays=True)
-                for i, (start, stop) in enumerate(bounds):
-                    payload = (
-                        values_desc,
-                        start,
-                        stop,
-                        size,
-                        ts_desc,
-                        wire if self._speculates(i) else None,
-                        freqs_desc,
-                        cells_desc,
-                    )
-                    self._account_shipping(payload)
-                    futures.append(pool.submit(_merge_task_shm, *payload))
-                return bounds, futures, segment_shm
-            for start, stop in bounds:
-                payload = (values_desc, start, stop, size, ts_desc)
+            for i, (start, stop) in enumerate(bounds):
+                payload: Tuple[Any, ...] = (values_desc, start, stop, size, ts_desc)
+                if i == 0 and entry is not None:
+                    payload += (entry,)
                 self._account_shipping(payload)
                 futures.append(pool.submit(_tally_task_shm, *payload))
             return bounds, futures, segment_shm
@@ -1095,21 +722,12 @@ class ParallelBatchEngine(BatchEngine):
             batch, spec, segment, need_ts, as_arrays=False
         )
         for i, (start, stop) in enumerate(bounds):
-            if entry is not None:
-                payload = (
-                    column[start:stop],
-                    size,
-                    ts[start:stop] if ts is not None else None,
-                    entry if self._speculates(i) else None,
-                    True,
-                )
-                self._account_shipping(payload)
-                futures.append(pool.submit(_merge_task, *payload))
-                continue
             payload = (
                 column[start:stop],
                 size,
                 ts[start:stop] if ts is not None else None,
+                entry if i == 0 else None,
+                True,
             )
             self._account_shipping(payload)
             futures.append(pool.submit(_tally_task, *payload))
@@ -1173,17 +791,11 @@ class ParallelBatchEngine(BatchEngine):
             for spec, segment, mode, bounds, futures, entry in plan:
                 if mode is None:
                     self._process_run(spec, segment, batch, sink, result)
-                elif mode == "tally":
-                    self._apply_tally(spec, segment, futures, result)
-                elif mode == "tracked":
-                    self._apply_tracked(spec, segment, batch, futures, result)
-                elif mode == "merge":
-                    self._apply_merge(
-                        spec, segment, batch, bounds, futures, entry, sink, result
-                    )
+                elif mode in ("tally", "tracked"):
+                    self._apply_tally(spec, segment, batch, futures, result)
                 else:
-                    self._apply_alerting(
-                        spec, segment, batch, bounds, futures, sink, result
+                    self._apply_chunks(
+                        spec, segment, batch, bounds, futures, entry, sink, result
                     )
             result.digests.extend(sink.in_scalar_order())
         finally:
@@ -1197,598 +809,143 @@ class ParallelBatchEngine(BatchEngine):
         self,
         spec: TrackSpec,
         segment: List[_Event],
-        futures: List[Any],
-        result: BatchResult,
-    ) -> None:
-        """Merge-only mode: fold the summed tallies into cells and moments."""
-        state = self.stat4._state_for(spec)
-        counts, dropped = _merge_tallies(
-            (tally, chunk_dropped)
-            for tally, chunk_dropped, _max_ts in (f.result() for f in futures)
-        )
-        state.values_dropped += dropped
-        result.kernels["frequency_parallel"] = (
-            result.kernels.get("frequency_parallel", 0) + len(segment)
-        )
-        if counts:
-            self._apply_counts(state, counts)
-
-    def _apply_tracked(
-        self,
-        spec: TrackSpec,
-        segment: List[_Event],
         batch: PacketBatch,
         futures: List[Any],
         result: BatchResult,
     ) -> None:
-        """Tracked mode: merged fold plus a serial tracker replay.
+        """Tally and tracked modes: fold the summed tallies into cells and
+        moments, then — for a tracked run — replay the tracker walk.
 
-        Exactness: the tracker's state never feeds the cells or moments,
-        so folding the merged tallies first cannot perturb it; the replay
-        then walks the run's exact observe/tick sequence (dropped values
-        excluded entirely, value-free packets ticking only once the
-        tracker has a position — precisely the scalar ``_update_frequency``
-        flow), and the position registers are synced once under the serial
-        ``_percentile_kernel``'s write gate.  No digests exist in this
+        Exactness of the tracked mode: the tracker's state never feeds the
+        cells or moments, so folding the merged tallies first cannot
+        perturb it; the replay then walks the run's exact observe/tick
+        sequence and syncs the position registers once under the serial
+        ``_percentile_kernel``'s write gate.  No digests exist in either
         mode (no k·σ, no percentile alert), so the digest stream is
         trivially identical.
         """
-        stat4 = self.stat4
-        state = stat4._state_for(spec)
-        size = stat4.config.counter_size
+        state = self.stat4._state_for(spec)
         counts, dropped = _merge_tallies(
-            (tally, chunk_dropped)
-            for tally, chunk_dropped, _max_ts in (f.result() for f in futures)
+            (outcome[0], outcome[1]) for outcome in (f.result() for f in futures)
         )
         state.values_dropped += dropped
-        result.kernels["percentile_parallel"] = (
-            result.kernels.get("percentile_parallel", 0) + len(segment)
-        )
-        tracker = state.tracker
-        values = batch.values_for(spec)
-        events: List[int] = []
-        for pkt, _stage, _spec in segment:
-            value = values[pkt]
-            if value is None:
-                events.append(-1)  # value-free packet: a tracker tick
-            elif value < size:
-                events.append(value)
-            # else: dropped — the scalar path returns before the tracker.
+        name = "frequency_parallel" if state.tracker is None else "percentile_parallel"
+        result.kernels[name] = result.kernels.get(name, 0) + len(segment)
         if counts:
             self._apply_counts(state, counts)
-        if self._tracker_replay(tracker, events):
-            dist = state.spec.dist
-            stat4.reg_pos.write(dist, tracker.value)
-            stat4.reg_low.write(dist, tracker.low)
-            stat4.reg_high.write(dist, tracker.high)
+        if state.tracker is not None:
+            self._walk_tracker(state, segment, batch.values_for(spec))
 
-    def _apply_alerting(
+    def _apply_chunks(
         self,
         spec: TrackSpec,
         segment: List[_Event],
         batch: PacketBatch,
         bounds: List[Tuple[int, int]],
         futures: List[Any],
+        entry: Optional[_MergeEntry],
         sink: _DigestSink,
         result: BatchResult,
     ) -> None:
-        """Alerting mode: per-chunk gate folding plus a serial alert replay.
+        """Alerting and merge modes: resolve the run's chunks in order.
 
-        Exactness: alerts are judged by the library's own ``_maybe_alert``
-        against the live ``ScaledStats`` — exactly the scalar call, with
-        the same ``(sample, index, now)`` — while cell counts run through
-        a local dict seeded from one register read per unique value
-        (wrapped with the register width mask on every increment, so
-        ``old``/``sample`` match the scalar read-modify-write sequence
-        bit for bit).  A chunk folds to the telescoped bulk update only
-        when its sub-tally proves no packet in it can alert (``min_samples``
-        headroom or a covering cooldown window — see the module
-        docstring); inside a folded chunk no alert fires, so ``last_alert``
-        is constant and the cooldown bound stays valid for every packet.
-        Cells are written once per unique value at the end and the derived
-        measures synced once — the same coalescing as ``_apply_counts``,
-        which never changes final register contents.
+        A chunk is adopted (merge mode's speculating chunk, when the
+        tracker fixpoint holds), folded (both digest streams provably
+        silent), or replayed through the serial kernel.  Every resolution
+        leaves the live slot state and its registers exactly where the
+        serial kernel would after that chunk, so each chunk's entry state
+        is the true serial one (module docstring has the argument).
         """
-        stat4 = self.stat4
-        state = stat4._state_for(spec)
-        stats = state.stats
-        counters = stat4.counters
-        width_mask = (1 << counters.width) - 1
-        base = stat4.config.cell_index(spec.dist, 0)
-        size = stat4.config.counter_size
+        merge = entry is not None
+        name = "merge_parallel" if merge else "alert_parallel"
+        result.kernels[name] = result.kernels.get(name, 0) + len(segment)
+        state = self.stat4._state_for(spec)
         values = batch.values_for(spec)
-        timestamps = batch.timestamps
-        cooldown = max(stat4.config.alert_cooldown, spec.cooldown)
-        result.kernels["alert_parallel"] = (
-            result.kernels.get("alert_parallel", 0) + len(segment)
-        )
-        local: Dict[int, int] = {}
-        touched = False
         for (start, stop), future in zip(bounds, futures):
-            tally, dropped, max_ts = future.result()
-            if not tally:
-                # Only value-free and out-of-domain packets: the scalar
-                # path returns before its alert check on every one.
+            tally, dropped, max_ts, claim = future.result()
+            if claim is not None and self._at_fixpoint(state, entry):
+                # The worker ran the serial kernel from exactly the live
+                # entry state, so its claimed exit IS the serial exit.
                 state.values_dropped += dropped
-                continue
-            occurrences = sum(tally.values())
-            gated = stats.count + occurrences < spec.min_samples
-            if (
-                not gated
-                and state.last_alert is not None
+                self._adopt(spec, state, claim, segment, start, batch, sink)
+                self.merge_adopted_chunks += 1
+            elif self._chunk_silent(spec, state, tally, max_ts):
+                # No digest can fire, so the tracker and the moments
+                # decouple and the chunk folds.
+                state.values_dropped += dropped
+                if tally:
+                    self._apply_counts(state, tally.items())
+                if state.tracker is not None:
+                    self._walk_tracker(state, segment[start:stop], values)
+                if merge:
+                    self.merge_folded_chunks += 1
+            else:
+                self._library.run(spec, state, segment[start:stop], batch, sink)
+                if merge:
+                    self.merge_replayed_chunks += 1
+
+    def _at_fixpoint(self, state: DistributionState, entry: _MergeEntry) -> bool:
+        """The tracker fixpoint check: is the live slot exactly the
+        snapshot the worker's kernel run started from?
+
+        Everything the kernel reads is compared — moments and squaring
+        routine, the full tracker state, both cooldown stamps, the
+        ``reg_pos`` register, and every cell register.
+        """
+        return (
+            state.stats.square is entry.square
+            and self._packed_state(state) == entry.state
+        )
+
+    def _chunk_silent(
+        self,
+        spec: TrackSpec,
+        state: DistributionState,
+        tally: Dict[int, int],
+        max_ts: Optional[float],
+    ) -> bool:
+        """Whether no packet of a chunk can emit a digest.
+
+        A k·σ digest needs an observation and a percentile digest needs a
+        percentile alert; either needs ``stats.count`` to reach
+        ``min_samples`` within the chunk (N grows by at most one per
+        packet) and the stream's cooldown window not to cover the chunk.
+        """
+        headroom = state.stats.count + sum(tally.values()) < spec.min_samples
+        cooldown = max(self.stat4.config.alert_cooldown, spec.cooldown)
+
+        def covered(stamp: Optional[float]) -> bool:
+            return (
+                stamp is not None
                 and cooldown > 0
                 and max_ts is not None
-            ):
-                gated = (max_ts - state.last_alert) < cooldown
-            if gated:
-                state.values_dropped += dropped
-                for value, repeat in sorted(tally.items()):
-                    old = local.get(value)
-                    if old is None:
-                        old = counters.read(base + value)
-                    if old + repeat > width_mask:
-                        # Near-wrap cell: replay per occurrence so the
-                        # wrapped counts feed the moments exactly.
-                        current = old
-                        for _ in range(repeat):
-                            stats.observe_frequency(current)
-                            current = (current + 1) & width_mask
-                        local[value] = current
-                    else:
-                        stats.observe_frequencies(old, repeat)
-                        local[value] = old + repeat
-                touched = True
-                continue
-            for pkt, stage, _spec in segment[start:stop]:
-                value = values[pkt]
-                if value is None:
-                    continue
-                if value >= size:
-                    state.values_dropped += 1
-                    continue
-                old = local.get(value)
-                if old is None:
-                    old = counters.read(base + value)
-                sample = stats.observe_frequency(old)
-                local[value] = sample & width_mask
-                touched = True
-                now = timestamps[pkt]
-                sink.set(pkt, stage, now)
-                stat4._maybe_alert(
-                    state, sink, sample=sample, index=value, now=now
-                )
-        for value, count in local.items():
-            counters.write(base + value, count)
-        if touched:
-            stat4._sync_stats(state)
+                and (max_ts - stamp) < cooldown
+            )
 
-    def _apply_merge(
+        k_silent = (
+            spec.k_sigma <= 0 or not tally or headroom or covered(state.last_alert)
+        )
+        p_silent = (
+            not spec.percentile_alert
+            or headroom
+            or covered(state.last_percentile_alert)
+        )
+        return k_silent and p_silent
+
+    def _adopt(
         self,
         spec: TrackSpec,
+        state: DistributionState,
+        claim: Tuple[Any, int, bool, Tuple[Any, ...]],
         segment: List[_Event],
+        start: int,
         batch: PacketBatch,
-        bounds: List[Tuple[int, int]],
-        futures: List[Any],
-        entry: _MergeEntry,
-        sink: _DigestSink,
-        result: BatchResult,
-    ) -> None:
-        """Merge mode: adopt proven speculation, fold silent chunks,
-        replay the rest from their entry state (module docstring has the
-        full exactness argument).
-
-        Chunks are reconciled strictly in order on this one thread, so
-        each chunk's "entry state" below is exactly the serial state after
-        every earlier chunk.  ``local`` (the run's wrapped cell dict),
-        ``pos_mirror`` (the ``reg_pos`` register mirror), and the cooldown
-        stamps thread through all three resolution paths; cells, derived
-        measures, and the position registers are written once at the end
-        under the scalar write gates — the same coalescing as the other
-        modes, which never changes final register contents.
-        """
-        stat4 = self.stat4
-        state = stat4._state_for(spec)
-        stats = state.stats
-        tracker = state.tracker
-        counters = stat4.counters
-        width_mask = entry.width_mask
-        base = stat4.config.cell_index(spec.dist, 0)
-        size = entry.size
-        dist = spec.dist
-        values = batch.values_for(spec)
-        timestamps = batch.timestamps
-        cooldown = entry.cooldown
-        bounded = self.staleness == "bounded"
-        result.kernels["merge_parallel"] = (
-            result.kernels.get("merge_parallel", 0) + len(segment)
-        )
-        local: Dict[int, int] = {}
-        # Bounded staleness folds every chunk, so the run's cell overlay
-        # can be a flat int64 column instead of a dict: chunk tallies
-        # bincount into it and the epilogue writes back only the touched
-        # mask.  Falls back to the dict overlay without numpy or when the
-        # counter width could overflow the int64 fold.
-        col = None
-        col_touched = None
-        if bounded and _np is not None and width_mask <= 0xFFFFFFFF:
-            col = _np.asarray(
-                counters._cells[base : base + size], dtype=_np.int64
-            )
-            col_touched = _np.zeros(size, dtype=bool)
-        touched = False
-        synced = False
-        pos_mirror = stat4.reg_pos.read(dist)
-        fixpoint_open = True
-        for (start, stop), future in zip(bounds, futures):
-            tally, dropped, max_ts, sim = future.result()
-            state.values_dropped += dropped
-            if sim is not None and not bounded and fixpoint_open:
-                fixpoint_open = False
-                if self._merge_fixpoint(entry, state, pos_mirror, base):
-                    # Tracker fixpoint: the worker's local walk started
-                    # from exactly the live entry state, so its claimed
-                    # exit IS the serial exit.  Adopt it wholesale.
-                    self._adopt_speculation(
-                        state, sim, spec, segment, start, timestamps, local, sink
-                    )
-                    touched = touched or sim.touched
-                    if sim.synced:
-                        synced = True
-                        pos_mirror = sim.pos_mirror
-                    self.merge_adopted_chunks += 1
-                    continue
-            if bounded:
-                # Bounded staleness: exact monoid fold + exact tracker
-                # walk, stale digest stream from the worker's speculation.
-                if col is not None:
-                    folded = self._merge_fold_counts_np(
-                        state, tally, col, col_touched, width_mask
-                    )
-                else:
-                    folded = self._merge_fold_counts(
-                        state, tally, local, counters, base, width_mask
-                    )
-                if folded:
-                    touched = True
-                if self._merge_fold_tracker(
-                    tracker, segment, start, stop, values, size
-                ):
-                    synced = True
-                    pos_mirror = tracker.value
-                if sim is not None:
-                    records = self._install_records(
-                        sim.records, spec, segment, start, timestamps, sink
-                    )
-                    kinds = {record[0] for record in records}
-                    if DIGEST_KIND_KSIGMA in kinds:
-                        state.last_alert = sim.last_alert
-                    if DIGEST_KIND_PERCENTILE in kinds:
-                        state.last_percentile_alert = sim.last_percentile_alert
-                self.merge_stale_chunks += 1
-                continue
-            occurrences = sum(tally.values())
-            headroom = stats.count + occurrences < spec.min_samples
-            k_silent = (
-                spec.k_sigma <= 0
-                or headroom
-                or (
-                    state.last_alert is not None
-                    and cooldown > 0
-                    and max_ts is not None
-                    and (max_ts - state.last_alert) < cooldown
-                )
-            )
-            p_silent = (
-                not spec.percentile_alert
-                or headroom
-                or (
-                    state.last_percentile_alert is not None
-                    and cooldown > 0
-                    and max_ts is not None
-                    and (max_ts - state.last_percentile_alert) < cooldown
-                )
-            )
-            if k_silent and p_silent:
-                # Both streams provably silent: no digest can fire, so
-                # tracker and moments decouple and the chunk folds.
-                if self._merge_fold_counts(
-                    state, tally, local, counters, base, width_mask
-                ):
-                    touched = True
-                if self._merge_fold_tracker(
-                    tracker, segment, start, stop, values, size
-                ):
-                    synced = True
-                    pos_mirror = tracker.value
-                self.merge_folded_chunks += 1
-                continue
-            # Boundary-crossing chunk: replay per packet from its true
-            # entry state through the same routine the workers speculate
-            # with, bound to the live objects.
-            chunk_values: List[Optional[int]] = []
-            chunk_ts: List[float] = []
-            for pkt, _stage, _spec in segment[start:stop]:
-                chunk_values.append(values[pkt])
-                chunk_ts.append(timestamps[pkt])
-            run = _MergeLocal(
-                entry,
-                stats,
-                tracker,
-                local,
-                _CellWindow(counters, base),
-                pos_mirror,
-                state.last_alert,
-                state.last_percentile_alert,
-            )
-            run.replay(chunk_values, chunk_ts)
-            pos_mirror = run.pos_mirror
-            state.last_alert = run.last_alert
-            state.last_percentile_alert = run.last_percentile_alert
-            touched = touched or run.touched
-            synced = synced or run.synced
-            self._install_records(
-                run.records, spec, segment, start, timestamps, sink
-            )
-            self.merge_replayed_chunks += 1
-        if col is not None:
-            for value in _np.flatnonzero(col_touched):
-                counters.write(base + int(value), int(col[int(value)]))
-        else:
-            for value, count in local.items():
-                counters.write(base + value, count)
-        if touched:
-            stat4._sync_stats(state)
-        if synced:
-            stat4.reg_pos.write(dist, pos_mirror)
-            stat4.reg_low.write(dist, tracker.low)
-            stat4.reg_high.write(dist, tracker.high)
-
-    def _merge_fixpoint(
-        self,
-        entry: _MergeEntry,
-        state: DistributionState,
-        pos_mirror: int,
-        base: int,
-    ) -> bool:
-        """The per-chunk tracker fixpoint check: is the live slot exactly
-        the snapshot the worker's local walk started from?
-
-        Everything the replay's behaviour depends on is compared: the
-        moments (and their squaring routine), the full tracker state
-        including bookkeeping counters (the claimed exit installs absolute
-        values), both cooldown stamps, the ``reg_pos`` mirror, and every
-        cell register.  Equality makes the speculative replay the serial
-        replay by construction; any mismatch rejects the speculation and
-        costs only the wasted worker-side walk.
-        """
-        stats = state.stats
-        tracker = state.tracker
-        if tracker is None:
-            return False
-        if (
-            stats.count != entry.count
-            or stats.xsum != entry.xsum
-            or stats.xsumsq != entry.xsumsq
-            or stats.square is not entry.square
-            or stats.count_is_constant != entry.count_is_constant
-        ):
-            return False
-        if (
-            tracker._position != entry.position
-            or tracker.low != entry.low
-            or tracker.high != entry.high
-            or tracker.total != entry.total
-            or tracker.moves != entry.moves
-            or tracker.steps_per_update != entry.steps_per_update
-            or tracker.freqs != entry.freqs
-        ):
-            return False
-        if (
-            state.last_alert != entry.last_alert
-            or state.last_percentile_alert != entry.last_percentile_alert
-            or pos_mirror != entry.pos_mirror
-        ):
-            return False
-        counters = self.stat4.counters
-        cells = entry.cells
-        return all(
-            counters.read(base + i) == cells[i] for i in range(entry.size)
-        )
-
-    def _adopt_speculation(
-        self,
-        state: DistributionState,
-        sim: _MergeSpeculation,
-        spec: TrackSpec,
-        segment: List[_Event],
-        start: int,
-        timestamps: List[float],
-        local: Dict[int, int],
         sink: _DigestSink,
     ) -> None:
-        """Install a fixpoint-proven chunk's claimed exit state."""
-        stats = state.stats
-        stats.count = sim.count
-        stats.xsum = sim.xsum
-        stats.xsumsq = sim.xsumsq
-        # One observe_frequency per in-domain packet, as in the scalar
-        # loop; the lazy σ cache recomputes on next read either way.
-        stats.updates += sim.observed
-        stats._sd_dirty = True
-        tracker = state.tracker
-        tracker.freqs[:] = sim.freqs
-        tracker.low = sim.low
-        tracker.high = sim.high
-        tracker._position = sim.position
-        tracker.total = sim.total
-        tracker.moves = sim.moves
-        state.last_alert = sim.last_alert
-        state.last_percentile_alert = sim.last_percentile_alert
-        local.update(sim.cells)
-        self._install_records(
-            sim.records, spec, segment, start, timestamps, sink
-        )
-
-    def _merge_fold_counts(
-        self,
-        state: DistributionState,
-        tally: Dict[int, int],
-        local: Dict[int, int],
-        counters: Any,
-        base: int,
-        width_mask: int,
-    ) -> bool:
-        """Telescoped moment/cell fold of one silent chunk — identical to
-        the alerting mode's gated fold (near-wrap cells replay their
-        occurrences individually so wrapped counts feed the moments
-        exactly).  Returns whether any cell was touched."""
-        if not tally:
-            return False
-        stats = state.stats
-        for value, repeat in sorted(tally.items()):
-            old = local.get(value)
-            if old is None:
-                old = counters.read(base + value)
-            if old + repeat > width_mask:
-                current = old
-                for _ in range(repeat):
-                    stats.observe_frequency(current)
-                    current = (current + 1) & width_mask
-                local[value] = current
-            else:
-                stats.observe_frequencies(old, repeat)
-                local[value] = old + repeat
-        return True
-
-    def _merge_fold_counts_np(
-        self,
-        state: DistributionState,
-        tally: Dict[int, int],
-        col: Any,
-        col_touched: Any,
-        width_mask: int,
-    ) -> bool:
-        """Vectorized bounded-staleness fold: ``numpy.bincount`` of the
-        chunk tally into the register column, with the telescoped moment
-        deltas closed over the whole tally at once.
-
-        Bit-identical to :meth:`_merge_fold_counts`: tally keys are
-        distinct cells, so summing per-cell telescoped deltas in any
-        order gives the same integers, and ``N`` grows by exactly the
-        number of previously-empty cells.  Near-wrap cells (the rare
-        ``old + repeat > width_mask`` case) drop out of the vector and
-        replay their occurrences one by one so wrapped counts feed the
-        moments exactly, as in the scalar fold.  Returns whether any
-        cell was touched.
-        """
-        if not tally:
-            return False
-        stats = state.stats
-        n = len(tally)
-        vals = _np.fromiter(tally.keys(), dtype=_np.int64, count=n)
-        reps = _np.fromiter(tally.values(), dtype=_np.int64, count=n)
-        old = col[vals]
-        wrap = old + reps > width_mask
-        if wrap.any():
-            for i in _np.flatnonzero(wrap):
-                value = int(vals[i])
-                current = int(old[i])
-                for _ in range(int(reps[i])):
-                    stats.observe_frequency(current)
-                    current = (current + 1) & width_mask
-                col[value] = current
-                col_touched[value] = True
-            keep = ~wrap
-            vals, reps, old = vals[keep], reps[keep], old[keep]
-            if not len(vals):
-                return True
-        zero_cells = int((old == 0).sum())
-        if zero_cells:
-            stats.count = stats.count + zero_cells
-        total = int(reps.sum())
-        stats.xsum = stats.xsum + total
-        stats.xsumsq = stats.xsumsq + (
-            (int((old * reps).sum()) << 1) + int((reps * reps).sum())
-        )
-        stats.updates = stats.updates + total
-        stats._sd_dirty = True
-        # Distinct keys make the bincount a pure scatter-add; float64
-        # weights are exact for per-chunk repeat sums below 2**53.
-        col += _np.bincount(
-            vals, weights=reps, minlength=len(col)
-        ).astype(_np.int64)
-        col_touched[vals] = True
-        return True
-
-    def _merge_fold_tracker(
-        self,
-        tracker: PercentileTracker,
-        segment: List[_Event],
-        start: int,
-        stop: int,
-        values: Column,
-        size: int,
-    ) -> bool:
-        """Walk one chunk's exact observe/tick sequence from the tracker's
-        entry state (the resumable walk); returns the sync gate."""
-        events: List[int] = []
-        for pkt, _stage, _spec in segment[start:stop]:
-            value = values[pkt]
-            if value is None:
-                events.append(-1)
-            elif value < size:
-                events.append(value)
-        return self._tracker_replay(tracker, events)
-
-    def _install_records(
-        self,
-        records: Any,
-        spec: TrackSpec,
-        segment: List[_Event],
-        start: int,
-        timestamps: List[float],
-        sink: _DigestSink,
-    ) -> List[Tuple[int, ...]]:
-        """Re-sequence a chunk's local digest records onto the shared sink.
-
-        Records carry chunk-relative sequence numbers; the absolute
-        ``(packet, stage)`` tags come from the run segment, so the sink's
-        stable scalar-order sort interleaves them exactly where the serial
-        loop would have emitted them (per packet, a percentile-move digest
-        precedes the k·σ digest, matching the record order).  Returns the
-        decoded records (for the caller's stamp bookkeeping).
-        """
+        """Install a fixpoint-proven chunk's claimed exit state and digests."""
+        records, observed, synced, exit_state = claim
         if isinstance(records, (bytes, bytearray)):
             records = decode_digest_records(records)
-        if not records:
-            return []
-        stat4 = self.stat4
-        for record in records:
-            pkt, stage, _spec = segment[start + record[1]]
-            now = timestamps[pkt]
-            if record[0] == DIGEST_KIND_PERCENTILE:
-                name = spec.percentile_alert
-                fields = {
-                    "dist": spec.dist,
-                    "position": record[2],
-                    "previous": record[3],
-                    "percent": spec.percent if spec.percent is not None else 0,
-                    "generation": spec.generation,
-                }
-            else:
-                name = spec.alert
-                fields = {
-                    "dist": spec.dist,
-                    "index": record[2],
-                    "sample": record[3],
-                    "scaled_sample": record[4],
-                    "xsum": record[5],
-                    "stddev_nx": record[6],
-                    "count": record[7],
-                    "generation": spec.generation,
-                }
-            sink.records.append(
-                (pkt, stage, Digest(name=name, fields=fields, timestamp=now))
-            )
-            stat4.alerts_emitted += 1
-        return records
+        library = self._library
+        library.install_frequency_state(state, exit_state, observed, synced)
+        library.install_records(spec, records, segment, start, batch.timestamps, sink)

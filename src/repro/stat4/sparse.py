@@ -106,8 +106,8 @@ class HashedCells:
 
         A pure function of the key and the table geometry — batch callers
         memoize it per unique key so the multiply-shift hashes run once
-        per batch instead of once per packet
-        (:meth:`~repro.stat4.batch.BatchEngine._sparse_kernel`).
+        per batch instead of once per packet (the generated sparse
+        kernel in :mod:`repro.stat4.compiled`).
         """
         if key < 0:
             raise ValueRangeError("keys are unsigned")

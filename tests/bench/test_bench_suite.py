@@ -280,13 +280,7 @@ class TestLoadBaseline:
 
     def test_committed_baseline_consistent_with_suite_kernels(self, tiny_report):
         # Every committed floor must name a kernel the suite measures, so
-        # the perf-smoke gate can never silently check nothing.  A single
-        # run measures exactly one of the merge staleness twins (this
-        # fixture runs exact, so merge_parallel); the bounded twin's
-        # floor is measured by the --staleness bounded CI leg and skipped
-        # elsewhere by compare_reports.
+        # the perf-smoke gate can never silently check nothing.
         baseline = load_baseline(str(BASELINE_PATH))
         measured = set(tiny_report["speedups"])
-        if "merge_parallel" in measured:
-            measured.add("merge_parallel_bounded")
         assert set(baseline["speedups"]) <= measured

@@ -72,14 +72,6 @@ class TestParallelDifferential:
         }
         assert parallel_by_name == scalar_by_name
 
-    def test_bounded_engine_runs_the_catalog(self):
-        # The opt-in bounded-staleness variant is deliberately ungated
-        # (digest timing may drift by a chunk), but it must still score
-        # the whole catalog with well-formed rows.
-        rows = run_scenario_suite(engine="bounded", workers=4)
-        assert {row["scenario"] for row in rows} == set(scenario_names())
-        assert all(row["engine"] == "bounded" for row in rows)
-
 
 class TestNegativeControl:
     def test_degraded_detector_fails_the_committed_floors(self):

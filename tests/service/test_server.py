@@ -6,6 +6,7 @@ service-smoke job: serve ``volumetric_flood``, read ``/alerts``, score
 against the labeled ground truth.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -147,6 +148,12 @@ class TestHttpEndpoints:
 
     def test_alerts_cursor_pagination_and_long_poll(self, live_service):
         service, source = live_service
+        # Paginate only once the replay is fully ingested: the metrics
+        # record a batch after its alerts are appended, so no late append
+        # can move the cursor under the assertions below.
+        assert wait_for(
+            lambda: service.metrics.packets == len(source.scenario.trace)
+        )
         assert wait_for(lambda: service.alerts.cursor > 0)
         status, first = request(service.url, "/alerts?limit=1")
         assert status == 200
@@ -164,6 +171,25 @@ class TestHttpEndpoints:
         assert status == 200
         assert empty["alerts"] == []
         assert time.monotonic() - start >= 0.15
+
+    def test_keep_alive_requests_are_not_delayed(self, live_service):
+        # Headers and body go out as two writes; with Nagle's algorithm on,
+        # each keep-alive response body waits for the client's delayed ACK
+        # (~40 ms per request on Linux loopback).
+        service, _source = live_service
+        host, port = service.address
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            start = time.monotonic()
+            for _ in range(10):
+                connection.request("GET", "/alerts?limit=1")
+                response = connection.getresponse()
+                assert response.status == 200
+                json.loads(response.read().decode("utf-8"))
+            elapsed = time.monotonic() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"ten keep-alive requests took {elapsed:.3f}s"
 
     def test_alerts_rejects_malformed_query(self, live_service):
         service, _source = live_service

@@ -42,11 +42,6 @@ BACKENDS = [
         id="numpy",
         marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed"),
     ),
-    pytest.param(
-        "compiled",
-        id="compiled",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed"),
-    ),
 ]
 
 TRACE_PACKETS = 10_000
@@ -223,9 +218,10 @@ def _frequency_scenario():
 def _percentile_scenario():
     """Tracked median, no alerts — the vectorized-stepper eligible path.
 
-    On the numpy backend this runs ``_percentile_kernel`` (counting kernel
-    + ``_tracker_walk``); on the python backend it stays in the exact
-    loop.  Both must land on the scalar tracker state bit for bit.
+    Both backends run ``_percentile_kernel`` (counting kernel plus a
+    tracker replay): the vectorized ``_tracker_walk`` on numpy, the
+    scalar tracker on python.  Both must land on the scalar tracker state
+    bit for bit.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)
@@ -284,8 +280,9 @@ def _frequency_tracked_ksigma_scenario():
 
     One of the three previously-serial merge shapes: the tracker makes
     the kernel order-dependent per chunk, but both digest streams are
-    replayable, so the parallel engine speculates per worker and merges
-    (``merge_parallel``) instead of pinning a core in the exact loop.
+    replayable, so the parallel engine speculates in a worker and merges
+    (``merge_parallel``) instead of pinning a core in the per-packet
+    kernel.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)

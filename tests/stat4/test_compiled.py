@@ -1,22 +1,26 @@
-"""Compiled-tier unit tests: shape coverage, failure paths, cache lifecycle.
+"""Kernel dispatch and generated-kernel unit tests.
 
-Bit-identity of ``backend="compiled"`` against the scalar oracle is pinned
-by the hypothesis differentials (``test_batch_differential`` for the
-serial engine, ``test_parallel_differential`` for both pool types — the
-``compiled`` entry in ``BACKENDS`` runs there).  This module covers what
-those sweeps cannot see:
+Bit-identity of every kernel against the scalar oracle is pinned by the
+hypothesis differentials (``test_batch_differential`` for the serial
+engine, ``test_parallel_differential`` for both pool types, each on the
+numpy and python backends).  This module covers what those sweeps cannot
+see:
 
-- every constructible shape actually takes its compiled kernel (the
-  ``compiled_<family>`` counter ticks) rather than silently falling
-  through to the numpy tier;
-- the numba degradation ladder — import/compile failure at build time,
-  call failure mid-run — lands back on the generated-numpy backend with
-  identical results (numba is stubbed; the reference environment does
-  not install the ``jit`` extra);
-- ``Stat4Runtime.rebind`` invalidates the generated-source cache, and
-  the drift guard recompiles when the binding generation changes;
+- every constructible shape runs the one kernel its dispatch names (the
+  ``BatchResult.kernels`` counter), on both backends;
+- the generated sources the lint audits are exactly the shapes that
+  dispatch to a generated kernel;
+- a batch engine with every shape bound imports no ``repro.analysis``
+  module (checked in a fresh interpreter);
+- ``Stat4Runtime.rebind`` mints a new binding generation, which misses
+  the kernel cache and recompiles, and the recompiled kernel stays exact;
 - the kernel cache stays bounded under eviction pressure.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -38,9 +42,7 @@ from tests.stat4.test_batch_differential import (
     process_scalar,
 )
 
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="the compiled tier requires numpy"
-)
+BACKENDS = ("numpy", "python") if HAS_NUMPY else ("python",)
 
 PACKETS = 1_500
 
@@ -119,119 +121,137 @@ SHAPE_BUILDERS = {
 }
 
 
-def test_builders_cover_every_constructible_shape():
-    from repro.analysis.concurrency import enumerate_shapes
+#: The one kernel each shape runs, on either backend.
+EXPECTED_KERNELS = {
+    "frequency": "frequency_fast",
+    "frequency+alerting": "exact_loop",
+    "frequency+tracked": "percentile_fast",
+    "frequency+tracked+alerting": "exact_loop",
+    "frequency+tracked+percentile_alert": "exact_loop",
+    "frequency+tracked+alerting+percentile_alert": "exact_loop",
+    "time_series": "time_series",
+    "time_series+alerting": "time_series",
+    "sparse_frequency": "sparse_fast",
+    "sparse_frequency+alerting": "sparse_fast",
+}
 
-    assert set(SHAPE_BUILDERS) == {shape.key for shape in enumerate_shapes()}
+
+def test_builders_cover_every_constructible_shape():
+    from repro.stat4.distributions import enumerate_shapes
+
+    shapes = {shape.key for shape in enumerate_shapes()}
+    assert set(SHAPE_BUILDERS) == shapes
+    assert set(EXPECTED_KERNELS) == shapes
 
 
 @pytest.mark.parametrize("shape_key", sorted(SHAPE_BUILDERS))
-def test_every_shape_takes_its_compiled_kernel(shape_key):
-    # The differential sweeps prove exactness; this pins *coverage* — a
-    # shape quietly falling through to the numpy tier would still pass
-    # them, so the per-family kernel counter is asserted instead.
-    from repro.analysis.concurrency import KernelShape
-    from repro.stat4.compiled import family_of
-
+def test_every_shape_takes_its_kernel(shape_key):
+    # The differential sweeps prove exactness; this pins *dispatch* — a
+    # shape quietly running another exact kernel would still pass them,
+    # so the kernel counter is asserted instead.
     contexts = generate_trace(7, packets=PACKETS)
     scalar, _, _ = SHAPE_BUILDERS[shape_key]()
-    compiled, _, handle = SHAPE_BUILDERS[shape_key]()
     scalar_digests = process_scalar(scalar, contexts)
-    engine = BatchEngine(compiled, backend="compiled")
-    result = engine.process(PacketBatch.from_contexts(contexts))
-    family = family_of(KernelShape.of_spec(handle.spec))
-    assert result.kernels.get(f"compiled_{family}", 0) > 0, result.kernels
-    assert_equal_state(scalar, compiled, scalar_digests, list(result.digests))
+    for backend in BACKENDS:
+        batched, _, _ = SHAPE_BUILDERS[shape_key]()
+        engine = BatchEngine(batched, backend=backend)
+        result = engine.process(PacketBatch.from_contexts(contexts))
+        assert set(result.kernels) == {EXPECTED_KERNELS[shape_key]}, backend
+        assert_equal_state(scalar, batched, scalar_digests, list(result.digests))
 
 
-# -- numba degradation ladder -------------------------------------------------
+def test_reference_sources_are_the_generated_dispatch_shapes():
+    from repro.stat4.batch import GENERATED_KERNELS
+    from repro.stat4.compiled import reference_sources
+
+    generated = {
+        key for key, kernel in EXPECTED_KERNELS.items() if kernel in GENERATED_KERNELS
+    }
+    assert set(reference_sources()) == generated
+    assert len(generated) == 6
 
 
-class _NumbaStub:
-    """Stands in for the numba module; ``njit_behavior`` decides the mode."""
+#: Binds every constructible shape on its own slot and stage, runs one
+#: batch, and reports which ``repro.analysis`` modules got imported.
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import sys
 
-    def __init__(self, njit_behavior):
-        self._behavior = njit_behavior
+    from repro.stat4 import (
+        MATCH_ALL, BatchEngine, ExtractSpec, PacketBatch, Stat4, Stat4Config,
+        Stat4Runtime,
+    )
 
-    def njit(self, fn):
-        return self._behavior(fn)
-
-
-def _run_with_stub(monkeypatch, behavior):
-    from repro.stat4 import compiled as compiled_mod
-
-    monkeypatch.setattr(compiled_mod, "HAS_NUMBA", True)
-    monkeypatch.setattr(compiled_mod, "_numba", _NumbaStub(behavior))
-    contexts = generate_trace(13, packets=PACKETS)
-    scalar, _, _ = SHAPE_BUILDERS["frequency"]()
-    jitted, _, _ = SHAPE_BUILDERS["frequency"]()
-    scalar_digests = process_scalar(scalar, contexts)
-    engine = BatchEngine(jitted, backend="compiled")
-    result = engine.process(PacketBatch.from_contexts(contexts))
-    assert_equal_state(scalar, jitted, scalar_digests, list(result.digests))
-    return engine._compiled
-
-
-def test_njit_compile_failure_degrades_to_generated_numpy(monkeypatch):
-    def broken_njit(fn):
-        raise RuntimeError("no LLVM for you")
-
-    library = _run_with_stub(monkeypatch, broken_njit)
-    assert library.jit_failures >= 1
-    assert library.jit_kernels == 0
-
-
-def test_njit_call_failure_mid_run_degrades_and_stays_exact(monkeypatch):
-    # The jitted callable blows up on first invocation (the realistic
-    # lowering-failure mode): _invoke must rebuild the arguments, rerun
-    # the generated-numpy twin, and permanently demote the kernel.
-    def exploding_njit(fn):
-        def jitted(*args):
-            raise RuntimeError("typing error in nopython mode")
-
-        return jitted
-
-    library = _run_with_stub(monkeypatch, exploding_njit)
-    assert library.jit_failures >= 1
-    assert library.jit_kernels == 0
-    assert all(not kernel.jit for kernel in library._kernels.values())
+    config = Stat4Config(
+        counter_num=10, counter_size=64, binding_stages=10, sparse_dists=(8, 9)
+    )
+    stat4 = Stat4(config)
+    runtime = Stat4Runtime(stat4)
+    dst = ExtractSpec.field("ipv4.dst", mask=0x3F)
+    specs = [
+        runtime.frequency_of(0, dst),
+        runtime.frequency_of(1, dst, k_sigma=2),
+        runtime.frequency_of(2, dst, percent=50),
+        runtime.frequency_of(3, dst, k_sigma=2, percent=50),
+        runtime.frequency_of(4, dst, percent=50, percentile_alert="moved"),
+        runtime.frequency_of(
+            5, dst, k_sigma=2, percent=50, percentile_alert="moved"
+        ),
+        runtime.rate_over_time(6, interval=0.008, k_sigma=0),
+        runtime.rate_over_time(7, interval=0.008, k_sigma=2),
+        runtime.sparse_frequency_of(8, ExtractSpec.field("ipv4.dst")),
+        runtime.sparse_frequency_of(9, ExtractSpec.field("ipv4.dst"), k_sigma=2),
+    ]
+    for stage, spec in enumerate(specs):
+        runtime.bind(stage, MATCH_ALL, spec)
+    n = 4096
+    batch = PacketBatch(
+        timestamps=[i * 0.001 for i in range(n)],
+        keys=[(0x0800, i % 97, 6, 0) for i in range(n)],
+        columns={"ipv4.dst": [(i * 7919) % 4099 for i in range(n)]},
+    )
+    result = BatchEngine(stat4, backend=sys.argv[1]).process(batch)
+    assert len(result.kernels) == 5, result.kernels
+    print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
+    """
+)
 
 
-def test_njit_success_path_runs_jitted(monkeypatch):
-    library = _run_with_stub(monkeypatch, lambda fn: fn)
-    assert library.jit_kernels >= 1
-    assert library.jit_failures == 0
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_engine_path_does_not_import_the_analyzer(backend):
+    # Every engine builds the kernel library; importing the analyzer on
+    # that path would land in every service's start-up time and memory.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, backend],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
 
 
-def test_numba_absent_is_clean_generated_numpy():
-    # The reference environment has no numba: the default path must not
-    # count a failure (degradation is for *installed-but-broken* numba).
-    contexts = generate_trace(17, packets=PACKETS)
-    stat4, _, _ = SHAPE_BUILDERS["frequency"]()
-    engine = BatchEngine(stat4, backend="compiled")
-    engine.process(PacketBatch.from_contexts(contexts))
-    from repro.stat4 import compiled as compiled_mod
-
-    if not compiled_mod.HAS_NUMBA:
-        assert engine._compiled.jit_kernels == 0
-        assert engine._compiled.jit_failures == 0
-
-
-# -- rebind invalidation / drift guard ---------------------------------------
+# -- rebind invalidation ------------------------------------------------------
 
 
 def test_rebind_invalidates_generated_source_cache():
+    from repro.stat4.compiled import compiled_kernel
+
     contexts = generate_trace(5, packets=PACKETS)
-    stat4, runtime, handle = SHAPE_BUILDERS["frequency"]()
-    engine = BatchEngine(stat4, backend="compiled")
+    stat4, runtime, handle = SHAPE_BUILDERS["frequency+alerting"]()
+    engine = BatchEngine(stat4)
+    compiled_kernel.cache_clear()
     engine.process(PacketBatch.from_contexts(contexts))
-    library = engine._compiled
-    assert library.compiles == 1
-    assert library.invalidations == 0
+    assert compiled_kernel.cache_info().misses == 1
+    engine.process(PacketBatch.from_contexts(contexts))
+    assert compiled_kernel.cache_info().misses == 1, "kernel recompiled"
     runtime.rebind(handle)  # bumps the binding generation, resets the slot
     engine.process(PacketBatch.from_contexts(contexts))
-    assert library.invalidations == 1, "drift guard missed the rebind"
-    assert library.compiles == 2, "stale-generation kernel was reused"
+    info = compiled_kernel.cache_info()
+    assert info.misses == 2, "stale-generation kernel was reused"
+    assert info.currsize == 2
 
 
 def test_rebind_recompile_stays_exact():
@@ -240,36 +260,44 @@ def test_rebind_recompile_stays_exact():
     contexts = generate_trace(23, packets=PACKETS)
     half = len(contexts) // 2
     scalar, scalar_rt, scalar_handle = SHAPE_BUILDERS["frequency+alerting"]()
-    compiled, compiled_rt, compiled_handle = SHAPE_BUILDERS[
+    batched, batched_rt, batched_handle = SHAPE_BUILDERS[
         "frequency+alerting"
     ]()
-    engine = BatchEngine(compiled, backend="compiled")
+    engine = BatchEngine(batched)
     scalar_digests = process_scalar(scalar, contexts[:half])
     batched_digests = list(
         engine.process(PacketBatch.from_contexts(contexts[:half])).digests
     )
     scalar_rt.rebind(scalar_handle)
-    compiled_rt.rebind(compiled_handle)
+    batched_rt.rebind(batched_handle)
     scalar_digests += process_scalar(scalar, contexts[half:])
     batched_digests += list(
         engine.process(PacketBatch.from_contexts(contexts[half:])).digests
     )
-    assert engine._compiled.invalidations == 1
-    assert_equal_state(scalar, compiled, scalar_digests, batched_digests)
+    assert_equal_state(scalar, batched, scalar_digests, batched_digests)
 
 
 def test_kernel_cache_stays_bounded(monkeypatch):
+    import functools
+
     from repro.stat4 import compiled as compiled_mod
 
-    monkeypatch.setattr(compiled_mod, "_CACHE_LIMIT", 1)
+    assert compiled_mod.compiled_kernel.cache_info().maxsize == (
+        compiled_mod._CACHE_LIMIT
+    )
+    # Two shapes sharing a one-entry cache evict each other on every run.
+    tiny = functools.lru_cache(maxsize=1)(compiled_mod.compiled_kernel.__wrapped__)
+    monkeypatch.setattr(compiled_mod, "compiled_kernel", tiny)
 
     def build():
         config = Stat4Config(counter_num=2, counter_size=64, binding_stages=2)
         stat4 = Stat4(config)
         runtime = Stat4Runtime(stat4)
-        spec_a = runtime.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0x3F))
+        spec_a = runtime.frequency_of(
+            0, ExtractSpec.field("ipv4.dst", mask=0x3F), k_sigma=2
+        )
         spec_b = runtime.frequency_of(
-            1, ExtractSpec.field("ipv4.dst", mask=0x3F), percent=50
+            1, ExtractSpec.field("ipv4.dst", mask=0x3F), k_sigma=2, percent=50
         )
         runtime.bind(0, BindingMatch(ether_type=0x0800), spec_a)
         runtime.bind(1, BindingMatch(ether_type=0x0800), spec_b)
@@ -277,13 +305,13 @@ def test_kernel_cache_stays_bounded(monkeypatch):
 
     contexts = generate_trace(29, packets=PACKETS)
     scalar = build()
-    compiled = build()
+    batched = build()
     scalar_digests = process_scalar(scalar, contexts)
-    engine = BatchEngine(compiled, backend="compiled")
+    engine = BatchEngine(batched)
     result = engine.process(PacketBatch.from_contexts(contexts))
-    assert len(engine._compiled._kernels) <= 1
-    assert engine._compiled.compiles >= 2
-    assert_equal_state(scalar, compiled, scalar_digests, list(result.digests))
+    assert tiny.cache_info().currsize == 1
+    assert tiny.cache_info().misses >= 2
+    assert_equal_state(scalar, batched, scalar_digests, list(result.digests))
 
 
 # -- generated sources --------------------------------------------------------
@@ -313,7 +341,7 @@ def test_generated_sources_compile_and_carry_pragmas():
     from repro.stat4.compiled import exec_compile, reference_sources
 
     sources = reference_sources()
-    assert len(sources) == 10
+    assert len(sources) == 6
     for shape_key, source in sources.items():
         match = _KERNEL_PRAGMA.search(source)
         assert match is not None, shape_key

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stat4 import (
+    HAS_NUMPY,
     BatchEngine,
     BindingMatch,
     ExtractSpec,
@@ -162,10 +163,10 @@ class TestFanOut:
         ],
     )
     def test_merge_shapes_fan_out(self, scenario_name):
-        # A tracker plus replayable digest streams used to pin the whole
-        # run in the serial exact loop; the merge mode now fans these
-        # three shapes out — workers speculate on fully local state, the
-        # main thread reconciles per chunk.
+        # A tracker plus replayable digest streams would otherwise pin
+        # the whole run in the serial per-packet kernel; the merge mode
+        # fans these three shapes out — a worker speculates with the
+        # serial kernel, the main thread reconciles per chunk.
         contexts = generate_trace(5, packets=4_000)
         stat4 = SCENARIOS[scenario_name]()
         engine = ParallelBatchEngine(
@@ -213,7 +214,7 @@ class TestFanOut:
         assert "frequency_parallel" not in result.kernels
 
 
-def _covered_cooldown_scenario():
+def _covered_cooldown_scenario(counter_width=32):
     """The fold-path shape: tracked + k·σ with a trace-covering cooldown.
 
     After the first alert stamps ``last_alert``, every later chunk's
@@ -221,7 +222,12 @@ def _covered_cooldown_scenario():
     chunk; with no percentile alert stream the chunk folds — telescoped
     moments plus one resumable tracker walk, no per-packet replay.
     """
-    config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
+    config = Stat4Config(
+        counter_num=4,
+        counter_size=256,
+        counter_width=counter_width,
+        binding_stages=1,
+    )
     stat4 = Stat4(config)
     runtime = Stat4Runtime(stat4)
     spec = runtime.frequency_of(
@@ -242,17 +248,20 @@ class TestMergeResolution:
     The hypothesis suites above prove bit-identity for whatever mix of
     adopt/fold/replay a trace happens to produce; these tests force each
     path and check the engine counters, so a regression cannot hide
-    behind the replay fallback quietly resolving every chunk.
+    behind the replay fallback quietly resolving every chunk.  Each runs
+    on both backends: adopt (the generated kernel in a worker), fold, and
+    replay (the serial kernel on the parent) must all land bit-identical.
     """
 
-    def _fan_out(self, stat4, contexts, **kwargs):
+    BACKENDS = ("numpy", "python") if HAS_NUMPY else ("python",)
+
+    def _fan_out(self, stat4, contexts, backend):
         engine = ParallelBatchEngine(
             stat4,
-            backend="python",
+            backend=backend,
             workers=4,
             executor="thread",
             min_chunk=128,
-            **kwargs,
         )
         digests = []
         for chunk in split_batch(PacketBatch.from_contexts(contexts), CHUNK):
@@ -264,12 +273,16 @@ class TestMergeResolution:
         # worker snapshotted, so the tracker fixpoint holds and the
         # speculated exit is adopted wholesale.
         contexts = generate_trace(5, packets=4_000)
-        stat4 = SCENARIOS["frequency_tracked"]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, executor="thread", min_chunk=128
-        )
-        engine.process(PacketBatch.from_contexts(contexts))
-        assert engine.merge_adopted_chunks >= 1
+        for backend in self.BACKENDS:
+            scalar = SCENARIOS["frequency_tracked"]()
+            stat4 = SCENARIOS["frequency_tracked"]()
+            scalar_digests = process_scalar(scalar, contexts)
+            engine = ParallelBatchEngine(
+                stat4, backend=backend, workers=4, executor="thread", min_chunk=128
+            )
+            result = engine.process(PacketBatch.from_contexts(contexts))
+            assert engine.merge_adopted_chunks >= 1
+            assert_equal_state(scalar, stat4, scalar_digests, list(result.digests))
 
     def test_boundary_chunks_replay_and_stay_identical(self):
         # No cooldown: alert decisions depend on state crossing chunk
@@ -277,113 +290,52 @@ class TestMergeResolution:
         # entry-state replay — which must still be bit-identical, every
         # digest in scalar order.
         contexts = generate_trace(5, packets=TRACE_PACKETS)
-        scalar = SCENARIOS["frequency_tracked"]()
-        fanned = SCENARIOS["frequency_tracked"]()
-        scalar_digests = process_scalar(scalar, contexts)
-        engine, digests = self._fan_out(fanned, contexts)
-        assert engine.merge_replayed_chunks > 0
-        assert engine.merge_stale_chunks == 0
-        assert_equal_state(scalar, fanned, scalar_digests, digests)
+        for backend in self.BACKENDS:
+            scalar = SCENARIOS["frequency_tracked"]()
+            fanned = SCENARIOS["frequency_tracked"]()
+            scalar_digests = process_scalar(scalar, contexts)
+            engine, digests = self._fan_out(fanned, contexts, backend)
+            assert engine.merge_replayed_chunks > 0
+            assert_equal_state(scalar, fanned, scalar_digests, digests)
 
     def test_covered_cooldown_chunks_fold_without_replay(self):
         contexts = generate_trace(5, packets=TRACE_PACKETS)
-        scalar = _covered_cooldown_scenario()
-        fanned = _covered_cooldown_scenario()
-        scalar_digests = process_scalar(scalar, contexts)
-        engine, digests = self._fan_out(fanned, contexts)
-        assert engine.merge_folded_chunks > 0
-        assert_equal_state(scalar, fanned, scalar_digests, digests)
+        for backend in self.BACKENDS:
+            scalar = _covered_cooldown_scenario()
+            fanned = _covered_cooldown_scenario()
+            scalar_digests = process_scalar(scalar, contexts)
+            engine, digests = self._fan_out(fanned, contexts, backend)
+            assert engine.merge_folded_chunks > 0
+            assert_equal_state(scalar, fanned, scalar_digests, digests)
+
+    def test_folded_chunks_wrap_narrow_cells_exactly(self):
+        # 4-bit cells over a 256-value domain wrap many times per trace;
+        # a folded chunk must replay the wrapping cells occurrence by
+        # occurrence so the wrapped counts feed the moments exactly.
+        contexts = generate_trace(5, packets=TRACE_PACKETS)
+        for backend in self.BACKENDS:
+            scalar = _covered_cooldown_scenario(counter_width=4)
+            fanned = _covered_cooldown_scenario(counter_width=4)
+            scalar_digests = process_scalar(scalar, contexts)
+            engine, digests = self._fan_out(fanned, contexts, backend)
+            assert engine.merge_folded_chunks > 0
+            assert_equal_state(scalar, fanned, scalar_digests, digests)
 
     def test_merge_fans_out_over_shm_process_pool(self):
         # One fixed-seed shm run outside the hypothesis loop: the merge
         # mode must ship column descriptors to a process pool and come
         # back bit-identical, with the merge kernel counter ticking.
         contexts = generate_trace(7, packets=4_000)
-        scalar = SCENARIOS["frequency_tracked"]()
-        shm = SCENARIOS["frequency_tracked"]()
-        scalar_digests = process_scalar(scalar, contexts)
-        engine = ParallelBatchEngine(
-            shm, backend="python", workers=2, executor="process", min_chunk=128
-        )
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert result.kernels.get("merge_parallel", 0) > 0
-        assert_equal_state(scalar, shm, scalar_digests, list(result.digests))
-
-    def test_bounded_staleness_keeps_counts_exact(self):
-        # The opt-in trade-off: digests may land a chunk late (or fire
-        # from a stale snapshot), but counting registers, moments, and
-        # the tracker fold exactly — never approximately.
-        contexts = generate_trace(5, packets=TRACE_PACKETS)
-        scalar = SCENARIOS["frequency_tracked"]()
-        bounded = SCENARIOS["frequency_tracked"]()
-        process_scalar(scalar, contexts)
-        engine, _ = self._fan_out(bounded, contexts, staleness="bounded")
-        assert engine.merge_stale_chunks > 0
-        assert engine.merge_replayed_chunks == 0
-        state_a = scalar.state_of(0)
-        state_b = bounded.state_of(0)
-        assert state_a.stats.snapshot() == state_b.stats.snapshot()
-        assert state_a.tracker.freqs == state_b.tracker.freqs
-        assert state_a.tracker.value == state_b.tracker.value
-
-    def test_bounded_staleness_rejected_for_unknown_value(self):
-        with pytest.raises(ValueError):
-            ParallelBatchEngine(SCENARIOS["frequency"](), staleness="sloppy")
-
-    def _narrow_tracked(self):
-        # 4-bit cells: 5k packets over a 256-value domain wrap many
-        # times, forcing the fold's per-occurrence wrap fallback.
-        config = Stat4Config(
-            counter_num=4, counter_size=256, counter_width=4, binding_stages=1
-        )
-        stat4 = Stat4(config)
-        runtime = Stat4Runtime(stat4)
-        spec = runtime.frequency_of(
-            0,
-            ExtractSpec.field("ipv4.dst", mask=0xFF),
-            k_sigma=2,
-            percent=50,
-            percentile_alert="median_moved",
-        )
-        runtime.bind(0, BindingMatch(ether_type=0x0800), spec)
-        return stat4
-
-    def test_bounded_fold_wraps_cells_exactly(self):
-        # The vectorized bincount fold drops near-wrap cells out of the
-        # vector and replays their occurrences one by one, so wrapped
-        # counts feed the moments exactly as the scalar loop does.
-        contexts = generate_trace(5, packets=TRACE_PACKETS)
-        scalar = self._narrow_tracked()
-        bounded = self._narrow_tracked()
-        process_scalar(scalar, contexts)
-        engine, _ = self._fan_out(bounded, contexts, staleness="bounded")
-        assert engine.merge_stale_chunks > 0
-        state_a = scalar.state_of(0)
-        state_b = bounded.state_of(0)
-        assert state_a.stats.snapshot() == state_b.stats.snapshot()
-        assert scalar.counters.peek() == bounded.counters.peek()
-
-    def test_bounded_fold_dict_fallback_stays_exact(self, monkeypatch):
-        # Without numpy the bounded fold keeps the dict overlay; both
-        # overlays must leave identical registers and moments.
-        contexts = generate_trace(9, packets=TRACE_PACKETS)
-        vectorized = SCENARIOS["frequency_tracked"]()
-        engine_vec, _ = self._fan_out(vectorized, contexts, staleness="bounded")
-        from repro.stat4 import parallel as parallel_mod
-        from repro.traffic import columns as columns_mod
-
-        # Patch both gates: without numpy, batch columns are plain lists
-        # too, so tally keys reach the dict fold as python ints.
-        monkeypatch.setattr(parallel_mod, "_np", None)
-        monkeypatch.setattr(columns_mod, "_np", None)
-        fallback = SCENARIOS["frequency_tracked"]()
-        engine_fb, _ = self._fan_out(fallback, contexts, staleness="bounded")
-        assert engine_vec.merge_stale_chunks > 0
-        assert engine_fb.merge_stale_chunks > 0
-        state_a = vectorized.state_of(0)
-        state_b = fallback.state_of(0)
-        assert state_a.stats.snapshot() == state_b.stats.snapshot()
-        assert vectorized.counters.peek() == fallback.counters.peek()
+        for backend in self.BACKENDS:
+            scalar = SCENARIOS["frequency_tracked"]()
+            shm = SCENARIOS["frequency_tracked"]()
+            scalar_digests = process_scalar(scalar, contexts)
+            engine = ParallelBatchEngine(
+                shm, backend=backend, workers=2, executor="process", min_chunk=128
+            )
+            result = engine.process(PacketBatch.from_contexts(contexts))
+            assert result.kernels.get("merge_parallel", 0) > 0
+            assert_equal_state(scalar, shm, scalar_digests, list(result.digests))
 
 
 class TestSplitBatch:
