@@ -13,10 +13,15 @@ process:
 3. cross-check ``GET /stats`` against the trace (every packet counted,
    alert totals consistent, nothing dropped);
 4. SIGTERM the server and require a zero exit with no shared-memory
-   segments left behind.
+   segments left behind;
+5. boot ``repro serve --feed`` and send good JSON lines mixed with lines
+   that fail validation: ``/healthz`` must never report ``error``,
+   ``/stats`` must count every bad line in ``bad_lines`` and exactly the
+   good lines in ``packets``.  Without numpy (as in CI) this is also the
+   run of the per-packet parse that builds the feed's batches.
 
 Writes a verdict table to ``$GITHUB_STEP_SUMMARY`` when set.  Exits
-non-zero on any failure; the server log lands in ``server.log`` (or
+non-zero on any failure; both servers' logs land in ``server.log`` (or
 ``$SERVICE_SMOKE_LOG``) for the artifact upload.
 """
 
@@ -24,6 +29,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -41,6 +47,16 @@ RATE = int(os.environ.get("SERVICE_SMOKE_RATE", "4000"))
 LOG_PATH = os.environ.get("SERVICE_SMOKE_LOG", "server.log")
 BOOT_TIMEOUT = 30.0
 DRAIN_TIMEOUT = 120.0
+
+#: Good feed lines, and lines the feed must count and skip: a port and an
+#: address out of range, a null and an infinite timestamp.
+FEED_GOOD = 4000
+FEED_BAD = (
+    b'{"dst": "10.0.0.9", "sport": 70000}',
+    b'{"dst": 5000000000}',
+    b'{"dst": "10.0.0.9", "ts": null}',
+    b'{"dst": "10.0.0.9", "ts": 1e999}',
+)
 
 
 class Digest:
@@ -74,16 +90,105 @@ def shm_segments():
         return set()
 
 
-def wait_for_banner(deadline):
-    pattern = re.compile(r"serving .* on (http://[\d.]+:\d+)")
+def wait_for_banner(deadline, pattern=r"serving .* on (http://[\d.]+:\d+)"):
+    pattern = re.compile(pattern)
     while time.monotonic() < deadline:
         if os.path.exists(LOG_PATH):
             with open(LOG_PATH, "r", encoding="utf-8") as handle:
                 match = pattern.search(handle.read())
             if match:
-                return match.group(1)
+                return match.groups() if pattern.groups > 1 else match.group(1)
         time.sleep(0.1)
     return None
+
+
+def feed_lines():
+    """Good lines with every bad line mixed in after each 1,000th good one."""
+    lines = []
+    for i in range(FEED_GOOD):
+        record = {
+            "dst": "10.0.0.7" if i % 8 == 0 else f"10.0.{i % 4}.{i % 200 + 1}",
+            "ts": i * 0.001,
+            "sport": 1024 + i % 5000,
+            "dport": 53,
+        }
+        lines.append(json.dumps(record).encode())
+        if i % 1000 == 0:
+            lines.extend(FEED_BAD)
+    return lines
+
+
+def feed_phase(env):
+    """Phase 5: bad feed lines are counted and skipped; the service stays up."""
+    lines = feed_lines()
+    bad = len(lines) - FEED_GOOD
+    with open(LOG_PATH, "a", encoding="utf-8") as log:
+        server = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                "--feed",
+                "127.0.0.1:0",
+                "--batch-size",
+                "256",
+                "--port",
+                "0",
+            ],
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
+        try:
+            found = wait_for_banner(
+                time.monotonic() + BOOT_TIMEOUT,
+                r"serving feed:([\d.]+):(\d+) on (http://[\d.]+:\d+)",
+            )
+            if found is None:
+                fail("feed server never printed its banner; see server.log")
+            host, port, url = found
+            states = set()
+
+            def poll_health():
+                payload = get_json(url, "/healthz")[1] or {"state": "unreachable"}
+                states.add(payload["state"])
+                return payload
+
+            with socket.create_connection((host, int(port)), timeout=10.0) as feed:
+                for start in range(0, len(lines), 500):
+                    feed.sendall(b"\n".join(lines[start : start + 500]) + b"\n")
+                    poll_health()
+            deadline = time.monotonic() + DRAIN_TIMEOUT
+            while time.monotonic() < deadline:
+                health = poll_health()
+                if health["state"] in ("drained", "error"):
+                    break
+                time.sleep(0.1)
+            if "error" in states:
+                fail(f"feed pipeline errored: {health.get('error')}")
+            if health["state"] != "drained":
+                fail(f"feed never drained, last state {health['state']}")
+            status, stats = get_json(url, "/stats")
+            if status != 200:
+                fail(f"/stats returned {status}")
+            if stats.get("bad_lines") != bad:
+                fail(f"/stats bad_lines {stats.get('bad_lines')}, sent {bad} bad lines")
+            if stats["packets"] != FEED_GOOD:
+                fail(f"/stats packets {stats['packets']}, sent {FEED_GOOD} good lines")
+            server.send_signal(signal.SIGTERM)
+            returncode = server.wait(timeout=60)
+            if returncode != 0:
+                fail(f"feed server exited {returncode} on SIGTERM; see server.log")
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+    return [
+        f"| feed packets served | {stats['packets']} | {FEED_GOOD} | ✅ |",
+        f"| feed bad lines counted | {stats['bad_lines']} | {bad} | ✅ |",
+        f"| feed /healthz states | {', '.join(sorted(states))} | no error | ✅ |",
+    ]
 
 
 def main():
@@ -193,6 +298,9 @@ def main():
         leaked = shm_segments() - before
         if leaked:
             fail(f"server leaked shm segments: {sorted(leaked)}")
+        log.close()
+
+        feed_rows = feed_phase(env)
 
         summary = [
             "### service-smoke",
@@ -211,6 +319,7 @@ def main():
             f"| dropped batches | {stats['dropped_batches']} | 0 | ✅ |",
             f"| SIGTERM exit | {returncode} | 0 | ✅ |",
             f"| leaked shm segments | {len(leaked)} | 0 | ✅ |",
+            *feed_rows,
         ]
         text = "\n".join(summary)
         print(text)

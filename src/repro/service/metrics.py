@@ -211,6 +211,7 @@ class ServiceMetrics:
         self.alerts = 0
         self.dropped_batches = 0
         self.dropped_packets = 0
+        self.rejected_frames = 0
         self.kernels: Dict[str, int] = {}
         self.last_ingest: Optional[float] = None
         self.rate = EwmaRate(tau=rate_tau, clock=clock)
@@ -224,14 +225,20 @@ class ServiceMetrics:
         kernels: Dict[str, int],
         enqueued_at: float,
         applied_at: Optional[float] = None,
+        rejected_frames: int = 0,
     ) -> None:
-        """Fold one applied batch into the counters (worker side)."""
+        """Fold one applied batch into the counters (worker side).
+
+        ``rejected_frames`` counts the batch's frames the parser rejected
+        (``PacketBatch.parse_errors``); they are not in ``packets``.
+        """
         when = self._clock() if applied_at is None else applied_at
         latency = max(0.0, when - enqueued_at)
         with self._lock:
             self.packets += packets
             self.batches += 1
             self.alerts += digests
+            self.rejected_frames += rejected_frames
             for name, count in kernels.items():
                 self.kernels[name] = self.kernels.get(name, 0) + count
             self.last_ingest = when
@@ -270,6 +277,7 @@ class ServiceMetrics:
                 "alerts": self.alerts,
                 "dropped_batches": self.dropped_batches,
                 "dropped_packets": self.dropped_packets,
+                "rejected_frames": self.rejected_frames,
                 "kernels": dict(self.kernels),
                 "pps_ewma": self.rate.value,
                 "batch_latency_p50_ms": None if p50 is None else p50 * 1e3,

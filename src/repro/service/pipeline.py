@@ -234,6 +234,7 @@ class ServicePipeline:
                     digests=len(digests),
                     kernels=kernels,
                     enqueued_at=enqueued_at,
+                    rejected_frames=batch.parse_errors,
                 )
         except BaseException as exc:  # noqa: BLE001 - surfaced via /healthz
             self.error = exc

@@ -13,8 +13,9 @@ library):
 
 - ``GET /healthz`` — liveness: pipeline state (200 only for ready or
   drained), queue depth, last-ingest age;
-- ``GET /stats``   — cumulative counters, per-kernel event counts,
-  packets/sec EWMA, p50/p99 batch latency, alert-latency p99;
+- ``GET /stats``   — cumulative counters (packets, frames the parser
+  rejected, a feed's bad lines), per-kernel event counts, packets/sec
+  EWMA, p50/p99 batch latency, alert-latency p99;
 - ``GET /alerts``  — recent k·σ digests; ``?since=<cursor>`` resumes an
   incremental read, ``&timeout=<s>`` long-polls for new ones;
 - ``GET /bindings`` / ``POST /bindings`` — inspect and retune the live
@@ -352,6 +353,10 @@ class DetectionService:
         payload["state"] = self.pipeline.state()
         payload["queue_depth"] = self.pipeline.queue_depth
         payload["alert_cursor"] = self.alerts.cursor
+        bad_lines = getattr(self.source, "bad_lines", None)
+        if bad_lines is not None:
+            # A feed's lines that failed validation (FeedSource.bad_lines).
+            payload["bad_lines"] = bad_lines
         if isinstance(self.engine, ParallelBatchEngine):
             # Merge-engine observability: how tracked+alerting chunks were
             # reconciled since start (adopt/fold are the fast paths; a high

@@ -6,13 +6,13 @@ the producer stage of the service pipeline.  Four concrete shapes:
 
 - :class:`ScenarioSource` — replay a labeled catalog scenario (the same
   traces the quality floors gate), optionally rate-controlled and looped;
-- :class:`TraceSource` — replay a pcap capture through the standard
-  parser at a controlled rate;
+- :class:`TraceSource` — replay a pcap capture at a controlled rate,
+  decoding each batch's frames when the replay first reaches it;
 - :class:`SyntheticSource` — a deterministic generator (multiplicative
   walk over a destination domain with a configurable hot-key share), the
   workload the throughput bench drives;
 - :class:`FeedSource` — a line-delimited TCP feed: one JSON object per
-  line is synthesized into a packet, accumulated into batches.
+  line is validated and packed into a UDP frame, accumulated into batches.
 
 Rate control is cumulative, not per-batch: batch *i* is released when
 ``packets_emitted_so_far / rate_pps`` seconds have elapsed since the
@@ -23,13 +23,14 @@ All clocks/sleeps are injectable for tests.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.p4.parser import standard_parser
 from repro.stat4.batch import PacketBatch
-from repro.traffic.builders import udp_to
+from repro.traffic.builders import udp_frame
 from repro.traffic.trace import PacketTrace
 
 __all__ = [
@@ -138,7 +139,7 @@ class SyntheticSource:
     def _build_batch(self, start: int, count: int, epoch: int) -> PacketBatch:
         parser = standard_parser()
         base = epoch * self.packets
-        packets = []
+        frames = []
         timestamps = []
         for offset in range(count):
             index = start + offset
@@ -146,10 +147,9 @@ class SyntheticSource:
                 dst = self.hot_dst
             else:
                 dst = 0x0A000000 | ((index * 2654435761) % self.dst_values)
-            when = (base + index) * self.timestamp_gap
-            packets.append(udp_to(dst, created_at=when))
-            timestamps.append(when)
-        return PacketBatch.from_packets(packets, parser, timestamps=timestamps)
+            frames.append(udp_frame(dst))
+            timestamps.append((base + index) * self.timestamp_gap)
+        return PacketBatch.from_frames(frames, timestamps, parser)
 
     def __iter__(self) -> Iterator[PacketBatch]:
         epoch = 0
@@ -166,7 +166,13 @@ class SyntheticSource:
 
 
 class TraceSource:
-    """Replay a :class:`PacketTrace` (or pcap file) as parsed batches."""
+    """Replay a :class:`PacketTrace` (or pcap file) as decoded batches.
+
+    Each batch is decoded when the replay first reaches it, so the first
+    batch is out after one batch's decode rather than the whole
+    capture's, and kept: batches are read-only to every engine, so a
+    looped replay reuses the decoded columnar form.
+    """
 
     def __init__(
         self,
@@ -182,21 +188,17 @@ class TraceSource:
         self.batch_size = batch_size
         self.loop = loop
         self._pacer = pacer
-        self._cached: Optional[List[PacketBatch]] = None
-
-    def _batches(self) -> List[PacketBatch]:
-        # Parse once, replay many times: batches are read-only to every
-        # engine, so a looped replay reuses the parsed columnar form.
-        if self._cached is None:
-            parser = standard_parser()
-            self._cached = list(
-                self.trace.iter_packet_batches(parser, self.batch_size)
-            )
-        return self._cached
+        self._cached: List[PacketBatch] = []
 
     def __iter__(self) -> Iterator[PacketBatch]:
+        parser = standard_parser()
+        cached = self._cached
         while True:
-            for batch in self._batches():
+            chunks = self.trace.iter_batches(self.batch_size)
+            for index, records in enumerate(chunks):
+                if index == len(cached):
+                    cached.append(PacketBatch.from_trace(records, parser))
+                batch = cached[index]
                 if self._pacer is not None:
                     self._pacer.pace(len(batch))
                 yield batch
@@ -231,20 +233,23 @@ class ScenarioSource(TraceSource):
 
 
 class FeedSource:
-    """A line-delimited TCP feed synthesized into packet batches.
+    """A line-delimited TCP feed packed into batches of UDP frames.
 
     Listens on ``host:port`` (port 0 picks a free one; read it back from
-    :attr:`address`), accepts connections one at a time, and parses one
+    :attr:`address`), accepts connections one at a time, and reads one
     JSON object per line::
 
         {"dst": "10.0.0.9", "ts": 1.25, "src": "1.1.1.1", "sport": 4, "dport": 9}
 
-    ``dst`` is required (dotted quad or integer); ``ts`` defaults to a
-    synthetic clock advancing ``timestamp_gap`` per packet so a feed
-    without timestamps still drives time-series detectors.  Lines that
-    fail to parse are counted in :attr:`bad_lines` and skipped.  Batches
-    flush at ``batch_size`` lines or on connection close; iteration ends
-    when a client disconnects (unless ``serve_forever``).
+    ``dst`` is required; ``dst`` and ``src`` are dotted quads or integers
+    in ``[0, 2**32)``, ``sport`` and ``dport`` integers in ``[0, 65536)``,
+    and ``ts`` a finite number.  Without ``ts`` a synthetic clock advances
+    ``timestamp_gap`` past the previous line, so a feed without timestamps
+    still drives time-series detectors.  A line that breaks any of these
+    rules is counted in :attr:`bad_lines` and skipped; it never reaches
+    the detector.  Batches flush at ``batch_size`` lines or on connection
+    close; iteration ends when a client disconnects (unless
+    ``serve_forever``).
     """
 
     def __init__(
@@ -276,38 +281,61 @@ class FeedSource:
 
     @staticmethod
     def _ip_to_int(value: Any) -> int:
-        if isinstance(value, int):
+        """A dotted quad or an integer in ``[0, 2**32)``; ValueError otherwise."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            if not 0 <= value < 1 << 32:
+                raise ValueError(f"bad IPv4 address {value!r}")
             return value
-        parts = str(value).split(".")
+        parts = value.split(".") if isinstance(value, str) else []
         if len(parts) != 4:
             raise ValueError(f"bad IPv4 address {value!r}")
         result = 0
         for part in parts:
-            octet = int(part)
-            if not 0 <= octet <= 255:
+            if not (part.isascii() and part.isdigit()) or int(part) > 255:
                 raise ValueError(f"bad IPv4 address {value!r}")
-            result = (result << 8) | octet
+            result = (result << 8) | int(part)
         return result
 
-    def _packet_of(self, line: bytes, fallback_ts: float):
+    @staticmethod
+    def _port(value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 16:
+            raise ValueError(f"bad port {value!r}")
+        return value
+
+    @staticmethod
+    def _timestamp(value: Any) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"ts must be a number, got {value!r}")
+        try:
+            when = float(value)
+        except OverflowError:
+            raise ValueError(f"ts {value!r} is not a finite float") from None
+        if not math.isfinite(when):
+            raise ValueError(f"ts {value!r} is not finite")
+        return when
+
+    def _frame_of(self, line: bytes, fallback_ts: float) -> Tuple[bytes, float]:
+        """Validate one feed line into its UDP frame and timestamp.
+
+        Raises:
+            ValueError: the line is not UTF-8 JSON, not an object with a
+                ``dst``, or a field is out of range (see the class docstring).
+        """
         record = json.loads(line.decode("utf-8"))
         if not isinstance(record, dict) or "dst" not in record:
             raise ValueError("feed line must be an object with a 'dst'")
-        when = float(record.get("ts", fallback_ts))
-        return (
-            udp_to(
-                self._ip_to_int(record["dst"]),
-                src_ip=self._ip_to_int(record.get("src", "1.1.1.1")),
-                sport=int(record.get("sport", 40000)),
-                dport=int(record.get("dport", 9000)),
-                created_at=when,
-            ),
-            when,
+        when = self._timestamp(record.get("ts", fallback_ts))
+        frame = udp_frame(
+            self._ip_to_int(record["dst"]),
+            src_ip=self._ip_to_int(record.get("src", "1.1.1.1")),
+            sport=self._port(record.get("sport", 40000)),
+            dport=self._port(record.get("dport", 9000)),
         )
+        return frame, when
 
     def _drain_connection(self, conn: socket.socket) -> Iterator[PacketBatch]:
         parser = standard_parser()
-        packets: List[Any] = []
+        frames: List[bytes] = []
         timestamps: List[float] = []
         synthetic_ts = 0.0
         buffer = b""
@@ -321,26 +349,23 @@ class FeedSource:
                 break
             if not chunk:
                 break
-            buffer += chunk
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
                 if not line.strip():
                     continue
                 try:
-                    packet, when = self._packet_of(line, synthetic_ts)
-                except (ValueError, json.JSONDecodeError):
+                    frame, when = self._frame_of(line, synthetic_ts)
+                except (ValueError, RecursionError):  # RecursionError: deeply nested JSON
                     self.bad_lines += 1
                     continue
                 synthetic_ts = when + self.timestamp_gap
-                packets.append(packet)
+                frames.append(frame)
                 timestamps.append(when)
-                if len(packets) >= self.batch_size:
-                    yield PacketBatch.from_packets(
-                        packets, parser, timestamps=timestamps
-                    )
-                    packets, timestamps = [], []
-        if packets:
-            yield PacketBatch.from_packets(packets, parser, timestamps=timestamps)
+                if len(frames) >= self.batch_size:
+                    yield PacketBatch.from_frames(frames, timestamps, parser)
+                    frames, timestamps = [], []
+        if frames:
+            yield PacketBatch.from_frames(frames, timestamps, parser)
 
     def __iter__(self) -> Iterator[PacketBatch]:
         try:

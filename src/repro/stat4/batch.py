@@ -15,8 +15,9 @@ and working state bit-identical to the scalar path* (the paper's
 integer-only semantics are the spec; differential tests enforce equality):
 
 - :class:`PacketBatch` — a structure-of-arrays view of many packets
-  (timestamps, binding keys, per-source value columns), built from parsed
-  contexts, raw packets, a recorded trace, or synthetic columns;
+  (timestamps, binding keys, per-source value columns), built from frame
+  bytes (decoded column-wise by :mod:`repro.stat4.frames`), parsed
+  contexts, or synthetic columns;
 - :class:`BatchEngine` — applies a batch to a :class:`Stat4` instance.
   Binding lookups are memoized per unique key (entries are fixed for the
   duration of a batch, exactly like a pipeline between control-plane
@@ -72,6 +73,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import array as _array
 
+from repro.p4.packet import Packet
+from repro.p4.parser import Parser
 from repro.p4.switch import Digest, PacketContext, StandardMetadata
 from repro.stat4.binding import TRACK_ACTION, binding_key_of
 from repro.stat4.compiled import KernelLibrary
@@ -86,6 +89,9 @@ try:  # pragma: no cover - exercised via both-backend test parametrization
 except ImportError:  # pragma: no cover
     _np = None
     HAS_NUMPY = False
+
+if HAS_NUMPY:
+    from repro.stat4.frames import decode_frames
 
 __all__ = [
     "HAS_NUMPY",
@@ -102,6 +108,18 @@ Column = List[Optional[int]]
 
 _FRAME_SIZE = "frame.size"
 _CONSTANT = "const"
+#: The one user-metadata key a batch built from bytes carries: the frame
+#: length, as ``ctx.user["frame_bytes"]`` on a per-packet parse.
+_META_FRAME_BYTES = "meta.frame_bytes"
+
+#: The binding key's parts (:func:`~repro.stat4.binding.binding_key_of`):
+#: each is the field where its header is valid, else 0.
+_KEY_FIELDS = (
+    ("ethernet", "ether_type"),
+    ("ipv4", "dst"),
+    ("ipv4", "protocol"),
+    ("tcp", "flags"),
+)
 
 #: Memoization miss sentinel (lookup results may legitimately be None).
 _MISS = object()
@@ -150,6 +168,12 @@ def kernel_of(shape: KernelShape) -> str:
 class PacketBatch:
     """A structure-of-arrays view of many packets.
 
+    A batch is backed by one of three things: frame bytes decoded by
+    :func:`~repro.stat4.frames.decode_frames` (:meth:`from_frames`,
+    :meth:`from_trace` and :meth:`from_packets` with numpy), parsed
+    contexts (:meth:`from_contexts`, and the per-packet parse without
+    numpy), or synthetic value columns.
+
     Args:
         timestamps: per-packet switch-local times (seconds).
         keys: per-packet composite binding keys
@@ -169,6 +193,7 @@ class PacketBatch:
         "contexts",
         "frame_bytes",
         "parse_errors",
+        "_frames",
         "_raw_columns",
         "_value_columns",
         "_store",
@@ -190,6 +215,7 @@ class PacketBatch:
         self.contexts = list(contexts) if contexts is not None else None
         self.frame_bytes = list(frame_bytes) if frame_bytes is not None else None
         self.parse_errors = 0
+        self._frames: Any = None
         self._raw_columns: Dict[str, Column] = dict(columns or {})
         self._value_columns: Dict[Tuple[Any, int, int], Column] = {}
         self._store = ColumnStore()
@@ -210,29 +236,65 @@ class PacketBatch:
         )
 
     @classmethod
-    def from_packets(
+    def from_frames(
         cls,
-        packets: Sequence[Any],
+        frames: Sequence[bytes],
+        timestamps: Sequence[float],
         parser: Any,
-        timestamps: Optional[Sequence[float]] = None,
         ingress_port: int = 0,
     ) -> "PacketBatch":
-        """Parse raw packets into a batch.
+        """Build a batch from raw frames and their switch-local times.
 
         Frames the parser rejects are skipped and counted in
         ``parse_errors`` — the same packets a :class:`BehavioralSwitch`
         drops before its ingress (and before ``Stat4.process``) ever runs.
+        With numpy the frames are decoded column-wise by
+        :func:`~repro.stat4.frames.decode_frames`, which runs the parser's
+        own state and header tables over the whole batch; without it (or
+        for a parse graph the decoder does not reproduce) each frame goes
+        through ``parser.parse``.  Both give the same rows, keys, times and
+        columns.
         """
+        decoded = (
+            decode_frames(frames, parser)
+            if HAS_NUMPY and isinstance(parser, Parser)
+            else None
+        )
+        if decoded is None:
+            return cls._parse_each(frames, timestamps, parser, ingress_port)
+        columns, kept = decoded
+        n = len(kept)
+        rejected = len(frames) - n
+        if rejected:
+            rows = kept.tolist()
+            frames = [frames[i] for i in rows]
+            timestamps = [timestamps[i] for i in rows]
+        key_parts = [
+            columns.key_column(header, name, n) for header, name in _KEY_FIELDS
+        ]
+        batch = cls(
+            timestamps=timestamps,
+            keys=list(zip(*key_parts)),
+            frame_bytes=list(map(len, frames)),
+        )
+        batch._frames = columns
+        batch.parse_errors = rejected
+        return batch
+
+    @classmethod
+    def _parse_each(
+        cls,
+        frames: Sequence[bytes],
+        timestamps: Sequence[float],
+        parser: Any,
+        ingress_port: int,
+    ) -> "PacketBatch":
+        """The per-packet path: ``parser.parse`` and a context per frame."""
         contexts: List[PacketContext] = []
         skipped = 0
-        for index, packet in enumerate(packets):
-            when = (
-                timestamps[index]
-                if timestamps is not None
-                else getattr(packet, "created_at", 0.0)
-            )
+        for frame, when in zip(frames, timestamps):
             try:
-                parsed = parser.parse(packet)
+                parsed = parser.parse(Packet(frame, created_at=when))
             except Exception:
                 skipped += 1
                 continue
@@ -240,39 +302,52 @@ class PacketBatch:
                 parsed=parsed,
                 meta=StandardMetadata(ingress_port=ingress_port, timestamp=when),
             )
-            ctx.user["frame_bytes"] = len(packet)
+            ctx.user["frame_bytes"] = len(frame)
             contexts.append(ctx)
         batch = cls.from_contexts(contexts)
         batch.parse_errors = skipped
         return batch
 
     @classmethod
+    def from_packets(
+        cls,
+        packets: Sequence[Any],
+        parser: Any,
+        timestamps: Optional[Sequence[float]] = None,
+        ingress_port: int = 0,
+    ) -> "PacketBatch":
+        """Parse :class:`~repro.p4.packet.Packet`s into a batch (:meth:`from_frames`).
+
+        Without ``timestamps`` each packet's ``created_at`` is its time.
+        """
+        if timestamps is None:
+            timestamps = [getattr(packet, "created_at", 0.0) for packet in packets]
+        return cls.from_frames(
+            [packet.data for packet in packets], timestamps, parser, ingress_port
+        )
+
+    @classmethod
     def from_trace(
         cls, records: Iterable[Any], parser: Any, ingress_port: int = 0
     ) -> "PacketBatch":
         """Build a batch from :class:`~repro.traffic.trace.TraceRecord`s."""
-        from repro.p4.packet import Packet
-
         records = list(records)
-        packets = [
-            Packet(record.data, created_at=record.timestamp) for record in records
-        ]
-        return cls.from_packets(
-            packets,
+        return cls.from_frames(
+            [record.data for record in records],
+            [record.timestamp for record in records],
             parser,
-            timestamps=[record.timestamp for record in records],
-            ingress_port=ingress_port,
+            ingress_port,
         )
 
     def select(self, indices: Sequence[int]) -> "PacketBatch":
         """A new batch holding the given rows, in the given order.
 
         The shard router uses this to split one ingest batch into
-        per-owner sub-batches: every backing column (contexts, raw value
-        columns, frame sizes) is subset consistently, so a sub-batch
-        behaves exactly like a batch built from those packets alone.
-        ``parse_errors`` stays with the original batch — the dropped frames
-        never made it into any row.
+        per-owner sub-batches: every backing column (decoded frames,
+        contexts, raw value columns, frame sizes) is subset consistently,
+        so a sub-batch behaves exactly like a batch built from those
+        packets alone.  ``parse_errors`` stays with the original batch —
+        the dropped frames never made it into any row.
         """
         subset = PacketBatch(
             timestamps=[self.timestamps[i] for i in indices],
@@ -292,6 +367,8 @@ class PacketBatch:
                 else None
             ),
         )
+        if self._frames is not None:
+            subset._frames = self._frames.take(_np.asarray(indices, dtype=_np.int64))
         return subset
 
     def slice_view(self, start: int, stop: int) -> "PacketBatch":
@@ -299,12 +376,12 @@ class PacketBatch:
 
         Where :meth:`select` copies element by element for arbitrary row
         sets, a contiguous window uses C-level list slicing for the plain
-        Python fields and carries every already-encoded column of the
-        backing :class:`~repro.traffic.columns.ColumnStore` (and the cached
-        timestamp array) as a true zero-copy view — numpy slices or
-        ``memoryview`` windows.  ``split_batch`` builds its worker chunks
-        through this, so chunking a batch for fan-out does no per-element
-        Python work and no column data movement.
+        Python fields and carries the decoded frames, every already-encoded
+        column of the backing :class:`~repro.traffic.columns.ColumnStore`
+        (and the cached timestamp array) as a true zero-copy view — numpy
+        slices or ``memoryview`` windows.  ``split_batch`` builds its worker
+        chunks through this, so chunking a batch for fan-out does no
+        per-element Python work and no column data movement.
         """
         sub = PacketBatch.__new__(PacketBatch)
         sub.timestamps = self.timestamps[start:stop]
@@ -316,6 +393,11 @@ class PacketBatch:
             self.frame_bytes[start:stop] if self.frame_bytes is not None else None
         )
         sub.parse_errors = 0
+        sub._frames = (
+            self._frames.take(slice(start, stop))
+            if self._frames is not None
+            else None
+        )
         sub._raw_columns = {
             source: column[start:stop]
             for source, column in self._raw_columns.items()
@@ -343,13 +425,19 @@ class PacketBatch:
         column = self._raw_columns.get(source)
         if column is not None:
             return column
-        if self.contexts is None:
-            # Synthetic batch without this source: the header/metadata is
-            # absent on every packet (frame sizes default to zero).
-            if source == _FRAME_SIZE:
-                column = list(self.frame_bytes or [0] * len(self))
-            else:
+        if source == _FRAME_SIZE and self.contexts is None:
+            column = list(self.frame_bytes or [0] * len(self))
+        elif self._frames is not None:
+            if source == _META_FRAME_BYTES:
+                column = list(self.frame_bytes)
+            elif source.startswith("meta."):
                 column = [None] * len(self)
+            else:
+                column = self._frames.column(source, len(self))
+        elif self.contexts is None:
+            # Synthetic batch without this source: the header/metadata is
+            # absent on every packet.
+            column = [None] * len(self)
         elif source == _FRAME_SIZE:
             column = [ctx.user.get("frame_bytes", 0) for ctx in self.contexts]
         elif source.startswith("meta."):

@@ -8,6 +8,7 @@ against the labeled ground truth.
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -16,6 +17,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.p4.packet import Packet
+from repro.p4.parser import standard_parser
+from repro.p4.switch import PacketContext, StandardMetadata
 from repro.scenarios import build_scenario
 from repro.scenarios.score import score_digests
 from repro.service.server import (
@@ -26,7 +30,12 @@ from repro.service.server import (
     install_signal_handlers,
     spec_to_json,
 )
-from repro.service.sources import ScenarioSource
+from repro.service.sources import FeedSource, ScenarioSource, TraceSource
+from repro.stat4.library import Stat4
+from repro.stat4.runtime import Stat4Runtime
+from repro.traffic.builders import udp_frame
+from repro.traffic.trace import PacketTrace
+from tests.service.test_sources import BAD_LINES
 
 DEADLINE = 30.0
 
@@ -248,6 +257,87 @@ class TestHttpEndpoints:
         assert wait_for(lambda: service.stopping)
 
 
+def scalar_oracle(frames, times):
+    """The default detectors over ``frames`` one packet at a time."""
+    stat4 = Stat4(default_config())
+    runtime = Stat4Runtime(stat4)
+    for stage, match, spec in default_bindings():
+        runtime.bind(stage, match, spec)
+    parser = standard_parser()
+    alerts = []
+    for frame, when in zip(frames, times):
+        ctx = PacketContext(
+            parsed=parser.parse(Packet(frame)),
+            meta=StandardMetadata(ingress_port=0, timestamp=when),
+        )
+        ctx.user["frame_bytes"] = len(frame)
+        stat4.process(ctx)
+        alerts.extend((d.name, d.fields, d.timestamp) for d in ctx.digests)
+    return stat4, alerts
+
+
+class TestIngestAccounting:
+    def test_stats_count_the_frames_the_parser_rejected(self):
+        trace = PacketTrace()
+        truncated = 0
+        for i in range(300):
+            frame = udp_frame(0x0A000000 | (i % 40))
+            if i % 7 == 3:
+                frame = frame[: 14 + i % 20]  # cut inside the IPv4 header
+                truncated += 1
+            trace.append(i * 0.01, frame)
+        service = DetectionService(
+            TraceSource(trace=trace, batch_size=64), with_http=False
+        ).start()
+        try:
+            assert service.wait(DEADLINE)
+            assert service.drained
+        finally:
+            service.close()
+        stats = service.stats()
+        assert stats["rejected_frames"] == truncated
+        assert stats["packets"] == 300 - truncated
+        assert "bad_lines" not in stats  # only a feed has lines
+
+    def test_bad_feed_lines_leave_the_service_serving(self):
+        fields = [
+            (0x0A000007 if i % 3 == 0 else 0x0A000000 | i % 50, i * 0.01, i)
+            for i in range(600)
+        ]
+        good = [
+            json.dumps({"dst": dst, "ts": ts, "sport": sport}).encode()
+            for dst, ts, sport in fields
+        ]
+        lines = []
+        for i, line in enumerate(good):
+            lines.append(line)
+            if i % 60 == 0:
+                lines.extend(BAD_LINES.values())
+        bad = len(lines) - len(good)
+        feed = FeedSource(batch_size=64)
+        service = DetectionService(feed, with_http=False).start()
+        try:
+            with socket.create_connection(feed.address, timeout=10.0) as conn:
+                conn.sendall(b"\n".join(lines) + b"\n")
+            assert service.wait(DEADLINE)
+            assert service.pipeline.error is None
+            assert service.pipeline.state() == "drained"
+        finally:
+            service.close()
+        stats = service.stats()
+        assert stats["bad_lines"] == bad
+        assert stats["packets"] == len(good)
+        oracle, alerts = scalar_oracle(
+            [udp_frame(dst, sport=sport) for dst, _ts, sport in fields],
+            [ts for _dst, ts, _sport in fields],
+        )
+        served = service.recent_alerts()["alerts"]
+        assert alerts, "the good lines raise no alert"
+        assert [(a["name"], a["fields"], a["timestamp"]) for a in served] == alerts
+        for served_reg, oracle_reg in zip(service.stat4.registers, oracle.registers):
+            assert served_reg.peek() == oracle_reg.peek(), served_reg.name
+
+
 class TestDegradedOverHttp:
     def test_healthz_flips_to_503_degraded_when_ingest_stalls(self):
         clock = {"now": 0.0}
@@ -259,7 +349,11 @@ class TestDegradedOverHttp:
             name="degraded-test",
         ).start()
         try:
-            assert wait_for(lambda: service.metrics.batches > 0)
+            # The source decodes batch by batch, so an empty queue does not
+            # mean it is done: wait until every batch has been applied.
+            assert wait_for(
+                lambda: service.metrics.packets == len(source.scenario.trace)
+            )
             assert wait_for(
                 lambda: service.pipeline.queue_depth == 0
                 and service.pipeline.state() == "ready"

@@ -19,6 +19,22 @@ from repro.service.sources import (
     SyntheticSource,
     TraceSource,
 )
+from repro.stat4.batch import PacketBatch
+from repro.traffic.builders import udp_frame
+from repro.traffic.trace import PacketTrace
+
+#: Feed lines that fail validation, each of which once killed the service.
+BAD_LINES = {
+    "port_out_of_range": b'{"dst": "10.0.0.9", "sport": 70000}',
+    "address_out_of_range": b'{"dst": 5000000000}',
+    "null_ts": b'{"dst": "10.0.0.9", "ts": null}',
+    "infinite_ts": b'{"dst": "10.0.0.9", "ts": 1e999}',
+    "nan_ts": b'{"dst": "10.0.0.9", "ts": NaN}',
+    "string_ts": b'{"dst": "10.0.0.9", "ts": "1.5"}',
+    "negative_port": b'{"dst": "10.0.0.9", "dport": -1}',
+    "three_octets": b'{"dst": "10.0.0.9", "src": "1.2.3"}',
+    "deep_nesting": b"[" * 100_000,
+}
 
 
 class TestRatePacer:
@@ -119,6 +135,27 @@ class TestTraceAndScenarioSources:
         list(source)  # second replay reuses the parsed batches
         assert source._cached is cached
 
+    def test_first_batch_is_out_after_decoding_one_batch(self, monkeypatch):
+        trace = PacketTrace()
+        for i in range(100):
+            trace.append(i * 1e-3, udp_frame(0x0A000000 | i))
+        decoded = []
+        from_trace = PacketBatch.from_trace.__func__
+
+        def counting(cls, records, parser, ingress_port=0):
+            decoded.append(len(records))
+            return from_trace(cls, records, parser, ingress_port)
+
+        monkeypatch.setattr(PacketBatch, "from_trace", classmethod(counting))
+        source = TraceSource(trace=trace, batch_size=16)
+        iterator = iter(source)
+        assert len(next(iterator)) == 16
+        assert decoded == [16]
+        assert sum(len(batch) for batch in iterator) == 84
+        assert decoded == [16] * 6 + [4]
+        list(source)  # a replay reuses the decoded batches
+        assert len(decoded) == 7
+
     def test_loop_replays_until_stopped(self):
         source = ScenarioSource("volumetric_flood", batch_size=8192, loop=True)
         iterator = iter(source)
@@ -175,6 +212,38 @@ class TestFeedSource:
             feed.close()
         assert [len(b) for b in batches] == [2, 2, 1]
 
+    @pytest.mark.parametrize("bad", list(BAD_LINES.values()), ids=list(BAD_LINES))
+    def test_bad_line_is_counted_and_skipped(self, bad):
+        feed = FeedSource(batch_size=8)
+        lines = [
+            json.dumps({"dst": "10.0.0.1", "ts": 0.5}).encode(),
+            bad,
+            json.dumps({"dst": "10.0.0.2", "ts": 0.75}).encode(),
+        ]
+        sender = threading.Thread(
+            target=self._send_lines, args=(feed.address, lines)
+        )
+        sender.start()
+        try:
+            batches = list(feed)
+        finally:
+            sender.join(timeout=10.0)
+            feed.close()
+        assert feed.bad_lines == 1
+        (batch,) = batches
+        assert batch.raw_column("ipv4.dst") == [0x0A000001, 0x0A000002]
+        assert batch.timestamps == [0.5, 0.75]
+
+    def test_lines_pack_the_udp_to_frame(self):
+        feed = FeedSource()
+        try:
+            line = {"dst": 0x0A000007, "src": "10.1.2.3", "sport": 4, "dport": 9, "ts": 2}
+            frame, when = feed._frame_of(json.dumps(line).encode(), 0.0)
+            assert frame == udp_frame(0x0A000007, 0x0A010203, 4, 9)
+            assert when == 2.0 and isinstance(when, float)
+        finally:
+            feed.close()
+
     def test_close_unblocks_accept_loop(self):
         feed = FeedSource()
         collected = []
@@ -196,3 +265,6 @@ class TestFeedSource:
             FeedSource._ip_to_int("10.0.0")
         with pytest.raises(ValueError):
             FeedSource._ip_to_int("10.0.0.999")
+        for bad in (1 << 32, -1, True, "10.0.0.+1", 10.5):
+            with pytest.raises(ValueError):
+                FeedSource._ip_to_int(bad)

@@ -282,7 +282,7 @@ class TestPacketBatchConstruction:
         parser = standard_parser()
         packet = udp_to(0x0A000001)
         batch = PacketBatch.from_packets([packet], parser)
-        assert batch.contexts[0].user["frame_bytes"] == len(packet)
+        assert batch.raw_column("frame.size") == [len(packet)]
 
     def test_from_trace_uses_record_timestamps(self):
         parser = standard_parser()

@@ -9,7 +9,8 @@ from repro.netsim.hosts import Host
 from repro.netsim.network import Network
 from repro.p4 import headers as hdr
 from repro.p4.parser import standard_parser
-from repro.traffic.builders import PacketBuilder, echo_frame, tcp_syn_to, udp_to
+from repro.p4.errors import ValueRangeError
+from repro.traffic.builders import PacketBuilder, echo_frame, tcp_syn_to, udp_frame, udp_to
 from repro.traffic.profiles import (
     TrafficPhase,
     spike_chooser,
@@ -30,6 +31,36 @@ class TestBuilders:
         assert parsed.has("udp")
         assert parsed["ipv4"].get("dst") == hdr.ip_to_int("10.0.1.2")
         assert len(parsed.payload) == 10
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_udp_frame_packs_the_header_builders_bytes(self, seed):
+        rng = random.Random(seed)
+        dst, src = rng.getrandbits(32), rng.getrandbits(32)
+        sport, dport = rng.getrandbits(16), rng.getrandbits(16)
+        payload = rng.randrange(0, 100)
+        reference = (
+            hdr.ethernet(0x020000000001, 0x020000000002, hdr.ETHERTYPE_IPV4).pack()
+            + hdr.ipv4(src=src, dst=dst, protocol=hdr.PROTO_UDP, total_len=28 + payload).pack()
+            + hdr.udp(sport, dport, length=8 + payload).pack()
+            + bytes(payload)
+        )
+        assert udp_frame(dst, src, sport, dport, payload) == reference
+        assert udp_to(dst, src, sport, dport, payload).data == reference
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"dst_ip": 1 << 32},
+            {"dst_ip": -1},
+            {"dst_ip": 1, "src_ip": 1 << 32},
+            {"dst_ip": 1, "sport": 1 << 16},
+            {"dst_ip": 1, "dport": -1},
+            {"dst_ip": 1, "payload_len": 65536},
+        ],
+    )
+    def test_udp_frame_rejects_out_of_range_fields(self, fields):
+        with pytest.raises(ValueRangeError):
+            udp_frame(**fields)
 
     def test_syn_flag_set(self):
         pkt = tcp_syn_to(hdr.ip_to_int("10.0.1.2"))
