@@ -10,12 +10,12 @@ exact profile).
 
 Four deliberate violations:
 
-- ``bad_window_kernel`` declares ``# parallel-mode: tally`` but mutates
+- ``bad_window_kernel`` declares ``# parallel-mode: merge`` but mutates
   an interval cursor — order-dependent, so the claim is unprovable
   (ST502);
 - ``bad_merge_kernel`` declares ``# parallel-mode: merge`` but evicts
   hashed slots — a hard order-breaking effect no speculative merge or
-  replay-from-entry reconstructs, so the merge claim is just as
+  replay-from-entry reconstructs, so its merge claim is just as
   unprovable (ST502);
 - ``bad_worker_task`` is submitted to a pool and mutates a module-level
   registry without holding the module lock (ST503);
@@ -23,8 +23,8 @@ Four deliberate violations:
   instead of going through ``SharedColumnSegment.pack``, bypassing the
   crash-sweep registry (ST505).
 
-``good_tally_kernel`` is the in-file positive control: a pure
-commutative-monoid kernel whose ``tally`` claim the dataflow proves
+``good_merge_kernel`` is the in-file positive control: a pure
+commutative-monoid kernel whose ``merge`` claim the dataflow proves
 (ST501), showing the pass rejects the bad kernels for their effects, not
 for living in this file.
 """
@@ -37,22 +37,22 @@ _RESULTS = {}
 _RESULTS_LOCK = threading.Lock()
 
 
-# parallel-mode: tally
-def good_tally_kernel(state, ctx, value):
-    """Monoid-only updates: the declared tally mode is provable."""
+# parallel-mode: merge
+def good_merge_kernel(state, ctx, value):
+    """Monoid-only updates: the declared merge mode is provable."""
     old = state.counters.read(value)
     state.stats.observe_frequency(old)
     state.counters.write(value, old + 1)
 
 
-# parallel-mode: tally
+# parallel-mode: merge
 def bad_window_kernel(state, ctx, value):
-    """Claims merge-exact but walks an interval cursor: ST502.
+    """Claims mergeable but walks an interval cursor: ST502.
 
     ``current_count``/``window_index`` make each update depend on the
     cursor the previous one left, so no per-chunk summary reconstructs
     the final state — the dataflow derives order-dependent (serial) and
-    the ``tally`` claim must be rejected.
+    the ``merge`` claim must be rejected.
     """
     state.current_count += 1
     if state.current_count >= 8:
@@ -64,7 +64,7 @@ def bad_window_kernel(state, ctx, value):
 
 # parallel-mode: merge
 def bad_merge_kernel(state, ctx, value):
-    """Claims merge-replay-exact but evicts hashed slots: ST502.
+    """Claims mergeable but evicts hashed slots: ST502.
 
     Eviction picks its victim by comparing live counts along the probe
     path, so a chunk's exit state cannot be reconstructed from any local

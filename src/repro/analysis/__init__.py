@@ -2,9 +2,7 @@
 
 The paper's central claim — every measure is computable with P4-expressible
 integer operations inside fixed register budgets — is *statically
-checkable*.  This package is the checker.  It unifies what used to be two
-isolated helpers (:mod:`repro.resources.lint`,
-:mod:`repro.resources.overflow`) into one analyzer with
+checkable*.  This package is the checker: one analyzer with
 
 - a rule registry (:mod:`repro.analysis.diagnostics`): every finding
   carries a stable ``ST4xx`` code, a severity, and file/line/register
@@ -22,8 +20,8 @@ isolated helpers (:mod:`repro.resources.lint`,
   passes together over a JSON deployment description; and
 - a concurrency-exactness pass (:mod:`repro.analysis.concurrency`,
   ``ST5xx``, opt-in via ``repro lint --concurrency``): kernel-shape
-  classification (merge-exact / replay-exact / order-dependent) deriving
-  the parallel fan-out eligibility table, plus a shared-state race lint
+  classification (mergeable / order-dependent) deriving the parallel
+  fan-out eligibility table, plus a shared-state race lint
   over the parallel/shm layer.
 
 :func:`analyze_target` dispatches on what it is given (deployment config,
@@ -42,7 +40,6 @@ from repro.analysis.concurrency import (
     Effect,
     KernelShape,
     audit_spec_fields,
-    check_eligibility,
     check_generated_kernels,
     check_kernel_file,
     check_shared_state_file,
@@ -114,7 +111,6 @@ __all__ = [
     "Effect",
     "KernelShape",
     "audit_spec_fields",
-    "check_eligibility",
     "check_generated_kernels",
     "check_kernel_file",
     "check_shared_state_file",

@@ -2,11 +2,10 @@
 # the data-plane code it reasons about is linted separately.
 """Concurrency-exactness pass: the ST5xx rule family.
 
-PRs 4–5 made a strong claim: chunked fan-out of frequency runs is
-bit-exact with the scalar loop.  The argument lived in the
-:mod:`repro.stat4.parallel` docstring and was *encoded by hand* in the
-``_fan_out_mode`` table — a human had to re-read the kernel code and
-re-derive the table for every new kernel shape.  This pass derives it.
+Chunked fan-out of dense frequency runs is bit-exact with the scalar loop
+(the argument is in the :mod:`repro.stat4.parallel` docstring).  Which
+kernel shapes may fan out is not written down by hand: this pass derives
+it from the code.
 
 Kernel classification (the taxonomy)
 ------------------------------------
@@ -23,33 +22,27 @@ under the shape (``spec.k_sigma <= 0``, ``state.tracker is not None``,
   moment sums, drop counters, idempotent measure mirrors): per-chunk
   results merge exactly by addition, in any order;
 - **replay streams** (the percentile tracker walk; the k·σ gate reads,
-  cooldown stamps and digest writes): order-dependent, but reconstructible
-  by one serial replay layered on the merged monoid state;
-- **mergeable register reads** (the per-packet ``reg_pos`` read feeding
-  percentile-move digests): cross-chunk, but reconstructible by a serial
-  replay that maintains a register mirror alongside the tracker walk;
+  cooldown stamps and digest writes): order-dependent, but the merge
+  reconcile reconstructs them chunk by chunk — it adopts a speculation
+  proven to start from the serial entry state, folds a chunk whose
+  streams are provably silent, and replays any other chunk serially;
+- **the register mirror** (the per-packet ``reg_pos`` read feeding
+  percentile-move digests): cross-chunk, but part of the slot state the
+  reconcile snapshots and replays, as long as a tracker walk maintains
+  the register;
 - **order-breaking effects** (circular-window cursors, hashed-slot
   eviction): no per-chunk summary reconstructs them.
 
-The classification follows mechanically (:func:`classify`):
+The classification is two-valued (:func:`classify`):
 
-- any hard order-breaking effect → **order-dependent** (serial);
-- a ``reg_pos`` register read with no tracker walk to anchor the
-  register mirror → **order-dependent**;
-- *two* replay streams, or any replay stream plus the ``reg_pos`` read →
-  **merge-replay-exact** (fan-out mode ``"merge"``): a worker speculates
-  from a snapshot of the tracker+alert state, and a deterministic serial
-  reconciliation adopts a proven speculation, folds provably-silent
-  chunks and replays the rest from their entry state (the merge engine
-  in :mod:`repro.stat4.parallel`);
-- one replay stream → **replay-exact** (fan-out mode ``"tracked"`` or
-  ``"alerting"``);
-- monoid effects only → **merge-exact** (mode ``"tally"``).
+- any order-breaking effect, or a ``reg_pos`` read with no tracker walk
+  to maintain the register → **order-dependent** (serial);
+- anything else → **mergeable**: fan-out mode ``"merge"``, the one chunk
+  loop of the merge engine in :mod:`repro.stat4.parallel`.
 
 :func:`derive_eligibility_table` exports the result as the
 machine-readable table ``ParallelBatchEngine._fan_out_mode`` consumes;
-:func:`check_eligibility` raises ST500 if the engine's declared table
-(:data:`repro.stat4.parallel.DECLARED_ELIGIBILITY`) ever disagrees.
+it is the only fan-out table there is.
 
 Detector backends declare their kernels with a ``# parallel-mode:`` pragma
 (:func:`check_kernel_file`); a declared mode the dataflow cannot prove is
@@ -98,7 +91,6 @@ __all__ = [
     "SHAPE_FIELDS",
     "SHAPE_IRRELEVANT_FIELDS",
     "audit_spec_fields",
-    "check_eligibility",
     "check_kernel_file",
     "check_shared_state_file",
     "check_shared_state_source",
@@ -117,7 +109,7 @@ _WORKER_PRAGMA = "# worker-context"
 _KERNEL_PRAGMA = re.compile(r"#\s*parallel-mode:\s*(\S+)")
 
 #: Declared kernel modes a ``# parallel-mode:`` pragma may claim.
-KERNEL_MODES = ("tally", "tracked", "alerting", "merge", "serial")
+KERNEL_MODES = ("merge", "serial")
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +133,8 @@ class Effect(enum.Enum):
     #: function of the monoid state, safe to coalesce to one final write.
     MEASURE_SYNC = "measure_sync"
     #: The percentile tracker steps once per packet — order-dependent, but
-    #: it never feeds the cells or moments, so it replays serially on top.
+    #: it never feeds the cells or moments, so a chunk's walk resumes from
+    #: the state the previous chunk left.
     TRACKER_WALK = "tracker_walk"
     #: Per-packet read of the live moments / cooldown state feeding an
     #: alert decision — replayable per packet against the merged state.
@@ -152,7 +145,8 @@ class Effect(enum.Enum):
     DIGEST_WRITE = "digest_write"
     #: Per-packet ``reg_pos`` read whose value feeds percentile-move
     #: digests: a cross-chunk register read no sub-tally reconstructs —
-    #: only a serial replay holding a register mirror can.
+    #: only the reconcile, which carries the register in the slot state,
+    #: can.
     PERCENTILE_REGISTER_READ = "percentile_register_read"
     #: Interval cursor / circular-window mutation: each update depends on
     #: the cursor the previous one left.
@@ -166,21 +160,13 @@ class Effect(enum.Enum):
 
 
 class Classification(enum.Enum):
-    """The four-way verdict of the taxonomy."""
+    """The two verdicts of the taxonomy."""
 
-    MERGE_EXACT = "merge-exact"
-    REPLAY_EXACT = "replay-exact"
-    MERGE_REPLAY_EXACT = "merge-replay-exact"
+    MERGEABLE = "mergeable"
     ORDER_DEPENDENT = "order-dependent"
 
 
-_MONOID = frozenset(
-    {Effect.CELL_MONOID, Effect.MOMENT_MONOID, Effect.DROP_COUNT, Effect.MEASURE_SYNC}
-)
 _TRACKER_STREAM = frozenset({Effect.TRACKER_WALK})
-_ALERT_STREAM = frozenset(
-    {Effect.DIGEST_WRITE, Effect.ALERT_GATE_READ, Effect.ALERT_STATE}
-)
 #: The register mirror: replayable, but only anchored to a tracker walk.
 _REGISTER_MIRROR = frozenset({Effect.PERCENTILE_REGISTER_READ})
 _HARD_ORDER_BREAKING = frozenset(
@@ -190,43 +176,24 @@ _HARD_ORDER_BREAKING = frozenset(
         Effect.UNKNOWN,
     }
 )
-#: Kept for callers enumerating the non-mergeable effects; the register
-#: read is soft (merge-replayable when a tracker walk is present).
-_ORDER_BREAKING = _HARD_ORDER_BREAKING | _REGISTER_MIRROR
 
 
 def classify(effects: frozenset) -> Classification:
     """Apply the taxonomy rules to one kernel's effect set."""
     if effects & _HARD_ORDER_BREAKING:
         return Classification.ORDER_DEPENDENT
-    register_read = bool(effects & _REGISTER_MIRROR)
-    if register_read and not effects & _TRACKER_STREAM:
-        # The reg_pos mirror is maintained by the tracker-walk replay;
-        # with no walk to anchor it, the read stays order-breaking.
+    if effects & _REGISTER_MIRROR and not effects & _TRACKER_STREAM:
+        # The reg_pos mirror is maintained by the tracker walk; with no
+        # walk to anchor it, the read stays order-breaking.
         return Classification.ORDER_DEPENDENT
-    streams = bool(effects & _TRACKER_STREAM) + bool(effects & _ALERT_STREAM)
-    if streams > 1 or register_read:
-        # Two replay streams (or a stream plus the register read) must
-        # interleave.  No per-chunk summary derives the interleaving, but
-        # the merge engine reconstructs it deterministically: fold chunks
-        # whose streams are provably silent, replay the rest serially from
-        # their entry state.
-        return Classification.MERGE_REPLAY_EXACT
-    if streams == 1:
-        return Classification.REPLAY_EXACT
-    return Classification.MERGE_EXACT
+    return Classification.MERGEABLE
 
 
 def _mode_of(effects: frozenset) -> Optional[str]:
     """The fan-out mode a classified effect set admits (None = serial)."""
-    verdict = classify(effects)
-    if verdict is Classification.ORDER_DEPENDENT:
-        return None
-    if verdict is Classification.MERGE_EXACT:
-        return "tally"
-    if verdict is Classification.MERGE_REPLAY_EXACT:
+    if classify(effects) is Classification.MERGEABLE:
         return "merge"
-    return "tracked" if effects & _TRACKER_STREAM else "alerting"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -722,10 +689,9 @@ _table_cache: Optional[Dict[str, Optional[str]]] = None
 def derive_eligibility_table() -> Dict[str, Optional[str]]:
     """The machine-readable eligibility table, derived from the ASTs.
 
-    Keyed by :attr:`KernelShape.key`; values are the fan-out mode
-    (``"tally"``/``"tracked"``/``"alerting"``/``"merge"``) or ``None``
-    for serial.  :meth:`ParallelBatchEngine._fan_out_mode` consumes this
-    table.
+    Keyed by :attr:`KernelShape.key`; values are ``"merge"`` (the shape
+    fans out through the merge reconcile) or ``None`` (serial).
+    :meth:`ParallelBatchEngine._fan_out_mode` consumes this table.
     """
     global _table_cache
     if _table_cache is None:
@@ -733,51 +699,6 @@ def derive_eligibility_table() -> Dict[str, Optional[str]]:
             shape.key: fan_out_mode_for(shape) for shape in enumerate_shapes()
         }
     return dict(_table_cache)
-
-
-def check_eligibility(
-    declared: Optional[Mapping[str, Optional[str]]] = None,
-) -> List[Diagnostic]:
-    """ST500 differential: declared fan-out table vs the derived one."""
-    if declared is None:
-        from repro.stat4.parallel import DECLARED_ELIGIBILITY
-
-        declared = DECLARED_ELIGIBILITY
-    derived = derive_eligibility_table()
-    diagnostics: List[Diagnostic] = []
-    for key in sorted(set(declared) | set(derived)):
-        if key not in derived:
-            diagnostics.append(
-                make(
-                    "ST500",
-                    f"declared eligibility names unknown kernel shape {key!r}",
-                    shape=key,
-                    declared=declared[key],
-                )
-            )
-        elif key not in declared:
-            diagnostics.append(
-                make(
-                    "ST500",
-                    f"kernel shape {key!r} missing from the declared "
-                    "eligibility table",
-                    shape=key,
-                    derived=derived[key],
-                )
-            )
-        elif declared[key] != derived[key]:
-            diagnostics.append(
-                make(
-                    "ST500",
-                    f"kernel shape {key!r}: declared fan-out "
-                    f"{declared[key]!r} but the dataflow derives "
-                    f"{derived[key]!r}",
-                    shape=key,
-                    declared=declared[key],
-                    derived=derived[key],
-                )
-            )
-    return diagnostics
 
 
 def classification_report() -> List[Diagnostic]:
@@ -802,14 +723,9 @@ def classification_report() -> List[Diagnostic]:
 
 
 def kernel_table_diagnostics() -> List[Diagnostic]:
-    """The full kernel-table gate: classifications, drift, field audit,
-    and the generated-kernel audit (op set + pragma drift)."""
-    return (
-        classification_report()
-        + check_eligibility()
-        + audit_spec_fields()
-        + check_generated_kernels()
-    )
+    """The full kernel-table gate: classifications, field audit, and the
+    generated-kernel audit (op set + pragma drift)."""
+    return classification_report() + audit_spec_fields() + check_generated_kernels()
 
 
 # --------------------------------------------------------------------------
@@ -897,7 +813,7 @@ def check_generated_kernels() -> List[Diagnostic]:
     proof behind ST501/ST502 cannot apply here — generated kernels take
     and return their state as plain values and never touch engine state,
     so their effect sets are empty and the dataflow would vacuously prove
-    ``tally`` for everything; instead the pragma must equal the mode the
+    ``merge`` for everything; instead the pragma must equal the mode the
     *shape* dataflow derives (``None`` → ``serial``), keeping fan-out
     derived from analysis rather than a hand table inside the code
     generator.

@@ -18,8 +18,7 @@ layout of a :class:`~repro.stat4.config.Stat4Config` and derives
   ``2^k`` units makes every register absorb a full distribution.
 
 :func:`analyze_overflow` and :func:`safe_unit_shift` are the raw
-computations (formerly :mod:`repro.resources.overflow`, which now
-re-exports them); :func:`check_overflow` wraps them into registered
+computations; :func:`check_overflow` wraps them into registered
 diagnostics (ST410–ST414).
 """
 

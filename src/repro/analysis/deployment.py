@@ -170,9 +170,10 @@ def _classify_bindings(spec: DeploymentSpec) -> List[Diagnostic]:
     deployment report states which of its distributions can fan out.
     """
     from repro.analysis.concurrency import (
-        Classification,
         KernelShape,
+        classify,
         derive_eligibility_table,
+        kernel_effects,
     )
     from repro.stat4.distributions import DistributionKind
 
@@ -195,15 +196,7 @@ def _classify_bindings(spec: DeploymentSpec) -> List[Diagnostic]:
             percentile_alert=bool(binding.get("percentile_alert")),
         )
         mode = table.get(shape.key)
-        verdict = (
-            Classification.ORDER_DEPENDENT.value
-            if mode is None
-            else (
-                Classification.MERGE_EXACT.value
-                if mode == "tally"
-                else Classification.REPLAY_EXACT.value
-            )
-        )
+        verdict = classify(kernel_effects(shape)).value
         diagnostics.append(
             make(
                 "ST501",

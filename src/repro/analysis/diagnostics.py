@@ -113,12 +113,9 @@ RULES: Dict[str, Rule] = {
         _rule("ST430", Severity.ERROR, "invalid deployment description",
               "Sec. 3: the config macros themselves must be well-formed"),
         # -- concurrency exactness (ST50x) ----------------------------------
-        _rule("ST500", Severity.ERROR, "fan-out eligibility drift",
-              "parallel exactness: declared fan-out table must match the "
-              "dataflow-derived one"),
         _rule("ST501", Severity.INFO, "kernel shape classified",
-              "parallel exactness: merge/replay/serial verdict per kernel "
-              "shape, on record"),
+              "parallel exactness: mergeable/order-dependent verdict per "
+              "kernel shape, on record"),
         _rule("ST502", Severity.ERROR, "kernel declares unproven fan-out",
               "parallel exactness: a '# parallel-mode:' claim exceeds what "
               "the dataflow proves"),

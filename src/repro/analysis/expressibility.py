@@ -1,8 +1,7 @@
 """P4-expressibility pass: the AST lint, package- and call-graph-aware.
 
-The original :mod:`repro.resources.lint` checked one module at a time and
-only caught attribute-style library calls (``math.sqrt``).  This pass
-closes the gaps:
+Beyond a one-module walk that only catches attribute-style library calls
+(``math.sqrt``), this pass covers:
 
 - ``from math import sqrt`` followed by a bare ``sqrt(x)`` is flagged, as
   is ``import numpy as anything`` followed by ``anything.mean(...)``;

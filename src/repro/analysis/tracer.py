@@ -2,7 +2,7 @@
 """Runtime access tracer: the sanitizer-style witness for ST5xx verdicts.
 
 The concurrency pass (:mod:`repro.analysis.concurrency`) proves its
-merge-exact / replay-exact verdicts statically.  This module lets the
+mergeable verdicts statically.  This module lets the
 test suite *witness* each "safe" verdict at runtime: wrap the mutable
 surfaces of a Stat4 instance (register read/write, moment observers, the
 percentile tracker), run a parallel batch, and assert that no two

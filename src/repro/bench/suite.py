@@ -1,7 +1,7 @@
 # p4-ok-file — host-side benchmarking harness, not data-plane code.
 """The fixed benchmark suite behind ``repro bench``.
 
-Six kernels, one per hot loop:
+One kernel per hot loop:
 
 - ``mean_variance`` — dense frequency counting with moments only (the
   batched counting kernel; the headline scalar-vs-batched ratio);
@@ -9,7 +9,6 @@ Six kernels, one per hot loop:
   median walk (order-dependent, so batching only amortizes dispatch);
 - ``time_series`` — interval closes over a circular window;
 - ``sparse``      — HashPipe-style hashed slots (order-dependent);
-- ``ewma``        — the shift-based EWMA detector, loop vs ``update_many``;
 - ``sharded_mean_variance`` — the cluster hot loop: key-hash routing,
   per-shard counting on a 4-shard :class:`~repro.cluster.sharded.ShardedStat4`,
   and the exact network-wide merge;
@@ -53,7 +52,6 @@ import subprocess
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.ewma import EwmaDetector
 from repro.p4.parser import standard_parser
 from repro.p4.switch import PacketContext, StandardMetadata
 from repro.stat4.batch import HAS_NUMPY, BatchEngine, PacketBatch, resolve_backend
@@ -759,44 +757,6 @@ def _time_cluster_scaling(
     return rows
 
 
-def _time_ewma(packets: int, repeats: int, backends: List[str]) -> List[Dict[str, Any]]:
-    samples = [(index * 2654435761) % 97 for index in range(packets)]
-
-    def run_scalar():
-        detector = EwmaDetector()
-        for sample in samples:
-            detector.update(sample)
-
-    seconds = _best_of(repeats, run_scalar)
-    results = [
-        {
-            "name": "ewma",
-            "mode": "scalar",
-            "backend": None,
-            "packets": packets,
-            "seconds": seconds,
-            "pps": packets / seconds if seconds > 0 else 0.0,
-        }
-    ]
-    for backend in backends:
-
-        def run_batched():
-            EwmaDetector().update_many(samples)
-
-        seconds = _best_of(repeats, run_batched)
-        results.append(
-            {
-                "name": "ewma",
-                "mode": "batched",
-                "backend": backend,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
-        )
-    return results
-
-
 def _time_experiments(quick: bool) -> List[Dict[str, Any]]:
     from repro.experiments.table2_sqrt import run_table2
     from repro.experiments.validation import run_validation, run_validation_batched
@@ -925,7 +885,6 @@ def run_suite(
         merge_section: Optional[Dict[str, Any]] = None
     else:
         kernels = _time_stat4_kernels(n, reps, backends)
-        kernels.extend(_time_ewma(n, reps, backends))
         kernels.extend(_time_cluster_kernels(n, reps, backends))
         kernels.extend(_time_parallel_kernels(n, reps, backends, workers, pool))
         kernels.extend(_time_shm_parallel_kernels(n, reps, backends, workers))

@@ -535,19 +535,13 @@ def _cmd_lint(args) -> int:
     extra = None
     if args.concurrency:
         # The global kernel-table gate runs once per invocation, not per
-        # target: classify every shape, diff declared vs derived (ST500),
-        # and audit the TrackSpec fields (ST504).
+        # target: classify every shape (ST501), audit the TrackSpec fields
+        # (ST504) and the generated kernels (ST510/ST511).
         from repro.analysis import kernel_table_diagnostics
         from repro.analysis.concurrency import derive_eligibility_table
-        from repro.stat4.parallel import DECLARED_ELIGIBILITY
 
         reports.append(("<kernel-table>", kernel_table_diagnostics()))
-        extra = {
-            "concurrency": {
-                "eligibility": derive_eligibility_table(),
-                "declared": dict(DECLARED_ELIGIBILITY),
-            }
-        }
+        extra = {"concurrency": {"eligibility": derive_eligibility_table()}}
 
     if args.json:
         print(format_json(reports, extra=extra))

@@ -78,20 +78,6 @@ class EwmaDetector:
         self.samples = self.samples + 1
         return anomalous
 
-    def update_many(self, values) -> int:
-        """Fold a batch of samples in; returns how many were outliers.
-
-        Every sample still runs the exact :meth:`update` recurrence (the
-        EWMA state is a chain — each step reads the previous step's mean),
-        but the batch loop amortizes the per-call dispatch for the
-        software fast path.
-        """
-        anomalies = 0
-        for x in values:
-            if self.update(x):
-                anomalies = anomalies + 1
-        return anomalies
-
     @property
     def mean(self) -> int:
         """Current mean estimate (integer part)."""

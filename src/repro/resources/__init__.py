@@ -1,10 +1,7 @@
-"""Static analysis: resource footprints and P4-expressibility linting.
+"""Resource footprints of a generated Stat4 program (paper Sec. 4).
 
-The lint/overflow halves of this package are deprecated compatibility
-shims over :mod:`repro.analysis` (they warn on import and will be removed
-in a later revision); their names are re-exported lazily here so that
-``import repro.resources`` for the still-canonical resource model does
-not trigger the deprecation warnings.
+The static checks of a deployment — P4 expressibility, register overflow
+— are :mod:`repro.analysis`.
 """
 
 from repro.resources.model import (
@@ -15,37 +12,8 @@ from repro.resources.model import (
 )
 
 __all__ = [
-    "LintViolation",
-    "assert_p4_expressible",
-    "lint_module",
-    "lint_source",
     "ResourceReport",
     "TableCost",
     "analyze_program",
     "table_entry_bytes",
-    "OverflowBound",
-    "analyze_overflow",
-    "safe_unit_shift",
 ]
-
-_LINT_NAMES = {
-    "LintViolation",
-    "assert_p4_expressible",
-    "lint_module",
-    "lint_source",
-}
-_OVERFLOW_NAMES = {"OverflowBound", "analyze_overflow", "safe_unit_shift"}
-
-
-def __getattr__(name: str):
-    # PEP 562: defer the deprecated shims until something actually asks
-    # for one of their names (the shim module itself then warns).
-    if name in _LINT_NAMES:
-        from repro.resources import lint
-
-        return getattr(lint, name)
-    if name in _OVERFLOW_NAMES:
-        from repro.resources import overflow
-
-        return getattr(overflow, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -358,7 +358,7 @@ class DetectionService:
             # A feed's lines that failed validation (FeedSource.bad_lines).
             payload["bad_lines"] = bad_lines
         if isinstance(self.engine, ParallelBatchEngine):
-            # Merge-engine observability: how tracked+alerting chunks were
+            # Merge-engine observability: how every fanned-out chunk was
             # reconciled since start (adopt/fold are the fast paths; a high
             # replay share means chunks keep crossing alert boundaries).
             payload["merge_chunks"] = {

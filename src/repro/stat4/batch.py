@@ -57,7 +57,7 @@ importable and falls back to pure Python otherwise.  Both backends run the
 same kernel per shape and are exact; numpy only accelerates counting,
 close-point scans, the percentile walk, and the value gathers.
 :mod:`repro.stat4.parallel` builds a worker-pool execution layer on top of
-this engine (chunked tallies merged through the same
+this engine (chunk tallies folded through the same
 ``observe_frequencies`` telescoping).
 
 What is *not* preserved: per-register read/write accounting and the
@@ -537,9 +537,8 @@ class BatchResult:
         kernels: events handled per kernel, keyed by kernel name
             (:func:`kernel_of`: ``frequency_fast`` / ``percentile_fast`` /
             ``time_series`` for the vectorised kernels, ``exact_loop`` /
-            ``sparse_fast`` for the generated loops; the parallel engine adds
-            ``frequency_parallel`` / ``percentile_parallel`` /
-            ``alert_parallel`` for its fanned-out modes).
+            ``sparse_fast`` for the generated loops; the parallel engine
+            counts every fanned-out run under ``merge_parallel``).
         backend: the backend that ran the batch.
     """
 
@@ -861,10 +860,10 @@ class BatchEngine:
         measure sync at the end — bit-identical to replaying the
         occurrences one at a time (a near-wrap cell falls back to the
         per-occurrence loop so width wrapping reproduces exactly).  This
-        is also the exact-merge step of the parallel engine: per-chunk
-        tallies summed per value and applied here land on the same final
-        state as the serial kernel, because the moments update of each
-        occurrence depends only on its own cell's prior count.
+        is also the exact-merge step of the parallel engine: chunk tallies
+        folded here one after another land on the same final state as the
+        serial kernel, because the moments update of each occurrence
+        depends only on its own cell's prior count.
         """
         stat4 = self.stat4
         counters = stat4.counters

@@ -224,7 +224,7 @@ def _frequency_loop_source(shape: KernelShape, c: KernelConstants) -> str:
     specialized away; state lives in plain locals)."""
     tracked = shape.tracked
     state = _frequency_state_names(shape)
-    lines = _header(shape, "merge" if tracked else "alerting")
+    lines = _header(shape, "merge")
     lines.append(f"def kernel(vlist, tlist, square, records, {', '.join(state)}):")
     lines.append("    dropped = 0")
     lines.append("    observed = 0")

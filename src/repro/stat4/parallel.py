@@ -10,11 +10,10 @@ concurrently, **without giving up bit-identity** with the scalar loop:
 - a trace is split into time-ordered chunks (:func:`split_batch`) that are
   processed strictly in order, so all cross-batch state (interval cursors,
   percentile walks, eviction order) evolves exactly as in serial replay;
-- *within* one batch, the work fanned out to workers is chunked value
-  **tallying** for dense frequency runs (plus one speculative kernel run
-  for the merge shapes); everything order-dependent is reconciled on the
-  main thread from the per-chunk sub-tallies, or runs the serial kernels
-  outright.
+- *within* one batch, a dense frequency run is cut into one chunk per
+  worker; workers tally their chunks (and one speculates), and the main
+  thread resolves the chunks in order.  Every other run takes the serial
+  kernels outright.
 
 Zero-copy shipping
 ------------------
@@ -32,96 +31,79 @@ soon as the batch is applied, and :func:`shutdown_pools` (atexit, plus a
 chained ``SIGTERM`` handler) sweeps anything a dying run leaves behind so
 repeated bench runs cannot exhaust ``/dev/shm``.
 
-Fan-out eligibility and the exactness argument
-----------------------------------------------
+One fan-out protocol, and why it is exact
+-----------------------------------------
 
-:meth:`ParallelBatchEngine._fan_out_mode` classifies each run of equal
-specs.  The invariant behind all four fanned-out modes is the same: for a
-dense frequency slot, after any prefix of a run the moments (N, Xsum,
-Xsumsq) and the cell registers are **order-independent functions of the
-per-value occurrence counts** — each occurrence's ``observe_frequency``
-depends only on its own cell's prior count, the telescoped
-``observe_frequencies`` identity folds any grouping of occurrences to the
-same sums, and cell writes wrap through ``value & mask``, which composes
-modularly.  So per-chunk tallies merged by per-value addition land on
-exactly the serial state.  What differs per mode is what must be replayed
-serially on top:
+:meth:`ParallelBatchEngine._fan_out_mode` looks each run's kernel shape up
+in the table :func:`repro.analysis.concurrency.derive_eligibility_table`
+derives from the kernel ASTs: the six dense frequency shapes are
+``"merge"``; time-series and hashed sparse shapes are serial.  The
+invariant behind the merge: for a dense frequency slot, after any prefix
+of a run the moments (N, Xsum, Xsumsq) and the cell registers are
+**order-independent functions of the per-value occurrence counts** — each
+occurrence's ``observe_frequency`` depends only on its own cell's prior
+count, the telescoped ``observe_frequencies`` identity folds any grouping
+of occurrences to the same sums, and cell writes wrap through
+``value & mask``, which composes modularly.  So a chunk's tally folded
+through ``_apply_counts`` lands on exactly the serial cells and moments.
+What cannot be folded is the order-dependent part: the percentile tracker
+walks one step per packet, and the k·σ and percentile-move digest streams
+read the live moments, the ``reg_pos`` register and the cooldown stamps
+per packet.
 
-- ``"tally"`` (no tracker, no k·σ): nothing.  Merge the tallies, fold once.
-- ``"tracked"`` (``spec.percent`` set, no k·σ, no percentile alert): the
-  percentile tracker walks one step per packet, which is order-dependent —
-  but the tracker never feeds the cells or moments, and with no
-  ``percentile_alert`` it emits nothing mid-run.  Workers tally; the main
-  thread folds the merged counts, then replays the run's exact
-  observe/tick event sequence through the tracker (the vectorized
-  ``_tracker_walk`` on numpy, the scalar tracker otherwise) and syncs
-  ``reg_pos``/``reg_low``/``reg_high`` once, under the same write gate as
-  the serial ``_percentile_kernel`` (an observation landed, or the tracker
-  already had a position and a value-free packet ticked it).  Digest
-  stream: empty in this mode, trivially identical.
-- ``"alerting"`` (no tracker, ``k_sigma > 0``): the k·σ judgement reads
-  the live moments *at each packet*, so alert decisions must replay in
-  order on the main thread.  The worker tallies are not wasted: a whole
-  chunk is **folded without per-packet replay when no packet in it can
-  possibly alert**, which is provable from the sub-tally alone in two
-  cases:
+Every fanned-out run goes through one chunk loop
+(:meth:`ParallelBatchEngine._apply_chunks`):
+
+- every worker tallies its chunk;
+- when the shape's serial kernel is the generated per-packet loop
+  (:func:`~repro.stat4.batch.kernel_of` gives ``"exact_loop"``: a k·σ
+  check or a percentile alert), the first chunk's worker also
+  **speculates**: it runs that loop (:mod:`repro.stat4.compiled`) from a
+  batch-entry snapshot of the slot (its flat kernel state, see
+  :func:`~repro.stat4.compiled.pack_frequency_state`) and ships back the
+  kernel's exit state and digest records.  Only these shapes ship
+  timestamps; a digest-free run ships its values alone.
+
+The single-threaded reconciler then walks the chunks in order and
+resolves each deterministically:
+
+* **adopt** — the *tracker fixpoint* check compares the live slot's
+  packed kernel state (moments, tracker, cooldown stamps, every cell,
+  the ``reg_pos`` register) against the snapshot the worker started
+  from.  When they are equal, the worker ran the serial kernel on the
+  serial entry state, so its exit state and digest stream are the
+  serial ones by construction: the exit is installed as a serial run's
+  would be, and the digests are re-tagged onto the shared sink.
+* **fold** — a chunk whose digest streams are provably silent merges
+  without replay.  A digest-free shape (``frequency``,
+  ``frequency+tracked``) has no stream, so each of its chunks folds.
+  Otherwise each stream is proven silent against its own stamp
+  (``last_alert`` for k·σ, ``last_percentile_alert`` for percentile
+  moves) in one of two ways:
 
   * ``stats.count + occurrences < spec.min_samples`` — every
     ``observe_frequency`` grows N by at most 1, so N stays below the
-    ``min_samples`` gate for every packet of the chunk;
-  * the cooldown window covers the chunk — ``last_alert`` is set,
-    ``cooldown > 0``, and ``chunk_max_ts − last_alert < cooldown``:
-    every packet's ``now ≤ chunk_max_ts``, and since no alert fires in a
-    folded chunk, ``last_alert`` cannot move mid-chunk.
+    ``min_samples`` gate for every packet of the chunk (the percentile
+    gate also reads ``stats.count``, so the bound covers value-free
+    ticks);
+  * the cooldown window covers the chunk — the stamp is set,
+    ``cooldown > 0``, and ``chunk_max_ts − stamp < cooldown``: every
+    packet's ``now ≤ chunk_max_ts``, and since no digest fires in a
+    folded chunk, the stamp cannot move mid-chunk.
 
-  A folded chunk costs O(distinct values) through ``_apply_counts``; any
-  other chunk **replays**: the serial generated kernel
-  (:mod:`repro.stat4.compiled`) runs on the chunk's sub-segment from the
-  live state, exactly as :class:`~repro.stat4.batch.BatchEngine` would.
-  Every chunk ends with the live state and registers correct, so the next
-  chunk's gate reads the true serial state.
+  With no digest possible, the tracker and the moments are independent
+  state machines — neither reads the other — so the chunk folds through
+  ``_apply_counts`` plus a resumable tracker walk
+  (:meth:`~repro.stat4.batch.BatchEngine._tracker_replay`) and one
+  position-register sync.  A folded chunk costs O(distinct values) plus
+  the walk.
+* **replay** — anything else runs the serial generated kernel on the
+  chunk's sub-segment from the live state, exactly as
+  :class:`~repro.stat4.batch.BatchEngine` would.
 
-- ``"merge"`` (tracker plus a digest stream: ``frequency+tracked+alerting``
-  and both ``percentile_alert`` shapes): the OctoSketch-style speculate-
-  and-reconcile scheme.  These runs interleave *two* replay streams —
-  ``_sync_percentile`` reads the ``reg_pos`` register per packet, and
-  percentile-move digests interleave with k·σ digests order-dependently —
-  so no per-chunk summary derives the stream.  Every worker still
-  tallies, and the first chunk's worker additionally **speculates**: it
-  runs the same generated kernel the serial engine runs, from a
-  batch-entry snapshot of the slot (its flat kernel state, see
-  :func:`~repro.stat4.compiled.pack_frequency_state`), and ships back the
-  kernel's exit state and digest records.  The single-threaded reconciler
-  then walks the chunks in order and resolves each deterministically:
-
-  * **adopt** — the *tracker fixpoint* check compares the live slot's
-    packed kernel state (moments, tracker, cooldown stamps, every cell,
-    the ``reg_pos`` register) against the snapshot the worker started
-    from.  When they are equal, the worker ran the serial kernel on the
-    serial entry state, so its exit state and digest stream are the
-    serial ones by construction: the exit is installed as a serial run's
-    would be, and the digests are re-tagged onto the shared sink.
-  * **fold** — a chunk whose *both* streams are provably silent merges
-    without replay: the ``min_samples`` headroom and covering-cooldown
-    arguments of the alerting mode, applied per stream against its own
-    stamp (``last_alert`` for k·σ, ``last_percentile_alert`` for
-    percentile moves; the percentile gate also reads ``stats.count``, so
-    the same headroom bound covers value-free ticks).  With no digest
-    possible, the tracker and the moments are independent state machines
-    — neither reads the other — so the chunk folds through
-    ``_apply_counts`` plus a resumable tracker walk
-    (:meth:`~repro.stat4.batch.BatchEngine._tracker_replay`) and one
-    position-register sync.
-  * **replay** — anything else runs the serial kernel on the chunk's
-    sub-segment, as in the alerting mode.
-
-Since the concurrency analyzer landed, this argument is *checked*, not
-just written down: :data:`DECLARED_ELIGIBILITY` below is the table the
-argument claims, but :meth:`ParallelBatchEngine._fan_out_mode` consumes
-the table :func:`repro.analysis.concurrency.derive_eligibility_table`
-derives from the kernel ASTs.  The first fan-out decision cross-checks
-the two and refuses to run on drift (the ST500 rule; ``repro lint
---concurrency`` reports the disagreement in full).
+Every resolution leaves the live slot state and its registers exactly
+where the serial kernel would after that chunk, so the next chunk's
+fixpoint check and silence proof read the true serial state.
 
 ``tests/stat4/test_parallel_differential.py`` proves scalar vs threads vs
 shared-memory processes bit-identical — registers, digest order, alert
@@ -133,7 +115,7 @@ from __future__ import annotations
 import atexit
 import pickle
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.stat4.batch import (
     BatchEngine,
@@ -141,6 +123,7 @@ from repro.stat4.batch import (
     PacketBatch,
     _DigestSink,
     _Event,
+    kernel_of,
 )
 from repro.stat4.compiled import (
     KernelConstants,
@@ -167,38 +150,16 @@ except ImportError:  # pragma: no cover
     _np = None
 
 __all__ = [
-    "DECLARED_ELIGIBILITY",
     "ParallelBatchEngine",
     "split_batch",
     "shutdown_pools",
 ]
 
-_EXECUTOR_KINDS = ("auto", "thread", "process", "serial")
+_EXECUTOR_KINDS = ("thread", "process")
 
-#: The fan-out table the exactness argument above claims, keyed by kernel
-#: shape (:func:`repro.stat4.distributions.shape_key_of_spec`); values
-#: are the fan-out mode or ``None`` for serial.  The engine does NOT
-#: consume this table directly — ``_fan_out_mode`` consumes the table the
-#: concurrency analyzer derives from the kernel ASTs, and the first
-#: fan-out decision raises if the two disagree (rule ST500).  This
-#: declaration exists so a kernel change that silently shifts a verdict
-#: is an ERROR, not a silent behavior change.
-DECLARED_ELIGIBILITY: Dict[str, Optional[str]] = {
-    "frequency": "tally",
-    "frequency+alerting": "alerting",
-    "frequency+tracked": "tracked",
-    "frequency+tracked+alerting": "merge",
-    "frequency+tracked+percentile_alert": "merge",
-    "frequency+tracked+alerting+percentile_alert": "merge",
-    "time_series": None,
-    "time_series+alerting": None,
-    "sparse_frequency": None,
-    "sparse_frequency+alerting": None,
-}
-
-#: Lazily resolved ``(derived_table, shape_key_of_spec)`` pair; populated
-#: (and cross-checked against the declaration) on the first fan-out
-#: decision so importing this module never pulls in the analyzer.
+#: Lazily resolved ``(derived_table, shape_key_of_spec)`` pair, populated on
+#: the first fan-out decision so importing this module never pulls in the
+#: analyzer.
 _ELIGIBILITY: Optional[Tuple[Dict[str, Optional[str]], Any]] = None
 
 
@@ -210,20 +171,9 @@ def _eligibility() -> Tuple[Dict[str, Optional[str]], Any]:
             shape_key_of_spec,
         )
 
-        derived = derive_eligibility_table()
-        if derived != DECLARED_ELIGIBILITY:
-            drift = sorted(
-                key
-                for key in set(derived) | set(DECLARED_ELIGIBILITY)
-                if derived.get(key) != DECLARED_ELIGIBILITY.get(key)
-            )
-            raise RuntimeError(
-                "parallel fan-out eligibility drift: the dataflow-derived "
-                f"table disagrees with DECLARED_ELIGIBILITY on {drift}; "
-                "run `repro lint --concurrency` for the ST500 report"
-            )
-        _ELIGIBILITY = (derived, shape_key_of_spec)
+        _ELIGIBILITY = (derive_eligibility_table(), shape_key_of_spec)
     return _ELIGIBILITY
+
 
 #: Live executors, keyed by (kind, workers).  Worker pools are expensive to
 #: start (especially process pools); one bench run reuses them across
@@ -330,7 +280,7 @@ def _chunk_max(timestamps: Optional[Sequence[float]]) -> Optional[float]:
 
 
 class _MergeEntry(NamedTuple):
-    """Picklable batch-entry snapshot of one merge-mode run's slot.
+    """Picklable batch-entry snapshot of one speculating run's slot.
 
     The run's kernel shape and constants, its squaring routine, and its
     packed kernel state (:func:`~repro.stat4.compiled.pack_frequency_state`).
@@ -436,27 +386,9 @@ def _tally_task_shm(  # worker-context
     return tally, dropped, max_ts, claim
 
 
-def _merge_tallies(
-    parts: Iterable[Tuple[Dict[int, int], int]]
-) -> Tuple[List[Tuple[int, int]], int]:
-    """Sum per-chunk tallies into one ascending ``(value, count)`` list.
-
-    Frequency-cell addition is the exact-merge rule: occurrence counts per
-    value add across any partition of the run, and ascending order matches
-    the serial ``_tally`` output, so the downstream ``_apply_counts`` call
-    sees byte-for-byte the same input as the single-worker path.
-    """
-    total: Dict[int, int] = {}
-    dropped = 0
-    for tally, chunk_dropped in parts:
-        dropped += chunk_dropped
-        for value, count in tally.items():
-            total[value] = total.get(value, 0) + count
-    return sorted(total.items()), dropped
-
 
 class ParallelBatchEngine(BatchEngine):
-    """A :class:`BatchEngine` that fans independent tally work onto a pool.
+    """A :class:`BatchEngine` that fans dense frequency runs onto a pool.
 
     Args:
         stat4: the library instance to drive.
@@ -464,11 +396,10 @@ class ParallelBatchEngine(BatchEngine):
         workers: worker count; ``1`` (the default) delegates every batch
             to the serial engine, so ``workers=1`` and ``workers=N`` are
             interchangeable bit for bit.
-        executor: ``"auto"``/``"thread"`` (thread pool over zero-copy
-            column views), ``"process"`` (process pool; chunks travel as
-            shared-memory descriptors, or picklable lists when
-            ``share_columns=False``), or ``"serial"`` (never fan out —
-            debugging aid).
+        executor: ``"thread"`` (the default: a thread pool over zero-copy
+            column views) or ``"process"`` (a process pool; chunks travel
+            as shared-memory descriptors, or picklable lists when
+            ``share_columns=False``).
         min_chunk: smallest per-worker chunk worth dispatching; batches or
             runs below ``2 * min_chunk`` stay serial (pool overhead would
             dominate).
@@ -481,11 +412,11 @@ class ParallelBatchEngine(BatchEngine):
             ``last_batch_shipped_bytes`` (bench instrumentation; adds a
             ``pickle.dumps`` per task, so off by default).
 
-    Merge-engine accounting (cumulative across batches):
-    ``merge_adopted_chunks`` fixpoint-proven speculations installed,
-    ``merge_folded_chunks`` provably-silent folds,
-    ``merge_replayed_chunks`` serial kernel replays (the
-    boundary-crossing rate).
+    Chunk accounting (cumulative across batches; every dispatched chunk
+    lands in exactly one): ``merge_adopted_chunks`` fixpoint-proven
+    speculations installed, ``merge_folded_chunks`` provably-silent folds,
+    ``merge_replayed_chunks`` serial kernel replays (the boundary-crossing
+    rate).
     """
 
     def __init__(
@@ -493,7 +424,7 @@ class ParallelBatchEngine(BatchEngine):
         stat4: Stat4,
         backend: str = "auto",
         workers: int = 1,
-        executor: str = "auto",
+        executor: str = "thread",
         min_chunk: int = 512,
         share_columns: bool = True,
         measure_shipping: bool = False,
@@ -521,36 +452,20 @@ class ParallelBatchEngine(BatchEngine):
 
     @staticmethod
     def _fan_out_mode(spec: TrackSpec) -> Optional[str]:
-        """Classify how a run's work distributes (see the module docstring).
+        """``"merge"`` if a run of this spec fans out, ``None`` if serial.
 
         Consumes the analyzer-derived eligibility table: the spec is
         projected onto its kernel shape (every shape field read
         symmetrically — ``kind``, tracker presence, ``k_sigma``,
         ``percentile_alert``) and looked up in the table the dataflow
-        pass derived from the kernel ASTs, cross-checked once against
-        :data:`DECLARED_ELIGIBILITY`.
+        pass derived from the kernel ASTs.
 
         Spec-only on purpose: deciding from the spec (a tracker exists iff
         ``spec.percent`` is set) means no ``_state_for`` call during the
         submit phase, so slot repurposing still happens in apply order.
-
-        Returns:
-            ``"tally"`` — merge-exact: merge-only.
-            ``"tracked"`` — replay-exact via the tracker stream: merge
-            plus a serial tracker replay.
-            ``"alerting"`` — replay-exact via the alert stream: merge
-            plus a serial alert replay with per-chunk gate folding.
-            ``"merge"`` — merge-replay-exact: first-chunk speculation
-            reconciled by adopt/fold/replay (see the module docstring).
-            ``None`` — order-dependent: run the serial kernels.
         """
         table, shape_key_of_spec = _eligibility()
         return table.get(shape_key_of_spec(spec))
-
-    @staticmethod
-    def _fan_out_eligible(spec: TrackSpec) -> bool:
-        """Whether any fan-out mode applies (back-compat predicate)."""
-        return ParallelBatchEngine._fan_out_mode(spec) is not None
 
     # -- chunk preparation ----------------------------------------------------
 
@@ -623,7 +538,7 @@ class ParallelBatchEngine(BatchEngine):
         self.shipped_tasks += 1
 
     def _merge_entry(self, spec: TrackSpec) -> _MergeEntry:
-        """Batch-entry snapshot of a merge run's slot (submit phase).
+        """Batch-entry snapshot of a speculating run's slot (submit phase).
 
         Deliberately avoids ``_state_for``: slot repurposing must still
         happen in apply order.  When the slot does not exist yet (or is
@@ -663,27 +578,27 @@ class ParallelBatchEngine(BatchEngine):
     def _submit_run(
         self,
         pool: Executor,
-        pool_kind: str,
         batch: PacketBatch,
         spec: TrackSpec,
         segment: List[_Event],
         size: int,
-        need_ts: bool,
-        entry: Optional[_MergeEntry] = None,
+        entry: Optional[_MergeEntry],
     ) -> Tuple[List[Tuple[int, int]], List[Any], Optional[SharedColumnSegment]]:
         """Dispatch one run's chunk tasks; returns (bounds, futures, shm).
 
         Thread pools get zero-copy views of the encoded columns.  Process
         pools get shared-memory descriptors (``share_columns=True``) or
         pickled list chunks (the legacy fallback, also taken when segment
-        creation fails — e.g. no ``/dev/shm``).  A merge-mode run
-        (``entry`` given) ships its snapshot with the first chunk only:
-        later chunks' entry states almost always differ from the
-        batch-entry snapshot, so their speculation would be wasted.
+        creation fails — e.g. no ``/dev/shm``).  A speculating run
+        (``entry`` given) ships timestamps with every chunk and its
+        snapshot with the first chunk only: later chunks' entry states
+        almost always differ from the batch-entry snapshot, so their
+        speculation would be wasted.
         """
         bounds = self._chunk_bounds(len(segment))
         futures: List[Any] = []
-        if pool_kind != "process":
+        need_ts = entry is not None
+        if self.executor == "thread":
             column, ts = self._run_columns(
                 batch, spec, segment, need_ts, as_arrays=True
             )
@@ -736,24 +651,19 @@ class ParallelBatchEngine(BatchEngine):
     # -- entry point ----------------------------------------------------------
 
     def process(self, batch: PacketBatch) -> BatchResult:
-        """Ingest one batch, fanning eligible tally work onto the pool.
+        """Ingest one batch, fanning eligible runs onto the pool.
 
         Two phases: *submit* walks the per-distribution runs in scalar
-        order and enqueues chunk tallies for every eligible run (touching
+        order and enqueues the chunk tasks of every eligible run (touching
         no engine state); *apply* then replays the same run order on the
-        main thread, merging worker tallies where they exist, replaying
-        tracker walks and alert decisions serially for the widened modes,
-        and running the serial kernels everywhere else.  All state
-        mutation happens in the apply phase, in scalar order, on one
-        thread.  Shared-memory segments created for this batch are
-        released before returning (crash sweeps are handled by
+        main thread, resolving each fanned-out run chunk by chunk
+        (:meth:`_apply_chunks`) and running the serial kernels everywhere
+        else.  All state mutation happens in the apply phase, in scalar
+        order, on one thread.  Shared-memory segments created for this
+        batch are released before returning (crash sweeps are handled by
         :func:`shutdown_pools` and the columns module's signal hook).
         """
-        if (
-            self.workers <= 1
-            or self.executor == "serial"
-            or len(batch) < 2 * self.min_chunk
-        ):
+        if self.workers <= 1 or len(batch) < 2 * self.min_chunk:
             return super().process(batch)
         stat4 = self.stat4
         n = len(batch)
@@ -761,8 +671,7 @@ class ParallelBatchEngine(BatchEngine):
         stat4.packets_seen += n
         events = self._match(batch)
         sink = _DigestSink()
-        pool_kind = "process" if self.executor == "process" else "thread"
-        pool = _pool(pool_kind, self.workers)
+        pool = _pool(self.executor, self.workers)
         size = stat4.config.counter_size
         self.last_batch_shipped_bytes = 0
         segments: List[SharedColumnSegment] = []
@@ -770,29 +679,23 @@ class ParallelBatchEngine(BatchEngine):
         try:
             for dist in sorted(events):
                 for spec, segment in self._split_runs(events[dist]):
-                    mode = self._fan_out_mode(spec)
-                    if mode is None or len(segment) < 2 * self.min_chunk:
-                        plan.append((spec, segment, None, None, None, None))
+                    if (
+                        self._fan_out_mode(spec) is None
+                        or len(segment) < 2 * self.min_chunk
+                    ):
+                        plan.append((spec, segment, None, None, None))
                         continue
-                    entry = self._merge_entry(spec) if mode == "merge" else None
+                    speculate = kernel_of(KernelShape.of_spec(spec)) == "exact_loop"
+                    entry = self._merge_entry(spec) if speculate else None
                     bounds, futures, shm = self._submit_run(
-                        pool,
-                        pool_kind,
-                        batch,
-                        spec,
-                        segment,
-                        size,
-                        need_ts=(mode in ("alerting", "merge")),
-                        entry=entry,
+                        pool, batch, spec, segment, size, entry
                     )
                     if shm is not None:
                         segments.append(shm)
-                    plan.append((spec, segment, mode, bounds, futures, entry))
-            for spec, segment, mode, bounds, futures, entry in plan:
-                if mode is None:
+                    plan.append((spec, segment, bounds, futures, entry))
+            for spec, segment, bounds, futures, entry in plan:
+                if futures is None:
                     self._process_run(spec, segment, batch, sink, result)
-                elif mode in ("tally", "tracked"):
-                    self._apply_tally(spec, segment, batch, futures, result)
                 else:
                     self._apply_chunks(
                         spec, segment, batch, bounds, futures, entry, sink, result
@@ -805,37 +708,6 @@ class ParallelBatchEngine(BatchEngine):
 
     # -- apply phase ----------------------------------------------------------
 
-    def _apply_tally(
-        self,
-        spec: TrackSpec,
-        segment: List[_Event],
-        batch: PacketBatch,
-        futures: List[Any],
-        result: BatchResult,
-    ) -> None:
-        """Tally and tracked modes: fold the summed tallies into cells and
-        moments, then — for a tracked run — replay the tracker walk.
-
-        Exactness of the tracked mode: the tracker's state never feeds the
-        cells or moments, so folding the merged tallies first cannot
-        perturb it; the replay then walks the run's exact observe/tick
-        sequence and syncs the position registers once under the serial
-        ``_percentile_kernel``'s write gate.  No digests exist in either
-        mode (no k·σ, no percentile alert), so the digest stream is
-        trivially identical.
-        """
-        state = self.stat4._state_for(spec)
-        counts, dropped = _merge_tallies(
-            (outcome[0], outcome[1]) for outcome in (f.result() for f in futures)
-        )
-        state.values_dropped += dropped
-        name = "frequency_parallel" if state.tracker is None else "percentile_parallel"
-        result.kernels[name] = result.kernels.get(name, 0) + len(segment)
-        if counts:
-            self._apply_counts(state, counts)
-        if state.tracker is not None:
-            self._walk_tracker(state, segment, batch.values_for(spec))
-
     def _apply_chunks(
         self,
         spec: TrackSpec,
@@ -847,18 +719,19 @@ class ParallelBatchEngine(BatchEngine):
         sink: _DigestSink,
         result: BatchResult,
     ) -> None:
-        """Alerting and merge modes: resolve the run's chunks in order.
+        """Resolve a fanned-out run's chunks in order.
 
-        A chunk is adopted (merge mode's speculating chunk, when the
-        tracker fixpoint holds), folded (both digest streams provably
-        silent), or replayed through the serial kernel.  Every resolution
-        leaves the live slot state and its registers exactly where the
-        serial kernel would after that chunk, so each chunk's entry state
-        is the true serial one (module docstring has the argument).
+        A chunk is adopted (the speculating chunk, when the tracker
+        fixpoint holds), folded (every digest stream provably silent —
+        always, for a digest-free shape), or replayed through the serial
+        generated kernel.  Every resolution leaves the live slot state and
+        its registers exactly where the serial kernel would after that
+        chunk, so each chunk's entry state is the true serial one (module
+        docstring has the argument).
         """
-        merge = entry is not None
-        name = "merge_parallel" if merge else "alert_parallel"
-        result.kernels[name] = result.kernels.get(name, 0) + len(segment)
+        result.kernels["merge_parallel"] = (
+            result.kernels.get("merge_parallel", 0) + len(segment)
+        )
         state = self.stat4._state_for(spec)
         values = batch.values_for(spec)
         for (start, stop), future in zip(bounds, futures):
@@ -877,13 +750,10 @@ class ParallelBatchEngine(BatchEngine):
                     self._apply_counts(state, tally.items())
                 if state.tracker is not None:
                     self._walk_tracker(state, segment[start:stop], values)
-                if merge:
-                    self.merge_folded_chunks += 1
+                self.merge_folded_chunks += 1
             else:
                 self._library.run(spec, state, segment[start:stop], batch, sink)
-                if merge:
-                    self.merge_replayed_chunks += 1
-
+                self.merge_replayed_chunks += 1
     def _at_fixpoint(self, state: DistributionState, entry: _MergeEntry) -> bool:
         """The tracker fixpoint check: is the live slot exactly the
         snapshot the worker's kernel run started from?

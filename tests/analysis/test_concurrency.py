@@ -2,15 +2,14 @@
 
 Four layers of assurance, mirroring ``docs/ANALYSIS.md``:
 
-1. the kernel-shape dataflow pass classifies every constructible shape and
-   the derived fan-out table is byte-identical to the engine's declared
-   one (the differential that retires the hand-maintained table);
+1. the kernel-shape dataflow pass classifies every constructible shape:
+   the six dense frequency shapes are mergeable, the rest serial;
 2. ``ParallelBatchEngine._fan_out_mode`` actually *consumes* the derived
-   table, and refuses to run on declared/derived drift (ST500);
+   table, the only fan-out table there is;
 3. the ``# parallel-mode:`` kernel check and the shared-state race lint
    behave on synthetic sources, on the live parallel/shm layer, and on the
    kept-broken ``examples/kernels/known_bad_kernel.py`` fixture;
-4. every statically "safe" fan-out mode is witnessed at runtime by the
+4. every fanned-out shape is witnessed at runtime by the
    access tracer: a real thread pool, zero conflicting access pairs, all
    kernel-state writes on the apply thread, outputs equal to serial.
 """
@@ -24,14 +23,15 @@ import pytest
 from repro.analysis import analyze_target
 from repro.analysis.concurrency import (
     Classification,
+    Effect,
     KernelShape,
     SHAPE_FIELDS,
     SHAPE_IRRELEVANT_FIELDS,
     audit_spec_fields,
-    check_eligibility,
     check_kernel_file,
     check_shared_state_file,
     check_shared_state_source,
+    classification_report,
     classify,
     derive_eligibility_table,
     enumerate_shapes,
@@ -53,6 +53,7 @@ from repro.stat4 import (
 )
 from repro.stat4 import parallel
 from tests.stat4.test_batch_differential import (
+    DENSE_SCENARIOS,
     SCENARIOS,
     assert_equal_state,
     generate_trace,
@@ -63,6 +64,7 @@ HERE = os.path.dirname(__file__)
 EXAMPLES = os.path.normpath(os.path.join(HERE, "..", "..", "examples"))
 KNOWN_BAD_KERNEL = os.path.join(EXAMPLES, "kernels", "known_bad_kernel.py")
 CASE_STUDY = os.path.join(EXAMPLES, "configs", "case_study.json")
+SYN_FLOOD = os.path.join(EXAMPLES, "configs", "syn_flood.json")
 SRC = os.path.normpath(os.path.join(HERE, "..", "..", "src", "repro"))
 
 
@@ -99,64 +101,74 @@ class TestShapeTable:
         assert shape.key == "frequency+tracked+alerting+percentile_alert"
         assert shape_key_of_spec(spec) == shape.key
 
+    def test_dense_frequency_shapes_are_mergeable(self):
+        # A tracker walk and the digest streams are order-dependent, but
+        # the merge reconcile replays them from per-chunk entry state, so
+        # every dense frequency shape is mergeable; window cursors and
+        # evictions keep the other shapes serial.
+        for shape in enumerate_shapes():
+            expected = (
+                Classification.MERGEABLE
+                if shape.kind.value == "frequency"
+                else Classification.ORDER_DEPENDENT
+            )
+            assert classify(kernel_effects(shape)) is expected, shape.key
+
     def test_plain_frequency_is_merge_exact(self):
-        shape = KernelShape.of_spec(_spec())
-        assert classify(kernel_effects(shape)) is Classification.MERGE_EXACT
+        # Pure monoid effects: per-chunk tallies add up to the serial state
+        # with no stream to replay.
+        effects = kernel_effects(KernelShape.of_spec(_spec()))
+        assert effects == {
+            Effect.CELL_MONOID,
+            Effect.MOMENT_MONOID,
+            Effect.DROP_COUNT,
+            Effect.MEASURE_SYNC,
+        }
+        assert classify(effects) is Classification.MERGEABLE
 
     def test_single_replay_stream_shapes_are_replay_exact(self):
-        tracked = KernelShape.of_spec(_spec(percent=50))
-        alerting = KernelShape.of_spec(_spec(k_sigma=2))
-        assert classify(kernel_effects(tracked)) is Classification.REPLAY_EXACT
-        assert classify(kernel_effects(alerting)) is Classification.REPLAY_EXACT
+        # One order-dependent stream each, replayed exactly by the merge
+        # reconcile from per-chunk entry state.
+        tracked = kernel_effects(KernelShape.of_spec(_spec(percent=50)))
+        alerting = kernel_effects(KernelShape.of_spec(_spec(k_sigma=2)))
+        assert Effect.TRACKER_WALK in tracked
+        assert Effect.DIGEST_WRITE not in tracked
+        assert Effect.DIGEST_WRITE in alerting
+        assert Effect.TRACKER_WALK not in alerting
+        assert classify(tracked) is Classification.MERGEABLE
+        assert classify(alerting) is Classification.MERGEABLE
 
     def test_two_replay_streams_are_merge_replay_exact(self):
         # Tracker + k·σ digests interleave, but both streams replay from
-        # per-chunk entry state: the dataflow pass proves the speculative
-        # merge-with-replay-fallback reconstruction is exact.
-        both = KernelShape.of_spec(_spec(percent=50, k_sigma=2))
-        assert classify(kernel_effects(both)) is Classification.MERGE_REPLAY_EXACT
+        # per-chunk entry state, so the merge reconcile stays exact.
+        both = kernel_effects(KernelShape.of_spec(_spec(percent=50, k_sigma=2)))
+        assert {Effect.TRACKER_WALK, Effect.DIGEST_WRITE} <= both
+        assert classify(both) is Classification.MERGEABLE
 
-    def test_derived_table_is_byte_identical_to_declared(self):
-        # The differential that let _fan_out_mode retire its hand table:
-        # same keys, same values, same JSON bytes.
-        derived = derive_eligibility_table()
-        assert derived == parallel.DECLARED_ELIGIBILITY
-        assert json.dumps(derived, sort_keys=True) == json.dumps(
-            parallel.DECLARED_ELIGIBILITY, sort_keys=True
-        )
+    def test_register_read_without_a_tracker_walk_is_order_dependent(self):
+        # The reg_pos mirror is carried by the tracker walk; a read with
+        # no walk to maintain the register stays order-breaking.
+        read = frozenset({Effect.PERCENTILE_REGISTER_READ})
+        assert classify(read) is Classification.ORDER_DEPENDENT
+        assert classify(read | {Effect.TRACKER_WALK}) is Classification.MERGEABLE
 
     def test_exactly_six_shapes_are_eligible(self):
         derived = derive_eligibility_table()
         assert {k: v for k, v in derived.items() if v is not None} == {
-            "frequency": "tally",
-            "frequency+alerting": "alerting",
-            "frequency+tracked": "tracked",
+            "frequency": "merge",
+            "frequency+alerting": "merge",
+            "frequency+tracked": "merge",
             "frequency+tracked+alerting": "merge",
             "frequency+tracked+percentile_alert": "merge",
             "frequency+tracked+alerting+percentile_alert": "merge",
         }
 
-    def test_check_eligibility_is_clean_on_the_live_tables(self):
-        assert check_eligibility() == []
-
-    def test_check_eligibility_flags_every_drift_kind(self):
-        declared = dict(parallel.DECLARED_ELIGIBILITY)
-        declared["frequency"] = None  # differing value
-        declared.pop("time_series")  # missing shape
-        declared["frequency+imaginary"] = "tally"  # unknown shape
-        findings = check_eligibility(declared=declared)
-        assert sorted(d.context["shape"] for d in findings) == [
-            "frequency",
-            "frequency+imaginary",
-            "time_series",
-        ]
-        assert {d.code for d in findings} == {"ST500"}
-        assert all(d.severity.value == "error" for d in findings)
-
     def test_kernel_table_diagnostics_contains_all_three_blocks(self):
+        # Classification records, the TrackSpec field audit, and the
+        # generated-kernel audit: only the ten records on a clean tree.
         diags = kernel_table_diagnostics()
         assert sum(1 for d in diags if d.code == "ST501") == 10
-        assert not any(d.code in ("ST500", "ST504") for d in diags)
+        assert [d for d in diags if d.code != "ST501"] == []
 
 
 class TestSpecFieldAudit:
@@ -181,7 +193,7 @@ class TestSpecFieldAudit:
 
 
 # --------------------------------------------------------------------------
-# 2. The engine consumes the derived table (and refuses drift)
+# 2. The engine consumes the derived table
 # --------------------------------------------------------------------------
 
 
@@ -189,9 +201,9 @@ class TestEngineConsumesDerivedTable:
     @pytest.mark.parametrize(
         "kwargs, expected",
         [
-            ({}, "tally"),
-            ({"percent": 50}, "tracked"),
-            ({"k_sigma": 2}, "alerting"),
+            ({}, "merge"),
+            ({"percent": 50}, "merge"),
+            ({"k_sigma": 2}, "merge"),
             ({"percent": 50, "k_sigma": 2}, "merge"),
             (
                 {"percent": 50, "k_sigma": 2, "percentile_alert": "p50"},
@@ -212,27 +224,6 @@ class TestEngineConsumesDerivedTable:
         )
         assert ParallelBatchEngine._fan_out_mode(_spec()) is None
 
-    def test_declared_drift_raises_on_first_fan_out_decision(self, monkeypatch):
-        drifted = dict(parallel.DECLARED_ELIGIBILITY)
-        drifted["time_series"] = "tally"
-        monkeypatch.setattr(parallel, "DECLARED_ELIGIBILITY", drifted)
-        monkeypatch.setattr(parallel, "_ELIGIBILITY", None)
-        with pytest.raises(RuntimeError, match="time_series"):
-            ParallelBatchEngine._fan_out_mode(_spec())
-        # monkeypatch restores both attributes; the next call re-derives
-        # from the real declaration and must succeed again.
-
-    def test_declared_drift_on_a_merge_row_raises_too(self, monkeypatch):
-        # The drift guard covers the new classification: demoting a
-        # merge-replay-exact shape back to serial by hand must be refused
-        # just like promoting an order-dependent one.
-        drifted = dict(parallel.DECLARED_ELIGIBILITY)
-        drifted["frequency+tracked+alerting"] = None
-        monkeypatch.setattr(parallel, "DECLARED_ELIGIBILITY", drifted)
-        monkeypatch.setattr(parallel, "_ELIGIBILITY", None)
-        with pytest.raises(RuntimeError, match="frequency\\+tracked\\+alerting"):
-            ParallelBatchEngine._fan_out_mode(_spec())
-
 
 # --------------------------------------------------------------------------
 # 3a. The # parallel-mode: kernel check on synthetic sources
@@ -246,11 +237,11 @@ def _kernel_file(tmp_path, body):
 
 
 class TestKernelFileCheck:
-    def test_provable_tally_claim_is_recorded(self, tmp_path):
+    def test_provable_merge_claim_is_recorded(self, tmp_path):
         path = _kernel_file(
             tmp_path,
             """
-            # parallel-mode: tally
+            # parallel-mode: merge
             def update(state, ctx, value):
                 old = state.counters.read(value)
                 state.stats.observe_frequency(old)
@@ -260,13 +251,13 @@ class TestKernelFileCheck:
         findings = check_kernel_file(path)
         assert [d.code for d in findings] == ["ST501"]
         assert findings[0].context["kernel"] == "update"
-        assert findings[0].context["declared"] == "tally"
+        assert findings[0].context["declared"] == "merge"
 
     def test_unprovable_claim_is_an_error(self, tmp_path):
         path = _kernel_file(
             tmp_path,
             """
-            # parallel-mode: tally
+            # parallel-mode: merge
             def update(state, ctx, value):
                 state.current_count += 1
                 state.stats.add_value(value)
@@ -310,7 +301,7 @@ class TestKernelFileCheck:
             def _rotate(state):
                 state.window_index += 1
 
-            # parallel-mode: tally
+            # parallel-mode: merge
             def update(state, ctx, value):
                 state.stats.add_value(value)
                 _rotate(state)
@@ -471,14 +462,14 @@ class TestKnownBadKernelFixture:
             if d.severity.value == "error"
         )
         assert errors == [
-            ("ST502", 49),  # bad_window_kernel: tally claim, window cursor
+            ("ST502", 49),  # bad_window_kernel: merge claim, window cursor
             ("ST502", 66),  # bad_merge_kernel: merge claim, eviction
             ("ST503", 88),
             ("ST505", 107),
         ]
         # The in-file positive control: the good kernel's claim is proven.
         infos = [d for d in diags if d.code == "ST501"]
-        assert any(d.context.get("kernel") == "good_tally_kernel" for d in infos)
+        assert any(d.context.get("kernel") == "good_merge_kernel" for d in infos)
 
     def test_strict_cli_gate_rejects_the_fixture(self, capsys):
         assert main(["lint", "--strict", "--concurrency", KNOWN_BAD_KERNEL]) == 1
@@ -497,10 +488,7 @@ class TestCliJsonReport:
         targets = [t["target"] for t in report["targets"]]
         assert KNOWN_BAD_KERNEL in targets
         assert "<kernel-table>" in targets
-        assert report["concurrency"]["eligibility"] == derive_eligibility_table()
-        assert (
-            report["concurrency"]["declared"] == parallel.DECLARED_ELIGIBILITY
-        )
+        assert report["concurrency"] == {"eligibility": derive_eligibility_table()}
 
     def test_plain_lint_json_has_no_concurrency_key(self, capsys):
         main(["lint", "--json", CASE_STUDY])
@@ -521,22 +509,31 @@ class TestDeploymentClassification:
             assert record.context["shape"] in derive_eligibility_table()
             assert "binding" in record.context
 
+    def test_binding_verdict_matches_the_kernel_table_record(self):
+        # syn_flood.json binds a tracker plus k·σ (percent and k_sigma):
+        # the binding's record must carry the kernel table's verdict for
+        # that shape, not a label of its own.
+        spec, diags = load_deployment(SYN_FLOOD)
+        assert spec is not None and diags == []
+        records = [
+            d for d in analyze_deployment(spec, concurrency=True)
+            if d.code == "ST501"
+        ]
+        binding = next(d for d in records if d.context["binding"] == 0)
+        assert binding.context["shape"] == "frequency+tracked+alerting"
+        table = {d.context["shape"]: d for d in classification_report()}
+        expected = table["frequency+tracked+alerting"]
+        for key in ("classification", "mode"):
+            assert binding.context[key] == expected.context[key], key
+
 
 # --------------------------------------------------------------------------
 # 4. The runtime witness: tracer over a real thread pool
 # --------------------------------------------------------------------------
 
-WITNESS_CASES = [
-    pytest.param("frequency", "frequency_parallel", id="tally"),
-    pytest.param("percentile", "percentile_parallel", id="tracked"),
-    pytest.param("frequency_alerting", "alert_parallel", id="alerting"),
-]
 
-
-@pytest.mark.parametrize("scenario_name, counter", WITNESS_CASES)
-def test_fanned_out_modes_have_no_conflicting_access_pairs(
-    scenario_name, counter, monkeypatch
-):
+@pytest.mark.parametrize("scenario_name", DENSE_SCENARIOS)
+def test_fan_out_has_no_access_conflicts(scenario_name, monkeypatch):
     contexts = generate_trace(7, packets=5_000)
     scalar = SCENARIOS[scenario_name]()
     fanned = SCENARIOS[scenario_name]()
@@ -547,7 +544,8 @@ def test_fanned_out_modes_have_no_conflicting_access_pairs(
     real_task = parallel._tally_task
 
     def traced_task(*args, **kwargs):
-        # The only thing workers are allowed to touch: their own chunk.
+        # The only thing workers are allowed to touch: their own chunk
+        # (and, for a speculating chunk, a private copy of the snapshot).
         tracer.note("chunk-tally", "_tally_task", write=False)
         return real_task(*args, **kwargs)
 
@@ -565,7 +563,7 @@ def test_fanned_out_modes_have_no_conflicting_access_pairs(
             kernels[name] = kernels.get(name, 0) + count
 
     # The run really fanned out (did not silently delegate to serial)...
-    assert kernels.get(counter, 0) > 0
+    assert kernels.get("merge_parallel", 0) > 0
     worker_threads = {
         t for t in tracer.threads_touching("chunk-tally") if t != "MainThread"
     }

@@ -77,7 +77,7 @@ class TestST413ST414UnitShift:
 
 
 class TestMovedOverflowCore:
-    """The absorbed resources.overflow behavior, pinned at the new home."""
+    """The raw overflow computations behind the ST41x rules."""
 
     def test_counters_bound_is_structural(self):
         config = Stat4Config(counter_size=64)
@@ -94,12 +94,6 @@ class TestMovedOverflowCore:
         coarse = ((1 << 32) - 1) >> shift
         bounds = analyze_overflow(config, coarse)
         assert all(b.max_safe_values >= 256 for b in bounds)
-
-    def test_compat_shim_exports_same_objects(self):
-        from repro.resources import overflow as shim
-
-        assert shim.analyze_overflow is analyze_overflow
-        assert shim.safe_unit_shift is safe_unit_shift
 
 
 class TestRequiredWidths:

@@ -58,7 +58,6 @@ class TestRunSuite:
             "percentile",
             "time_series",
             "sparse",
-            "ewma",
             "sharded_mean_variance",
             "parallel_mean_variance",
         } <= names

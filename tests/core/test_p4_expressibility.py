@@ -5,8 +5,12 @@ float, math.* call or while loop — the constructs the paper's techniques
 exist to avoid.  The Welford reference module is the documented exception.
 """
 
+import inspect
+
 import pytest
 
+from repro.analysis.diagnostics import Severity
+from repro.analysis.expressibility import scan_source
 from repro.core import approx as approx_module
 from repro.core import bitops as bitops_module
 from repro.core import ewma as ewma_module
@@ -14,7 +18,6 @@ from repro.core import outlier as outlier_module
 from repro.core import percentile as percentile_module
 from repro.core import stats as stats_module
 from repro.core import welford as welford_module
-from repro.resources.lint import assert_p4_expressible, lint_module, lint_source
 
 
 P4_MODULES = [
@@ -26,9 +29,22 @@ P4_MODULES = [
 ]
 
 
+def constructs(source):
+    """The construct of every unsuppressed finding in ``source``."""
+    return [
+        d.context["construct"]
+        for d in scan_source(source)
+        if d.severity is not Severity.INFO
+    ]
+
+
+def module_constructs(module):
+    return constructs(inspect.getsource(module))
+
+
 @pytest.mark.parametrize("module", P4_MODULES, ids=lambda m: m.__name__)
 def test_core_modules_are_p4_expressible(module):
-    assert_p4_expressible(module)
+    assert module_constructs(module) == []
 
 
 def test_percentile_update_path_is_p4_expressible():
@@ -38,55 +54,51 @@ def test_percentile_update_path_is_p4_expressible():
     # constant, so a single-pass check of the observe/rebalance sources
     # would reject the `while steps < max_steps` guard; instead we verify
     # no arithmetic violation exists anywhere in the module.
-    violations = lint_module(percentile_module)
-    arithmetic = [v for v in violations if v.construct != "while loop"]
+    found = module_constructs(percentile_module)
+    arithmetic = [c for c in found if c != "while loop"]
     assert arithmetic == []
     # The only loop is the bounded rebalance loop (unrollable).
-    loops = [v for v in violations if v.construct == "while loop"]
-    assert len(loops) <= 1
+    assert found.count("while loop") <= 1
 
 
 def test_welford_is_the_documented_exception():
     # The reference module *should* trip the linter: it divides.
-    violations = lint_module(welford_module)
-    assert any(v.construct in ("division", "library call") for v in violations)
+    found = module_constructs(welford_module)
+    assert any(c in ("division", "library call") for c in found)
 
 
 class TestLinter:
     def test_flags_division(self):
-        assert any(v.construct == "division" for v in lint_source("x = a / b"))
+        assert "division" in constructs("x = a / b")
 
     def test_flags_floor_division(self):
-        assert any(
-            v.construct == "integer division" for v in lint_source("x = a // b")
-        )
+        assert "integer division" in constructs("x = a // b")
 
     def test_flags_modulo(self):
-        assert any(v.construct == "modulo" for v in lint_source("x = a % b"))
+        assert "modulo" in constructs("x = a % b")
 
     def test_flags_augmented_division(self):
-        assert any(v.construct == "integer division" for v in lint_source("x //= 2"))
+        assert "integer division" in constructs("x //= 2")
 
     def test_flags_pow(self):
-        assert any(v.construct == "exponentiation" for v in lint_source("x = a ** 2"))
+        assert "exponentiation" in constructs("x = a ** 2")
 
     def test_flags_float_literal(self):
-        assert any(v.construct == "float literal" for v in lint_source("x = 0.5"))
+        assert "float literal" in constructs("x = 0.5")
 
     def test_flags_math_call(self):
-        source = "import math\nx = math.sqrt(2)"
-        assert any(v.construct == "library call" for v in lint_source(source))
+        assert "library call" in constructs("import math\nx = math.sqrt(2)")
 
     def test_flags_while(self):
-        assert any(v.construct == "while loop" for v in lint_source("while x:\n    pass"))
+        assert "while loop" in constructs("while x:\n    pass")
 
     def test_flags_float_builtin(self):
-        assert any(v.construct == "builtin call" for v in lint_source("x = float(3)"))
+        assert "builtin call" in constructs("x = float(3)")
 
     def test_accepts_shifts_and_masks(self):
         source = "x = (a << 1) + (b >> 2) & 0xFF\ny = a - b\nz = a * 4"
-        assert lint_source(source) == []
+        assert constructs(source) == []
 
     def test_accepts_bounded_for(self):
         # for-over-range is compiler unrolling, accepted.
-        assert lint_source("for i in range(8):\n    x = x + i") == []
+        assert constructs("for i in range(8):\n    x = x + i") == []

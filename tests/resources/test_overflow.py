@@ -1,8 +1,8 @@
-"""Tests for the register-overflow analysis."""
+"""Tests for the register-overflow bounds of the dataflow pass."""
 
 import pytest
 
-from repro.resources.overflow import analyze_overflow, safe_unit_shift
+from repro.analysis.dataflow import analyze_overflow, safe_unit_shift
 from repro.stat4.config import Stat4Config
 
 

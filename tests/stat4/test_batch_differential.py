@@ -237,11 +237,11 @@ def _percentile_scenario():
 def _frequency_alerting_scenario():
     """Dense counting with k·σ alerts and a cooldown, no tracker.
 
-    The parallel engine's widened ``"alerting"`` fan-out mode: workers
-    tally, the main thread replays the alert decisions — the cooldown
-    makes whole chunks provably alert-free (the gate-folded fast path)
-    while the rest replays per packet.  Scalar, serial-batched, and
-    fanned-out runs must agree on every digest and ``last_alert`` stamp.
+    In the parallel engine the first chunk's worker speculates with the
+    generated loop; the cooldown makes later chunks provably alert-free
+    (folded) while the rest replay per packet.  Scalar, serial-batched,
+    and fanned-out runs must agree on every digest and ``last_alert``
+    stamp.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)
@@ -316,6 +316,18 @@ def _frequency_tracked_pa_scenario():
     )
     runtime.bind(0, BindingMatch(ether_type=0x0800), spec)
     return stat4
+
+
+#: The scenarios whose slot is a dense frequency distribution: the six
+#: kernel shapes the parallel engine fans out.
+DENSE_SCENARIOS = (
+    "frequency",
+    "percentile",
+    "frequency_alerting",
+    "frequency_tracked",
+    "frequency_tracked_ksigma",
+    "frequency_tracked_pa",
+)
 
 
 @scenario("time_series")

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ewma import EwmaDetector
 from repro.core.percentile import PercentileTracker
 from repro.core.stats import ScaledStats
 from repro.netsim.messages import DigestMessage
@@ -250,20 +249,6 @@ class TestTrackerWalk:
         self.assert_same(events, 6, 50)
         self.assert_same(events, 6, 99)
         self.assert_same(events, 6, 1)
-
-
-class TestEwmaBatch:
-    def test_update_many_matches_update_loop(self):
-        values = [3, 5, 2, 90, 4, 6, 5, 4, 3, 88, 5, 4] * 4
-        one = EwmaDetector()
-        many = EwmaDetector()
-        anomalies = sum(1 for x in values if one.update(x))
-        assert many.update_many(values) == anomalies
-        assert (many.samples, many.mean_fp, many.deviation_fp) == (
-            one.samples,
-            one.mean_fp,
-            one.deviation_fp,
-        )
 
 
 class TestPacketBatchConstruction:

@@ -8,9 +8,9 @@ trace generator as the serial differential tests, three-way: scalar oracle
 vs ``workers=1`` vs ``workers=4``.
 
 ``min_chunk`` is lowered so the ~5k-packet traces actually cross the
-fan-out threshold; a separate test pins that the eligible runs really went
-through the worker pool (``frequency_parallel`` in the kernel counters)
-rather than silently delegating to the serial path.
+fan-out threshold; ``TestFanOut`` pins that the eligible runs really went
+through the worker pool (``merge_parallel`` in the kernel counters, every
+chunk resolved once) rather than silently delegating to the serial path.
 """
 
 import pytest
@@ -121,38 +121,69 @@ def test_process_pool_executor_smoke(backend):
     assert_equal_state(scalar, fanned, scalar_digests, fanned_digests)
 
 
+def _resolutions(engine):
+    """The engine's cumulative (adopted, folded, replayed) chunk counts."""
+    return (
+        engine.merge_adopted_chunks,
+        engine.merge_folded_chunks,
+        engine.merge_replayed_chunks,
+    )
+
+
 class TestFanOut:
-    def test_eligible_run_goes_through_pool(self):
+    """Every dense frequency shape takes the one chunk loop.
+
+    On both pools and both backends, per batch: each dispatched chunk is
+    adopted, folded or replayed exactly once, and every matched event is
+    counted as ``merge_parallel``.  A shape with no digest stream (no k·σ,
+    no percentile alert) has nothing to speculate or replay, so its
+    chunks only fold.
+    """
+
+    BACKENDS = ("numpy", "python") if HAS_NUMPY else ("python",)
+    POOLS = (("thread", 4), ("process", 2))
+
+    def assert_every_chunk_resolved(self, scenario_name, digest_free=False):
         contexts = generate_trace(5, packets=4_000)
-        stat4 = SCENARIOS["frequency"]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, executor="thread", min_chunk=128
-        )
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert result.kernels.get("frequency_parallel", 0) > 0
-        assert "frequency_fast" not in result.kernels
+        scalar = SCENARIOS[scenario_name]()
+        scalar_digests = process_scalar(scalar, contexts)
+        for executor, workers in self.POOLS:
+            for backend in self.BACKENDS:
+                stat4 = SCENARIOS[scenario_name]()
+                table = stat4.binding_tables[0]
+                engine = ParallelBatchEngine(
+                    stat4,
+                    backend=backend,
+                    workers=workers,
+                    executor=executor,
+                    min_chunk=128,
+                )
+                digests = []
+                for chunk in split_batch(PacketBatch.from_contexts(contexts), 2_000):
+                    hits = table.hits
+                    before = _resolutions(engine)
+                    result = engine.process(chunk)
+                    digests.extend(result.digests)
+                    adopted, folded, replayed = (
+                        after - start
+                        for after, start in zip(_resolutions(engine), before)
+                    )
+                    events = table.hits - hits
+                    assert result.kernels == {"merge_parallel": events}
+                    dispatched = len(engine._chunk_bounds(events))
+                    assert adopted + folded + replayed == dispatched
+                    if digest_free:
+                        assert (adopted, replayed) == (0, 0)
+                assert_equal_state(scalar, stat4, scalar_digests, digests)
+
+    def test_eligible_run_goes_through_pool(self):
+        self.assert_every_chunk_resolved("frequency", digest_free=True)
 
     def test_tracked_run_fans_out(self):
-        # Percentile tracking without alerts: the tally fans out, the
-        # tracker walk replays serially on the main thread.
-        contexts = generate_trace(5, packets=4_000)
-        stat4 = SCENARIOS["percentile"]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, executor="thread", min_chunk=128
-        )
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert result.kernels.get("percentile_parallel", 0) > 0
+        self.assert_every_chunk_resolved("percentile", digest_free=True)
 
     def test_alerting_run_fans_out(self):
-        # k·σ alerting without a tracker: the tally fans out, the alert
-        # decisions replay serially from the per-chunk sub-tallies.
-        contexts = generate_trace(5, packets=4_000)
-        stat4 = SCENARIOS["frequency_alerting"]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, executor="thread", min_chunk=128
-        )
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert result.kernels.get("alert_parallel", 0) > 0
+        self.assert_every_chunk_resolved("frequency_alerting")
 
     @pytest.mark.parametrize(
         "scenario_name",
@@ -163,19 +194,9 @@ class TestFanOut:
         ],
     )
     def test_merge_shapes_fan_out(self, scenario_name):
-        # A tracker plus replayable digest streams would otherwise pin
-        # the whole run in the serial per-packet kernel; the merge mode
-        # fans these three shapes out — a worker speculates with the
-        # serial kernel, the main thread reconciles per chunk.
-        contexts = generate_trace(5, packets=4_000)
-        stat4 = SCENARIOS[scenario_name]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, executor="thread", min_chunk=128
-        )
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert result.kernels.get("merge_parallel", 0) > 0
-        assert "frequency_parallel" not in result.kernels
-        assert "alert_parallel" not in result.kernels
+        # A tracker plus a digest stream: the first chunk's worker
+        # speculates with the serial kernel, the main thread reconciles.
+        self.assert_every_chunk_resolved(scenario_name)
 
     def test_shm_shipping_stays_under_a_kilobyte_per_batch(self):
         # The acceptance bound for the zero-copy path: a process-pool
@@ -191,7 +212,7 @@ class TestFanOut:
             measure_shipping=True,
         )
         result = engine.process(PacketBatch.from_contexts(contexts))
-        assert result.kernels.get("frequency_parallel", 0) > 0
+        assert result.kernels.get("merge_parallel", 0) > 0
         assert engine.shipped_tasks > 0
         assert 0 < engine.last_batch_shipped_bytes < 1024
 
@@ -202,16 +223,7 @@ class TestFanOut:
             stat4, backend="python", workers=4, min_chunk=512
         )
         result = engine.process(PacketBatch.from_contexts(contexts))
-        assert "frequency_parallel" not in result.kernels
-
-    def test_serial_executor_never_fans_out(self):
-        contexts = generate_trace(5, packets=4_000)
-        stat4 = SCENARIOS["frequency"]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, executor="serial", min_chunk=128
-        )
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert "frequency_parallel" not in result.kernels
+        assert "merge_parallel" not in result.kernels
 
 
 def _covered_cooldown_scenario(counter_width=32):
@@ -380,5 +392,7 @@ class TestEngineValidation:
             ParallelBatchEngine(SCENARIOS["frequency"](), workers=0)
 
     def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            ParallelBatchEngine(SCENARIOS["frequency"](), executor="fork_bomb")
+        # Only the two pools are executors; one worker is the serial path.
+        for executor in ("fork_bomb", "auto", "serial"):
+            with pytest.raises(ValueError):
+                ParallelBatchEngine(SCENARIOS["frequency"](), executor=executor)
