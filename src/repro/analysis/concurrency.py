@@ -756,13 +756,10 @@ _GENERATED_ALLOWED = frozenset(
 )
 
 #: Free functions a generated kernel may call: builtins with direct
-#: lowering plus the two sanctioned arithmetic helpers (profile-routed
-#: multiply, MSB-search square root) and the sparse-table hooks.
+#: lowering plus the sanctioned arithmetic helpers (profile-routed
+#: multiply, MSB-search square root, the moments' squaring routine).
 _GENERATED_NAME_CALLS = frozenset(
-    {
-        "range", "len", "checked_multiply", "approx_isqrt", "square",
-        "increment", "ValueError",
-    }
+    {"range", "len", "checked_multiply", "approx_isqrt", "square", "ValueError"}
 )
 
 #: Methods a generated kernel may call on locals (the digest buffer).

@@ -45,6 +45,12 @@ __all__ = [
 #: Default batch size for every source (matches the scenario replay).
 DEFAULT_BATCH_SIZE = 2048
 
+#: Longest :class:`FeedSource` line kept, in bytes, without its newline.
+#: A valid line is a few dozen bytes; a longer one is discarded up to its
+#: newline and counted once in ``bad_lines``, so a client that never
+#: sends a newline cannot make the source hold its stream.
+MAX_LINE_BYTES = 4096
+
 
 class RatePacer:
     """Cumulative packet pacing against a target rate.
@@ -232,6 +238,36 @@ class ScenarioSource(TraceSource):
         )
 
 
+class _LineSplitter:
+    """Splits a byte stream into lines, holding at most
+    :data:`MAX_LINE_BYTES` of the unfinished one."""
+
+    def __init__(self):
+        self.pending = b""
+        self._discarding = False
+
+    def feed(self, chunk: bytes) -> Tuple[List[bytes], int]:
+        """The lines ``chunk`` completes, and how many over-long lines it
+        completed or began (each counted once, then dropped)."""
+        if self._discarding:
+            end = chunk.find(b"\n")
+            if end < 0:
+                return [], 0
+            self._discarding = False
+            chunk = chunk[end + 1 :]
+        data = self.pending + chunk
+        *lines, self.pending = data.split(b"\n")
+        if len(data) <= MAX_LINE_BYTES:
+            return lines, 0
+        kept = [line for line in lines if len(line) <= MAX_LINE_BYTES]
+        overlong = len(lines) - len(kept)
+        if len(self.pending) > MAX_LINE_BYTES:
+            overlong += 1
+            self._discarding = True
+            self.pending = b""
+        return kept, overlong
+
+
 class FeedSource:
     """A line-delimited TCP feed packed into batches of UDP frames.
 
@@ -246,8 +282,9 @@ class FeedSource:
     and ``ts`` a finite number.  Without ``ts`` a synthetic clock advances
     ``timestamp_gap`` past the previous line, so a feed without timestamps
     still drives time-series detectors.  A line that breaks any of these
-    rules is counted in :attr:`bad_lines` and skipped; it never reaches
-    the detector.  Batches flush at ``batch_size`` lines or on connection
+    rules, or is longer than :data:`MAX_LINE_BYTES`, is counted in
+    :attr:`bad_lines` and skipped; it never reaches the detector.  Batches
+    flush at ``batch_size`` lines or on connection
     close; iteration ends when a client disconnects (unless
     ``serve_forever``).
     """
@@ -338,7 +375,7 @@ class FeedSource:
         frames: List[bytes] = []
         timestamps: List[float] = []
         synthetic_ts = 0.0
-        buffer = b""
+        splitter = _LineSplitter()
         conn.settimeout(self.accept_timeout)
         while not self._closed:
             try:
@@ -349,7 +386,8 @@ class FeedSource:
                 break
             if not chunk:
                 break
-            *lines, buffer = (buffer + chunk).split(b"\n")
+            lines, overlong = splitter.feed(chunk)
+            self.bad_lines += overlong
             for line in lines:
                 if not line.strip():
                     continue

@@ -48,8 +48,9 @@ integer-only semantics are the spec; differential tests enforce equality):
   * everything order-dependent — dense frequency with a k·σ check or a
     percentile alert, and hashed sparse slots — runs a generated
     monomorphic per-packet loop (:mod:`repro.stat4.compiled`): the
-    library's update inlined with every spec constant baked in, the
-    sparse probe paths memoized per unique key, and the derived-measure
+    library's update inlined with every spec constant baked in, a sparse
+    table's probe, claim and eviction inlined over its rows' cell lists
+    (slots hashed once per unique key per run), and the derived-measure
     registers synced once per run.
 
 The numpy backend is optional: ``backend="auto"`` uses numpy when

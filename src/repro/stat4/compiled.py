@@ -12,14 +12,22 @@ here: for every kernel shape whose update cannot be reordered — dense
 frequency with a k·σ check and/or a percentile alert, tracked or not, and
 hashed sparse frequency with or without k·σ — this module *generates
 Python source* for a monomorphic per-packet loop.  Every spec constant
-(cell domain, width mask, k·σ, cooldown, percentile weights) is baked in
-as a literal, every polymorphic dispatch of the scalar library (attribute
-lookups, None checks, register accounting) is specialized away, and the
-source is ``exec``-compiled once per ``(shape, constants)``.
+(cell domain, width masks, k·σ, cooldown, percentile weights, a sparse
+table's stage count) is baked in as a literal, every polymorphic
+dispatch of the scalar library (attribute lookups, None checks, register
+accounting) is specialized away, and the source is ``exec``-compiled
+once per ``(shape, constants)``.
 
 The loops run over plain Python ints, so they need no numpy: the
 :class:`KernelLibrary` gathers a run's values into plain lists on every
-backend.  The same loop serves three callers —
+backend.  State the scalar library keeps in registers reaches a loop as
+the registers' own cell lists, indexed directly: a dense slot's counter
+cells, and a sparse slot's key and count rows, whose probe, claim and
+lightest-cell eviction (``HashedCells.increment``) the sparse loop
+unrolls over the table's stage count.  The lists are fetched from the
+registers at the start of every run and never kept, since a slot reset
+(``RegisterArray.fill``) replaces them.  Batch mode keeps no per-access
+register accounting.  The same loop serves three callers —
 :class:`~repro.stat4.batch.BatchEngine`, the merge workers' speculation,
 and the parallel reconciler's replay (:mod:`repro.stat4.parallel`) — so
 a chunk replayed on the parent and a chunk speculated in a worker run
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.approx import approx_isqrt
 from repro.p4.values import checked_multiply
@@ -61,6 +69,7 @@ from repro.stat4.distributions import (
     TrackSpec,
     enumerate_shapes,
 )
+from repro.stat4.sparse import HashedCells
 from repro.traffic.columns import DIGEST_KIND_KSIGMA, DIGEST_KIND_PERCENTILE
 
 #: Cap on cached compiled kernels per process.  A rebind mints a new
@@ -87,10 +96,26 @@ class KernelConstants:
     wl: int
     wh: int
     generation: int
+    #: A sparse slot's geometry (0 for a dense slot): its probe depth and
+    #: the widths of its key and count rows.
+    stages: int = 0
+    key_mask: int = 0
+    count_mask: int = 0
 
     @classmethod
-    def of_spec(cls, spec: TrackSpec, config, width: int) -> "KernelConstants":
+    def of_spec(
+        cls, spec: TrackSpec, config, width: int, cells: Optional[HashedCells] = None
+    ) -> "KernelConstants":
+        """The constants of ``spec`` on a slot whose cells are ``width``
+        bits wide; ``cells`` is a sparse slot's table, None for a dense one."""
         percent = spec.percent if spec.percent is not None else 0
+        geometry = {}
+        if cells is not None:
+            geometry = dict(
+                stages=cells.stages,
+                key_mask=(1 << cells.key_rows[0].width) - 1,
+                count_mask=(1 << cells.count_rows[0].width) - 1,
+            )
         return cls(
             size=config.counter_size,
             width_mask=(1 << width) - 1,
@@ -101,6 +126,7 @@ class KernelConstants:
             wl=percent,
             wh=100 - percent,
             generation=spec.generation,
+            **geometry,
         )
 
 
@@ -286,38 +312,119 @@ _SPARSE_STATE = (
 )
 
 
+def _sparse_row_names(stages: int) -> List[str]:
+    """The sparse kernel's row arguments: every key row, then every count row."""
+    return [f"keys{s}" for s in range(stages)] + [f"counts{s}" for s in range(stages)]
+
+
+def _claim_lines(c: KernelConstants, stage: int, pad: str) -> List[str]:
+    """Write the packet's key into ``stage``'s probed slot with count 1."""
+    return [
+        f"{pad}keys{stage}[slot{stage}] = stored & {c.key_mask}",
+        f"{pad}counts{stage}[slot{stage}] = 1",
+    ]
+
+
+def _evict_lines(c: KernelConstants, pad: str) -> List[str]:
+    """``HashedCells.increment``'s full miss: ``min`` over the probe path
+    picks the lightest occupant, the earliest stage on a tie, so only a
+    strictly lighter later stage takes the victim; the packet's key
+    replaces it and the moments forget its count
+    (``ScaledStats.remove_value``)."""
+    p = pad
+    lines = [f"{p}evicted = counts0[slot0]"]
+    if c.stages > 1:
+        lines.append(f"{p}victim = 0")
+        for stage in range(1, c.stages):
+            lines += [
+                f"{p}if counts{stage}[slot{stage}] < evicted:",
+                f"{p}    evicted = counts{stage}[slot{stage}]",
+                f"{p}    victim = {stage}",
+            ]
+        for stage in range(c.stages):
+            if stage == 0:
+                lines.append(f"{p}if victim == 0:")
+            elif stage < c.stages - 1:
+                lines.append(f"{p}elif victim == {stage}:")
+            else:
+                lines.append(f"{p}else:")
+            lines += _claim_lines(c, stage, p + "    ")
+    else:
+        lines += _claim_lines(c, 0, p)
+    lines += [
+        f"{p}evictions = evictions + 1",
+        f"{p}evicted_mass = evicted_mass + evicted",
+        f"{p}old = 0",
+        f"{p}if evicted:",
+        f"{p}    if count == 0:",
+        f"{p}        raise ValueError('cannot remove a value from an empty distribution')",
+        f"{p}    count = count - 1",
+        f"{p}    xsum = xsum - evicted",
+        f"{p}    if xsum < 0:",
+        f"{p}        xsum = 0",
+        f"{p}    xsumsq = xsumsq - square(evicted)",
+        f"{p}    if xsumsq < 0:",
+        f"{p}        xsumsq = 0",
+        f"{p}    updates = updates + 1",
+        f"{p}    sd_dirty = True",
+    ]
+    return lines
+
+
+def _probe_lines(c: KernelConstants, stage: int, pad: str) -> List[str]:
+    """``HashedCells.increment`` from ``stage`` on, unrolled: the key's
+    own slot increments, an empty slot claims the key, anything else
+    probes the next stage, and a miss at the last stage evicts.  Each
+    branch leaves the slot's old count in ``old``; writes wrap to the row
+    widths as ``RegisterArray.write`` does."""
+    p = pad
+    lines = [
+        f"{p}resident = keys{stage}[slot{stage}]",
+        f"{p}if resident == stored:",
+        f"{p}    old = counts{stage}[slot{stage}]",
+        f"{p}    counts{stage}[slot{stage}] = (old + 1) & {c.count_mask}",
+        f"{p}elif resident == 0:",
+    ]
+    lines += _claim_lines(c, stage, p + "    ")
+    lines += [
+        f"{p}    claimed = claimed + 1",
+        f"{p}    old = 0",
+        f"{p}else:",
+    ]
+    if stage + 1 < c.stages:
+        lines += _probe_lines(c, stage + 1, p + "    ")
+    else:
+        lines += _evict_lines(c, p + "    ")
+    return lines
+
+
 def _sparse_loop_source(shape: KernelShape, c: KernelConstants) -> str:
-    """Hashed sparse frequency: per-packet probe/evict/observe loop with
-    the moments and the k·σ gate inlined (``Stat4._update_sparse``)."""
+    """Hashed sparse frequency: ``Stat4._update_sparse`` per packet, with
+    ``HashedCells.increment`` inlined over the rows' cell lists (unrolled
+    over the slot's ``c.stages``), the moments and the k·σ gate.
+
+    ``paths`` maps each key of the run to its slot per stage
+    (:meth:`~repro.stat4.sparse.HashedCells.slot_paths`).  The loop
+    returns the table's claim and eviction counts with the moments.
+    """
     state = ", ".join(_SPARSE_STATE)
+    rows = ", ".join(_sparse_row_names(c.stages))
+    slots = ", ".join(f"slot{s}" for s in range(c.stages))
     lines = _header(shape, "serial")
-    lines.append(
-        f"def kernel(vlist, tlist, square, records, increment, probes, {state}):"
-    )
+    lines.append(f"def kernel(vlist, tlist, square, records, paths, {rows}, {state}):")
     lines.append("    observed = 0")
+    lines.append("    claimed = 0")
+    lines.append("    evictions = 0")
+    lines.append("    evicted_mass = 0")
     lines.append("    for i in range(len(vlist)):")
     lines.append("        v = vlist[i]")
     lines.append("        if v < 0:")
     lines.append("            continue")
     if shape.alerting:
         lines.append("        now = tlist[i]")
-    lines.append("        old, new, evicted = increment(v, probes[v])")
-    # ScaledStats.remove_value for the evicted resident
-    lines += [
-        "        if evicted:",
-        "            if count == 0:",
-        "                raise ValueError('cannot remove a value from an "
-        "empty distribution')",
-        "            count = count - 1",
-        "            xsum = xsum - evicted",
-        "            if xsum < 0:",
-        "                xsum = 0",
-        "            xsumsq = xsumsq - square(evicted)",
-        "            if xsumsq < 0:",
-        "                xsumsq = 0",
-        "            updates = updates + 1",
-        "            sd_dirty = True",
-    ]
+    lines.append("        stored = v + 1")
+    lines.append(f"        {slots}{',' if c.stages == 1 else ''} = paths[v]")
+    lines += _probe_lines(c, 0, "        ")
     # ScaledStats.observe_frequency(old)
     lines += [
         "        if old == 0:",
@@ -329,8 +436,11 @@ def _sparse_loop_source(shape: KernelShape, c: KernelConstants) -> str:
         "        observed = observed + 1",
     ]
     if shape.alerting:
+        lines.append("        new = old + 1")
         lines += _ksigma_lines(c, "        ", sample="new", index="v")
-    lines.append(f"    return observed, ({state},)")
+    lines.append(
+        f"    return observed, claimed, evictions, evicted_mass, ({state},)"
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -351,8 +461,8 @@ def generate_kernel_source(shape: KernelShape, constants: KernelConstants) -> st
 
 
 #: Canonical constants for the lint's reference sources: every optional
-#: block (margin, cooldown gates) present, so ST510 audits the fullest
-#: emission of each template.
+#: block (margin, cooldown gates) present and the deepest sparse table
+#: (four stages), so ST510 audits the fullest emission of each template.
 _REFERENCE_CONSTANTS = KernelConstants(
     size=256,
     width_mask=(1 << 32) - 1,
@@ -363,6 +473,9 @@ _REFERENCE_CONSTANTS = KernelConstants(
     wl=90,
     wh=10,
     generation=0,
+    stages=4,
+    key_mask=(1 << 33) - 1,
+    count_mask=(1 << 32) - 1,
 )
 
 
@@ -484,9 +597,12 @@ class KernelLibrary:
         a fresh kernel.
         """
         stat4 = self.stat4
+        cells = None
+        if spec.kind is DistributionKind.SPARSE_FREQUENCY:
+            cells = stat4.sparse_cells[spec.dist]
         return compiled_kernel(
             KernelShape.of_spec(spec),
-            KernelConstants.of_spec(spec, stat4.config, stat4.counters.width),
+            KernelConstants.of_spec(spec, stat4.config, stat4.counters.width, cells),
         )
 
     # -- gathers ----------------------------------------------------------------
@@ -548,13 +664,16 @@ class KernelLibrary:
         stat4 = self.stat4
         cells = stat4.sparse_cells[state.spec.dist]
         stats = state.stats
-        observed, exit_state = kernel(
+        # Fetched per run, never kept: a slot reset (HashedCells.clear)
+        # refills every row, which replaces its cell list.
+        rows = [row._cells for row in cells.key_rows + cells.count_rows]
+        observed, claimed, evictions, evicted_mass, exit_state = kernel(
             vlist,
             tlist,
             stats.square,
             records,
-            cells.increment,
-            cells.probe_paths(unique),
+            cells.slot_paths(unique),
+            *rows,
             stats.count,
             stats.xsum,
             stats.xsumsq,
@@ -572,6 +691,9 @@ class KernelLibrary:
             stats._sd_dirty,
             state.last_alert,
         ) = exit_state
+        cells.resident_keys += claimed
+        cells.evictions += evictions
+        cells.evicted_mass += evicted_mass
         if observed:
             stat4._sync_stats(state)
 

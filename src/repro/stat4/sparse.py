@@ -21,11 +21,17 @@ This lets a distribution over a huge, sparse domain (full /32 addresses,
 16-bit ports) be tracked in a few dozen slots instead of a cell per possible
 value; the moments (N, Xsum, Xsumsq) update through the same
 ``observe_frequency`` identity as dense distributions.
+
+:meth:`HashedCells.increment` is the scalar specification, with register
+accounting.  The batch engine's generated sparse loop
+(:mod:`repro.stat4.compiled`) inlines it over the rows' cell lists and
+takes each run's slots from :meth:`HashedCells.slot_paths`, the bulk
+hash, which must equal :meth:`HashedCells.probe_path` key for key.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.p4.errors import ValueRangeError
 from repro.p4.registers import RegisterArray, RegisterFile
@@ -102,84 +108,62 @@ class HashedCells:
         return (hashed * self.slots_per_stage) >> 64
 
     def probe_path(self, key: int) -> Tuple[Tuple[int, int], ...]:
-        """The ``(stage, slot)`` probe sequence for ``key``.
-
-        A pure function of the key and the table geometry — batch callers
-        memoize it per unique key so the multiply-shift hashes run once
-        per batch instead of once per packet (the generated sparse
-        kernel in :mod:`repro.stat4.compiled`).
-        """
+        """The ``(stage, slot)`` probe sequence for ``key``."""
         if key < 0:
             raise ValueRangeError("keys are unsigned")
         return tuple(
             (stage, self._slot(key, stage)) for stage in range(self.stages)
         )
 
-    def probe_paths(self, keys) -> dict:
-        """Bulk :meth:`probe_path`: ``{key: path}`` for an iterable of keys.
+    def slot_paths(self, keys: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
+        """The bulk slot hash: ``{key: (slot in stage 0, stage 1, ...)}``.
 
-        The batched sparse kernel hands the whole batch's unique values in
-        at once, so the per-key hash pipeline runs exactly once per batch
-        regardless of how many packets repeat a key.  High-cardinality
-        batches hash stage-parallel over numpy lanes
-        (:meth:`_probe_paths_vector`); the result is bit-identical to the
-        scalar loop either way.
+        The generated sparse kernel (:mod:`repro.stat4.compiled`) takes a
+        run's unique keys hashed here once, so the multiply-shift hashes
+        run once per key per run however often a packet repeats the key.
+        From :data:`_VECTOR_THRESHOLD` unique keys up, each stage hashes
+        every key in one numpy pass.  The scalar hash needs the high 64
+        bits of the 128-bit ``hashed * slots_per_stage`` product, which
+        uint64 lanes cannot hold, so ``hashed`` is split into 32-bit
+        halves: with ``hashed = hi·2³² + lo`` and ``S = slots_per_stage``,
+        ``(hashed·S) >> 64 == (hi·S + ((lo·S) >> 32)) >> 32``, and every
+        intermediate fits 64 bits while ``S < 2³¹``.  Below the threshold,
+        without numpy, or outside those bounds the pure-Python loop runs
+        :meth:`_slot`; both equal :meth:`probe_path` key for key.
         """
         keys = list(keys)
-        if (
-            _np is not None
-            and len(keys) >= _VECTOR_THRESHOLD
-            and self.slots_per_stage < 1 << 31
-            and keys
-            and max(keys) <= 0xFFFFFFFFFFFFFFFF
-        ):
-            return self._probe_paths_vector(keys)
-        return {key: self.probe_path(key) for key in keys}
-
-    def _probe_paths_vector(self, keys: List[int]) -> dict:
-        """Stage-parallel probe hashing for high-cardinality batches.
-
-        One vector pass per stage computes every key's multiply-shift
-        slot.  The scalar hash needs the high 64 bits of the 128-bit
-        ``hashed * slots_per_stage`` product, which uint64 lanes cannot
-        hold, so ``hashed`` is split into 32-bit halves: with
-        ``hashed = hi·2³² + lo`` and ``S = slots_per_stage``,
-        ``(hashed·S) >> 64 == (hi·S + ((lo·S) >> 32)) >> 32`` and every
-        intermediate fits 64 bits while ``S < 2³¹`` (guarded by the
-        caller).  Bit-identical to :meth:`_slot`.
-        """
+        if not keys:
+            return {}
         if min(keys) < 0:
             raise ValueRangeError("keys are unsigned")
+        stages = range(self.stages)
+        if (
+            _np is None
+            or len(keys) < _VECTOR_THRESHOLD
+            or self.slots_per_stage >= 1 << 31
+            or max(keys) > 0xFFFFFFFFFFFFFFFF
+        ):
+            slot = self._slot
+            return {key: tuple(slot(key, stage) for stage in stages) for key in keys}
         arr = _np.asarray(keys, dtype=_np.uint64)  # p4-ok: host-side batch amortization of the per-packet hash
         spread = _np.uint64(self.slots_per_stage)  # p4-ok: host-side batch amortization
         half = _np.uint64(32)  # p4-ok: host-side batch amortization
         low_mask = _np.uint64(0xFFFFFFFF)  # p4-ok: host-side batch amortization
-        slots = []
-        for stage in range(self.stages):
+        per_stage = []
+        for stage in stages:
             hashed = arr * _np.uint64(_STAGE_SEEDS[stage])  # wraps mod 2^64  # p4-ok: host-side batch amortization
             hi = hashed >> half
             lo = hashed & low_mask
-            slots.append(((hi * spread + ((lo * spread) >> half)) >> half).tolist())
-        stage_range = range(self.stages)
-        return {
-            key: tuple((stage, slots[stage][i]) for stage in stage_range)
-            for i, key in enumerate(keys)
-        }
+            per_stage.append(((hi * spread + ((lo * spread) >> half)) >> half).tolist())
+        return dict(zip(keys, zip(*per_stage)))
 
     # -- updates -------------------------------------------------------------
 
-    def increment(
-        self,
-        key: int,
-        probes: Optional[Tuple[Tuple[int, int], ...]] = None,
-    ) -> Tuple[int, int, int]:
+    def increment(self, key: int) -> Tuple[int, int, int]:
         """Count one occurrence of ``key``.
 
-        Args:
-            key: the observed value.
-            probes: a memoized :meth:`probe_path` for ``key`` (computed
-                here when omitted — the results are identical, a caller
-                supplying it only skips the re-hash).
+        The scalar specification of the update; the generated sparse
+        kernel inlines it over the rows' cell lists.
 
         Returns:
             ``(old_count, new_count, evicted_count)`` — the first two feed
@@ -188,14 +172,10 @@ class HashedCells:
             nothing was evicted) so the moments can forget it
             (:meth:`repro.core.stats.ScaledStats.remove_value`).
         """
-        if probes is None:
-            probes = self.probe_path(key)
-        elif key < 0:
-            raise ValueRangeError("keys are unsigned")
         stored = key + 1
         # Pass 1 (bounded, unrolled): find the key or an empty slot.
         path: List[Tuple[int, int]] = []
-        for stage, index in probes:
+        for stage, index in self.probe_path(key):
             slot_key = self.key_rows[stage].read(index)
             if slot_key == stored:
                 old = self.count_rows[stage].read(index)

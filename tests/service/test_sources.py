@@ -11,7 +11,9 @@ import threading
 import pytest
 
 from repro.scenarios import build_scenario
+from repro.service import sources
 from repro.service.sources import (
+    MAX_LINE_BYTES,
     FeedSource,
     ListSource,
     RatePacer,
@@ -233,6 +235,51 @@ class TestFeedSource:
         (batch,) = batches
         assert batch.raw_column("ipv4.dst") == [0x0A000001, 0x0A000002]
         assert batch.timestamps == [0.5, 0.75]
+
+    def test_overlong_line_is_dropped_and_the_buffer_stays_capped(self, monkeypatch):
+        # A client that sends a megabyte with no newline: the source drops
+        # that line up to its newline, counts it once, never holds more
+        # than the cap of it, and applies the good line after it.
+        pending = []
+        feed_chunk = sources._LineSplitter.feed
+
+        def watched(splitter, chunk):
+            result = feed_chunk(splitter, chunk)
+            pending.append(len(splitter.pending))
+            return result
+
+        monkeypatch.setattr(sources._LineSplitter, "feed", watched)
+        feed = FeedSource(batch_size=8)
+        good = json.dumps({"dst": "10.0.0.3", "ts": 1.5}).encode()
+        sender = threading.Thread(
+            target=self._send_lines,
+            args=(feed.address, [b"[" * (1 << 20) + b"\n" + good]),
+        )
+        sender.start()
+        try:
+            batches = list(feed)
+        finally:
+            sender.join(timeout=10.0)
+            feed.close()
+        assert feed.bad_lines == 1
+        (batch,) = batches
+        assert batch.raw_column("ipv4.dst") == [0x0A000003]
+        assert batch.timestamps == [1.5]
+        assert len(pending) > 1
+        assert max(pending) <= MAX_LINE_BYTES
+
+    def test_line_splitter_counts_each_overlong_line_once(self):
+        splitter = sources._LineSplitter()
+        longest = b"a" * MAX_LINE_BYTES
+        # A line at the cap is kept; one byte over, inside one chunk, is not.
+        assert splitter.feed(longest + b"\n" + longest + b"b\nc") == ([longest], 1)
+        # An over-long line across chunks counts when it passes the cap,
+        # and the rest of it, up to its newline, is discarded uncounted.
+        assert splitter.feed(b"d" * MAX_LINE_BYTES) == ([], 1)
+        assert splitter.pending == b""
+        assert splitter.feed(b"e" * 100_000) == ([], 0)
+        assert splitter.feed(b"f\ng\nh") == ([b"g"], 0)
+        assert splitter.pending == b"h"
 
     def test_lines_pack_the_udp_to_frame(self):
         feed = FeedSource()

@@ -16,6 +16,7 @@ by design.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,7 +115,11 @@ def process_scalar(stat4, contexts):
 
 
 def process_batched(stat4, contexts, backend, seed):
-    engine = BatchEngine(stat4, backend=backend)
+    return feed_batches(BatchEngine(stat4, backend=backend), contexts, seed)
+
+
+def feed_batches(engine, contexts, seed):
+    """Feed ``contexts`` to ``engine`` in seeded random batch sizes."""
     rng = random.Random(seed ^ 0xBA7C4)
     digests = []
     index = 0
@@ -180,11 +185,12 @@ def assert_equal_state(scalar, batched, scalar_digests, batched_digests):
     for dist, cells_a in scalar.sparse_cells.items():
         cells_b = batched.sparse_cells[dist]
         # Slot contents live in the shared register file, already compared
-        # above; the eviction counters are the only private state.
-        assert (cells_a.evictions, cells_a.evicted_mass) == (
+        # above; the claim and eviction counters are the only private state.
+        assert (cells_a.resident_keys, cells_a.evictions, cells_a.evicted_mass) == (
+            cells_b.resident_keys,
             cells_b.evictions,
             cells_b.evicted_mass,
-        ), f"dist {dist} sparse evictions"
+        ), f"dist {dist} sparse counters"
     assert [
         (digest.name, digest.fields, digest.timestamp) for digest in scalar_digests
     ] == [
@@ -422,4 +428,117 @@ def test_two_stages_two_slots(backend, seed):
     batched = build()
     scalar_digests = process_scalar(scalar, contexts)
     batched_digests = process_batched(batched, contexts, backend, seed)
+    assert_equal_state(scalar, batched, scalar_digests, batched_digests)
+
+
+#: Sparse tables the generated loop must unroll exactly: every probe
+#: depth, a slot count that is not a power of two, and a 3-bit count row.
+#: Over the trace's ~1,000 keys every table evicts constantly; the 3-bit
+#: row sees only 32 keys (the value mask), so its heavy keys stay
+#: resident and wrap (about 100 wraps and 60 evictions of a wrapped 0 in
+#: the trace of seed 11).
+SPARSE_GEOMETRIES = [
+    pytest.param(1, 16, 32, None, id="stages1"),
+    pytest.param(2, 16, 32, None, id="stages2"),
+    pytest.param(3, 16, 32, None, id="stages3"),
+    pytest.param(4, 16, 32, None, id="stages4"),
+    pytest.param(3, 13, 32, None, id="slots13"),
+    pytest.param(2, 8, 3, 0x1F, id="width3"),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("k_sigma", [0, 2], ids=["counting", "alerting"])
+@pytest.mark.parametrize("stages, slots, width, mask", SPARSE_GEOMETRIES)
+@settings(deadline=None, max_examples=2)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(seed=11)
+def test_inlined_sparse_table_across_a_rebind(
+    stages, slots, width, mask, k_sigma, backend, seed
+):
+    """The generated sparse loop probes, claims and evicts over the rows'
+    cell lists.  Halfway through, the slot is rebound with the other
+    alerting mode: the slot resets, ``RegisterArray.fill`` replaces every
+    row, and the same engine must write to the new lists."""
+
+    def build():
+        config = Stat4Config(
+            counter_num=2,
+            counter_size=64,
+            counter_width=width,
+            binding_stages=1,
+            sparse_dists=(0,),
+            sparse_slots=slots,
+            sparse_stages=stages,
+        )
+        stat4 = Stat4(config)
+        runtime = Stat4Runtime(stat4)
+        spec = runtime.sparse_frequency_of(
+            0, ExtractSpec.field("ipv4.dst", mask=mask), k_sigma=k_sigma, min_samples=3
+        )
+        handle, _ = runtime.bind(0, BindingMatch(ether_type=0x0800), spec)
+        return stat4, runtime, handle
+
+    contexts = generate_trace(seed, packets=3_000)
+    half = len(contexts) // 2
+    scalar, scalar_rt, scalar_handle = build()
+    batched, batched_rt, batched_handle = build()
+    engine = BatchEngine(batched, backend=backend)
+    scalar_digests = process_scalar(scalar, contexts[:half])
+    batched_digests = feed_batches(engine, contexts[:half], seed)
+    assert batched.sparse_cells[0].evictions > 0
+    changed = replace(scalar_handle.spec, k_sigma=2 - k_sigma)
+    scalar_rt.rebind(scalar_handle, spec=changed)
+    batched_rt.rebind(batched_handle, spec=changed)
+    scalar_digests += process_scalar(scalar, contexts[half:])
+    batched_digests += feed_batches(engine, contexts[half:], seed + 1)
+    assert_equal_state(scalar, batched, scalar_digests, batched_digests)
+
+
+#: An Ethernet header whose ``src`` is 64 bits wide: a value source
+#: outside the binding key, so keys can pass the 33-bit key row.
+WIDE_ETH = HeaderType("ethernet", [("ether_type", 16), ("src", 64)])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sparse_keys_wider_than_the_key_row(backend):
+    """A stored key (key + 1) wraps to the key row's 33 bits on write but
+    is compared unwrapped, so a key of ``2**33 - 1`` or more never matches
+    its own slot, and ``2**33 - 1`` itself stores as empty; the inlined
+    loop must do the same."""
+    rng = random.Random(17)
+    keys = [(1 << 33) - 2, (1 << 33) - 1, 1 << 33, (1 << 64) - 1, 5, 7]
+    keys += [rng.getrandbits(64) for _ in range(20)]
+    contexts = []
+    for i in range(3_000):
+        parsed = ParsedPacket()
+        parsed.add("ethernet", WIDE_ETH.instance(ether_type=0x0800, src=rng.choice(keys)))
+        ctx = PacketContext(
+            parsed=parsed, meta=StandardMetadata(ingress_port=0, timestamp=i * 1e-3)
+        )
+        ctx.user["frame_bytes"] = 64
+        contexts.append(ctx)
+
+    def build():
+        config = Stat4Config(
+            counter_num=2,
+            counter_size=64,
+            binding_stages=1,
+            sparse_dists=(0,),
+            sparse_slots=4,
+            sparse_stages=2,
+        )
+        stat4 = Stat4(config)
+        runtime = Stat4Runtime(stat4)
+        spec = runtime.sparse_frequency_of(
+            0, ExtractSpec.field("ethernet.src"), k_sigma=2, min_samples=3
+        )
+        runtime.bind(0, BindingMatch(ether_type=0x0800), spec)
+        return stat4
+
+    scalar = build()
+    batched = build()
+    scalar_digests = process_scalar(scalar, contexts)
+    batched_digests = process_batched(batched, contexts, backend, seed=17)
+    assert batched.sparse_cells[0].evictions > 0
     assert_equal_state(scalar, batched, scalar_digests, batched_digests)

@@ -14,7 +14,8 @@ from repro.stat4 import (
     Stat4Config,
     Stat4Runtime,
 )
-from repro.stat4.sparse import HashedCells
+from repro.stat4 import sparse as sparse_module
+from repro.stat4.sparse import _VECTOR_THRESHOLD, HashedCells
 
 from tests.stat4.conftest import make_ctx, udp_packet
 from repro.p4 import headers as hdr
@@ -83,9 +84,8 @@ class TestHashedCells:
             cells.increment(-1)
 
     def test_probe_path_matches_increment_probes(self):
-        # The batched sparse kernel memoizes probe_path() per batch and
-        # replays it through increment(); the shortcut must visit exactly
-        # the slots increment() would have probed on its own.
+        # The scalar increment() probes exactly probe_path(); the bulk slot
+        # hash the generated kernel uses is held to it in TestSlotPaths.
         cells = HashedCells(slots_per_stage=16, stages=3)
         for key in (0, 1, 0xDEADBEEF, 12345):
             path = cells.probe_path(key)
@@ -93,32 +93,107 @@ class TestHashedCells:
             assert all(0 <= index < 16 for _, index in path)
             assert path == cells.probe_path(key)  # deterministic
 
-    def test_increment_with_precomputed_path_identical(self):
-        rng = random.Random(3)
-        plain = HashedCells(slots_per_stage=4, stages=2)
-        memoized = HashedCells(slots_per_stage=4, stages=2)
-        paths = {}
-        for _ in range(500):
-            key = rng.getrandbits(16)
-            if key not in paths:
-                paths[key] = memoized.probe_path(key)
-            assert plain.increment(key) == memoized.increment(key, paths[key])
-        assert sorted(plain.items()) == sorted(memoized.items())
-        assert plain.evictions == memoized.evictions
-        assert plain.evicted_mass == memoized.evicted_mass
-
     def test_probe_path_rejects_negative_key(self):
         cells = HashedCells(slots_per_stage=4)
         with pytest.raises(ValueRangeError):
             cells.probe_path(-1)
         with pytest.raises(ValueRangeError):
-            cells.increment(-1, ((0, 0),))
+            cells.increment(-1)
+        with pytest.raises(ValueRangeError):
+            cells.slot_paths([3, -1])
 
     def test_memory_accounting(self):
         registers = RegisterFile()
         cells = HashedCells(slots_per_stage=64, stages=2, registers=registers)
         assert cells.capacity == 128
         assert cells.bytes_used == registers.total_bytes
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Counts the bulk slot hash's numpy passes (one ``asarray`` each)."""
+    np = pytest.importorskip("numpy")
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return np.asarray(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_module, "_np", CountingNumpy())
+    return calls
+
+
+def probe_slots(cells, keys):
+    """What :meth:`HashedCells.slot_paths` must return: probe_path's slots."""
+    return {key: tuple(slot for _, slot in cells.probe_path(key)) for key in keys}
+
+
+def distinct_keys(count, seed):
+    """``count`` distinct keys, always including the 64-bit extremes."""
+    rng = random.Random(seed)
+    keys = {0, 1, (1 << 32) - 1, 1 << 63, (1 << 64) - 1}
+    while len(keys) < count:
+        keys.add(rng.getrandbits(rng.choice((16, 32, 64))))
+    return sorted(keys)
+
+
+class TestSlotPaths:
+    """The bulk slot hash the generated sparse kernel probes with."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "unique", [_VECTOR_THRESHOLD - 1, _VECTOR_THRESHOLD], ids=["loop", "vector"]
+    )
+    def test_equals_probe_path(self, stages, unique):
+        keys = distinct_keys(unique, seed=stages)
+        for slots in (13, 64):
+            cells = HashedCells(slots_per_stage=slots, stages=stages)
+            assert cells.slot_paths(keys) == probe_slots(cells, keys)
+            # A repeated key maps to the same slots.
+            assert cells.slot_paths(keys + keys[:5]) == probe_slots(cells, keys)
+
+    @pytest.mark.parametrize("stages", [1, 4])
+    def test_vector_pass_starts_at_the_threshold(self, numpy_calls, stages):
+        cells = HashedCells(slots_per_stage=64, stages=stages)
+        below = distinct_keys(_VECTOR_THRESHOLD - 1, seed=5)
+        assert cells.slot_paths(below) == probe_slots(cells, below)
+        assert numpy_calls == []
+        at = distinct_keys(_VECTOR_THRESHOLD, seed=5)
+        assert cells.slot_paths(at) == probe_slots(cells, at)
+        assert numpy_calls == [_VECTOR_THRESHOLD]
+
+    @pytest.mark.parametrize(
+        "slots, vectorised",
+        [((1 << 31) - 1, True), (1 << 31, False), (1 << 40, False)],
+        ids=["below_guard", "at_guard", "far_past_guard"],
+    )
+    def test_slots_per_stage_guard(self, numpy_calls, slots, vectorised):
+        # The attribute is set on a small table, so no wide rows exist;
+        # the hash reads only slots_per_stage.  At and past the guard the
+        # loop runs; far past it the 32-bit split would overflow uint64
+        # lanes.
+        cells = HashedCells(slots_per_stage=4, stages=4)
+        cells.slots_per_stage = slots
+        keys = distinct_keys(2 * _VECTOR_THRESHOLD, seed=slots & 0xFFFF)
+        assert cells.slot_paths(keys) == probe_slots(cells, keys)
+        assert bool(numpy_calls) is vectorised
+
+    def test_keys_past_64_bits_hash_in_the_loop(self, numpy_calls):
+        cells = HashedCells(slots_per_stage=64, stages=3)
+        keys = distinct_keys(_VECTOR_THRESHOLD, seed=9) + [1 << 64, (1 << 80) + 3]
+        assert cells.slot_paths(keys) == probe_slots(cells, keys)
+        assert numpy_calls == []
+
+    def test_without_numpy_the_loop_runs(self, monkeypatch):
+        monkeypatch.setattr(sparse_module, "_np", None)
+        cells = HashedCells(slots_per_stage=13, stages=4)
+        keys = distinct_keys(2 * _VECTOR_THRESHOLD, seed=11)
+        assert cells.slot_paths(keys) == probe_slots(cells, keys)
+        assert cells.slot_paths([]) == {}
 
 
 class TestSparseDistributions:
