@@ -36,7 +36,7 @@ __all__ = [
     "warning_annotations",
 ]
 
-BASELINE_SCHEMA = "repro-bench-baseline/1"
+BASELINE_SCHEMA = "repro-bench-baseline/2"
 SCENARIO_BASELINE_SCHEMA = "repro-scenario-baseline/1"
 
 #: Scenario quality metrics: (row key, floor key, direction).  ``min_*``
@@ -52,22 +52,21 @@ _SCENARIO_METRICS = (
 
 @dataclass
 class ComparisonRow:
-    """One (kernel, backend) pair checked against its committed floor.
+    """One kernel's speedup checked against its committed floor.
 
     Attributes:
         kernel: kernel name from the suite.
-        backend: batch backend the floor applies to.
         baseline: the committed speedup floor (None when the kernel has no
             floor at all — a WARN row, see ``missing_floor``).
-        current: the measured speedup (None when the backend did not run —
-            e.g. a numpy floor on a machine without numpy).
-        regressed: measured more than ``tolerance`` below the floor.
+        current: the measured speedup (None when the report has no
+            measurement for a floored kernel — a FAIL).
+        regressed: measured more than ``tolerance`` below the floor, or
+            not measured at all.
         missing_floor: measured by the suite but absent from the baseline —
             not gated, listed so the gap is visible instead of silent.
     """
 
     kernel: str
-    backend: str
     baseline: Optional[float]
     current: Optional[float]
     regressed: bool
@@ -83,7 +82,7 @@ class ComparisonRow:
     @property
     def label(self) -> str:
         """Identifier used in summaries and CI annotations."""
-        return f"{self.kernel}/{self.backend}"
+        return self.kernel
 
 
 @dataclass
@@ -142,66 +141,39 @@ def compare_reports(
 ) -> List[ComparisonRow]:
     """Check a bench report against baseline floors.
 
-    A (kernel, backend) floor the report has no measurement for is only a
-    regression when the backend *should* have run: a missing numpy
-    measurement on a numpy-less machine, or a backend outside the run's
-    ``report["backends"]`` selection (a ``--backend python`` matrix leg),
-    is recorded as unmeasured (``current=None, regressed=False``) so
-    restricted runs stay green, while the CI leg that measures everything
-    still gates every floor.
+    Every kernel runs on every machine, so a floor the report has no
+    measurement for is a regression (``current=None, regressed=True``):
+    the kernel silently stopped being benchmarked.
 
-    Conversely, every measured (kernel, backend) pair with no committed
-    floor yields a ``missing_floor`` WARN row — never a silent pass.
+    Conversely, every measured kernel with no committed floor yields a
+    ``missing_floor`` WARN row — never a silent pass.
     """
     if tolerance < 0:
         raise ValueError("tolerance cannot be negative")
     measured = report.get("speedups", {})
-    has_numpy = report.get("numpy") is not None
-    run_backends = report.get("backends")
     floors = baseline["speedups"]
     rows: List[ComparisonRow] = []
     for kernel in sorted(floors):
-        for backend in sorted(floors[kernel]):
-            floor = float(floors[kernel][backend])
-            current = measured.get(kernel, {}).get(backend)
-            if current is None:
-                skippable = (backend == "numpy" and not has_numpy) or (
-                    run_backends is not None and backend not in run_backends
-                )
-                rows.append(
-                    ComparisonRow(
-                        kernel=kernel,
-                        backend=backend,
-                        baseline=floor,
-                        current=None,
-                        regressed=not skippable,
-                    )
-                )
-                continue
-            regressed = current < floor * (1.0 - tolerance)
-            rows.append(
-                ComparisonRow(
-                    kernel=kernel,
-                    backend=backend,
-                    baseline=floor,
-                    current=float(current),
-                    regressed=regressed,
-                )
+        floor = float(floors[kernel])
+        current = measured.get(kernel)
+        rows.append(
+            ComparisonRow(
+                kernel=kernel,
+                baseline=floor,
+                current=None if current is None else float(current),
+                regressed=current is None or current < floor * (1.0 - tolerance),
             )
-    for kernel in sorted(measured):
-        for backend in sorted(measured[kernel]):
-            if backend in floors.get(kernel, {}):
-                continue
-            rows.append(
-                ComparisonRow(
-                    kernel=kernel,
-                    backend=backend,
-                    baseline=None,
-                    current=float(measured[kernel][backend]),
-                    regressed=False,
-                    missing_floor=True,
-                )
+        )
+    for kernel in sorted(set(measured) - set(floors)):
+        rows.append(
+            ComparisonRow(
+                kernel=kernel,
+                baseline=None,
+                current=float(measured[kernel]),
+                regressed=False,
+                missing_floor=True,
             )
+        )
     return rows
 
 
@@ -309,7 +281,7 @@ def _verdict_of(row: ComparisonRow) -> str:
     if row.missing_floor:
         return "WARN (no baseline floor)"
     if row.current is None:
-        return "FAIL (not measured)" if row.regressed else "skipped"
+        return "FAIL (not measured)"
     return "FAIL" if row.regressed else "ok"
 
 
@@ -319,9 +291,7 @@ def _summary_lines(rows: List[ComparisonRow]) -> List[str]:
         "perf-smoke: "
         + (f"{failed} regression(s) detected" if failed else "no regressions")
     ]
-    unbaselined = sorted(
-        {f"{row.kernel}/{row.backend}" for row in rows if row.missing_floor}
-    )
+    unbaselined = sorted({row.label for row in rows if row.missing_floor})
     if unbaselined:
         lines.append(
             "perf-smoke: measured but missing a committed floor "
@@ -334,8 +304,7 @@ def format_delta_table(rows: List[ComparisonRow], tolerance: float = 0.2) -> str
     """The per-kernel delta table the perf-smoke job prints."""
     lines = [
         f"perf-smoke: speedup floors ± {tolerance * 100:.0f}% tolerance",
-        f"{'kernel':<22} {'backend':<8} {'floor':>7} {'current':>8} "
-        f"{'delta':>8}  verdict",
+        f"{'kernel':<26} {'floor':>7} {'current':>8} {'delta':>8}  verdict",
     ]
     for row in rows:
         floor = f"{row.baseline:.2f}x" if row.baseline is not None else "-"
@@ -344,7 +313,7 @@ def format_delta_table(rows: List[ComparisonRow], tolerance: float = 0.2) -> str
             f"{row.delta_percent:+.0f}%" if row.delta_percent is not None else "-"
         )
         lines.append(
-            f"{row.kernel:<22} {row.backend:<8} {floor:>7} "
+            f"{row.kernel:<26} {floor:>7} "
             f"{current:>8} {delta:>8}  {_verdict_of(row)}"
         )
     lines.extend(_summary_lines(rows))
@@ -361,8 +330,8 @@ def format_delta_markdown(rows: List[ComparisonRow], tolerance: float = 0.2) -> 
     lines = [
         f"### perf-smoke: speedup floors ± {tolerance * 100:.0f}% tolerance",
         "",
-        "| kernel | backend | floor | current | delta | verdict |",
-        "| --- | --- | ---: | ---: | ---: | --- |",
+        "| kernel | floor | current | delta | verdict |",
+        "| --- | ---: | ---: | ---: | --- |",
     ]
     for row in rows:
         floor = f"{row.baseline:.2f}x" if row.baseline is not None else "—"
@@ -373,13 +342,10 @@ def format_delta_markdown(rows: List[ComparisonRow], tolerance: float = 0.2) -> 
         verdict = _verdict_of(row)
         if row.missing_floor:
             verdict = "⚠️ " + verdict
-        elif verdict == "skipped":
-            verdict = "➖ skipped"
         else:
             verdict = verdict_marks.get(verdict, "❌ " + verdict)
         lines.append(
-            f"| `{row.kernel}` | {row.backend} | {floor} | {current} | "
-            f"{delta} | {verdict} |"
+            f"| `{row.kernel}` | {floor} | {current} | {delta} | {verdict} |"
         )
     lines.append("")
     lines.extend(_summary_lines(rows))

@@ -31,7 +31,7 @@ __all__ = [
     "format_suggestions_markdown",
 ]
 
-HISTORY_SCHEMA = "repro-bench-history/1"
+HISTORY_SCHEMA = "repro-bench-history/2"
 DEFAULT_HISTORY_DIR = os.path.join("benchmarks", "history")
 _INDEX_NAME = "index.json"
 
@@ -133,33 +133,27 @@ def format_trend(current: Dict[str, Any], previous: Dict[str, Any]) -> str:
     """Per-kernel speedup deltas vs the previous revision's report."""
     lines = [
         f"trend vs revision {previous.get('revision', '?')}:",
-        f"{'kernel':<22} {'backend':<8} {'previous':>9} {'current':>8} {'delta':>8}",
+        f"{'kernel':<26} {'previous':>9} {'current':>8} {'delta':>8}",
     ]
     current_speedups = current.get("speedups", {})
     previous_speedups = previous.get("speedups", {})
     kernels = sorted(set(current_speedups) | set(previous_speedups))
     for kernel in kernels:
-        backends = sorted(
-            set(current_speedups.get(kernel, {}))
-            | set(previous_speedups.get(kernel, {}))
+        now = current_speedups.get(kernel)
+        before = previous_speedups.get(kernel)
+        now_text = f"{now:.2f}x" if now is not None else "-"
+        before_text = f"{before:.2f}x" if before is not None else "-"
+        if now is not None and before is not None and before > 0:
+            delta = f"{(now - before) / before * 100.0:+.0f}%"
+        elif now is not None and before is None:
+            delta = "new"
+        elif now is None and before is not None:
+            delta = "gone"
+        else:
+            delta = "-"
+        lines.append(
+            f"{kernel:<26} {before_text:>9} {now_text:>8} {delta:>8}"
         )
-        for backend in backends:
-            now = current_speedups.get(kernel, {}).get(backend)
-            before = previous_speedups.get(kernel, {}).get(backend)
-            now_text = f"{now:.2f}x" if now is not None else "-"
-            before_text = f"{before:.2f}x" if before is not None else "-"
-            if now is not None and before is not None and before > 0:
-                delta = f"{(now - before) / before * 100.0:+.0f}%"
-            elif now is not None and before is None:
-                delta = "new"
-            elif now is None and before is not None:
-                delta = "gone"
-            else:
-                delta = "-"
-            lines.append(
-                f"{kernel:<22} {backend:<8} {before_text:>9} "
-                f"{now_text:>8} {delta:>8}"
-            )
     ship_now = current.get("shipping")
     ship_before = previous.get("shipping")
     if ship_now and ship_before:
@@ -204,7 +198,6 @@ class FloorSuggestion:
     """A committed floor that two consecutive revisions left far behind."""
 
     kernel: str
-    backend: str
     floor: float
     current: float
     previous: float
@@ -232,29 +225,26 @@ def suggest_floor_bumps(
     current_speedups = current.get("speedups", {})
     previous_speedups = previous.get("speedups", {})
     suggestions: List[FloorSuggestion] = []
-    for kernel in sorted(baseline.get("speedups", {})):
-        for backend in sorted(baseline["speedups"][kernel]):
-            floor = baseline["speedups"][kernel][backend]
-            now = current_speedups.get(kernel, {}).get(backend)
-            before = previous_speedups.get(kernel, {}).get(backend)
-            if now is None or before is None or floor <= 0:
-                continue
-            threshold = floor * (1.0 + margin)
-            if now <= threshold or before <= threshold:
-                continue
-            suggested = round(min(now, before) / 2.0, 2)
-            if suggested <= floor:
-                continue
-            suggestions.append(
-                FloorSuggestion(
-                    kernel=kernel,
-                    backend=backend,
-                    floor=floor,
-                    current=now,
-                    previous=before,
-                    suggested=suggested,
-                )
+    for kernel, floor in sorted(baseline.get("speedups", {}).items()):
+        now = current_speedups.get(kernel)
+        before = previous_speedups.get(kernel)
+        if now is None or before is None or floor <= 0:
+            continue
+        threshold = floor * (1.0 + margin)
+        if now <= threshold or before <= threshold:
+            continue
+        suggested = round(min(now, before) / 2.0, 2)
+        if suggested <= floor:
+            continue
+        suggestions.append(
+            FloorSuggestion(
+                kernel=kernel,
+                floor=floor,
+                current=now,
+                previous=before,
+                suggested=suggested,
             )
+        )
     return suggestions
 
 
@@ -265,12 +255,11 @@ def format_suggestions(suggestions: List[FloorSuggestion]) -> str:
     lines = [
         "baseline floors beaten by >25% across two consecutive revisions "
         "(advisory; see docs/BENCHMARKS.md \"Refreshing the baseline\"):",
-        f"{'kernel':<24} {'backend':<8} {'floor':>7} {'prev':>7} "
-        f"{'current':>8} {'suggest':>8}",
+        f"{'kernel':<26} {'floor':>7} {'prev':>7} {'current':>8} {'suggest':>8}",
     ]
     for s in suggestions:
         lines.append(
-            f"{s.kernel:<24} {s.backend:<8} {s.floor:>6.2f}x {s.previous:>6.2f}x "
+            f"{s.kernel:<26} {s.floor:>6.2f}x {s.previous:>6.2f}x "
             f"{s.current:>7.2f}x {s.suggested:>7.2f}x"
         )
     return "\n".join(lines)
@@ -286,12 +275,12 @@ def format_suggestions_markdown(suggestions: List[FloorSuggestion]) -> str:
         "Beaten by >25% across two consecutive revisions — consider the",
         'refresh procedure in `docs/BENCHMARKS.md` ("Refreshing the baseline").',
         "",
-        "| kernel | backend | floor | previous | current | suggested |",
-        "|---|---|---|---|---|---|",
+        "| kernel | floor | previous | current | suggested |",
+        "|---|---|---|---|---|",
     ]
     for s in suggestions:
         lines.append(
-            f"| `{s.kernel}` | {s.backend} | {s.floor:.2f}x | {s.previous:.2f}x "
+            f"| `{s.kernel}` | {s.floor:.2f}x | {s.previous:.2f}x "
             f"| {s.current:.2f}x | **{s.suggested:.2f}x** |"
         )
     return "\n".join(lines)

@@ -25,21 +25,22 @@ One kernel per hot loop:
   pre-built batches through :class:`~repro.service.server.DetectionService`
   (bounded queue, producer/worker threads, alert log) against the scalar
   per-packet loop with the same default bindings.  A ``service`` report
-  section records sustained pps and p99 batch/alert latency per backend.
+  section records sustained pps and p99 batch/alert latency.
 
 A separate ``cluster`` report section sweeps the same workload across
 1→8 shards, splitting routed-ingest time from controller-side merge time
 (the scale-out overhead curve in ``docs/BENCHMARKS.md``).
 
 Each kernel times the *same* prepared workload through the scalar path and
-the batched path (per backend), best-of-``repeats``, on a fresh
+the batched path, best-of-``repeats``, on a fresh
 :class:`Stat4` instance per measurement.  Batch *assembly* (parsing,
 column extraction) is excluded from the batched timings: the artifact
 reports steady-state ingestion throughput, and the value-column cache is
 shared across repeats exactly as a long-lived engine would share it.
 
-The emitted report is schema-versioned (``repro-bench/1``); CI compares
-the ``speedups`` section against committed floors, never the absolute pps
+The emitted report is schema-versioned (``repro-bench/2``: one batched
+row and one ``speedups`` ratio per kernel); CI compares the ``speedups``
+section against committed floors, never the absolute pps
 (machine-dependent).
 """
 
@@ -54,7 +55,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.p4.parser import standard_parser
 from repro.p4.switch import PacketContext, StandardMetadata
-from repro.stat4.batch import HAS_NUMPY, BatchEngine, PacketBatch, resolve_backend
+from repro.stat4.batch import HAS_NUMPY, BatchEngine, PacketBatch
 from repro.stat4.binding import BindingMatch
 from repro.stat4.config import Stat4Config
 from repro.stat4.extract import ExtractSpec
@@ -73,7 +74,7 @@ __all__ = [
     "format_scenario_table",
 ]
 
-SCHEMA_VERSION = "repro-bench/1"
+SCHEMA_VERSION = "repro-bench/2"
 SCENARIO_SCHEMA = "repro-scenarios/1"
 
 #: (packets per kernel, timing repeats) per profile.
@@ -114,6 +115,17 @@ def _best_of(repeats: int, run: Callable[[], None]) -> float:
         if best is None or elapsed < best:
             best = elapsed
     return best if best is not None else 0.0
+
+
+def _row(name: str, mode: str, packets: int, seconds: float) -> Dict[str, Any]:
+    """One kernel timing row (``mode`` is ``"scalar"`` or ``"batched"``)."""
+    return {
+        "name": name,
+        "mode": mode,
+        "packets": packets,
+        "seconds": seconds,
+        "pps": packets / seconds if seconds > 0 else 0.0,
+    }
 
 
 def _make_contexts(packets: int, dst_values: int, timestamp_gap: float):
@@ -176,9 +188,7 @@ def _kernel_definitions() -> Dict[str, Any]:
     }
 
 
-def _time_stat4_kernels(
-    packets: int, repeats: int, backends: List[str]
-) -> List[Dict[str, Any]]:
+def _time_stat4_kernels(packets: int, repeats: int) -> List[Dict[str, Any]]:
     results: List[Dict[str, Any]] = []
     for name, (config, build_spec, gap) in _kernel_definitions().items():
         contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=gap)
@@ -188,35 +198,16 @@ def _time_stat4_kernels(
             for ctx in contexts:
                 stat4.process(ctx)
 
-        seconds = _best_of(repeats, run_scalar)
-        results.append(
-            {
-                "name": name,
-                "mode": "scalar",
-                "backend": None,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
-        )
+        results.append(_row(name, "scalar", packets, _best_of(repeats, run_scalar)))
         batch = PacketBatch.from_contexts(contexts)
-        for backend in backends:
 
-            def run_batched():
-                stat4 = _bind(build_spec, config)
-                BatchEngine(stat4, backend=backend).process(batch)
+        def run_batched():
+            stat4 = _bind(build_spec, config)
+            BatchEngine(stat4).process(batch)
 
-            seconds = _best_of(repeats, run_batched)
-            results.append(
-                {
-                    "name": name,
-                    "mode": "batched",
-                    "backend": backend,
-                    "packets": packets,
-                    "seconds": seconds,
-                    "pps": packets / seconds if seconds > 0 else 0.0,
-                }
-            )
+        results.append(
+            _row(name, "batched", packets, _best_of(repeats, run_batched))
+        )
     return results
 
 
@@ -233,7 +224,6 @@ def _parallel_workload():
 def _time_parallel_kernels(
     packets: int,
     repeats: int,
-    backends: List[str],
     workers: int,
     pool: str = "thread",
 ) -> List[Dict[str, Any]]:
@@ -252,49 +242,27 @@ def _time_parallel_kernels(
 
     config, build_spec = _parallel_workload()
     contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=1e-4)
-    results: List[Dict[str, Any]] = []
 
     def run_scalar():
         stat4 = _bind(build_spec, config)
         for ctx in contexts:
             stat4.process(ctx)
 
-    seconds = _best_of(repeats, run_scalar)
-    results.append(
-        {
-            "name": "parallel_mean_variance",
-            "mode": "scalar",
-            "backend": None,
-            "packets": packets,
-            "seconds": seconds,
-            "pps": packets / seconds if seconds > 0 else 0.0,
-        }
-    )
     batch = PacketBatch.from_contexts(contexts)
-    for backend in backends:
 
-        def run_parallel():
-            stat4 = _bind(build_spec, config)
-            ParallelBatchEngine(
-                stat4, backend=backend, workers=workers, executor=pool
-            ).process(batch)
+    def run_parallel():
+        stat4 = _bind(build_spec, config)
+        ParallelBatchEngine(stat4, workers=workers, executor=pool).process(batch)
 
-        seconds = _best_of(repeats, run_parallel)
-        results.append(
-            {
-                "name": "parallel_mean_variance",
-                "mode": "batched",
-                "backend": backend,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
-        )
-    return results
+    name = "parallel_mean_variance"
+    return [
+        _row(name, "scalar", packets, _best_of(repeats, run_scalar)),
+        _row(name, "batched", packets, _best_of(repeats, run_parallel)),
+    ]
 
 
 def _time_shm_parallel_kernels(
-    packets: int, repeats: int, backends: List[str], workers: int
+    packets: int, repeats: int, workers: int
 ) -> List[Dict[str, Any]]:
     """The ``shm_parallel_mean_variance`` kernel: zero-copy process fan-out.
 
@@ -309,49 +277,28 @@ def _time_shm_parallel_kernels(
 
     config, build_spec = _parallel_workload()
     contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=1e-4)
-    results: List[Dict[str, Any]] = []
 
     def run_scalar():
         stat4 = _bind(build_spec, config)
         for ctx in contexts:
             stat4.process(ctx)
 
-    seconds = _best_of(repeats, run_scalar)
-    results.append(
-        {
-            "name": "shm_parallel_mean_variance",
-            "mode": "scalar",
-            "backend": None,
-            "packets": packets,
-            "seconds": seconds,
-            "pps": packets / seconds if seconds > 0 else 0.0,
-        }
-    )
     batch = PacketBatch.from_contexts(contexts)
-    for backend in backends:
 
-        def run_shm():
-            stat4 = _bind(build_spec, config)
-            ParallelBatchEngine(
-                stat4,
-                backend=backend,
-                workers=workers,
-                executor="process",
-                share_columns=True,
-            ).process(batch)
+    def run_shm():
+        stat4 = _bind(build_spec, config)
+        ParallelBatchEngine(
+            stat4,
+            workers=workers,
+            executor="process",
+            share_columns=True,
+        ).process(batch)
 
-        seconds = _best_of(repeats, run_shm)
-        results.append(
-            {
-                "name": "shm_parallel_mean_variance",
-                "mode": "batched",
-                "backend": backend,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
-        )
-    return results
+    name = "shm_parallel_mean_variance"
+    return [
+        _row(name, "scalar", packets, _best_of(repeats, run_scalar)),
+        _row(name, "batched", packets, _best_of(repeats, run_shm)),
+    ]
 
 
 def _merge_workload():
@@ -380,12 +327,7 @@ def _merge_workload():
     return config, build_spec
 
 
-def _time_merge_parallel_kernels(
-    packets: int,
-    repeats: int,
-    backends: List[str],
-    workers: int,
-) -> Any:
+def _time_merge_parallel_kernels(packets: int, repeats: int, workers: int) -> Any:
     """The ``merge_parallel`` kernel: tracked+alerting fan-out with merge.
 
     The last previously-serial shape, driven through the merge engine on
@@ -393,8 +335,8 @@ def _time_merge_parallel_kernels(
     ``shm_parallel_mean_variance`` floor gates), against the scalar
     per-packet loop.  Returns ``(kernel rows, merge section)``; the
     section records the chunk-resolution mix (adopted / folded / replayed)
-    per backend so the replay-fallback rate is a reported number rather
-    than prose — CI surfaces it next to the speedup delta.
+    so the replay-fallback rate is a reported number rather than prose —
+    CI surfaces it next to the speedup delta.
 
     This kernel pins its own geometry at four workers: below two the
     engine delegates to the serial generated kernel, which would measure
@@ -407,81 +349,53 @@ def _time_merge_parallel_kernels(
     config, build_spec = _merge_workload()
     contexts = _make_service_contexts(packets)
     name = "merge_parallel"
-    results: List[Dict[str, Any]] = []
-    section: Dict[str, Any] = {
-        "packets": packets,
-        "workers": workers,
-        "backends": {},
-    }
 
     def run_scalar():
         stat4 = _bind(build_spec, config)
         for ctx in contexts:
             stat4.process(ctx)
 
-    seconds = _best_of(repeats, run_scalar)
-    results.append(
-        {
-            "name": name,
-            "mode": "scalar",
-            "backend": None,
-            "packets": packets,
-            "seconds": seconds,
-            "pps": packets / seconds if seconds > 0 else 0.0,
-        }
-    )
+    results = [_row(name, "scalar", packets, _best_of(repeats, run_scalar))]
     batch = PacketBatch.from_contexts(contexts)
-    for backend in backends:
-        holder: Dict[str, Any] = {}
+    holder: Dict[str, Any] = {}
 
-        def run_merge():
-            stat4 = _bind(build_spec, config)
-            engine = ParallelBatchEngine(
-                stat4,
-                backend=backend,
-                workers=workers,
-                executor="process",
-                share_columns=True,
-            )
-            engine.process(batch)
-            holder["engine"] = engine
+    def run_merge():
+        stat4 = _bind(build_spec, config)
+        engine = ParallelBatchEngine(
+            stat4,
+            workers=workers,
+            executor="process",
+            share_columns=True,
+        )
+        engine.process(batch)
+        holder["engine"] = engine
 
-        # One untimed warm-up: the pinned geometry means this kernel may
-        # be the first to spawn its pool size (a workers=1 matrix leg
-        # never spawned one), and process spawn plus worker imports are
-        # not what the floor gates.
-        run_merge()
-        seconds = _best_of(repeats, run_merge)
-        results.append(
-            {
-                "name": name,
-                "mode": "batched",
-                "backend": backend,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
-        )
-        engine = holder["engine"]
-        resolved = (
-            engine.merge_adopted_chunks
-            + engine.merge_folded_chunks
-            + engine.merge_replayed_chunks
-        )
-        section["backends"][backend] = {
-            "adopted_chunks": engine.merge_adopted_chunks,
-            "folded_chunks": engine.merge_folded_chunks,
-            "replayed_chunks": engine.merge_replayed_chunks,
-            "fallback_replay_rate": (
-                engine.merge_replayed_chunks / resolved if resolved else 0.0
-            ),
-        }
+    # One untimed warm-up: the pinned geometry means this kernel may
+    # be the first to spawn its pool size (a workers=1 matrix leg
+    # never spawned one), and process spawn plus worker imports are
+    # not what the floor gates.
+    run_merge()
+    results.append(_row(name, "batched", packets, _best_of(repeats, run_merge)))
+    engine = holder["engine"]
+    resolved = (
+        engine.merge_adopted_chunks
+        + engine.merge_folded_chunks
+        + engine.merge_replayed_chunks
+    )
+    section = {
+        "packets": packets,
+        "workers": workers,
+        "adopted_chunks": engine.merge_adopted_chunks,
+        "folded_chunks": engine.merge_folded_chunks,
+        "replayed_chunks": engine.merge_replayed_chunks,
+        "fallback_replay_rate": (
+            engine.merge_replayed_chunks / resolved if resolved else 0.0
+        ),
+    }
     return results, section
 
 
-def _measure_shipping(
-    packets: int, backend: str, workers: int
-) -> Dict[str, Any]:
+def _measure_shipping(packets: int, workers: int) -> Dict[str, Any]:
     """Per-batch pickled payload of the two process-pool shipping modes.
 
     One instrumented pass each: shared-memory descriptors vs legacy list
@@ -497,15 +411,10 @@ def _measure_shipping(
     # At --workers 1 the engine delegates to the serial path and ships
     # nothing; measure at two workers so the payload numbers stay real.
     workers = max(workers, 2)
-    row: Dict[str, Any] = {
-        "packets": packets,
-        "backend": backend,
-        "workers": workers,
-    }
+    row: Dict[str, Any] = {"packets": packets, "workers": workers}
     for label, share in (("shm", True), ("list", False)):
         engine = ParallelBatchEngine(
             _bind(build_spec, config),
-            backend=backend,
             workers=workers,
             executor="process",
             share_columns=share,
@@ -542,9 +451,7 @@ def _make_service_contexts(packets: int, hot_every: int = 16):
     return contexts
 
 
-def _time_service_kernels(
-    packets: int, repeats: int, backends: List[str]
-) -> Any:
+def _time_service_kernels(packets: int, repeats: int) -> Any:
     """The ``service_throughput`` kernel: the whole serving stack in-process.
 
     Scalar mode is the per-packet loop over the same workload with the
@@ -557,17 +464,16 @@ def _time_service_kernels(
     engine: queue hops, thread handoff, telemetry, alert-log appends.
 
     Returns ``(kernel rows, service report section)`` — the section
-    carries sustained pps and p99 batch/alert latency per backend
-    (absolute, machine-dependent, never gated; the gated number is the
-    speedup ratio like every other kernel).
+    carries sustained pps and p99 batch/alert latency (absolute,
+    machine-dependent, never gated; the gated number is the speedup ratio
+    like every other kernel).
     """
     from repro.service import DetectionService, ListSource
     from repro.service.server import default_bindings, default_config
 
     config = default_config()
     contexts = _make_service_contexts(packets)
-    results: List[Dict[str, Any]] = []
-    section: Dict[str, Any] = {"packets": packets, "backends": {}}
+    name = "service_throughput"
 
     def run_scalar():
         stat4 = Stat4(config)
@@ -577,62 +483,42 @@ def _time_service_kernels(
         for ctx in contexts:
             stat4.process(ctx)
 
-    seconds = _best_of(repeats, run_scalar)
-    results.append(
-        {
-            "name": "service_throughput",
-            "mode": "scalar",
-            "backend": None,
-            "packets": packets,
-            "seconds": seconds,
-            "pps": packets / seconds if seconds > 0 else 0.0,
-        }
-    )
+    results = [_row(name, "scalar", packets, _best_of(repeats, run_scalar))]
     batch_size = 2048
     batches = [
         PacketBatch.from_contexts(contexts[start : start + batch_size])
         for start in range(0, len(contexts), batch_size)
     ]
-    for backend in backends:
-        holder: Dict[str, Any] = {}
+    holder: Dict[str, Any] = {}
 
-        def run_service():
-            service = DetectionService(
-                ListSource(batches),
-                config=config,
-                bindings=default_bindings(),
-                engine="scalar",
-                backend=backend,
-                with_http=False,
-            )
-            service.start()
-            drained = service.wait(300)
-            service.close()
-            if not drained or service.pipeline.error is not None:
-                raise RuntimeError(
-                    f"service pipeline failed: {service.pipeline.error!r}"
-                )
-            holder["service"] = service
-
-        seconds = _best_of(repeats, run_service)
-        results.append(
-            {
-                "name": "service_throughput",
-                "mode": "batched",
-                "backend": backend,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
+    def run_service():
+        service = DetectionService(
+            ListSource(batches),
+            config=config,
+            bindings=default_bindings(),
+            engine="scalar",
+            with_http=False,
         )
-        snapshot = holder["service"].metrics.snapshot()
-        section["backends"][backend] = {
-            "pps": packets / seconds if seconds > 0 else 0.0,
-            "alerts": snapshot["alerts"],
-            "batch_latency_p99_ms": snapshot["batch_latency_p99_ms"],
-            "alert_latency_p99_ms": snapshot["alert_latency_p99_ms"],
-            "dropped_batches": snapshot["dropped_batches"],
-        }
+        service.start()
+        drained = service.wait(300)
+        service.close()
+        if not drained or service.pipeline.error is not None:
+            raise RuntimeError(
+                f"service pipeline failed: {service.pipeline.error!r}"
+            )
+        holder["service"] = service
+
+    batched = _row(name, "batched", packets, _best_of(repeats, run_service))
+    results.append(batched)
+    snapshot = holder["service"].metrics.snapshot()
+    section = {
+        "packets": packets,
+        "pps": batched["pps"],
+        "alerts": snapshot["alerts"],
+        "batch_latency_p99_ms": snapshot["batch_latency_p99_ms"],
+        "alert_latency_p99_ms": snapshot["alert_latency_p99_ms"],
+        "dropped_batches": snapshot["dropped_batches"],
+    }
     return results, section
 
 
@@ -650,8 +536,8 @@ def _cluster_workload(packets: int):
     contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=1e-4)
     match = BindingMatch(ether_type=0x0800)
 
-    def build(shards: int, backend: str) -> ShardedStat4:
-        cluster = ShardedStat4(shards, config=config, backend=backend)
+    def build(shards: int) -> ShardedStat4:
+        cluster = ShardedStat4(shards, config=config)
         spec = cluster.specs.frequency_of(
             0, ExtractSpec.field("ipv4.dst", mask=0xFF)
         )
@@ -661,9 +547,7 @@ def _cluster_workload(packets: int):
     return contexts, build
 
 
-def _time_cluster_kernels(
-    packets: int, repeats: int, backends: List[str]
-) -> List[Dict[str, Any]]:
+def _time_cluster_kernels(packets: int, repeats: int) -> List[Dict[str, Any]]:
     """The ``sharded_mean_variance`` kernel: routed ingest plus merge.
 
     Scalar mode routes every packet individually through the owner shard's
@@ -673,50 +557,28 @@ def _time_cluster_kernels(
     ingestion, and merging — the whole cluster hot loop.
     """
     contexts, build = _cluster_workload(packets)
-    results: List[Dict[str, Any]] = []
 
     def run_scalar():
-        cluster = build(_CLUSTER_KERNEL_SHARDS, "python")
+        cluster = build(_CLUSTER_KERNEL_SHARDS)
         for ctx in contexts:
             cluster.process(ctx)
         cluster.merged(0)
 
-    seconds = _best_of(repeats, run_scalar)
-    results.append(
-        {
-            "name": "sharded_mean_variance",
-            "mode": "scalar",
-            "backend": None,
-            "packets": packets,
-            "seconds": seconds,
-            "pps": packets / seconds if seconds > 0 else 0.0,
-        }
-    )
     batch = PacketBatch.from_contexts(contexts)
-    for backend in backends:
 
-        def run_batched():
-            cluster = build(_CLUSTER_KERNEL_SHARDS, backend)
-            cluster.ingest(batch)
-            cluster.merged(0)
+    def run_batched():
+        cluster = build(_CLUSTER_KERNEL_SHARDS)
+        cluster.ingest(batch)
+        cluster.merged(0)
 
-        seconds = _best_of(repeats, run_batched)
-        results.append(
-            {
-                "name": "sharded_mean_variance",
-                "mode": "batched",
-                "backend": backend,
-                "packets": packets,
-                "seconds": seconds,
-                "pps": packets / seconds if seconds > 0 else 0.0,
-            }
-        )
-    return results
+    name = "sharded_mean_variance"
+    return [
+        _row(name, "scalar", packets, _best_of(repeats, run_scalar)),
+        _row(name, "batched", packets, _best_of(repeats, run_batched)),
+    ]
 
 
-def _time_cluster_scaling(
-    packets: int, repeats: int, backend: str
-) -> List[Dict[str, Any]]:
+def _time_cluster_scaling(packets: int, repeats: int) -> List[Dict[str, Any]]:
     """Merge-overhead scaling: the same batch at 1→8 shards.
 
     Separates routed ingestion from the controller-side merge so the
@@ -729,11 +591,10 @@ def _time_cluster_scaling(
     batch = PacketBatch.from_contexts(contexts)
     rows: List[Dict[str, Any]] = []
     for shards in _CLUSTER_SHARDS:
-        cluster = build(shards, backend)
         holder = {}
 
         def run_ingest():
-            fresh = build(shards, backend)
+            fresh = build(shards)
             fresh.ingest(batch)
             holder["cluster"] = fresh
 
@@ -747,7 +608,6 @@ def _time_cluster_scaling(
         rows.append(
             {
                 "shards": shards,
-                "backend": backend,
                 "packets": packets,
                 "ingest_seconds": ingest_seconds,
                 "ingest_pps": packets / ingest_seconds if ingest_seconds > 0 else 0.0,
@@ -785,25 +645,24 @@ def _time_experiments(quick: bool) -> List[Dict[str, Any]]:
     return experiments
 
 
-def _speedups(kernels: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+def _speedups(kernels: List[Dict[str, Any]]) -> Dict[str, float]:
+    """``{kernel: batched pps / scalar pps}`` for every timed kernel."""
     scalar_pps: Dict[str, float] = {}
     for row in kernels:
         if row["mode"] == "scalar":
             scalar_pps[row["name"]] = row["pps"]
-    speedups: Dict[str, Dict[str, float]] = {}
+    speedups: Dict[str, float] = {}
     for row in kernels:
         if row["mode"] != "batched":
             continue
         base = scalar_pps.get(row["name"], 0.0)
         if base <= 0 or row["pps"] <= 0:
             continue
-        speedups.setdefault(row["name"], {})[row["backend"]] = row["pps"] / base
+        speedups[row["name"]] = row["pps"] / base
     return speedups
 
 
-def _run_scenarios(
-    backend: str, workers: int, scenario_engine: str
-) -> Dict[str, Any]:
+def _run_scenarios(workers: int, scenario_engine: str) -> Dict[str, Any]:
     """The adversarial quality leaderboard (``repro bench --scenarios``).
 
     Scenario sizes are fixed by the catalog — never scaled by ``--quick``
@@ -815,9 +674,7 @@ def _run_scenarios(
     engines = list(ENGINES) if scenario_engine == "both" else [scenario_engine]
     rows: List[Dict[str, Any]] = []
     for engine in engines:
-        rows.extend(
-            run_scenario_suite(engine=engine, backend=backend, workers=workers)
-        )
+        rows.extend(run_scenario_suite(engine=engine, workers=workers))
     return {
         "schema": SCENARIO_SCHEMA,
         "engines": engines,
@@ -828,7 +685,6 @@ def _run_scenarios(
 
 def run_suite(
     quick: bool = False,
-    backend: str = "auto",
     skip_experiments: bool = False,
     packets: Optional[int] = None,
     repeats: Optional[int] = None,
@@ -843,9 +699,6 @@ def run_suite(
     Args:
         quick: the CI profile — fewer packets, fewer repeats, cheaper
             experiment set.
-        backend: ``"auto"`` benchmarks every available backend (numpy
-            and python when numpy is importable); a specific backend name
-            restricts to that one.
         skip_experiments: kernels only (used by unit tests).
         packets / repeats: override the profile (tests use tiny values).
         workers: worker count for the parallel ingest kernels
@@ -873,30 +726,22 @@ def run_suite(
     profile_packets, profile_repeats = _QUICK_PROFILE if quick else _FULL_PROFILE
     n = packets if packets is not None else profile_packets
     reps = repeats if repeats is not None else profile_repeats
-    if backend == "auto":
-        # numpy first: backends[0] drives the cluster-scaling, shipping,
-        # and scenario sections.
-        backends = ["numpy", "python"] if HAS_NUMPY else ["python"]
-    else:
-        backends = [resolve_backend(backend)]
     if scenarios_only:
         kernels: List[Dict[str, Any]] = []
         service_section: Optional[Dict[str, Any]] = None
         merge_section: Optional[Dict[str, Any]] = None
     else:
-        kernels = _time_stat4_kernels(n, reps, backends)
-        kernels.extend(_time_cluster_kernels(n, reps, backends))
-        kernels.extend(_time_parallel_kernels(n, reps, backends, workers, pool))
-        kernels.extend(_time_shm_parallel_kernels(n, reps, backends, workers))
-        merge_rows, merge_section = _time_merge_parallel_kernels(
-            n, reps, backends, workers
-        )
+        kernels = _time_stat4_kernels(n, reps)
+        kernels.extend(_time_cluster_kernels(n, reps))
+        kernels.extend(_time_parallel_kernels(n, reps, workers, pool))
+        kernels.extend(_time_shm_parallel_kernels(n, reps, workers))
+        merge_rows, merge_section = _time_merge_parallel_kernels(n, reps, workers)
         kernels.extend(merge_rows)
-        service_rows, service_section = _time_service_kernels(n, reps, backends)
+        service_rows, service_section = _time_service_kernels(n, reps)
         kernels.extend(service_rows)
     # Absolute per-packet cost per row: the speedup ratios re-anchor
-    # whenever the scalar baseline moves, so backend-vs-backend
-    # comparisons need a machine-local absolute column too.
+    # whenever the scalar baseline moves, so comparisons across revisions
+    # need a machine-local absolute column too.
     for row in kernels:
         row["ns_per_packet"] = 1e9 / row["pps"] if row["pps"] > 0 else None
     report: Dict[str, Any] = {
@@ -907,23 +752,20 @@ def run_suite(
         "quick": quick,
         "workers": workers,
         "pool": pool,
-        "backends": backends,
         "kernels": kernels,
         "experiments": (
             []
             if skip_experiments or scenarios_only
             else _time_experiments(quick)
         ),
-        "cluster": [] if scenarios_only else _time_cluster_scaling(n, reps, backends[0]),
-        "shipping": None if scenarios_only else _measure_shipping(n, backends[0], workers),
+        "cluster": [] if scenarios_only else _time_cluster_scaling(n, reps),
+        "shipping": None if scenarios_only else _measure_shipping(n, workers),
         "service": service_section,
         "merge": merge_section,
         "speedups": _speedups(kernels),
     }
     if run_scenario_rows:
-        report["scenarios"] = _run_scenarios(
-            backends[0], workers, scenario_engine
-        )
+        report["scenarios"] = _run_scenarios(workers, scenario_engine)
     return report
 
 
@@ -933,6 +775,17 @@ def _numpy_version() -> Optional[str]:
     import numpy
 
     return numpy.__version__
+
+
+def _ratio_and_ns(report: Dict[str, Any], row: Dict[str, Any]) -> Any:
+    """A kernel row's speedup text (batched rows only) and ns/packet text."""
+    ratio = ""
+    if row["mode"] == "batched":
+        value = report.get("speedups", {}).get(row["name"])
+        if value is not None:
+            ratio = f"{value:.1f}x"
+    ns = row.get("ns_per_packet")
+    return ratio, (f"{ns:,.0f}" if ns is not None else "-")
 
 
 def write_report(report: Dict[str, Any], output: Optional[str] = None) -> str:
@@ -955,21 +808,12 @@ def format_report(report: Dict[str, Any]) -> str:
         f"numpy {report['numpy'] or 'unavailable'}, "
         f"{'quick' if report['quick'] else 'full'} profile)",
         "",
-        f"{'kernel':<22} {'mode':<8} {'backend':<8} {'pps':>12} "
-        f"{'ns/pkt':>9} {'speedup':>8}",
+        f"{'kernel':<22} {'mode':<8} {'pps':>12} {'ns/pkt':>9} {'speedup':>8}",
     ]
-    speedups = report.get("speedups", {})
     for row in report["kernels"]:
-        backend = row["backend"] or "-"
-        ratio = ""
-        if row["mode"] == "batched":
-            value = speedups.get(row["name"], {}).get(row["backend"])
-            if value is not None:
-                ratio = f"{value:.1f}x"
-        ns = row.get("ns_per_packet")
-        ns_text = f"{ns:,.0f}" if ns is not None else "-"
+        ratio, ns_text = _ratio_and_ns(report, row)
         lines.append(
-            f"{row['name']:<22} {row['mode']:<8} {backend:<8} "
+            f"{row['name']:<22} {row['mode']:<8} "
             f"{row['pps']:>12,.0f} {ns_text:>9} {ratio:>8}"
         )
     shipping = report.get("shipping")
@@ -986,57 +830,48 @@ def format_report(report: Dict[str, Any]) -> str:
             f"({shipping['list_tasks_per_batch']} tasks)"
         )
     merge = report.get("merge")
-    if merge and merge.get("backends"):
+    if merge:
         lines.append("")
         lines.append(
             f"merge-engine chunk resolution ({merge['packets']:,} packets, "
-            f"{merge['workers']} workers):"
+            f"{merge['workers']} workers): "
+            f"adopted {merge['adopted_chunks']}, "
+            f"folded {merge['folded_chunks']}, "
+            f"replayed {merge['replayed_chunks']}, "
+            f"fallback {merge['fallback_replay_rate'] * 100:.1f}%"
         )
-        lines.append(
-            f"  {'backend':<8} {'adopted':>8} {'folded':>7} {'replayed':>9} "
-            f"{'fallback':>9}"
-        )
-        for backend, row in merge["backends"].items():
-            lines.append(
-                f"  {backend:<8} {row['adopted_chunks']:>8} "
-                f"{row['folded_chunks']:>7} {row['replayed_chunks']:>9} "
-                f"{row['fallback_replay_rate'] * 100:>8.1f}%"
-            )
     service = report.get("service")
-    if service and service.get("backends"):
+    if service:
+        batch_p99 = (
+            "-"
+            if service["batch_latency_p99_ms"] is None
+            else f"{service['batch_latency_p99_ms']:.2f}ms"
+        )
+        alert_p99 = (
+            "-"
+            if service["alert_latency_p99_ms"] is None
+            else f"{service['alert_latency_p99_ms']:.2f}ms"
+        )
         lines.append("")
         lines.append(
             f"service throughput ({service['packets']:,} packets through "
             "the bounded-queue serving stack):"
         )
         lines.append(
-            f"  {'backend':<8} {'pps':>12} {'alerts':>7} "
+            f"  {'pps':>12} {'alerts':>7} "
             f"{'batch p99':>10} {'alert p99':>10} {'dropped':>8}"
         )
-        for backend, row in service["backends"].items():
-            batch_p99 = (
-                "-"
-                if row["batch_latency_p99_ms"] is None
-                else f"{row['batch_latency_p99_ms']:.2f}ms"
-            )
-            alert_p99 = (
-                "-"
-                if row["alert_latency_p99_ms"] is None
-                else f"{row['alert_latency_p99_ms']:.2f}ms"
-            )
-            lines.append(
-                f"  {backend:<8} {row['pps']:>12,.0f} {row['alerts']:>7} "
-                f"{batch_p99:>10} {alert_p99:>10} {row['dropped_batches']:>8}"
-            )
+        lines.append(
+            f"  {service['pps']:>12,.0f} {service['alerts']:>7} "
+            f"{batch_p99:>10} {alert_p99:>10} {service['dropped_batches']:>8}"
+        )
     if report.get("cluster"):
         lines.append("")
         lines.append("cluster scaling (routed ingest + merge):")
-        lines.append(
-            f"  {'shards':>6} {'backend':<8} {'ingest pps':>12} {'merge':>10}"
-        )
+        lines.append(f"  {'shards':>6} {'ingest pps':>12} {'merge':>10}")
         for row in report["cluster"]:
             lines.append(
-                f"  {row['shards']:>6} {row['backend']:<8} "
+                f"  {row['shards']:>6} "
                 f"{row['ingest_pps']:>12,.0f} {row['merge_seconds'] * 1e3:>8.2f}ms"
             )
     if report.get("experiments"):
@@ -1061,23 +896,20 @@ def format_merge_markdown(report: Dict[str, Any]) -> str:
     ``merge_parallel`` floor is living on borrowed time.
     """
     merge = report.get("merge")
-    if not merge or not merge.get("backends"):
+    if not merge:
         return ""
     lines = [
         "### Merge-engine chunk resolution",
         "",
         f"{merge['packets']:,} packets, {merge['workers']} workers",
         "",
-        "| backend | adopted | folded | replayed | fallback replay |",
-        "| --- | ---: | ---: | ---: | ---: |",
+        "| adopted | folded | replayed | fallback replay |",
+        "| ---: | ---: | ---: | ---: |",
+        f"| {merge['adopted_chunks']} | {merge['folded_chunks']} "
+        f"| {merge['replayed_chunks']} "
+        f"| {merge['fallback_replay_rate'] * 100:.1f}% |",
+        "",
     ]
-    for backend, row in merge["backends"].items():
-        lines.append(
-            f"| {backend} | {row['adopted_chunks']} | {row['folded_chunks']} "
-            f"| {row['replayed_chunks']} "
-            f"| {row['fallback_replay_rate'] * 100:.1f}% |"
-        )
-    lines.append("")
     return "\n".join(lines)
 
 
@@ -1086,34 +918,25 @@ def format_kernels_markdown(report: Dict[str, Any]) -> str:
 
     CI appends this to ``GITHUB_STEP_SUMMARY`` next to the floor
     verdicts: the speedup ratios re-anchor whenever the scalar baseline
-    moves, so the absolute ns/packet column is what makes
-    backend-vs-backend comparisons readable across revisions of the same
-    runner.
+    moves, so the absolute ns/packet column is what makes kernels
+    comparable across revisions of the same runner.
     """
     kernels = report.get("kernels")
     if not kernels:
         return ""
-    speedups = report.get("speedups", {})
     lines = [
         "### Kernel timings",
         "",
         f"revision {report['revision']}, "
-        f"{'quick' if report.get('quick') else 'full'} profile, "
-        f"backends: {', '.join(report.get('backends') or [])}",
+        f"{'quick' if report.get('quick') else 'full'} profile",
         "",
-        "| kernel | mode | backend | pps | ns/pkt | speedup |",
-        "| --- | --- | --- | ---: | ---: | ---: |",
+        "| kernel | mode | pps | ns/pkt | speedup |",
+        "| --- | --- | ---: | ---: | ---: |",
     ]
     for row in kernels:
-        ratio = ""
-        if row["mode"] == "batched":
-            value = speedups.get(row["name"], {}).get(row["backend"])
-            if value is not None:
-                ratio = f"{value:.1f}x"
-        ns = row.get("ns_per_packet")
-        ns_text = f"{ns:,.0f}" if ns is not None else "-"
+        ratio, ns_text = _ratio_and_ns(report, row)
         lines.append(
-            f"| {row['name']} | {row['mode']} | {row['backend'] or '-'} "
+            f"| {row['name']} | {row['mode']} "
             f"| {row['pps']:,.0f} | {ns_text} | {ratio} |"
         )
     lines.append("")

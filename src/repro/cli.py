@@ -43,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential run: batched ingestion vs the scalar library",
     )
     validate.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "python"],
-        default="auto",
-        help="batch backend for --batched",
-    )
-    validate.add_argument(
         "--batch-size", type=int, default=1024, help="chunk size for --batched"
     )
     validate.add_argument(
@@ -150,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="artifact path (default BENCH_<rev>.json in the working dir)",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "python"],
-        default="auto",
-        help="batch backend(s) to measure (auto = every available one)",
     )
     bench.add_argument(
         "--baseline",
@@ -276,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["scalar", "parallel"], default="scalar"
     )
     serve.add_argument(
-        "--backend", choices=["auto", "numpy", "python"], default="auto"
-    )
-    serve.add_argument(
         "--workers", type=int, default=4, help="parallel-engine worker count"
     )
     serve.add_argument(
@@ -356,13 +341,12 @@ def _cmd_validate(args) -> int:
             packets=args.packets,
             shards=args.shards,
             seed=args.seed,
-            backend=args.backend,
             batch_size=args.batch_size,
             workers=args.workers,
         )
         print(
             f"packets={sharded.packets} shards={sharded.shards} "
-            f"backend={sharded.backend} loads={sharded.shard_loads} "
+            f"loads={sharded.shard_loads} "
             f"mismatches={len(sharded.mismatches)}"
         )
         for detail in sharded.mismatches:
@@ -376,13 +360,12 @@ def _cmd_validate(args) -> int:
         diff = run_validation_batched(
             packets=args.packets,
             seed=args.seed,
-            backend=args.backend,
             batch_size=args.batch_size,
             workers=args.workers,
         )
         print(
             f"packets={diff.packets} batches={diff.batches} "
-            f"backend={diff.backend} mismatches={len(diff.mismatches)}"
+            f"mismatches={len(diff.mismatches)}"
         )
         for detail in diff.mismatches:
             print(f"  {detail}")
@@ -599,7 +582,6 @@ def _cmd_bench(args) -> int:
     )
     report = run_suite(
         quick=args.quick,
-        backend=args.backend,
         workers=args.workers,
         pool=args.pool,
         scenarios=want_scenarios,
@@ -658,8 +640,8 @@ def _cmd_bench(args) -> int:
                 handle.write("\n")
                 kernels_markdown = format_kernels_markdown(report)
                 if kernels_markdown:
-                    # Absolute ns/packet per kernel row: tier-vs-tier
-                    # comparisons survive baseline re-anchoring.
+                    # Absolute ns/packet per kernel row: comparisons
+                    # across revisions survive baseline re-anchoring.
                     handle.write(kernels_markdown)
                     handle.write("\n")
                 if merge_markdown:
@@ -737,7 +719,6 @@ def _cmd_serve(args) -> int:
     service = DetectionService(
         source,
         engine=args.engine,
-        backend=args.backend,
         workers=args.workers,
         pool=args.pool,
         queue_depth=args.queue_depth,

@@ -54,7 +54,7 @@ from repro.controller.aggregate import (
 )
 from repro.core.stats import ScaledStats
 from repro.p4.switch import Digest, PacketContext
-from repro.stat4.batch import BatchEngine, BatchResult, PacketBatch, resolve_backend
+from repro.stat4.batch import BatchEngine, BatchResult, PacketBatch
 from repro.stat4.binding import BindingMatch, binding_key_of
 from repro.stat4.config import DEFAULT_CONFIG, Stat4Config
 from repro.stat4.distributions import DistributionKind, TrackSpec
@@ -76,13 +76,11 @@ class ClusterResult:
             reconstructed.
         per_shard: each shard's :class:`~repro.stat4.batch.BatchResult`,
             keyed by shard index (only shards that received packets appear).
-        backend: the batch backend every shard ran.
     """
 
     packets: int = 0
     digests: List[Tuple[int, Digest]] = field(default_factory=list)
     per_shard: Dict[int, BatchResult] = field(default_factory=dict)
-    backend: str = "python"
 
     @property
     def alerts(self) -> int:
@@ -153,7 +151,6 @@ class ShardedStat4:
         shards: cluster size (≥ 1; 1 degenerates to a plain Stat4).
         config: per-shard register geometry — uniform across the cluster,
             the merge functions require equal cell vector lengths.
-        backend: batch backend for every shard (``auto``/``numpy``/``python``).
         hash_seed: routing seed (see :func:`~repro.cluster.hashing.fnv1a64`).
     """
 
@@ -161,14 +158,12 @@ class ShardedStat4:
         self,
         shards: int,
         config: Stat4Config = DEFAULT_CONFIG,
-        backend: str = "auto",
         hash_seed: int = 0,
     ):
         if shards <= 0:
             raise ValueError(f"shard count must be positive, got {shards}")
         self.shard_count = shards
         self.config = config
-        self.backend = resolve_backend(backend)
         self.hash_seed = hash_seed
         self.nodes: List[Stat4] = [Stat4(config) for _ in range(shards)]
         self.runtimes: List[Stat4Runtime] = [Stat4Runtime(node) for node in self.nodes]
@@ -248,7 +243,7 @@ class ShardedStat4:
         ``ClusterResult`` (packet counts, per-shard results, the
         ``(shard, digest)`` sequence) bit-identical to ``workers=1``.
         """
-        result = ClusterResult(backend=self.backend)
+        result = ClusterResult()
         routed = self.route(batch)
         if workers > 1 and len(routed) > 1:
             from repro.stat4.parallel import _pool
@@ -275,7 +270,7 @@ class ShardedStat4:
 
     def _ingest_shard(self, shard: int, sub_batch: PacketBatch):
         """Run one shard's batched kernels (the unit a worker executes)."""
-        return BatchEngine(self.nodes[shard], backend=self.backend).process(sub_batch)
+        return BatchEngine(self.nodes[shard]).process(sub_batch)
 
     def process(self, ctx: PacketContext) -> int:
         """Scalar path: route one parsed packet to its owner shard.
@@ -337,6 +332,6 @@ class ShardedStat4:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedStat4(shards={self.shard_count}, backend={self.backend!r}, "
+            f"ShardedStat4(shards={self.shard_count}, "
             f"packets={self.packets_routed})"
         )

@@ -53,9 +53,9 @@ class ClusterDeployment:
         digest is pushed out of its switch's CPU port into the simulated
         control channel (run the network to deliver them).
         """
-        result = ClusterResult(backend=self.cluster.backend)
+        result = ClusterResult()
         for shard, sub_batch in self.cluster.route(batch).items():
-            engine = BatchEngine(self.cluster.nodes[shard], backend=self.cluster.backend)
+            engine = BatchEngine(self.cluster.nodes[shard])
             shard_result = self.switches[shard].ingest_batch(sub_batch, engine)
             result.per_shard[shard] = shard_result
             result.packets += shard_result.packets

@@ -97,7 +97,6 @@ def run_multiswitch(
     shards: int = 4,
     seed: int = 0,
     control_delay: float = 0.005,
-    backend: str = "auto",
 ) -> MultiSwitchResult:
     """Run the sharded scenario, the merge, and both detection layers.
 
@@ -109,7 +108,6 @@ def run_multiswitch(
         shards: cluster size.
         seed: shuffles packet interleaving.
         control_delay: controller link delay.
-        backend: batch backend for the shard kernels.
     """
     config = Stat4Config(counter_num=1, counter_size=64, binding_stages=1)
     match = BindingMatch.ipv4_prefix("10.0.0.0", 8)
@@ -130,7 +128,7 @@ def run_multiswitch(
     oracle_runtime = Stat4Runtime(oracle)
     oracle_runtime.bind(0, match, monitor_spec(oracle_runtime))
 
-    cluster = ShardedStat4(shards, config=config, backend=backend)
+    cluster = ShardedStat4(shards, config=config)
     cluster.bind(0, match, monitor_spec(cluster.specs))
     deployment = deploy_cluster(cluster, dist=0, control_delay=control_delay)
 
@@ -146,7 +144,7 @@ def run_multiswitch(
     parser = standard_parser()
     batch = PacketBatch.from_packets(packets, parser, timestamps=timestamps)
 
-    oracle.process_batch(batch, backend=cluster.backend)
+    oracle.process_batch(batch)
     deployment.ingest(batch)
     deployment.network.run()
 

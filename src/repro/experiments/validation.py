@@ -187,13 +187,11 @@ class BatchedValidationResult:
     Attributes:
         packets: echo values fed to both paths.
         batches: chunks the batched side processed.
-        backend: batch backend that ran (``"numpy"`` or ``"python"``).
         mismatches: human-readable differences (empty on success).
     """
 
     packets: int = 0
     batches: int = 0
-    backend: str = "python"
     mismatches: List[str] = field(default_factory=list)
 
     @property
@@ -205,7 +203,6 @@ class BatchedValidationResult:
 def run_validation_batched(
     packets: int = 10_000,
     seed: int = 0,
-    backend: str = "auto",
     batch_size: int = 1024,
     gap: float = 0.0005,
     workers: int = 1,
@@ -244,10 +241,10 @@ def run_validation_batched(
     for ctx in contexts:
         scalar.stat4.process(ctx)
     if workers > 1:
-        engine = ParallelBatchEngine(batched.stat4, backend=backend, workers=workers)
+        engine = ParallelBatchEngine(batched.stat4, workers=workers)
     else:
-        engine = BatchEngine(batched.stat4, backend=backend)
-    result = BatchedValidationResult(packets=packets, backend=engine.backend)
+        engine = BatchEngine(batched.stat4)
+    result = BatchedValidationResult(packets=packets)
     for start in range(0, packets, batch_size):
         engine.process(PacketBatch.from_contexts(contexts[start : start + batch_size]))
         result.batches += 1
@@ -283,7 +280,6 @@ class ShardedValidationResult:
         packets: values fed to both the cluster and the oracle.
         shards: cluster size.
         batches: chunks the cluster ingested.
-        backend: batch backend the shards ran.
         shard_loads: packets each shard received from the key router.
         mismatches: human-readable differences (empty on success).
     """
@@ -291,7 +287,6 @@ class ShardedValidationResult:
     packets: int = 0
     shards: int = 0
     batches: int = 0
-    backend: str = "python"
     shard_loads: List[int] = field(default_factory=list)
     mismatches: List[str] = field(default_factory=list)
 
@@ -305,7 +300,6 @@ def run_validation_sharded(
     packets: int = 10_000,
     shards: int = 4,
     seed: int = 0,
-    backend: str = "auto",
     batch_size: int = 2048,
     gap: float = 0.0005,
     workers: int = 1,
@@ -356,11 +350,9 @@ def run_validation_sharded(
     for ctx in contexts:
         oracle.process(ctx)
 
-    cluster = ShardedStat4(shards, config=config, backend=backend)
+    cluster = ShardedStat4(shards, config=config)
     cluster.bind(0, match, spec)
-    result = ShardedValidationResult(
-        packets=packets, shards=shards, backend=cluster.backend
-    )
+    result = ShardedValidationResult(packets=packets, shards=shards)
     for start in range(0, packets, batch_size):
         cluster.ingest(
             PacketBatch.from_contexts(contexts[start : start + batch_size]),

@@ -135,16 +135,14 @@ def _build_node(
 def _make_engine(
     stat4: Stat4,
     engine: str,
-    backend: str,
     workers: int,
     share_columns: bool,
 ) -> BatchEngine:
     if engine == "scalar":
-        return BatchEngine(stat4, backend=backend)
+        return BatchEngine(stat4)
     if engine == "parallel":
         return ParallelBatchEngine(
             stat4,
-            backend=backend,
             workers=workers,
             executor="process",
             share_columns=share_columns,
@@ -155,7 +153,6 @@ def _make_engine(
 def replay_scenario(
     scenario: LabeledScenario,
     engine: str = "scalar",
-    backend: str = "auto",
     workers: int = 4,
     batch_size: int = BATCH_SIZE,
     share_columns: bool = True,
@@ -169,7 +166,7 @@ def replay_scenario(
     recall and fail the committed floors.
     """
     node, stat4 = _build_node(scenario, detector_overrides)
-    batch_engine = _make_engine(stat4, engine, backend, workers, share_columns)
+    batch_engine = _make_engine(stat4, engine, workers, share_columns)
     digests: List[Any] = []
     parser = standard_parser()
     for batch in scenario.trace.iter_packet_batches(parser, batch_size):
@@ -262,7 +259,6 @@ def score_digests(
 def score_scenario(
     scenario: LabeledScenario,
     engine: str = "scalar",
-    backend: str = "auto",
     workers: int = 4,
     batch_size: int = BATCH_SIZE,
     share_columns: bool = True,
@@ -272,7 +268,6 @@ def score_scenario(
     digests = replay_scenario(
         scenario,
         engine=engine,
-        backend=backend,
         workers=workers,
         batch_size=batch_size,
         share_columns=share_columns,
@@ -289,7 +284,6 @@ def score_scenario(
 
 def run_scenario_suite(
     engine: str = "scalar",
-    backend: str = "auto",
     workers: int = 4,
     names: Optional[Sequence[str]] = None,
     detector_overrides: Optional[Dict[str, Any]] = None,
@@ -305,7 +299,6 @@ def run_scenario_suite(
         score = score_scenario(
             scenario,
             engine=engine,
-            backend=backend,
             workers=workers,
             detector_overrides=detector_overrides,
         )

@@ -166,7 +166,6 @@ class DetectionService:
             :func:`default_config`).
         bindings: ``(stage, match, spec)`` entries (same defaulting).
         engine: ``"scalar"`` or ``"parallel"``.
-        backend: batch backend (``auto``/``numpy``/``python``).
         workers / pool: parallel-engine fan-out shape.
         queue_depth / policy / degraded_after: pipeline knobs (see
             :class:`ServicePipeline`).
@@ -182,7 +181,6 @@ class DetectionService:
         config: Optional[Stat4Config] = None,
         bindings: Optional[Sequence[Tuple[int, BindingMatch, TrackSpec]]] = None,
         engine: str = "scalar",
-        backend: str = "auto",
         workers: int = 4,
         pool: str = "process",
         queue_depth: int = 8,
@@ -207,7 +205,6 @@ class DetectionService:
         self.config = config
         self.name = name
         self.engine_kind = engine
-        self.backend = backend
         self._clock = clock
         self._detector_lock = threading.Lock()
 
@@ -233,11 +230,10 @@ class DetectionService:
         Network().add(self.node)
 
         if engine == "scalar":
-            self.engine: BatchEngine = BatchEngine(self.stat4, backend=backend)
+            self.engine: BatchEngine = BatchEngine(self.stat4)
         elif engine == "parallel":
             self.engine = ParallelBatchEngine(
                 self.stat4,
-                backend=backend,
                 workers=workers,
                 executor=pool,
             )
@@ -349,7 +345,6 @@ class DetectionService:
         payload = self.metrics.snapshot()
         payload["service"] = self.name
         payload["engine"] = self.engine_kind
-        payload["backend"] = getattr(self.engine, "backend", self.backend)
         payload["state"] = self.pipeline.state()
         payload["queue_depth"] = self.pipeline.queue_depth
         payload["alert_cursor"] = self.alerts.cursor

@@ -267,6 +267,13 @@ class _LineSplitter:
             self.pending = b""
         return kept, overlong
 
+    def finish(self) -> List[bytes]:
+        """At end of stream, the unterminated last line as one more line
+        (none if the stream ended on a newline or inside a discarded
+        over-long line, which :meth:`feed` already counted)."""
+        tail, self.pending = self.pending, b""
+        return [tail] if tail else []
+
 
 class FeedSource:
     """A line-delimited TCP feed packed into batches of UDP frames.
@@ -283,10 +290,10 @@ class FeedSource:
     ``timestamp_gap`` past the previous line, so a feed without timestamps
     still drives time-series detectors.  A line that breaks any of these
     rules, or is longer than :data:`MAX_LINE_BYTES`, is counted in
-    :attr:`bad_lines` and skipped; it never reaches the detector.  Batches
-    flush at ``batch_size`` lines or on connection
-    close; iteration ends when a client disconnects (unless
-    ``serve_forever``).
+    :attr:`bad_lines` and skipped; it never reaches the detector.  A last
+    line the client sends without a newline before closing is still a
+    line.  Batches flush at ``batch_size`` lines or on connection close;
+    iteration ends when a client disconnects (unless ``serve_forever``).
     """
 
     def __init__(
@@ -384,10 +391,11 @@ class FeedSource:
                 continue
             except OSError:
                 break
-            if not chunk:
-                break
-            lines, overlong = splitter.feed(chunk)
-            self.bad_lines += overlong
+            if chunk:
+                lines, overlong = splitter.feed(chunk)
+                self.bad_lines += overlong
+            else:
+                lines = splitter.finish()
             for line in lines:
                 if not line.strip():
                     continue
@@ -402,6 +410,8 @@ class FeedSource:
                 if len(frames) >= self.batch_size:
                     yield PacketBatch.from_frames(frames, timestamps, parser)
                     frames, timestamps = [], []
+            if not chunk:
+                break
         if frames:
             yield PacketBatch.from_frames(frames, timestamps, parser)
 

@@ -7,13 +7,7 @@ the configured anomaly checks fire.  Binding tables let a controller retune
 what is tracked at runtime without recompiling.
 """
 
-from repro.stat4.batch import (
-    HAS_NUMPY,
-    BatchEngine,
-    BatchResult,
-    PacketBatch,
-    resolve_backend,
-)
+from repro.stat4.batch import HAS_NUMPY, BatchEngine, BatchResult, PacketBatch
 from repro.stat4.binding import (
     MATCH_ALL,
     TRACK_ACTION,
@@ -38,7 +32,6 @@ __all__ = [
     "split_batch",
     "shutdown_pools",
     "HAS_NUMPY",
-    "resolve_backend",
     "Stat4Config",
     "DEFAULT_CONFIG",
     "Stat4Runtime",

@@ -26,25 +26,20 @@ integer-only semantics are the spec; differential tests enforce equality):
   shape dispatches to (:func:`kernel_of`):
 
   * dense frequency slots with no percentile tracker and no k·σ check use a
-    counting kernel — occurrences are tallied per unique value
-    (``numpy.bincount`` on the numpy backend), folded into the moments with
-    the telescoped :meth:`~repro.core.stats.ScaledStats.observe_frequencies`
-    identity, and the derived measures are synced once per batch (the
-    final lazy-σ value is identical; only *how often* it was recomputed
-    differs);
+    counting kernel — occurrences are tallied per unique value, folded
+    into the moments with the telescoped
+    :meth:`~repro.core.stats.ScaledStats.observe_frequencies` identity, and
+    the derived measures are synced once per batch (the final lazy-σ value
+    is identical; only *how often* it was recomputed differs);
   * tracked frequency slots with no alerts use the same counting kernel for
     cells and moments plus a replay of the exact observe/tick sequence
-    through the tracker — a **vectorized percentile stepper** on the numpy
-    backend: the one-step-per-packet walk of Figure 3 is replayed exactly
-    through a cumulative-count formulation — between position moves the
-    low/high/at counters are affine in the running observation counts, so
-    the next move point is one vectorized compare away (see
-    ``_tracker_walk``);
+    through the slot's own tracker — the one-step-per-packet walk of
+    Figure 3, with the percentile registers synced once per run;
   * time-series slots scan for interval closes with the same
     ``now − start ≥ interval`` float comparison the scalar path evaluates
-    (vectorized on the numpy backend) and sum the in-between values in one
-    step, calling the library's own ``_close_interval`` at each close so
-    window/alert/silent-gap semantics stay byte-for-byte the library's;
+    and sum the in-between values in one step, calling the library's own
+    ``_close_interval`` at each close so window/alert/silent-gap semantics
+    stay byte-for-byte the library's;
   * everything order-dependent — dense frequency with a k·σ check or a
     percentile alert, and hashed sparse slots — runs a generated
     monomorphic per-packet loop (:mod:`repro.stat4.compiled`): the
@@ -53,10 +48,11 @@ integer-only semantics are the spec; differential tests enforce equality):
     (slots hashed once per unique key per run), and the derived-measure
     registers synced once per run.
 
-The numpy backend is optional: ``backend="auto"`` uses numpy when
-importable and falls back to pure Python otherwise.  Both backends run the
-same kernel per shape and are exact; numpy only accelerates counting,
-close-point scans, the percentile walk, and the value gathers.
+The engine is plain Python.  numpy is optional and used only where the
+data is already an array: frame decoding (:mod:`repro.stat4.frames`), the
+encoded column store, the parallel engine's worker-side tally and the bulk
+sparse slot hash.  Each of those picks numpy when it imports and a Python
+loop otherwise; both give the same values.
 :mod:`repro.stat4.parallel` builds a worker-pool execution layer on top of
 this engine (chunk tallies folded through the same
 ``observe_frequencies`` telescoping).
@@ -83,7 +79,7 @@ from repro.stat4.distributions import DistributionKind, KernelShape, TrackSpec
 from repro.stat4.library import Stat4, _to_us
 from repro.traffic.columns import ColumnStore, slice_backing
 
-try:  # pragma: no cover - exercised via both-backend test parametrization
+try:  # pragma: no cover - absence exercised by the no-numpy CI job
     import numpy as _np
 
     HAS_NUMPY = True
@@ -98,7 +94,6 @@ __all__ = [
     "HAS_NUMPY",
     "GENERATED_KERNELS",
     "kernel_of",
-    "resolve_backend",
     "PacketBatch",
     "BatchResult",
     "BatchEngine",
@@ -126,30 +121,8 @@ _KEY_FIELDS = (
 _MISS = object()
 
 
-def resolve_backend(backend: str = "auto") -> str:
-    """Normalize a backend request to ``"numpy"`` or ``"python"``.
-
-    Raises:
-        RuntimeError: if ``"numpy"`` is requested but numpy is not
-            importable.
-        ValueError: on an unknown backend name.
-    """
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy":
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not importable; "
-                "use backend='python' or 'auto'"
-            )
-        return backend
-    if backend == "python":
-        return "python"
-    raise ValueError(f"unknown batch backend {backend!r}")
-
-
 #: Kernels that run a generated per-packet loop (:mod:`repro.stat4.compiled`);
-#: every other kernel is a hand-written vectorised one in this module.
+#: every other kernel is a hand-written batched one in this module.
 GENERATED_KERNELS = ("exact_loop", "sparse_fast")
 
 
@@ -537,16 +510,14 @@ class BatchResult:
             binding-stage-minor).
         kernels: events handled per kernel, keyed by kernel name
             (:func:`kernel_of`: ``frequency_fast`` / ``percentile_fast`` /
-            ``time_series`` for the vectorised kernels, ``exact_loop`` /
+            ``time_series`` for the hand-written kernels, ``exact_loop`` /
             ``sparse_fast`` for the generated loops; the parallel engine
             counts every fanned-out run under ``merge_parallel``).
-        backend: the backend that ran the batch.
     """
 
     packets: int = 0
     digests: List[Digest] = field(default_factory=list)
     kernels: Dict[str, int] = field(default_factory=dict)
-    backend: str = "python"
 
     @property
     def alerts(self) -> int:
@@ -613,14 +584,10 @@ class BatchEngine:
 
     Args:
         stat4: the library instance to drive.
-        backend: ``"auto"`` (numpy when available), ``"numpy"``, or
-            ``"python"``.
     """
 
-    def __init__(self, stat4: Stat4, backend: str = "auto"):
+    def __init__(self, stat4: Stat4):
         self.stat4 = stat4
-        self.backend = resolve_backend(backend)
-        self._np = _np if self.backend == "numpy" else None
         self._library = KernelLibrary(stat4)
 
     # -- entry point ----------------------------------------------------------
@@ -634,7 +601,7 @@ class BatchEngine:
         """
         stat4 = self.stat4
         n = len(batch)
-        result = BatchResult(packets=n, backend=self.backend)
+        result = BatchResult(packets=n)
         if n == 0:
             return result
         stat4.packets_seen += n
@@ -849,7 +816,7 @@ class BatchEngine:
                 observed.append(value)
         state.values_dropped += dropped
         if observed:
-            self._apply_counts(state, self._tally(observed, size))
+            self._apply_counts(state, self._tally(observed))
 
     def _apply_counts(
         self, state, counts: Iterable[Tuple[int, int]]
@@ -885,23 +852,13 @@ class BatchEngine:
                 counters.write(cell, old + repeat)
         stat4._sync_stats(state)
 
-    def _tally(self, observed: List[int], size: int) -> List[Tuple[int, int]]:
+    @staticmethod
+    def _tally(observed: List[int]) -> List[Tuple[int, int]]:
         """``(value, occurrences)`` pairs for in-domain observed values."""
-        if self._np is not None:
-            array = self._np.asarray(observed, dtype=self._np.int64)
-            counts = self._np.bincount(array, minlength=0)
-            nonzero = self._np.nonzero(counts)[0]
-            return [(int(v), int(counts[v])) for v in nonzero]
         tally: Dict[int, int] = {}
         for value in observed:
             tally[value] = tally.get(value, 0) + 1
         return sorted(tally.items())
-
-    #: Vectorized-walk rounds before the percentile stepper falls back to
-    #: the scalar tracker for the rest of the segment.  Each round re-scans
-    #: the remaining tail once, so a pathological trace that moves the
-    #: position on every packet would otherwise cost O(moves · n).
-    _WALK_ROUNDS = 256
 
     def _percentile_kernel(
         self, state, segment: List[_Event], values: Column
@@ -919,9 +876,8 @@ class BatchEngine:
         """Replay a run's observe/tick sequence through the slot's tracker.
 
         Dropped values are excluded entirely and value-free packets tick,
-        precisely the scalar ``_update_frequency`` flow; the walk is
-        :meth:`_tracker_replay` (the vectorized stepper on numpy, the
-        scalar tracker without it).  The percentile registers are synced
+        precisely the scalar ``_update_frequency`` flow, through
+        :meth:`_tracker_replay`.  The percentile registers are synced
         once at the end — same final contents as the scalar per-packet
         ``_sync_percentile`` calls, and written only if the scalar path
         would have synced at least once.
@@ -943,111 +899,6 @@ class BatchEngine:
             stat4.reg_low.write(dist, tracker.low)
             stat4.reg_high.write(dist, tracker.high)
 
-    def _tracker_walk(self, tracker, vals) -> None:
-        """Replay observe/tick events through a tracker, vectorized.
-
-        ``vals`` is an int64 array: a value in ``[0, domain)`` is one
-        ``observe``, ``-1`` is one ``tick``.  The walk is exact because of
-        the cumulative-count formulation of the one-step-per-packet rule:
-        **between moves the position is fixed**, so after each event the
-        low/high/at counters are the segment-start counters plus running
-        counts of events below/above/at the position — affine in three
-        cumulative sums.  The move conditions ``wl·high > wh·(low + at)``
-        and ``wh·low > wl·(high + at)`` (provably never both true: summing
-        them gives ``0 > (wl+wh)·at``) are then evaluated for *every*
-        event of the segment in one vectorized compare; the first trigger
-        is where the scalar walk would have moved, everything before it is
-        absorbed in bulk, the single-unit move is applied, and the scan
-        restarts after the trigger with the new position.
-        """
-        np = self._np
-        n = int(len(vals))
-        obs_mask = vals >= 0
-        pos = tracker._position
-        start = 0
-        if pos is None:
-            if not bool(obs_mask.any()):
-                return  # ticks before any observation are no-ops
-            first = int(np.argmax(obs_mask))
-            pos = int(vals[first])
-            # The first observation's rebalance cannot move (low=high=0).
-            tracker.freqs[pos] += 1
-            start = first + 1
-        freqs = np.asarray(tracker.freqs, dtype=np.int64)
-        low = tracker.low
-        high = tracker.high
-        domain = tracker.domain_size
-        wl = tracker._weight_low
-        wh = tracker._weight_high
-        moves = 0
-        rounds = 0
-        while start < n:
-            if rounds >= self._WALK_ROUNDS:
-                # Heavy-movement tail: write back what is settled and
-                # replay the rest through the scalar tracker — still
-                # exact, without the quadratic re-scan regime.
-                self._tracker_writeback(
-                    tracker, freqs, low, high, pos,
-                    int(obs_mask[:start].sum()), moves,
-                )
-                for v in vals[start:].tolist():
-                    if v < 0:
-                        tracker.tick()
-                    else:
-                        tracker.observe(v)
-                return
-            rounds += 1
-            seg = vals[start:]
-            seg_obs = obs_mask[start:]
-            low_run = low + np.cumsum(seg_obs & (seg < pos))
-            high_run = high + np.cumsum(seg_obs & (seg > pos))
-            at_run = int(freqs[pos]) + np.cumsum(seg == pos)
-            up = wl * high_run > wh * (low_run + at_run)
-            down = wh * low_run > wl * (high_run + at_run)
-            if pos >= domain - 1:
-                up[:] = False
-            if pos <= 0:
-                down[:] = False
-            trigger = up | down
-            if not bool(trigger.any()):
-                absorbed = seg[seg_obs]
-                if len(absorbed):
-                    freqs += np.bincount(absorbed, minlength=domain)
-                low = int(low_run[-1])
-                high = int(high_run[-1])
-                break
-            hit = int(np.argmax(trigger))
-            absorbed = seg[: hit + 1][seg_obs[: hit + 1]]
-            if len(absorbed):
-                freqs += np.bincount(absorbed, minlength=domain)
-            low = int(low_run[hit])
-            high = int(high_run[hit])
-            if bool(up[hit]):
-                low += int(freqs[pos])
-                pos += 1
-                high -= int(freqs[pos])
-            else:
-                high += int(freqs[pos])
-                pos -= 1
-                low -= int(freqs[pos])
-            moves += 1
-            start += hit + 1
-        self._tracker_writeback(
-            tracker, freqs, low, high, pos, int(obs_mask.sum()), moves
-        )
-
-    @staticmethod
-    def _tracker_writeback(
-        tracker, freqs, low: int, high: int, pos: int, observed: int, moves: int
-    ) -> None:
-        """Install the walked state back into the scalar tracker."""
-        tracker.freqs[:] = [int(f) for f in freqs]
-        tracker.low = low
-        tracker.high = high
-        tracker._position = pos
-        tracker.total += observed
-        tracker.moves += moves
-
     def _tracker_replay(self, tracker, events: List[int]) -> bool:
         """Resumable tracker walk over one window of observe/tick events.
 
@@ -1056,9 +907,8 @@ class BatchEngine:
         from whatever entry state the tracker currently holds, so callers
         can chunk a run and walk it window by window (the parallel merge
         engine folds provably-silent chunks through exactly this entry
-        point).  Dispatches to the vectorized :meth:`_tracker_walk` when
-        numpy is available and to the scalar tracker otherwise; both count
-        moves identically.
+        point).  Each event steps the tracker one ``observe`` or ``tick``,
+        exactly as the scalar ``_update_frequency`` does.
         Returns ``True`` when the window requires a position-register
         sync under the serial write gate: an observation landed, or the
         tracker entered the window holding a position and a value-free
@@ -1067,18 +917,14 @@ class BatchEngine:
         if not events:
             return False
         had_value = tracker.has_value
-        observed = sum(1 for value in events if value >= 0)
-        if self._np is not None:
-            self._tracker_walk(
-                tracker, self._np.asarray(events, dtype=self._np.int64)
-            )
-        else:
-            for value in events:
-                if value < 0:
-                    if tracker.has_value:
-                        tracker.tick()
-                else:
-                    tracker.observe(value)
+        observed = 0
+        for value in events:
+            if value < 0:
+                if tracker.has_value:
+                    tracker.tick()
+            else:
+                tracker.observe(value)
+                observed += 1
         return bool(observed or (had_value and len(events) > observed))
 
     def _time_series_kernel(
@@ -1098,16 +944,8 @@ class BatchEngine:
         check, cursor advance, and the silent-gap snap are byte-for-byte
         the library's.  Only the per-packet ``reg_current`` writes are
         coalesced: the register holds the same final value either way.
-
-        On the numpy backend the close search is a galloping block scan:
-        the same ``(ts[k] - start) >= interval`` float subtract-and-compare
-        (both operands are IEEE doubles on either backend), evaluated over
-        doubling-size blocks from the cursor, so each close costs work
-        proportional to its distance from the cursor — never the whole
-        remaining segment, which is the quadratic regime a naive
-        full-tail compare per close would hit when closes are frequent.
-        The list backend keeps the one-pass scalar scan; both take
-        bit-identical close decisions.
+        The close search resumes from the cursor after each close, so the
+        whole segment is scanned once.
         """
         stat4 = self.stat4
         spec = state.spec
@@ -1122,21 +960,13 @@ class BatchEngine:
             stat4.reg_interval_start.write(dist, _to_us(ts[0]))
             state.current_count += counts[0]
             idx = 1
-        tsv = (
-            self._np.asarray(ts, dtype=self._np.float64)
-            if self._np is not None
-            else None
-        )
         while idx < m:
             start = state.interval_start
-            if tsv is not None:
-                j = self._next_close(tsv, start, idx, interval)
-            else:
-                j = -1
-                for k in range(idx, m):
-                    if ts[k] - start >= interval:
-                        j = k
-                        break
+            j = -1
+            for k in range(idx, m):
+                if ts[k] - start >= interval:
+                    j = k
+                    break
             if j < 0:
                 state.current_count += sum(counts[idx:])
                 break
@@ -1149,26 +979,3 @@ class BatchEngine:
             state.current_count += counts[j]
             idx = j + 1
         stat4.reg_current.write(dist, state.current_count)
-
-    def _next_close(self, tsv, start: float, idx: int, interval: float) -> int:
-        """Galloping search for the first ``k >= idx`` closing an interval.
-
-        Evaluates exactly the scalar close predicate —
-        ``(ts[k] - start) >= interval`` as one float64 subtract and
-        compare per element — over blocks that double in size, stopping at
-        the first block containing a hit.  Returns -1 when no event in the
-        tail closes the interval.
-        """
-        np = self._np
-        m = len(tsv)
-        k = idx
-        block = 32
-        while k < m:
-            stop = min(m, k + block)
-            hits = (tsv[k:stop] - start) >= interval
-            first = int(np.argmax(hits))
-            if hits[first]:
-                return k + first
-            k = stop
-            block <<= 1
-        return -1

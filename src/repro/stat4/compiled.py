@@ -19,8 +19,7 @@ accounting) is specialized away, and the source is ``exec``-compiled
 once per ``(shape, constants)``.
 
 The loops run over plain Python ints, so they need no numpy: the
-:class:`KernelLibrary` gathers a run's values into plain lists on every
-backend.  State the scalar library keeps in registers reaches a loop as
+:class:`KernelLibrary` gathers a run's values into plain lists.  State the scalar library keeps in registers reaches a loop as
 the registers' own cell lists, indexed directly: a dense slot's counter
 cells, and a sparse slot's key and count rows, whose probe, claim and
 lightest-cell eviction (``HashedCells.increment``) the sparse loop
@@ -448,7 +447,7 @@ def generate_kernel_source(shape: KernelShape, constants: KernelConstants) -> st
     """The monomorphic kernel source for one shape × constants point.
 
     Raises:
-        ValueError: for a shape the engine runs through a vectorised
+        ValueError: for a shape the engine runs through a hand-written
             kernel (plain tally, tracked-only, time series).
     """
     if shape.kind is DistributionKind.SPARSE_FREQUENCY:

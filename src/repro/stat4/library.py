@@ -134,7 +134,7 @@ class Stat4:
             spec: TrackSpec = entry.params["spec"]
             self._apply(ctx, spec, now)
 
-    def process_batch(self, batch, backend: str = "auto"):
+    def process_batch(self, batch):
         """Apply every binding stage to a whole :class:`PacketBatch`.
 
         The batched fast path: bit-identical register and working state to
@@ -144,7 +144,7 @@ class Stat4:
         """
         from repro.stat4.batch import BatchEngine
 
-        return BatchEngine(self, backend=backend).process(batch)
+        return BatchEngine(self).process(batch)
 
     def _apply(self, ctx: PacketContext, spec: TrackSpec, now: float) -> None:
         state = self._state_for(spec)

@@ -107,7 +107,13 @@ fixpoint check and silence proof read the true serial state.
 
 ``tests/stat4/test_parallel_differential.py`` proves scalar vs threads vs
 shared-memory processes bit-identical — registers, digest order, alert
-counts — for every ``DistributionKind`` on both backends.
+counts — for every ``DistributionKind``, with numpy importable and without.
+
+numpy is optional here too.  It is used only on data that is already an
+array: a worker tallies an int64 chunk with ``numpy.bincount`` and an
+event-ordered timestamp stream is packed as a float64 array.  Without
+numpy both take the ``array``-module and list paths, with the same
+results.
 """
 
 from __future__ import annotations
@@ -144,7 +150,7 @@ from repro.traffic.columns import (
     slice_backing,
 )
 
-try:  # pragma: no cover - exercised via both-backend CI legs
+try:  # pragma: no cover - absence exercised by the no-numpy CI job
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -392,7 +398,6 @@ class ParallelBatchEngine(BatchEngine):
 
     Args:
         stat4: the library instance to drive.
-        backend: kernel backend, as for :class:`BatchEngine`.
         workers: worker count; ``1`` (the default) delegates every batch
             to the serial engine, so ``workers=1`` and ``workers=N`` are
             interchangeable bit for bit.
@@ -422,14 +427,13 @@ class ParallelBatchEngine(BatchEngine):
     def __init__(
         self,
         stat4: Stat4,
-        backend: str = "auto",
         workers: int = 1,
         executor: str = "thread",
         min_chunk: int = 512,
         share_columns: bool = True,
         measure_shipping: bool = False,
     ):
-        super().__init__(stat4, backend=backend)
+        super().__init__(stat4)
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if executor not in _EXECUTOR_KINDS:
@@ -667,7 +671,7 @@ class ParallelBatchEngine(BatchEngine):
             return super().process(batch)
         stat4 = self.stat4
         n = len(batch)
-        result = BatchResult(packets=n, backend=self.backend)
+        result = BatchResult(packets=n)
         stat4.packets_seen += n
         events = self._match(batch)
         sink = _DigestSink()

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.p4.errors import ValueRangeError
 from repro.p4.registers import RegisterArray, RegisterFile
 
-try:  # pragma: no cover - absence exercised on the list backend
+try:  # pragma: no cover - absence exercised by the no-numpy CI job
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None

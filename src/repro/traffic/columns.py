@@ -43,7 +43,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via both CI matrix legs
+try:  # pragma: no cover - absence exercised by the no-numpy CI job
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -163,10 +163,11 @@ def _tolist(backing: Any) -> List[Any]:
     return list(backing)
 
 
-def _raw_bytes(backing: Any) -> bytes:
+def _raw_bytes(backing: Any, dtype: str) -> bytes:
+    """The 8-byte items of a backing array, view or plain list."""
     if hasattr(backing, "tobytes"):
         return backing.tobytes()
-    return bytes(backing)
+    return _array.array(dtype, backing).tobytes()
 
 
 class ColumnStore:
@@ -307,7 +308,7 @@ class SharedColumnSegment:
                         del window
                     else:
                         shm.buf[byte_start : byte_start + length * _ITEM_BYTES] = (
-                            _raw_bytes(backing)
+                            _raw_bytes(backing, dtype)
                         )
                 descriptors[name] = ColumnDescriptor(
                     segment=shm.name, dtype=dtype, start=offset, length=length
@@ -350,7 +351,7 @@ class AttachedColumn:
         from multiprocessing import shared_memory
 
         self._shm = _attach_untracked(shared_memory, descriptor.segment)
-        self._cast: Optional[memoryview] = None
+        self._window: Optional[memoryview] = None
         if _np is not None:
             self.values: Any = _np.frombuffer(
                 self._shm.buf,
@@ -359,9 +360,14 @@ class AttachedColumn:
                 offset=descriptor.start * _ITEM_BYTES,
             )
         else:
-            cast = memoryview(self._shm.buf).cast(descriptor.dtype)
-            self._cast = cast
-            self.values = cast[descriptor.start : descriptor.start + descriptor.length]
+            # Cast only this column's bytes: the whole segment need not be
+            # a multiple of 8 (an empty column's segment is one byte).
+            byte_start = descriptor.start * _ITEM_BYTES
+            window = self._shm.buf[
+                byte_start : byte_start + descriptor.length * _ITEM_BYTES
+            ]
+            self._window = window
+            self.values = window.cast(descriptor.dtype)
 
     def close(self) -> None:
         view = self.values
@@ -369,9 +375,9 @@ class AttachedColumn:
         if isinstance(view, memoryview):
             view.release()
         del view
-        if self._cast is not None:
-            self._cast.release()
-            self._cast = None
+        if self._window is not None:
+            self._window.release()
+            self._window = None
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - caller kept a live view

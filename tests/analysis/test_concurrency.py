@@ -552,7 +552,7 @@ def test_fan_out_has_no_access_conflicts(scenario_name, monkeypatch):
     monkeypatch.setattr(parallel, "_tally_task", traced_task)
 
     engine = ParallelBatchEngine(
-        fanned, backend="python", workers=4, executor="thread", min_chunk=128
+        fanned, workers=4, executor="thread", min_chunk=128
     )
     digests = []
     kernels = {}

@@ -27,7 +27,7 @@ def make_report(revision, speedups=None, cluster=None, scenarios=None):
         "quick": True,
         "kernels": [],
         "experiments": [],
-        "speedups": speedups if speedups is not None else {"k": {"python": 2.0}},
+        "speedups": speedups if speedups is not None else {"k": 2.0},
         "cluster": cluster if cluster is not None else [],
     }
     if scenarios is not None:
@@ -50,19 +50,30 @@ class TestAppendHistory:
         assert index["schema"] == HISTORY_SCHEMA
         assert [run["revision"] for run in index["runs"]] == ["abc1234"]
         assert index["runs"][0]["file"] == "BENCH_abc1234.json"
-        assert index["runs"][0]["speedups"] == {"k": {"python": 2.0}}
+        assert index["runs"][0]["speedups"] == {"k": 2.0}
 
     def test_one_entry_per_revision_latest_wins(self, tmp_path):
         history = str(tmp_path / "history")
-        append_history(make_report("aaa", speedups={"k": {"python": 1.0}}), history)
+        append_history(make_report("aaa", speedups={"k": 1.0}), history)
         append_history(make_report("bbb"), history)
-        append_history(make_report("aaa", speedups={"k": {"python": 9.0}}), history)
+        append_history(make_report("aaa", speedups={"k": 9.0}), history)
         index = load_index(history)
         assert [run["revision"] for run in index["runs"]] == ["aaa", "bbb"]
-        assert index["runs"][0]["speedups"]["k"]["python"] == 9.0
+        assert index["runs"][0]["speedups"]["k"] == 9.0
 
     def test_empty_index_when_missing(self, tmp_path):
         assert load_index(str(tmp_path / "nowhere"))["runs"] == []
+
+    def test_rejects_a_schema_1_index(self, tmp_path):
+        # A /1 index holds two speedups per kernel; it must be refused,
+        # not read as one ratio per kernel.
+        history = tmp_path / "history"
+        history.mkdir()
+        (history / "index.json").write_text(
+            json.dumps({"schema": "repro-bench-history/1", "runs": []})
+        )
+        with pytest.raises(ValueError, match="history/1"):
+            load_index(str(history))
 
     def test_rejects_foreign_schema(self, tmp_path):
         history = tmp_path / "history"
@@ -136,10 +147,10 @@ class TestPreviousReport:
 class TestFormatTrend:
     def test_reports_deltas_and_lifecycle(self):
         previous = make_report(
-            "old", speedups={"k": {"python": 2.0}, "gone_kernel": {"python": 1.0}}
+            "old", speedups={"k": 2.0, "gone_kernel": 1.0}
         )
         current = make_report(
-            "new", speedups={"k": {"python": 3.0}, "fresh_kernel": {"python": 1.5}}
+            "new", speedups={"k": 3.0, "fresh_kernel": 1.5}
         )
         text = format_trend(current, previous)
         assert "trend vs revision old" in text
@@ -198,13 +209,13 @@ def make_baseline(speedups, tolerance=0.2):
 class TestSuggestFloorBumps:
     def test_two_consecutive_big_wins_suggest_half_worst(self):
         suggestions = suggest_floor_bumps(
-            make_report("new", speedups={"k": {"python": 8.0}}),
-            make_report("old", speedups={"k": {"python": 6.0}}),
-            make_baseline({"k": {"python": 1.5}}),
+            make_report("new", speedups={"k": 8.0}),
+            make_report("old", speedups={"k": 6.0}),
+            make_baseline({"k": 1.5}),
         )
         assert len(suggestions) == 1
         s = suggestions[0]
-        assert (s.kernel, s.backend, s.floor) == ("k", "python", 1.5)
+        assert (s.kernel, s.floor) == ("k", 1.5)
         assert (s.current, s.previous) == (8.0, 6.0)
         # Documented refresh rule: half the worst of the two observations.
         assert s.suggested == 3.0
@@ -212,9 +223,9 @@ class TestSuggestFloorBumps:
     def test_one_lucky_run_is_not_enough(self):
         # Previous revision only cleared the floor by 10% — no suggestion.
         suggestions = suggest_floor_bumps(
-            make_report("new", speedups={"k": {"python": 8.0}}),
-            make_report("old", speedups={"k": {"python": 1.65}}),
-            make_baseline({"k": {"python": 1.5}}),
+            make_report("new", speedups={"k": 8.0}),
+            make_report("old", speedups={"k": 1.65}),
+            make_baseline({"k": 1.5}),
         )
         assert suggestions == []
 
@@ -222,17 +233,17 @@ class TestSuggestFloorBumps:
         # Both runs beat a 3.0 floor by >25%, but half the worst (2.0)
         # is below the existing floor — suggesting it would be a downgrade.
         suggestions = suggest_floor_bumps(
-            make_report("new", speedups={"k": {"python": 4.5}}),
-            make_report("old", speedups={"k": {"python": 4.0}}),
-            make_baseline({"k": {"python": 3.0}}),
+            make_report("new", speedups={"k": 4.5}),
+            make_report("old", speedups={"k": 4.0}),
+            make_baseline({"k": 3.0}),
         )
         assert suggestions == []
 
-    def test_unmeasured_backend_skipped(self):
+    def test_unmeasured_kernel_skipped(self):
         suggestions = suggest_floor_bumps(
-            make_report("new", speedups={"k": {"python": 8.0}}),
+            make_report("new", speedups={"k": 8.0}),
             make_report("old", speedups={}),
-            make_baseline({"k": {"python": 1.5, "numpy": 1.5}}),
+            make_baseline({"k": 1.5}),
         )
         assert suggestions == []
 
@@ -246,13 +257,13 @@ class TestSuggestFloorBumps:
         assert format_suggestions([]) == ""
         assert format_suggestions_markdown([]) == ""
         suggestions = suggest_floor_bumps(
-            make_report("new", speedups={"k": {"python": 8.0}}),
-            make_report("old", speedups={"k": {"python": 6.0}}),
-            make_baseline({"k": {"python": 1.5}}),
+            make_report("new", speedups={"k": 8.0}),
+            make_report("old", speedups={"k": 6.0}),
+            make_baseline({"k": 1.5}),
         )
         text = format_suggestions(suggestions)
         assert "advisory" in text
         assert "3.00x" in text
         markdown = format_suggestions_markdown(suggestions)
         assert markdown.startswith("### bench floors ready for a bump")
-        assert "| `k` | python | 1.50x | 6.00x | 8.00x | **3.00x** |" in markdown
+        assert "| `k` | 1.50x | 6.00x | 8.00x | **3.00x** |" in markdown

@@ -33,7 +33,6 @@ def tiny_report():
     # One shared tiny run: 200 packets, 1 repeat, kernels only.
     return run_suite(
         quick=True,
-        backend="python",
         skip_experiments=True,
         packets=200,
         repeats=1,
@@ -71,21 +70,18 @@ class TestRunSuite:
 
     def test_speedups_derived_from_kernel_rows(self, tiny_report):
         speedups = tiny_report["speedups"]
-        for kernel, per_backend in speedups.items():
-            for backend, ratio in per_backend.items():
-                scalar = next(
-                    row["pps"]
-                    for row in tiny_report["kernels"]
-                    if row["name"] == kernel and row["mode"] == "scalar"
-                )
-                batched = next(
-                    row["pps"]
-                    for row in tiny_report["kernels"]
-                    if row["name"] == kernel
-                    and row["mode"] == "batched"
-                    and row["backend"] == backend
-                )
-                assert ratio == pytest.approx(batched / scalar)
+        for kernel, ratio in speedups.items():
+            (scalar,) = [
+                row["pps"]
+                for row in tiny_report["kernels"]
+                if row["name"] == kernel and row["mode"] == "scalar"
+            ]
+            (batched,) = [
+                row["pps"]
+                for row in tiny_report["kernels"]
+                if row["name"] == kernel and row["mode"] == "batched"
+            ]
+            assert ratio == pytest.approx(batched / scalar)
 
     def test_report_round_trips_through_json(self, tiny_report, tmp_path):
         path = write_report(tiny_report, output=str(tmp_path / "bench.json"))
@@ -107,9 +103,8 @@ class TestRunSuite:
         assert "service_throughput" in tiny_report["speedups"]
         section = tiny_report["service"]
         assert section["packets"] == 200
-        for backend, stats in section["backends"].items():
-            assert stats["pps"] > 0, backend
-            assert stats["dropped_batches"] == 0
+        assert section["pps"] > 0
+        assert section["dropped_batches"] == 0
         text = format_report(tiny_report)
         assert "service throughput" in text
 
@@ -123,12 +118,12 @@ class TestRunSuite:
         assert "cluster scaling" in text
 
 
-def make_report(speedups, numpy_version="2.0"):
+def make_report(speedups):
     return {
         "schema": SCHEMA_VERSION,
         "revision": "test",
         "python": "3.x",
-        "numpy": numpy_version,
+        "numpy": "2.0",
         "quick": True,
         "kernels": [],
         "experiments": [],
@@ -143,23 +138,23 @@ def make_baseline(speedups, tolerance=0.2):
 class TestCompareReports:
     def test_above_floor_passes(self):
         rows = compare_reports(
-            make_report({"k": {"python": 3.5}}),
-            make_baseline({"k": {"python": 3.0}}),
+            make_report({"k": 3.5}),
+            make_baseline({"k": 3.0}),
         )
         assert [(r.kernel, r.regressed) for r in rows] == [("k", False)]
 
     def test_within_tolerance_passes(self):
         rows = compare_reports(
-            make_report({"k": {"python": 2.5}}),
-            make_baseline({"k": {"python": 3.0}}),
+            make_report({"k": 2.5}),
+            make_baseline({"k": 3.0}),
             tolerance=0.2,
         )
         assert not rows[0].regressed
 
     def test_below_tolerance_fails(self):
         rows = compare_reports(
-            make_report({"k": {"python": 2.3}}),
-            make_baseline({"k": {"python": 3.0}}),
+            make_report({"k": 2.3}),
+            make_baseline({"k": 3.0}),
             tolerance=0.2,
         )
         assert rows[0].regressed
@@ -168,29 +163,10 @@ class TestCompareReports:
     def test_missing_measurement_fails(self):
         rows = compare_reports(
             make_report({}),
-            make_baseline({"k": {"python": 3.0}}),
+            make_baseline({"k": 3.0}),
         )
         assert rows[0].regressed
         assert rows[0].current is None
-
-    def test_missing_numpy_measurement_skipped_without_numpy(self):
-        rows = compare_reports(
-            make_report({"k": {"python": 3.5}}, numpy_version=None),
-            make_baseline({"k": {"numpy": 3.0, "python": 3.0}}),
-        )
-        by_backend = {r.backend: r for r in rows}
-        assert not by_backend["numpy"].regressed
-        assert by_backend["numpy"].current is None
-        assert not by_backend["python"].regressed
-
-    def test_missing_numpy_measurement_fails_with_numpy(self):
-        # numpy importable but the floor unmeasured: that IS a regression
-        # (the backend silently stopped being benchmarked).
-        rows = compare_reports(
-            make_report({"k": {"python": 3.5}}, numpy_version="2.0"),
-            make_baseline({"k": {"numpy": 3.0}}),
-        )
-        assert rows[0].regressed
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -198,42 +174,33 @@ class TestCompareReports:
 
     def test_delta_table_lists_verdicts(self):
         rows = [
-            ComparisonRow("good", "python", 3.0, 3.6, False),
-            ComparisonRow("bad", "python", 3.0, 1.0, True),
-            ComparisonRow("skipped", "numpy", 3.0, None, False),
+            ComparisonRow("good", 3.0, 3.6, False),
+            ComparisonRow("bad", 3.0, 1.0, True),
+            ComparisonRow("gone", 3.0, None, True),
         ]
         text = format_delta_table(rows)
         assert "ok" in text
         assert "FAIL" in text
-        assert "skipped" in text
-        assert "1 regression(s) detected" in text
+        assert "FAIL (not measured)" in text
+        assert "2 regression(s) detected" in text
 
     def test_measured_without_floor_warns_instead_of_silent_pass(self):
         rows = compare_reports(
-            make_report({"k": {"python": 3.5}, "unbaselined": {"python": 2.0}}),
-            make_baseline({"k": {"python": 3.0}}),
+            make_report({"k": 3.5, "unbaselined": 2.0}),
+            make_baseline({"k": 3.0}),
         )
         warn = [row for row in rows if row.missing_floor]
-        assert [(r.kernel, r.backend) for r in warn] == [("unbaselined", "python")]
+        assert [r.kernel for r in warn] == ["unbaselined"]
         assert not warn[0].regressed
         assert warn[0].baseline is None
         assert warn[0].delta_percent is None
         text = format_delta_table(rows)
         assert "WARN (no baseline floor)" in text
-        assert "unbaselined/python" in text
-
-    def test_missing_backend_floor_also_warns(self):
-        # The kernel has *a* floor, just not for this backend.
-        rows = compare_reports(
-            make_report({"k": {"python": 3.5, "numpy": 4.0}}),
-            make_baseline({"k": {"python": 3.0}}),
-        )
-        warn = [row for row in rows if row.missing_floor]
-        assert [(r.kernel, r.backend) for r in warn] == [("k", "numpy")]
+        assert "missing a committed floor (not gated): unbaselined" in text
 
     def test_missing_floor_never_fails_the_gate(self):
         rows = compare_reports(
-            make_report({"only_measured": {"python": 0.01}}),
+            make_report({"only_measured": 0.01}),
             make_baseline({}),
         )
         assert not any(row.regressed for row in rows)
@@ -243,20 +210,20 @@ class TestCompareReports:
 class TestFormatDeltaMarkdown:
     def test_renders_github_table(self):
         rows = [
-            ComparisonRow("good", "python", 3.0, 3.6, False),
-            ComparisonRow("bad", "python", 3.0, 1.0, True),
-            ComparisonRow("quiet", "numpy", 3.0, None, False),
-            ComparisonRow("unbaselined", "python", None, 2.0, False, True),
+            ComparisonRow("good", 3.0, 3.6, False),
+            ComparisonRow("bad", 3.0, 1.0, True),
+            ComparisonRow("gone", 3.0, None, True),
+            ComparisonRow("unbaselined", None, 2.0, False, True),
         ]
         text = format_delta_markdown(rows, tolerance=0.2)
         assert text.startswith("### perf-smoke")
-        assert "| kernel | backend | floor | current | delta | verdict |" in text
-        assert "| `good` | python | 3.00x | 3.60x | +20% | ✅ ok |" in text
+        assert "| kernel | floor | current | delta | verdict |" in text
+        assert "| `good` | 3.00x | 3.60x | +20% | ✅ ok |" in text
         assert "❌ FAIL" in text
-        assert "➖ skipped" in text
+        assert "❌ FAIL (not measured)" in text
         assert "⚠️ WARN (no baseline floor)" in text
-        assert "1 regression(s) detected" in text
-        assert "unbaselined/python" in text
+        assert "2 regression(s) detected" in text
+        assert "(not gated): unbaselined" in text
 
 
 class TestLoadBaseline:
@@ -270,6 +237,26 @@ class TestLoadBaseline:
         path.write_text(json.dumps({"schema": "nope", "speedups": {}}))
         with pytest.raises(ValueError):
             load_baseline(str(path))
+
+    def test_rejects_a_schema_1_baseline(self, tmp_path):
+        # A /1 baseline (two floors per kernel) must be refused,
+        # not read as one floor per kernel.
+        path = tmp_path / "old.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro-bench-baseline/1",
+                    "speedups": {"k": {"python": 3.0}},
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="baseline/1"):
+            load_baseline(str(path))
+
+    def test_committed_baseline_has_one_floor_per_kernel(self):
+        baseline = load_baseline(str(BASELINE_PATH))
+        for kernel, floor in baseline["speedups"].items():
+            assert isinstance(floor, float) and floor > 0, kernel
 
     def test_rejects_missing_speedups(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -172,7 +172,6 @@ class TestWarningAnnotations:
         rows = [
             ComparisonRow(
                 kernel="fresh_kernel",
-                backend="python",
                 baseline=None,
                 current=2.0,
                 regressed=False,
@@ -182,7 +181,7 @@ class TestWarningAnnotations:
         lines = warning_annotations(rows, "perf-smoke")
         assert len(lines) == 1
         assert lines[0].startswith("::warning title=perf-smoke")
-        assert "fresh_kernel/python" in lines[0]
+        assert "fresh_kernel is measured" in lines[0]
 
     def test_gated_rows_do_not_annotate(self):
         rows = compare_scenario_reports(

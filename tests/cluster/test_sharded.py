@@ -46,8 +46,8 @@ def make_trace(packets=600, seed=0, dst_domain=256):
 CONFIG = Stat4Config(counter_num=2, counter_size=256, binding_stages=1)
 
 
-def build_cluster(shards, backend="python", config=CONFIG):
-    cluster = ShardedStat4(shards, config=config, backend=backend)
+def build_cluster(shards, config=CONFIG):
+    cluster = ShardedStat4(shards, config=config)
     spec = cluster.specs.frequency_of(
         0, ExtractSpec.field("ipv4.dst", mask=0xFF), percent=50
     )
@@ -132,7 +132,7 @@ class TestIngest:
         assert all(load > 0 for load in cluster.shard_loads())
 
     def test_digests_tagged_with_shard(self):
-        cluster = ShardedStat4(4, config=CONFIG, backend="python")
+        cluster = ShardedStat4(4, config=CONFIG)
         spec = cluster.specs.frequency_of(
             0, ExtractSpec.field("ipv4.dst", mask=0xFF), k_sigma=2, min_samples=3
         )

@@ -17,8 +17,8 @@ the :mod:`repro.cluster.sharded` module docstring):
   test asserts the eviction counters stayed zero.
 
 Hypothesis draws the seed; each seed expands deterministically into the
-trace, and every scenario runs against both batch backends and several
-cluster sizes.
+trace, and every scenario runs with numpy's optional array paths on and
+hidden, at several cluster sizes.
 """
 
 import random
@@ -32,7 +32,6 @@ from repro.controller.aggregate import percentile_of_cells
 from repro.p4.packet import HeaderType, ParsedPacket
 from repro.p4.switch import PacketContext, StandardMetadata
 from repro.stat4 import (
-    HAS_NUMPY,
     MATCH_ALL,
     BindingMatch,
     ExtractSpec,
@@ -41,15 +40,7 @@ from repro.stat4 import (
     Stat4Config,
     Stat4Runtime,
 )
-
-BACKENDS = [
-    pytest.param("python", id="python"),
-    pytest.param(
-        "numpy",
-        id="numpy",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed"),
-    ),
-]
+from tests.numpy_paths import NUMPY_MODES, numpy_mode
 
 SHARD_COUNTS = [2, 3, 4, 8]
 
@@ -92,13 +83,14 @@ def single_key_trace(seed, packets=3_000):
     return contexts
 
 
-def ingest_chunked(cluster, contexts, backend, seed):
+def ingest_chunked(cluster, contexts, mode, seed):
     rng = random.Random(seed ^ 0x5A4D)
     index = 0
-    while index < len(contexts):
-        size = rng.randrange(1, 1024)
-        cluster.ingest(PacketBatch.from_contexts(contexts[index : index + size]))
-        index += size
+    with numpy_mode(mode):
+        while index < len(contexts):
+            size = rng.randrange(1, 1024)
+            cluster.ingest(PacketBatch.from_contexts(contexts[index : index + size]))
+            index += size
 
 
 def assert_measures_equal(merged, oracle, dist):
@@ -107,14 +99,14 @@ def assert_measures_equal(merged, oracle, dist):
         assert got == expected[name], f"{name}: merged={got} oracle={expected[name]}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @settings(deadline=None, max_examples=2)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     shards=st.sampled_from(SHARD_COUNTS),
 )
 @example(seed=0, shards=4)
-def test_frequency_merge_equals_oracle(backend, seed, shards):
+def test_frequency_merge_equals_oracle(mode, seed, shards):
     config = Stat4Config(counter_num=2, counter_size=512, binding_stages=1)
     match = BindingMatch(ether_type=0x0800)
 
@@ -131,9 +123,9 @@ def test_frequency_merge_equals_oracle(backend, seed, shards):
     for ctx in contexts:
         oracle.process(ctx)
 
-    cluster = ShardedStat4(shards, config=config, backend=backend)
+    cluster = ShardedStat4(shards, config=config)
     cluster.bind(0, match, spec)
-    ingest_chunked(cluster, contexts, backend, seed)
+    ingest_chunked(cluster, contexts, mode, seed)
 
     merged = cluster.merged(0)
     assert merged.exact
@@ -143,14 +135,14 @@ def test_frequency_merge_equals_oracle(backend, seed, shards):
     assert sum(cluster.shard_loads()) == len(contexts)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @settings(deadline=None, max_examples=2)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     shards=st.sampled_from(SHARD_COUNTS),
 )
 @example(seed=0, shards=4)
-def test_time_series_merge_equals_oracle(backend, seed, shards):
+def test_time_series_merge_equals_oracle(mode, seed, shards):
     config = Stat4Config(counter_num=2, counter_size=64, binding_stages=1)
 
     def build_spec(runtime):
@@ -165,9 +157,9 @@ def test_time_series_merge_equals_oracle(backend, seed, shards):
         oracle.process(ctx)
         ctx.digests.clear()  # contexts are shared with the cluster side
 
-    cluster = ShardedStat4(shards, config=config, backend=backend)
+    cluster = ShardedStat4(shards, config=config)
     cluster.bind(0, MATCH_ALL, build_spec(cluster.specs))
-    ingest_chunked(cluster, contexts, backend, seed)
+    ingest_chunked(cluster, contexts, mode, seed)
 
     # All packets share one binding key, so exactly one shard saw traffic.
     assert sorted(cluster.shard_loads(), reverse=True)[1:] == [0] * (shards - 1)
@@ -177,14 +169,14 @@ def test_time_series_merge_equals_oracle(backend, seed, shards):
     assert_measures_equal(merged, oracle, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @settings(deadline=None, max_examples=2)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     shards=st.sampled_from(SHARD_COUNTS),
 )
 @example(seed=0, shards=4)
-def test_sparse_merge_equals_oracle(backend, seed, shards):
+def test_sparse_merge_equals_oracle(mode, seed, shards):
     # 24 distinct keys against 64 slots × 2 stages: evictions cannot occur,
     # so the merge's exactness condition holds by construction.
     config = Stat4Config(
@@ -199,9 +191,9 @@ def test_sparse_merge_equals_oracle(backend, seed, shards):
     for ctx in contexts:
         oracle.process(ctx)
 
-    cluster = ShardedStat4(shards, config=config, backend=backend)
+    cluster = ShardedStat4(shards, config=config)
     cluster.bind(0, match, spec)
-    ingest_chunked(cluster, contexts, backend, seed)
+    ingest_chunked(cluster, contexts, mode, seed)
 
     assert oracle.sparse_cells[0].evictions == 0
     merged = cluster.merged(0)

@@ -9,7 +9,7 @@ from tests.cluster.test_sharded import CONFIG, make_ctx, make_trace
 
 
 def build_deployed(shards=4, with_measures=True, **kwargs):
-    cluster = ShardedStat4(shards, config=CONFIG, backend="python")
+    cluster = ShardedStat4(shards, config=CONFIG)
     spec = cluster.specs.frequency_of(
         0, ExtractSpec.field("ipv4.dst", mask=0xFF), percent=50
     )
@@ -50,7 +50,7 @@ class TestCollect:
         deployment.ingest(PacketBatch.from_contexts(contexts))
         deployment.network.run()
 
-        reference = ShardedStat4(4, config=CONFIG, backend="python")
+        reference = ShardedStat4(4, config=CONFIG)
         spec = reference.specs.frequency_of(
             0, ExtractSpec.field("ipv4.dst", mask=0xFF), percent=50
         )
@@ -86,7 +86,7 @@ class TestCollect:
             deployment.controller.merged_measures()
 
     def test_digests_ride_the_control_channel(self):
-        cluster = ShardedStat4(4, config=CONFIG, backend="python")
+        cluster = ShardedStat4(4, config=CONFIG)
         spec = cluster.specs.frequency_of(
             0, ExtractSpec.field("ipv4.dst", mask=0xFF), k_sigma=2, min_samples=3
         )

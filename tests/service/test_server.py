@@ -66,16 +66,19 @@ class HoldOpenSource:
     """Yields the scenario's batches, then idles until released.
 
     Keeps a finite replay 'live' so HTTP assertions can run against a
-    ready server instead of racing the drain.
+    ready server instead of racing the drain.  ``idle`` is set once the
+    last batch has been yielded.
     """
 
     def __init__(self, name="volumetric_flood"):
         self.scenario = build_scenario(name)
         self.gate = threading.Event()
+        self.idle = threading.Event()
         self._inner = ScenarioSource(name)
 
     def __iter__(self):
         yield from self._inner
+        self.idle.set()
         self.gate.wait(DEADLINE)
 
     def release(self):
@@ -184,8 +187,15 @@ class TestHttpEndpoints:
     def test_keep_alive_requests_are_not_delayed(self, live_service):
         # Headers and body go out as two writes; with Nagle's algorithm on,
         # each keep-alive response body waits for the client's delayed ACK
-        # (~40 ms per request on Linux loopback).
-        service, _source = live_service
+        # (~40 ms per request on Linux loopback).  The requests are timed
+        # once the replay is over and every packet is applied, so ingest
+        # work holding the GIL cannot stand in for that delay.
+        service, source = live_service
+        assert source.idle.wait(DEADLINE)
+        assert wait_for(
+            lambda: service.metrics.snapshot()["packets"]
+            == len(source.scenario.trace)
+        )
         host, port = service.address
         connection = http.client.HTTPConnection(host, port, timeout=10.0)
         try:

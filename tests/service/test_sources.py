@@ -268,6 +268,39 @@ class TestFeedSource:
         assert len(pending) > 1
         assert max(pending) <= MAX_LINE_BYTES
 
+    def _feed_raw(self, payload, batch_size=8):
+        """Send ``payload`` as-is, close, and return the feed's batches."""
+        feed = FeedSource(batch_size=batch_size)
+
+        def send():
+            with socket.create_connection(feed.address, timeout=5.0) as conn:
+                conn.sendall(payload)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            batches = list(feed)
+        finally:
+            sender.join(timeout=10.0)
+            feed.close()
+        return feed, batches
+
+    def test_unterminated_last_line_is_applied(self):
+        first = json.dumps({"dst": "10.0.0.1", "ts": 0.5}).encode()
+        last = json.dumps({"dst": "10.0.0.2", "ts": 0.75}).encode()
+        feed, batches = self._feed_raw(first + b"\n" + last)
+        assert feed.bad_lines == 0
+        (batch,) = batches
+        assert batch.raw_column("ipv4.dst") == [0x0A000001, 0x0A000002]
+        assert batch.timestamps == [0.5, 0.75]
+
+    def test_unterminated_malformed_last_line_is_counted(self):
+        first = json.dumps({"dst": "10.0.0.1", "ts": 0.5}).encode()
+        feed, batches = self._feed_raw(first + b'\n{"dst": "10.0.0.2", "ts"')
+        assert feed.bad_lines == 1
+        (batch,) = batches
+        assert batch.raw_column("ipv4.dst") == [0x0A000001]
+
     def test_line_splitter_counts_each_overlong_line_once(self):
         splitter = sources._LineSplitter()
         longest = b"a" * MAX_LINE_BYTES
@@ -280,6 +313,13 @@ class TestFeedSource:
         assert splitter.feed(b"e" * 100_000) == ([], 0)
         assert splitter.feed(b"f\ng\nh") == ([b"g"], 0)
         assert splitter.pending == b"h"
+        # At end of stream the unterminated tail is one more line.
+        assert splitter.finish() == [b"h"]
+        # A stream that ends inside a discarded over-long line has no tail
+        # left: that line was counted once already.
+        cut = sources._LineSplitter()
+        assert cut.feed(b"i" * (MAX_LINE_BYTES + 1)) == ([], 1)
+        assert cut.finish() == []
 
     def test_lines_pack_the_udp_to_frame(self):
         feed = FeedSource()

@@ -1,10 +1,10 @@
 """Differential tests: batched ingestion is bit-identical to the scalar path.
 
 The tentpole guarantee of :mod:`repro.stat4.batch`: for any trace, feeding
-it through :class:`BatchEngine` (in arbitrary chunk sizes, on either
-backend) leaves *exactly* the state the scalar ``Stat4.process`` loop
-leaves — every register cell, every working-state field, every digest in
-the same order with the same fields.  Hypothesis generates the traces; a
+it through :class:`BatchEngine` (in arbitrary chunk sizes, with numpy's
+optional array paths on or hidden) leaves *exactly* the state the scalar
+``Stat4.process`` loop leaves — every register cell, every working-state
+field, every digest in the same order with the same fields.  Hypothesis generates the traces; a
 seed expands deterministically into a ≥10k-packet mixture of matching,
 non-matching, value-free and out-of-domain packets for every
 DistributionKind.
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.p4.packet import HeaderType, ParsedPacket
 from repro.p4.switch import PacketContext, StandardMetadata
 from repro.stat4 import (
-    HAS_NUMPY,
     BatchEngine,
     BindingMatch,
     ExtractSpec,
@@ -35,15 +34,7 @@ from repro.stat4 import (
     Stat4Config,
     Stat4Runtime,
 )
-
-BACKENDS = [
-    pytest.param("python", id="python"),
-    pytest.param(
-        "numpy",
-        id="numpy",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed"),
-    ),
-]
+from tests.numpy_paths import NUMPY_MODES, numpy_mode
 
 TRACE_PACKETS = 10_000
 
@@ -114,8 +105,9 @@ def process_scalar(stat4, contexts):
     return digests
 
 
-def process_batched(stat4, contexts, backend, seed):
-    return feed_batches(BatchEngine(stat4, backend=backend), contexts, seed)
+def process_batched(stat4, contexts, mode, seed):
+    with numpy_mode(mode):
+        return feed_batches(BatchEngine(stat4), contexts, seed)
 
 
 def feed_batches(engine, contexts, seed):
@@ -222,12 +214,11 @@ def _frequency_scenario():
 
 @scenario("percentile")
 def _percentile_scenario():
-    """Tracked median, no alerts — the vectorized-stepper eligible path.
+    """Tracked median, no alerts — the ``percentile_fast`` kernel.
 
-    Both backends run ``_percentile_kernel`` (counting kernel plus a
-    tracker replay): the vectorized ``_tracker_walk`` on numpy, the
-    scalar tracker on python.  Both must land on the scalar tracker state
-    bit for bit.
+    ``_percentile_kernel`` runs the counting kernel, then replays the
+    run's observe/tick sequence through the slot's tracker; it must land
+    on the scalar tracker state bit for bit.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)
@@ -364,25 +355,25 @@ def _sparse_scenario():
     return stat4
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @settings(deadline=None, max_examples=2)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=0)
-def test_batched_equals_scalar(scenario_name, backend, seed):
+def test_batched_equals_scalar(scenario_name, mode, seed):
     contexts = generate_trace(seed)
     scalar = SCENARIOS[scenario_name]()
     batched = SCENARIOS[scenario_name]()
     scalar_digests = process_scalar(scalar, contexts)
-    batched_digests = process_batched(batched, contexts, backend, seed)
+    batched_digests = process_batched(batched, contexts, mode, seed)
     assert_equal_state(scalar, batched, scalar_digests, batched_digests)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @settings(deadline=None, max_examples=3)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=7)
-def test_two_stages_feeding_one_slot_ping_pong(backend, seed):
+def test_two_stages_feeding_one_slot_ping_pong(mode, seed):
     """Two stages with *different* specs on the same dist repurpose the slot
     on every packet — the hardest ordering case for the batch partitioner."""
 
@@ -400,15 +391,15 @@ def test_two_stages_feeding_one_slot_ping_pong(backend, seed):
     scalar = build()
     batched = build()
     scalar_digests = process_scalar(scalar, contexts)
-    batched_digests = process_batched(batched, contexts, backend, seed)
+    batched_digests = process_batched(batched, contexts, mode, seed)
     assert_equal_state(scalar, batched, scalar_digests, batched_digests)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @settings(deadline=None, max_examples=3)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=3)
-def test_two_stages_two_slots(backend, seed):
+def test_two_stages_two_slots(mode, seed):
     """The case-study shape: stage 0 tracks a rate, stage 1 the spread."""
 
     def build():
@@ -427,7 +418,7 @@ def test_two_stages_two_slots(backend, seed):
     scalar = build()
     batched = build()
     scalar_digests = process_scalar(scalar, contexts)
-    batched_digests = process_batched(batched, contexts, backend, seed)
+    batched_digests = process_batched(batched, contexts, mode, seed)
     assert_equal_state(scalar, batched, scalar_digests, batched_digests)
 
 
@@ -447,14 +438,14 @@ SPARSE_GEOMETRIES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @pytest.mark.parametrize("k_sigma", [0, 2], ids=["counting", "alerting"])
 @pytest.mark.parametrize("stages, slots, width, mask", SPARSE_GEOMETRIES)
 @settings(deadline=None, max_examples=2)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=11)
 def test_inlined_sparse_table_across_a_rebind(
-    stages, slots, width, mask, k_sigma, backend, seed
+    stages, slots, width, mask, k_sigma, mode, seed
 ):
     """The generated sparse loop probes, claims and evicts over the rows'
     cell lists.  Halfway through, the slot is rebound with the other
@@ -483,15 +474,17 @@ def test_inlined_sparse_table_across_a_rebind(
     half = len(contexts) // 2
     scalar, scalar_rt, scalar_handle = build()
     batched, batched_rt, batched_handle = build()
-    engine = BatchEngine(batched, backend=backend)
+    engine = BatchEngine(batched)
     scalar_digests = process_scalar(scalar, contexts[:half])
-    batched_digests = feed_batches(engine, contexts[:half], seed)
+    with numpy_mode(mode):
+        batched_digests = feed_batches(engine, contexts[:half], seed)
     assert batched.sparse_cells[0].evictions > 0
     changed = replace(scalar_handle.spec, k_sigma=2 - k_sigma)
     scalar_rt.rebind(scalar_handle, spec=changed)
     batched_rt.rebind(batched_handle, spec=changed)
     scalar_digests += process_scalar(scalar, contexts[half:])
-    batched_digests += feed_batches(engine, contexts[half:], seed + 1)
+    with numpy_mode(mode):
+        batched_digests += feed_batches(engine, contexts[half:], seed + 1)
     assert_equal_state(scalar, batched, scalar_digests, batched_digests)
 
 
@@ -500,8 +493,8 @@ def test_inlined_sparse_table_across_a_rebind(
 WIDE_ETH = HeaderType("ethernet", [("ether_type", 16), ("src", 64)])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sparse_keys_wider_than_the_key_row(backend):
+@pytest.mark.parametrize("mode", NUMPY_MODES)
+def test_sparse_keys_wider_than_the_key_row(mode):
     """A stored key (key + 1) wraps to the key row's 33 bits on write but
     is compared unwrapped, so a key of ``2**33 - 1`` or more never matches
     its own slot, and ``2**33 - 1`` itself stores as empty; the inlined
@@ -539,6 +532,6 @@ def test_sparse_keys_wider_than_the_key_row(backend):
     scalar = build()
     batched = build()
     scalar_digests = process_scalar(scalar, contexts)
-    batched_digests = process_batched(batched, contexts, backend, seed=17)
+    batched_digests = process_batched(batched, contexts, mode, seed=17)
     assert batched.sparse_cells[0].evictions > 0
     assert_equal_state(scalar, batched, scalar_digests, batched_digests)

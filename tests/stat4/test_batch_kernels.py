@@ -1,9 +1,9 @@
 """Unit tests for the batched fast path's moving parts.
 
 The differential suite (test_batch_differential.py) proves whole-trace
-bit-identity; these tests pin the individual mechanisms — backend
-resolution, the telescoped frequency identity, the counter-wrap guard,
-batch construction, and the integration hooks on trace/switch/library.
+bit-identity; these tests pin the individual mechanisms — the telescoped
+frequency identity, the counter-wrap guard, the tracker walk, batch
+construction, and the integration hooks on trace/switch/library.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.p4.packet import Packet
 from repro.p4.parser import standard_parser
 from repro.p4.switch import CPU_PORT
 from repro.stat4 import (
-    HAS_NUMPY,
     BatchEngine,
     BindingMatch,
     ExtractSpec,
@@ -28,8 +27,6 @@ from repro.stat4 import (
     Stat4Config,
     Stat4Runtime,
 )
-from repro.stat4 import batch as batch_module
-from repro.stat4.batch import resolve_backend
 from repro.traffic.builders import udp_to
 from repro.traffic.trace import PacketTrace, TraceRecord
 from tests.stat4.conftest import make_ctx, udp_packet
@@ -63,31 +60,6 @@ def contexts_for(dsts, gap=0.001):
     ]
 
 
-class TestBackendResolution:
-    def test_python_always_available(self):
-        assert resolve_backend("python") == "python"
-
-    def test_auto_picks_best(self):
-        assert resolve_backend("auto") == ("numpy" if HAS_NUMPY else "python")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    def test_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "HAS_NUMPY", False)
-        with pytest.raises(RuntimeError):
-            resolve_backend("numpy")
-
-    def test_auto_without_numpy_falls_back(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "HAS_NUMPY", False)
-        assert resolve_backend("auto") == "python"
-
-    def test_engine_records_backend(self):
-        stat4 = freq_stat4()
-        assert BatchEngine(stat4, backend="python").backend == "python"
-
-
 class TestObserveFrequencies:
     def test_matches_repeated_single_observations(self):
         for old, repeat in [(0, 1), (0, 7), (3, 1), (5, 12), (100, 3)]:
@@ -113,7 +85,7 @@ class TestObserveFrequencies:
 class TestFrequencyKernel:
     def test_fast_kernel_used_for_plain_spec(self):
         stat4 = freq_stat4()
-        result = BatchEngine(stat4, backend="python").process(
+        result = BatchEngine(stat4).process(
             PacketBatch.from_contexts(contexts_for([1, 2, 1, 3]))
         )
         assert result.kernels.get("frequency_fast") == 4
@@ -121,7 +93,7 @@ class TestFrequencyKernel:
 
     def test_exact_loop_used_for_alerting_spec(self):
         stat4 = freq_stat4(k_sigma=2)
-        result = BatchEngine(stat4, backend="python").process(
+        result = BatchEngine(stat4).process(
             PacketBatch.from_contexts(contexts_for([1, 2, 1, 3]))
         )
         assert result.kernels.get("exact_loop") == 4
@@ -136,7 +108,7 @@ class TestFrequencyKernel:
         for ctx in contexts:
             scalar.process(ctx)
             ctx.digests.clear()
-        BatchEngine(batched, backend="python").process(
+        BatchEngine(batched).process(
             PacketBatch.from_contexts(contexts)
         )
         for reg_a, reg_b in zip(scalar.registers, batched.registers):
@@ -154,55 +126,59 @@ class TestFrequencyKernel:
         for ctx in contexts:
             scalar.process(ctx)
             ctx.digests.clear()
-        BatchEngine(batched, backend="python").process(
+        BatchEngine(batched).process(
             PacketBatch.from_contexts(contexts)
         )
         assert scalar.state_of(0).values_dropped == 3
         assert batched.state_of(0).values_dropped == 3
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestTrackerWalk:
-    """The vectorized percentile stepper replays Fig. 3 exactly.
+    """The engine's tracker walk replays Fig. 3 exactly.
 
-    ``_tracker_walk`` consumes a whole event stream (values, or -1 for a
-    value-free tick) in vectorized rounds; the oracle is the scalar
-    tracker driven one ``observe``/``tick`` at a time.  Small domains
-    force the 0 and domain-1 boundary clamps; extreme percentiles skew
-    the move weights; a 1-round cap forces the scalar-replay fallback.
+    ``_tracker_replay`` steps a tracker through a window of events (a
+    value observes, -1 is a value-free tick) from whatever state it holds.
+    The oracle is the scalar ``_update_frequency`` flow driven one packet
+    at a time: observe every value, tick only a tracker that already holds
+    a position, and sync the percentile registers if either happened.
+    Small domains force the 0 and domain-1 boundary clamps; extreme
+    percentiles skew the move weights.
     """
 
     @staticmethod
     def replay_scalar(events, domain, percent):
         tracker = PercentileTracker(domain, percent)
+        synced = False
         for event in events:
-            if event < 0:
-                tracker.tick()
-            else:
+            if event >= 0:
                 tracker.observe(event)
-        return tracker
+                synced = True
+            elif tracker.has_value:
+                tracker.tick()
+                synced = True
+        return tracker, synced
 
     @staticmethod
-    def walk_vectorized(events, domain, percent, walk_rounds=None):
-        engine = BatchEngine(freq_stat4(), backend="numpy")
-        if walk_rounds is not None:
-            engine._WALK_ROUNDS = walk_rounds  # shadow the class cap
+    def walk_windows(events, domain, percent, cuts=()):
+        """Replay ``events`` window by window, split at ``cuts``."""
+        engine = BatchEngine(freq_stat4())
         tracker = PercentileTracker(domain, percent)
-        engine._tracker_walk(
-            tracker, engine._np.asarray(events, dtype=engine._np.int64)
-        )
-        return tracker
+        bounds = [0, *sorted(cuts), len(events)]
+        synced = False
+        for start, stop in zip(bounds, bounds[1:]):
+            synced |= engine._tracker_replay(tracker, events[start:stop])
+        return tracker, synced
 
-    def assert_same(self, events, domain, percent, walk_rounds=None):
-        scalar = self.replay_scalar(events, domain, percent)
-        vectorized = self.walk_vectorized(events, domain, percent, walk_rounds)
-        assert vectorized.freqs == scalar.freqs
+    def assert_same(self, events, domain, percent, cuts=()):
+        scalar, scalar_synced = self.replay_scalar(events, domain, percent)
+        walked, walked_synced = self.walk_windows(events, domain, percent, cuts)
+        assert walked.freqs == scalar.freqs
         assert (
-            vectorized.low,
-            vectorized.high,
-            vectorized.total,
-            vectorized.moves,
-            vectorized._position,
+            walked.low,
+            walked.high,
+            walked.total,
+            walked.moves,
+            walked._position,
         ) == (
             scalar.low,
             scalar.high,
@@ -210,6 +186,7 @@ class TestTrackerWalk:
             scalar.moves,
             scalar._position,
         )
+        assert walked_synced == scalar_synced
 
     @settings(deadline=None, max_examples=120)
     @given(
@@ -230,18 +207,23 @@ class TestTrackerWalk:
         percent=st.sampled_from([1, 50, 99]),
         data=st.data(),
     )
-    def test_round_cap_fallback_matches(self, percent, data):
-        # A cap of 1 round means almost every stream bails into the
-        # scalar-replay tail after the first move — the writeback at the
-        # handoff point must leave the tracker mid-walk consistent.
+    def test_windowed_walk_matches_one_pass(self, percent, data):
+        # The parallel merge folds a run chunk by chunk through this same
+        # entry point: resuming at any cut must land where one pass does,
+        # and a tick-only window after the first value still syncs.
         events = data.draw(
             st.lists(st.integers(min_value=-1, max_value=5), max_size=80)
         )
-        self.assert_same(events, 6, percent, walk_rounds=1)
+        cuts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(events)), max_size=4)
+        )
+        self.assert_same(events, 6, percent, cuts)
 
     def test_empty_and_tick_only_streams(self):
         self.assert_same([], 4, 50)
         self.assert_same([-1, -1, -1], 4, 50)  # ticks before any value: no-op
+        assert self.walk_windows([-1, -1], 4, 50)[1] is False
+        assert self.walk_windows([3, -1], 4, 50, cuts=[1])[1] is True
 
     def test_alternating_extremes_pin_boundaries(self):
         # Heavy mass at both ends drags the position into the clamps.
@@ -340,7 +322,7 @@ class TestSwitchNodeIngestBatch:
         from repro.traffic.builders import echo_frame
 
         bundle, net, switch, collector = self.build()
-        engine = BatchEngine(bundle.stat4, backend="python")
+        engine = BatchEngine(bundle.stat4)
         parser = bundle.program.parser
         # A heavy repeat of one value raises the echo app's k-sigma digest.
         packets = [echo_frame(7, created_at=i * 0.001) for i in range(64)]
@@ -355,7 +337,7 @@ class TestSwitchNodeIngestBatch:
     def test_process_batch_convenience(self):
         stat4 = freq_stat4()
         result = stat4.process_batch(
-            PacketBatch.from_contexts(contexts_for([1, 2, 3])), backend="python"
+            PacketBatch.from_contexts(contexts_for([1, 2, 3]))
         )
         assert result.packets == 3
         assert stat4.packets_seen == 3

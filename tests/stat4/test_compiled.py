@@ -2,16 +2,16 @@
 
 Bit-identity of every kernel against the scalar oracle is pinned by the
 hypothesis differentials (``test_batch_differential`` for the serial
-engine, ``test_parallel_differential`` for both pool types, each on the
-numpy and python backends).  This module covers what those sweeps cannot
-see:
+engine, ``test_parallel_differential`` for both pool types, each with
+numpy's optional array paths on and hidden).  This module covers what
+those sweeps cannot see:
 
 - every constructible shape runs the one kernel its dispatch names (the
-  ``BatchResult.kernels`` counter), on both backends;
+  ``BatchResult.kernels`` counter);
 - the generated sources the lint audits are exactly the shapes that
   dispatch to a generated kernel;
 - a batch engine with every shape bound imports no ``repro.analysis``
-  module (checked in a fresh interpreter);
+  module (checked in a fresh interpreter, with and without numpy);
 - ``Stat4Runtime.rebind`` mints a new binding generation, which misses
   the kernel cache and recompiles, and the recompiled kernel stays exact;
 - the kernel cache stays bounded under eviction pressure.
@@ -33,16 +33,13 @@ from repro.stat4 import (
     Stat4Config,
     Stat4Runtime,
 )
-from repro.stat4.batch import HAS_NUMPY
-
+from tests.numpy_paths import NUMPY_MODES
 from tests.stat4.test_batch_differential import (
     MATCH_ALL,
     assert_equal_state,
     generate_trace,
     process_scalar,
 )
-
-BACKENDS = ("numpy", "python") if HAS_NUMPY else ("python",)
 
 PACKETS = 1_500
 
@@ -121,7 +118,7 @@ SHAPE_BUILDERS = {
 }
 
 
-#: The one kernel each shape runs, on either backend.
+#: The one kernel each shape runs.
 EXPECTED_KERNELS = {
     "frequency": "frequency_fast",
     "frequency+alerting": "exact_loop",
@@ -152,12 +149,10 @@ def test_every_shape_takes_its_kernel(shape_key):
     contexts = generate_trace(7, packets=PACKETS)
     scalar, _, _ = SHAPE_BUILDERS[shape_key]()
     scalar_digests = process_scalar(scalar, contexts)
-    for backend in BACKENDS:
-        batched, _, _ = SHAPE_BUILDERS[shape_key]()
-        engine = BatchEngine(batched, backend=backend)
-        result = engine.process(PacketBatch.from_contexts(contexts))
-        assert set(result.kernels) == {EXPECTED_KERNELS[shape_key]}, backend
-        assert_equal_state(scalar, batched, scalar_digests, list(result.digests))
+    batched, _, _ = SHAPE_BUILDERS[shape_key]()
+    result = BatchEngine(batched).process(PacketBatch.from_contexts(contexts))
+    assert set(result.kernels) == {EXPECTED_KERNELS[shape_key]}
+    assert_equal_state(scalar, batched, scalar_digests, list(result.digests))
 
 
 def test_reference_sources_are_the_generated_dispatch_shapes():
@@ -172,10 +167,20 @@ def test_reference_sources_are_the_generated_dispatch_shapes():
 
 
 #: Binds every constructible shape on its own slot and stage, runs one
-#: batch, and reports which ``repro.analysis`` modules got imported.
+#: batch, and reports which ``repro.analysis`` modules got imported.  In
+#: ``python`` mode an import hook makes numpy unimportable first.
 _IMPORT_PROBE = textwrap.dedent(
     """
     import sys
+
+    class HideNumpy:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "numpy":
+                raise ModuleNotFoundError("numpy is hidden", name="numpy")
+            return None
+
+    if sys.argv[1] == "python":
+        sys.meta_path.insert(0, HideNumpy())
 
     from repro.stat4 import (
         MATCH_ALL, BatchEngine, ExtractSpec, PacketBatch, Stat4, Stat4Config,
@@ -210,20 +215,21 @@ _IMPORT_PROBE = textwrap.dedent(
         keys=[(0x0800, i % 97, 6, 0) for i in range(n)],
         columns={"ipv4.dst": [(i * 7919) % 4099 for i in range(n)]},
     )
-    result = BatchEngine(stat4, backend=sys.argv[1]).process(batch)
+    result = BatchEngine(stat4).process(batch)
     assert len(result.kernels) == 5, result.kernels
+    assert ("numpy" in sys.modules) == (sys.argv[1] == "numpy")
     print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
     """
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_engine_path_does_not_import_the_analyzer(backend):
+@pytest.mark.parametrize("mode", NUMPY_MODES)
+def test_engine_path_does_not_import_the_analyzer(mode):
     # Every engine builds the kernel library; importing the analyzer on
     # that path would land in every service's start-up time and memory.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, backend],
+        [sys.executable, "-c", _IMPORT_PROBE, mode],
         capture_output=True,
         text=True,
         env=env,

@@ -13,8 +13,8 @@ import pytest
 from repro.p4.switch import Digest
 from repro.stat4 import PacketBatch, ParallelBatchEngine, split_batch
 from repro.stat4.batch import _DigestSink
+from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.test_batch_differential import (
-    BACKENDS,
     SCENARIOS,
     generate_trace,
     process_scalar,
@@ -48,12 +48,12 @@ class TestSinkOrdering:
         assert digest.fields == {"index": 7}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @pytest.mark.parametrize(
     "scenario_name", ["frequency_tracked", "time_series", "sparse_frequency"]
 )
 def test_digest_sequence_identical_across_chunk_boundaries(
-    scenario_name, backend
+    scenario_name, mode
 ):
     # Alert-heavy scenarios; chunk size chosen to land boundaries mid-burst
     # so digests from one incident straddle chunks.
@@ -63,11 +63,12 @@ def test_digest_sequence_identical_across_chunk_boundaries(
     assert scalar_digests, "scenario emitted no digests; test proves nothing"
     chunked = SCENARIOS[scenario_name]()
     engine = ParallelBatchEngine(
-        chunked, backend=backend, workers=4, executor="thread", min_chunk=64
+        chunked, workers=4, executor="thread", min_chunk=64
     )
     chunked_digests = []
-    for chunk in split_batch(PacketBatch.from_contexts(contexts), 613):
-        chunked_digests.extend(engine.process(chunk).digests)
+    with numpy_mode(mode):
+        for chunk in split_batch(PacketBatch.from_contexts(contexts), 613):
+            chunked_digests.extend(engine.process(chunk).digests)
     assert [
         (d.name, d.fields, d.timestamp) for d in chunked_digests
     ] == [(d.name, d.fields, d.timestamp) for d in scalar_digests]

@@ -11,6 +11,9 @@ vs ``workers=1`` vs ``workers=4``.
 fan-out threshold; ``TestFanOut`` pins that the eligible runs really went
 through the worker pool (``merge_parallel`` in the kernel counters, every
 chunk resolved once) rather than silently delegating to the serial path.
+The hypothesis suites run with numpy's optional array paths on and hidden
+(``tests.numpy_paths``): the worker tally, the column store and the
+shared-memory segments each have a Python path.
 """
 
 import pytest
@@ -18,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stat4 import (
-    HAS_NUMPY,
     BatchEngine,
     BindingMatch,
     ExtractSpec,
@@ -29,8 +31,8 @@ from repro.stat4 import (
     Stat4Runtime,
     split_batch,
 )
+from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.test_batch_differential import (
-    BACKENDS,
     SCENARIOS,
     assert_equal_state,
     generate_trace,
@@ -44,7 +46,7 @@ CHUNK = 1_500  # trace-level chunk: several per trace, each above 2*min_chunk
 def process_parallel(
     stat4,
     contexts,
-    backend,
+    mode,
     workers,
     executor="thread",
     chunk_size=CHUNK,
@@ -52,41 +54,41 @@ def process_parallel(
 ):
     engine = ParallelBatchEngine(
         stat4,
-        backend=backend,
         workers=workers,
         executor=executor,
         min_chunk=min_chunk,
     )
     digests = []
-    for chunk in split_batch(PacketBatch.from_contexts(contexts), chunk_size):
-        digests.extend(engine.process(chunk).digests)
+    with numpy_mode(mode):
+        for chunk in split_batch(PacketBatch.from_contexts(contexts), chunk_size):
+            digests.extend(engine.process(chunk).digests)
     return digests
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @settings(deadline=None, max_examples=2)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=0)
-def test_workers_equal_scalar_and_each_other(scenario_name, backend, seed):
+def test_workers_equal_scalar_and_each_other(scenario_name, mode, seed):
     contexts = generate_trace(seed, packets=TRACE_PACKETS)
     scalar = SCENARIOS[scenario_name]()
     serial = SCENARIOS[scenario_name]()
     fanned = SCENARIOS[scenario_name]()
     scalar_digests = process_scalar(scalar, contexts)
-    serial_digests = process_parallel(serial, contexts, backend, workers=1)
-    fanned_digests = process_parallel(fanned, contexts, backend, workers=4)
+    serial_digests = process_parallel(serial, contexts, mode, workers=1)
+    fanned_digests = process_parallel(fanned, contexts, mode, workers=4)
     assert_equal_state(scalar, serial, scalar_digests, serial_digests)
     assert_equal_state(scalar, fanned, scalar_digests, fanned_digests)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", NUMPY_MODES)
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @settings(deadline=None, max_examples=2)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=3)
 def test_shm_process_pool_equals_scalar_and_threads(
-    scenario_name, backend, seed
+    scenario_name, mode, seed
 ):
     # The zero-copy three-way: the scalar oracle, the thread pool (shared
     # address space), and the process pool (columns shipped through
@@ -98,25 +100,25 @@ def test_shm_process_pool_equals_scalar_and_threads(
     threaded = SCENARIOS[scenario_name]()
     shm = SCENARIOS[scenario_name]()
     scalar_digests = process_scalar(scalar, contexts)
-    threaded_digests = process_parallel(threaded, contexts, backend, workers=4)
+    threaded_digests = process_parallel(threaded, contexts, mode, workers=4)
     shm_digests = process_parallel(
-        shm, contexts, backend, workers=2, executor="process"
+        shm, contexts, mode, workers=2, executor="process"
     )
     assert_equal_state(scalar, threaded, scalar_digests, threaded_digests)
     assert_equal_state(scalar, shm, scalar_digests, shm_digests)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_process_pool_executor_smoke(backend):
-    # The process pool ships chunks as picklable lists; one fixed-seed run
-    # per backend proves the round trip is exact without paying process
+@pytest.mark.parametrize("mode", NUMPY_MODES)
+def test_process_pool_executor_smoke(mode):
+    # The process pool ships chunks through shared memory; one fixed-seed
+    # run per mode proves the round trip is exact without paying process
     # startup inside the hypothesis loop.
     contexts = generate_trace(11, packets=TRACE_PACKETS)
     scalar = SCENARIOS["frequency"]()
     fanned = SCENARIOS["frequency"]()
     scalar_digests = process_scalar(scalar, contexts)
     fanned_digests = process_parallel(
-        fanned, contexts, backend, workers=2, executor="process"
+        fanned, contexts, mode, workers=2, executor="process"
     )
     assert_equal_state(scalar, fanned, scalar_digests, fanned_digests)
 
@@ -133,14 +135,13 @@ def _resolutions(engine):
 class TestFanOut:
     """Every dense frequency shape takes the one chunk loop.
 
-    On both pools and both backends, per batch: each dispatched chunk is
+    On both pools, per batch: each dispatched chunk is
     adopted, folded or replayed exactly once, and every matched event is
     counted as ``merge_parallel``.  A shape with no digest stream (no k·σ,
     no percentile alert) has nothing to speculate or replay, so its
     chunks only fold.
     """
 
-    BACKENDS = ("numpy", "python") if HAS_NUMPY else ("python",)
     POOLS = (("thread", 4), ("process", 2))
 
     def assert_every_chunk_resolved(self, scenario_name, digest_free=False):
@@ -148,33 +149,31 @@ class TestFanOut:
         scalar = SCENARIOS[scenario_name]()
         scalar_digests = process_scalar(scalar, contexts)
         for executor, workers in self.POOLS:
-            for backend in self.BACKENDS:
-                stat4 = SCENARIOS[scenario_name]()
-                table = stat4.binding_tables[0]
-                engine = ParallelBatchEngine(
-                    stat4,
-                    backend=backend,
-                    workers=workers,
-                    executor=executor,
-                    min_chunk=128,
+            stat4 = SCENARIOS[scenario_name]()
+            table = stat4.binding_tables[0]
+            engine = ParallelBatchEngine(
+                stat4,
+                workers=workers,
+                executor=executor,
+                min_chunk=128,
+            )
+            digests = []
+            for chunk in split_batch(PacketBatch.from_contexts(contexts), 2_000):
+                hits = table.hits
+                before = _resolutions(engine)
+                result = engine.process(chunk)
+                digests.extend(result.digests)
+                adopted, folded, replayed = (
+                    after - start
+                    for after, start in zip(_resolutions(engine), before)
                 )
-                digests = []
-                for chunk in split_batch(PacketBatch.from_contexts(contexts), 2_000):
-                    hits = table.hits
-                    before = _resolutions(engine)
-                    result = engine.process(chunk)
-                    digests.extend(result.digests)
-                    adopted, folded, replayed = (
-                        after - start
-                        for after, start in zip(_resolutions(engine), before)
-                    )
-                    events = table.hits - hits
-                    assert result.kernels == {"merge_parallel": events}
-                    dispatched = len(engine._chunk_bounds(events))
-                    assert adopted + folded + replayed == dispatched
-                    if digest_free:
-                        assert (adopted, replayed) == (0, 0)
-                assert_equal_state(scalar, stat4, scalar_digests, digests)
+                events = table.hits - hits
+                assert result.kernels == {"merge_parallel": events}
+                dispatched = len(engine._chunk_bounds(events))
+                assert adopted + folded + replayed == dispatched
+                if digest_free:
+                    assert (adopted, replayed) == (0, 0)
+            assert_equal_state(scalar, stat4, scalar_digests, digests)
 
     def test_eligible_run_goes_through_pool(self):
         self.assert_every_chunk_resolved("frequency", digest_free=True)
@@ -205,7 +204,6 @@ class TestFanOut:
         stat4 = SCENARIOS["frequency"]()
         engine = ParallelBatchEngine(
             stat4,
-            backend="python",
             workers=2,
             executor="process",
             min_chunk=128,
@@ -219,9 +217,7 @@ class TestFanOut:
     def test_small_batch_delegates_to_serial_engine(self):
         contexts = generate_trace(5, packets=200)
         stat4 = SCENARIOS["frequency"]()
-        engine = ParallelBatchEngine(
-            stat4, backend="python", workers=4, min_chunk=512
-        )
+        engine = ParallelBatchEngine(stat4, workers=4, min_chunk=512)
         result = engine.process(PacketBatch.from_contexts(contexts))
         assert "merge_parallel" not in result.kernels
 
@@ -260,17 +256,14 @@ class TestMergeResolution:
     The hypothesis suites above prove bit-identity for whatever mix of
     adopt/fold/replay a trace happens to produce; these tests force each
     path and check the engine counters, so a regression cannot hide
-    behind the replay fallback quietly resolving every chunk.  Each runs
-    on both backends: adopt (the generated kernel in a worker), fold, and
-    replay (the serial kernel on the parent) must all land bit-identical.
+    behind the replay fallback quietly resolving every chunk.  Adopt (the
+    generated kernel in a worker), fold, and replay (the serial kernel on
+    the parent) must all land bit-identical.
     """
 
-    BACKENDS = ("numpy", "python") if HAS_NUMPY else ("python",)
-
-    def _fan_out(self, stat4, contexts, backend):
+    def _fan_out(self, stat4, contexts):
         engine = ParallelBatchEngine(
             stat4,
-            backend=backend,
             workers=4,
             executor="thread",
             min_chunk=128,
@@ -285,16 +278,15 @@ class TestMergeResolution:
         # worker snapshotted, so the tracker fixpoint holds and the
         # speculated exit is adopted wholesale.
         contexts = generate_trace(5, packets=4_000)
-        for backend in self.BACKENDS:
-            scalar = SCENARIOS["frequency_tracked"]()
-            stat4 = SCENARIOS["frequency_tracked"]()
-            scalar_digests = process_scalar(scalar, contexts)
-            engine = ParallelBatchEngine(
-                stat4, backend=backend, workers=4, executor="thread", min_chunk=128
-            )
-            result = engine.process(PacketBatch.from_contexts(contexts))
-            assert engine.merge_adopted_chunks >= 1
-            assert_equal_state(scalar, stat4, scalar_digests, list(result.digests))
+        scalar = SCENARIOS["frequency_tracked"]()
+        stat4 = SCENARIOS["frequency_tracked"]()
+        scalar_digests = process_scalar(scalar, contexts)
+        engine = ParallelBatchEngine(
+            stat4, workers=4, executor="thread", min_chunk=128
+        )
+        result = engine.process(PacketBatch.from_contexts(contexts))
+        assert engine.merge_adopted_chunks >= 1
+        assert_equal_state(scalar, stat4, scalar_digests, list(result.digests))
 
     def test_boundary_chunks_replay_and_stay_identical(self):
         # No cooldown: alert decisions depend on state crossing chunk
@@ -302,52 +294,48 @@ class TestMergeResolution:
         # entry-state replay — which must still be bit-identical, every
         # digest in scalar order.
         contexts = generate_trace(5, packets=TRACE_PACKETS)
-        for backend in self.BACKENDS:
-            scalar = SCENARIOS["frequency_tracked"]()
-            fanned = SCENARIOS["frequency_tracked"]()
-            scalar_digests = process_scalar(scalar, contexts)
-            engine, digests = self._fan_out(fanned, contexts, backend)
-            assert engine.merge_replayed_chunks > 0
-            assert_equal_state(scalar, fanned, scalar_digests, digests)
+        scalar = SCENARIOS["frequency_tracked"]()
+        fanned = SCENARIOS["frequency_tracked"]()
+        scalar_digests = process_scalar(scalar, contexts)
+        engine, digests = self._fan_out(fanned, contexts)
+        assert engine.merge_replayed_chunks > 0
+        assert_equal_state(scalar, fanned, scalar_digests, digests)
 
     def test_covered_cooldown_chunks_fold_without_replay(self):
         contexts = generate_trace(5, packets=TRACE_PACKETS)
-        for backend in self.BACKENDS:
-            scalar = _covered_cooldown_scenario()
-            fanned = _covered_cooldown_scenario()
-            scalar_digests = process_scalar(scalar, contexts)
-            engine, digests = self._fan_out(fanned, contexts, backend)
-            assert engine.merge_folded_chunks > 0
-            assert_equal_state(scalar, fanned, scalar_digests, digests)
+        scalar = _covered_cooldown_scenario()
+        fanned = _covered_cooldown_scenario()
+        scalar_digests = process_scalar(scalar, contexts)
+        engine, digests = self._fan_out(fanned, contexts)
+        assert engine.merge_folded_chunks > 0
+        assert_equal_state(scalar, fanned, scalar_digests, digests)
 
     def test_folded_chunks_wrap_narrow_cells_exactly(self):
         # 4-bit cells over a 256-value domain wrap many times per trace;
         # a folded chunk must replay the wrapping cells occurrence by
         # occurrence so the wrapped counts feed the moments exactly.
         contexts = generate_trace(5, packets=TRACE_PACKETS)
-        for backend in self.BACKENDS:
-            scalar = _covered_cooldown_scenario(counter_width=4)
-            fanned = _covered_cooldown_scenario(counter_width=4)
-            scalar_digests = process_scalar(scalar, contexts)
-            engine, digests = self._fan_out(fanned, contexts, backend)
-            assert engine.merge_folded_chunks > 0
-            assert_equal_state(scalar, fanned, scalar_digests, digests)
+        scalar = _covered_cooldown_scenario(counter_width=4)
+        fanned = _covered_cooldown_scenario(counter_width=4)
+        scalar_digests = process_scalar(scalar, contexts)
+        engine, digests = self._fan_out(fanned, contexts)
+        assert engine.merge_folded_chunks > 0
+        assert_equal_state(scalar, fanned, scalar_digests, digests)
 
     def test_merge_fans_out_over_shm_process_pool(self):
         # One fixed-seed shm run outside the hypothesis loop: the merge
         # mode must ship column descriptors to a process pool and come
         # back bit-identical, with the merge kernel counter ticking.
         contexts = generate_trace(7, packets=4_000)
-        for backend in self.BACKENDS:
-            scalar = SCENARIOS["frequency_tracked"]()
-            shm = SCENARIOS["frequency_tracked"]()
-            scalar_digests = process_scalar(scalar, contexts)
-            engine = ParallelBatchEngine(
-                shm, backend=backend, workers=2, executor="process", min_chunk=128
-            )
-            result = engine.process(PacketBatch.from_contexts(contexts))
-            assert result.kernels.get("merge_parallel", 0) > 0
-            assert_equal_state(scalar, shm, scalar_digests, list(result.digests))
+        scalar = SCENARIOS["frequency_tracked"]()
+        shm = SCENARIOS["frequency_tracked"]()
+        scalar_digests = process_scalar(scalar, contexts)
+        engine = ParallelBatchEngine(
+            shm, workers=2, executor="process", min_chunk=128
+        )
+        result = engine.process(PacketBatch.from_contexts(contexts))
+        assert result.kernels.get("merge_parallel", 0) > 0
+        assert_equal_state(scalar, shm, scalar_digests, list(result.digests))
 
 
 class TestSplitBatch:
@@ -375,11 +363,11 @@ class TestSplitBatch:
         whole = SCENARIOS["frequency"]()
         chunked = SCENARIOS["frequency"]()
         whole_digests = list(
-            BatchEngine(whole, backend="python")
+            BatchEngine(whole)
             .process(PacketBatch.from_contexts(contexts))
             .digests
         )
-        engine = BatchEngine(chunked, backend="python")
+        engine = BatchEngine(chunked)
         chunked_digests = []
         for chunk in split_batch(PacketBatch.from_contexts(contexts), 137):
             chunked_digests.extend(engine.process(chunk).digests)

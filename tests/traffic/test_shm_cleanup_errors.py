@@ -58,7 +58,6 @@ def test_worker_exception_mid_batch_releases_every_segment(monkeypatch):
     contexts = generate_trace(11, packets=5_000)
     engine = ParallelBatchEngine(
         SCENARIOS["frequency"](),
-        backend="python",
         workers=4,
         executor="process",
         min_chunk=128,
