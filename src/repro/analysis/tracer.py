@@ -7,7 +7,10 @@ test suite *witness* each "safe" verdict at runtime: wrap the mutable
 surfaces of a Stat4 instance (register read/write, moment observers, the
 percentile tracker), run a parallel batch, and assert that no two
 threads produced a conflicting access pair — every write to kernel state
-stayed on the apply thread, workers only touched their private chunks.
+stayed on the apply thread.  Pool workers are processes that read their
+chunks from shared memory and never touch the parent's state; a chunk
+resolved on the pool's management thread (say, in a done-callback) would
+show up here as a second thread.
 
 This is deliberately a tracer, not a blocker: it records
 ``(subject, op, write, thread)`` tuples under its own lock and offers

@@ -76,7 +76,6 @@ def append_history(
         "python": report.get("python"),
         "numpy": report.get("numpy"),
         "speedups": report.get("speedups", {}),
-        "shipping": report.get("shipping"),
         "scenarios": _scenario_summary(report),
     }
     runs: List[Dict[str, Any]] = index["runs"]
@@ -153,16 +152,6 @@ def format_trend(current: Dict[str, Any], previous: Dict[str, Any]) -> str:
             delta = "-"
         lines.append(
             f"{kernel:<26} {before_text:>9} {now_text:>8} {delta:>8}"
-        )
-    ship_now = current.get("shipping")
-    ship_before = previous.get("shipping")
-    if ship_now and ship_before:
-        lines.append(
-            "process-pool shipping (pickled bytes/batch): "
-            f"shm {ship_before.get('shm_bytes_per_batch'):,}"
-            f" -> {ship_now.get('shm_bytes_per_batch'):,}, "
-            f"list {ship_before.get('list_bytes_per_batch'):,}"
-            f" -> {ship_now.get('list_bytes_per_batch'):,}"
         )
     merge_now = {row["shards"]: row for row in current.get("cluster", [])}
     merge_before = {row["shards"]: row for row in previous.get("cluster", [])}

@@ -12,15 +12,11 @@ One kernel per hot loop:
 - ``sharded_mean_variance`` — the cluster hot loop: key-hash routing,
   per-shard counting on a 4-shard :class:`~repro.cluster.sharded.ShardedStat4`,
   and the exact network-wide merge;
-- ``parallel_mean_variance`` — the same counting workload through
+- ``shm_parallel_mean_variance`` — the same counting workload through
   :class:`~repro.stat4.parallel.ParallelBatchEngine` at ``--workers``
-  workers (chunked tallies merged exactly), against the scalar loop;
-  ``--pool`` selects the executor (thread or process) for this kernel;
-- ``shm_parallel_mean_variance`` — the zero-copy process-pool path:
-  columns packed into ``multiprocessing.shared_memory`` segments, workers
-  attaching by descriptor, against the same scalar loop.  A separate
-  ``shipping`` report section records the per-batch pickled payload of the
-  shared-memory path next to the legacy list-shipping path;
+  workers: columns packed into a ``multiprocessing.shared_memory``
+  segment, process workers attaching by descriptor, chunked tallies
+  merged exactly, against the scalar loop;
 - ``service_throughput`` — the always-on serving stack end to end:
   pre-built batches through :class:`~repro.service.server.DetectionService`
   (bounded queue, producer/worker threads, alert log) against the scalar
@@ -212,7 +208,7 @@ def _time_stat4_kernels(packets: int, repeats: int) -> List[Dict[str, Any]]:
 
 
 def _parallel_workload():
-    """Config + spec builder shared by the parallel ingest kernels."""
+    """Config + spec builder of the ``shm_parallel_mean_variance`` kernel."""
     config = Stat4Config(counter_num=2, counter_size=256, binding_stages=1)
 
     def build_spec(rt):
@@ -221,57 +217,16 @@ def _parallel_workload():
     return config, build_spec
 
 
-def _time_parallel_kernels(
-    packets: int,
-    repeats: int,
-    workers: int,
-    pool: str = "thread",
-) -> List[Dict[str, Any]]:
-    """The ``parallel_mean_variance`` kernel: multi-worker chunked ingest.
-
-    Same dense counting workload as ``mean_variance``, driven through
-    :class:`~repro.stat4.parallel.ParallelBatchEngine` with a ``pool``
-    executor (``repro bench --pool``) at ``workers`` workers, against the
-    scalar per-packet loop.  The ratio uses the repo's standard definition
-    (batched pps / scalar pps), so the committed floor gates the whole
-    parallel path — chunking, dispatch, and exact merge — never falling
-    below it even at ``workers=1``, where the engine delegates to the
-    serial fast path.
-    """
-    from repro.stat4.parallel import ParallelBatchEngine
-
-    config, build_spec = _parallel_workload()
-    contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=1e-4)
-
-    def run_scalar():
-        stat4 = _bind(build_spec, config)
-        for ctx in contexts:
-            stat4.process(ctx)
-
-    batch = PacketBatch.from_contexts(contexts)
-
-    def run_parallel():
-        stat4 = _bind(build_spec, config)
-        ParallelBatchEngine(stat4, workers=workers, executor=pool).process(batch)
-
-    name = "parallel_mean_variance"
-    return [
-        _row(name, "scalar", packets, _best_of(repeats, run_scalar)),
-        _row(name, "batched", packets, _best_of(repeats, run_parallel)),
-    ]
-
-
 def _time_shm_parallel_kernels(
     packets: int, repeats: int, workers: int
 ) -> List[Dict[str, Any]]:
     """The ``shm_parallel_mean_variance`` kernel: zero-copy process fan-out.
 
-    Always uses the process pool with shared-memory column shipping, so the
-    committed floor gates the whole zero-copy path — segment packing,
+    The committed floor gates the whole fan-out path — segment packing,
     descriptor pickling, worker attach, tally, merge — against the scalar
     loop.  At ``workers=1`` the engine delegates to the serial fast path,
     which keeps the one-worker CI leg meaningful (the floor then gates the
-    serial batched kernel, exactly like ``parallel_mean_variance``).
+    serial batched kernel).
     """
     from repro.stat4.parallel import ParallelBatchEngine
 
@@ -287,12 +242,7 @@ def _time_shm_parallel_kernels(
 
     def run_shm():
         stat4 = _bind(build_spec, config)
-        ParallelBatchEngine(
-            stat4,
-            workers=workers,
-            executor="process",
-            share_columns=True,
-        ).process(batch)
+        ParallelBatchEngine(stat4, workers=workers).process(batch)
 
     name = "shm_parallel_mean_variance"
     return [
@@ -330,10 +280,9 @@ def _merge_workload():
 def _time_merge_parallel_kernels(packets: int, repeats: int, workers: int) -> Any:
     """The ``merge_parallel`` kernel: tracked+alerting fan-out with merge.
 
-    The last previously-serial shape, driven through the merge engine on
-    the process pool with shared-memory columns (the same transport the
-    ``shm_parallel_mean_variance`` floor gates), against the scalar
-    per-packet loop.  Returns ``(kernel rows, merge section)``; the
+    The last previously-serial shape, driven through the merge engine
+    (the same transport the ``shm_parallel_mean_variance`` floor gates),
+    against the scalar per-packet loop.  Returns ``(kernel rows, merge section)``; the
     section records the chunk-resolution mix (adopted / folded / replayed)
     so the replay-fallback rate is a reported number rather than prose —
     CI surfaces it next to the speedup delta.
@@ -361,12 +310,7 @@ def _time_merge_parallel_kernels(packets: int, repeats: int, workers: int) -> An
 
     def run_merge():
         stat4 = _bind(build_spec, config)
-        engine = ParallelBatchEngine(
-            stat4,
-            workers=workers,
-            executor="process",
-            share_columns=True,
-        )
+        engine = ParallelBatchEngine(stat4, workers=workers)
         engine.process(batch)
         holder["engine"] = engine
 
@@ -393,37 +337,6 @@ def _time_merge_parallel_kernels(packets: int, repeats: int, workers: int) -> An
         ),
     }
     return results, section
-
-
-def _measure_shipping(packets: int, workers: int) -> Dict[str, Any]:
-    """Per-batch pickled payload of the two process-pool shipping modes.
-
-    One instrumented pass each: shared-memory descriptors vs legacy list
-    chunks.  Recorded in the report (and bench history) so the zero-copy
-    claim — descriptors instead of data on the pickle wire — stays a
-    measured number rather than prose.
-    """
-    from repro.stat4.parallel import ParallelBatchEngine
-
-    config, build_spec = _parallel_workload()
-    contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=1e-4)
-    batch = PacketBatch.from_contexts(contexts)
-    # At --workers 1 the engine delegates to the serial path and ships
-    # nothing; measure at two workers so the payload numbers stay real.
-    workers = max(workers, 2)
-    row: Dict[str, Any] = {"packets": packets, "workers": workers}
-    for label, share in (("shm", True), ("list", False)):
-        engine = ParallelBatchEngine(
-            _bind(build_spec, config),
-            workers=workers,
-            executor="process",
-            share_columns=share,
-            measure_shipping=True,
-        )
-        engine.process(batch)
-        row[f"{label}_bytes_per_batch"] = engine.last_batch_shipped_bytes
-        row[f"{label}_tasks_per_batch"] = engine.shipped_tasks
-    return row
 
 
 def _make_service_contexts(packets: int, hot_every: int = 16):
@@ -689,7 +602,6 @@ def run_suite(
     packets: Optional[int] = None,
     repeats: Optional[int] = None,
     workers: int = 4,
-    pool: str = "thread",
     scenarios: bool = False,
     scenarios_only: bool = False,
     scenario_engine: str = "scalar",
@@ -703,10 +615,6 @@ def run_suite(
         packets / repeats: override the profile (tests use tiny values).
         workers: worker count for the parallel ingest kernels
             (``repro bench --workers``); recorded in the report.
-        pool: executor for the ``parallel_mean_variance`` kernel
-            (``repro bench --pool``, ``"thread"`` or ``"process"``);
-            ``shm_parallel_mean_variance`` always runs on the process
-            pool, so a thread-pool run still measures the zero-copy path.
         scenarios: also run the labeled adversarial scenario suite and
             attach its quality leaderboard under ``report["scenarios"]``.
         scenarios_only: skip the perf kernels entirely — the scenario CI
@@ -715,8 +623,6 @@ def run_suite(
             ``"parallel"`` (process pool + shared-memory columns), or
             ``"both"`` (scalar + parallel).
     """
-    if pool not in ("thread", "process"):
-        raise ValueError(f"unknown pool {pool!r}; pick 'thread' or 'process'")
     if scenario_engine not in ("scalar", "parallel", "both"):
         raise ValueError(
             f"unknown scenario engine {scenario_engine!r}; "
@@ -733,7 +639,6 @@ def run_suite(
     else:
         kernels = _time_stat4_kernels(n, reps)
         kernels.extend(_time_cluster_kernels(n, reps))
-        kernels.extend(_time_parallel_kernels(n, reps, workers, pool))
         kernels.extend(_time_shm_parallel_kernels(n, reps, workers))
         merge_rows, merge_section = _time_merge_parallel_kernels(n, reps, workers)
         kernels.extend(merge_rows)
@@ -751,7 +656,6 @@ def run_suite(
         "numpy": _numpy_version(),
         "quick": quick,
         "workers": workers,
-        "pool": pool,
         "kernels": kernels,
         "experiments": (
             []
@@ -759,7 +663,6 @@ def run_suite(
             else _time_experiments(quick)
         ),
         "cluster": [] if scenarios_only else _time_cluster_scaling(n, reps),
-        "shipping": None if scenarios_only else _measure_shipping(n, workers),
         "service": service_section,
         "merge": merge_section,
         "speedups": _speedups(kernels),
@@ -808,26 +711,13 @@ def format_report(report: Dict[str, Any]) -> str:
         f"numpy {report['numpy'] or 'unavailable'}, "
         f"{'quick' if report['quick'] else 'full'} profile)",
         "",
-        f"{'kernel':<22} {'mode':<8} {'pps':>12} {'ns/pkt':>9} {'speedup':>8}",
+        f"{'kernel':<26} {'mode':<8} {'pps':>12} {'ns/pkt':>9} {'speedup':>8}",
     ]
     for row in report["kernels"]:
         ratio, ns_text = _ratio_and_ns(report, row)
         lines.append(
-            f"{row['name']:<22} {row['mode']:<8} "
+            f"{row['name']:<26} {row['mode']:<8} "
             f"{row['pps']:>12,.0f} {ns_text:>9} {ratio:>8}"
-        )
-    shipping = report.get("shipping")
-    if shipping:
-        lines.append("")
-        lines.append(
-            "process-pool shipping (pickled payload per batch, "
-            f"{shipping['packets']:,} packets, {shipping['workers']} workers):"
-        )
-        lines.append(
-            f"  shm descriptors: {shipping['shm_bytes_per_batch']:,} B "
-            f"({shipping['shm_tasks_per_batch']} tasks)   "
-            f"list chunks: {shipping['list_bytes_per_batch']:,} B "
-            f"({shipping['list_tasks_per_batch']} tasks)"
         )
     merge = report.get("merge")
     if merge:

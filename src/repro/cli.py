@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker count for --batched (ParallelBatchEngine) and --shards "
-            "(per-shard thread fan-out); 1 = serial"
+            "worker count for --batched (ParallelBatchEngine's process "
+            "pool); 1 = serial"
         ),
     )
     validate.add_argument(
@@ -178,15 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the parallel ingest kernels (default 4)",
     )
     bench.add_argument(
-        "--pool",
-        choices=["thread", "process"],
-        default="thread",
-        help=(
-            "executor for the parallel ingest kernel (the shared-memory "
-            "kernel always uses the process pool)"
-        ),
-    )
-    bench.add_argument(
         "--scenarios",
         action="store_true",
         help=(
@@ -267,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="parallel-engine worker count"
     )
     serve.add_argument(
-        "--pool",
-        choices=["thread", "process"],
-        default="process",
-        help="parallel-engine executor",
-    )
-    serve.add_argument(
         "--queue-depth",
         type=int,
         default=8,
@@ -342,7 +327,6 @@ def _cmd_validate(args) -> int:
             shards=args.shards,
             seed=args.seed,
             batch_size=args.batch_size,
-            workers=args.workers,
         )
         print(
             f"packets={sharded.packets} shards={sharded.shards} "
@@ -583,7 +567,6 @@ def _cmd_bench(args) -> int:
     report = run_suite(
         quick=args.quick,
         workers=args.workers,
-        pool=args.pool,
         scenarios=want_scenarios,
         scenarios_only=args.scenarios_only,
         scenario_engine=args.scenario_engine,
@@ -720,7 +703,6 @@ def _cmd_serve(args) -> int:
         source,
         engine=args.engine,
         workers=args.workers,
-        pool=args.pool,
         queue_depth=args.queue_depth,
         policy=args.policy,
         degraded_after=args.degraded_after,

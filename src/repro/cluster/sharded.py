@@ -232,45 +232,21 @@ class ShardedStat4:
 
     # -- ingestion ----------------------------------------------------------
 
-    def ingest(self, batch: PacketBatch, workers: int = 1) -> ClusterResult:
+    def ingest(self, batch: PacketBatch) -> ClusterResult:
         """Route one batch and run each sub-batch's kernels on its shard.
 
-        With ``workers > 1`` the per-shard engines run on a thread pool:
-        shards are shared-nothing (each owns its own :class:`Stat4`, its
-        own registers, its own digest sink), so concurrent per-shard
-        ingest is race-free, and results are collected in ascending shard
-        order — exactly the serial iteration order — which keeps
-        ``ClusterResult`` (packet counts, per-shard results, the
-        ``(shard, digest)`` sequence) bit-identical to ``workers=1``.
+        Shards run in ascending shard order, so ``ClusterResult`` (packet
+        counts, per-shard results, the ``(shard, digest)`` sequence) is
+        deterministic.
         """
         result = ClusterResult()
-        routed = self.route(batch)
-        if workers > 1 and len(routed) > 1:
-            from repro.stat4.parallel import _pool
-
-            pool = _pool("thread", workers)
-            futures = {
-                shard: pool.submit(self._ingest_shard, shard, sub_batch)
-                for shard, sub_batch in routed.items()
-            }
-            shard_results = {
-                shard: future.result() for shard, future in sorted(futures.items())
-            }
-        else:
-            shard_results = {
-                shard: self._ingest_shard(shard, sub_batch)
-                for shard, sub_batch in routed.items()
-            }
-        for shard, shard_result in shard_results.items():
+        for shard, sub_batch in self.route(batch).items():
+            shard_result = BatchEngine(self.nodes[shard]).process(sub_batch)
             result.per_shard[shard] = shard_result
             result.packets += shard_result.packets
             result.digests.extend((shard, digest) for digest in shard_result.digests)
         self.packets_routed += len(batch)
         return result
-
-    def _ingest_shard(self, shard: int, sub_batch: PacketBatch):
-        """Run one shard's batched kernels (the unit a worker executes)."""
-        return BatchEngine(self.nodes[shard]).process(sub_batch)
 
     def process(self, ctx: PacketContext) -> int:
         """Scalar path: route one parsed packet to its owner shard.

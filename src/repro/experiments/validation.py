@@ -216,8 +216,9 @@ def run_validation_batched(
     This is the validation experiment for the batched fast path: the paper
     validates switch-vs-host equality, this validates batched-vs-scalar
     equality on the same workload.  With ``workers > 1`` the batched side
-    runs through :class:`~repro.stat4.parallel.ParallelBatchEngine`, so
-    the same differential also covers the multi-worker path.
+    runs through :class:`~repro.stat4.parallel.ParallelBatchEngine`'s
+    process pool, so the same differential also covers the multi-worker
+    path.
     """
     from repro.p4.switch import PacketContext, StandardMetadata
     from repro.stat4.batch import BatchEngine, PacketBatch
@@ -302,7 +303,6 @@ def run_validation_sharded(
     seed: int = 0,
     batch_size: int = 2048,
     gap: float = 0.0005,
-    workers: int = 1,
 ) -> ShardedValidationResult:
     """Figure-5 analogue for the cluster: K shards merged vs one oracle.
 
@@ -354,10 +354,7 @@ def run_validation_sharded(
     cluster.bind(0, match, spec)
     result = ShardedValidationResult(packets=packets, shards=shards)
     for start in range(0, packets, batch_size):
-        cluster.ingest(
-            PacketBatch.from_contexts(contexts[start : start + batch_size]),
-            workers=workers,
-        )
+        cluster.ingest(PacketBatch.from_contexts(contexts[start : start + batch_size]))
         result.batches += 1
     result.shard_loads = cluster.shard_loads()
 

@@ -132,21 +132,11 @@ def _build_node(
     return node, stat4
 
 
-def _make_engine(
-    stat4: Stat4,
-    engine: str,
-    workers: int,
-    share_columns: bool,
-) -> BatchEngine:
+def _make_engine(stat4: Stat4, engine: str, workers: int) -> BatchEngine:
     if engine == "scalar":
         return BatchEngine(stat4)
     if engine == "parallel":
-        return ParallelBatchEngine(
-            stat4,
-            workers=workers,
-            executor="process",
-            share_columns=share_columns,
-        )
+        return ParallelBatchEngine(stat4, workers=workers)
     raise ValueError(f"unknown replay engine {engine!r}; pick one of {ENGINES}")
 
 
@@ -155,7 +145,6 @@ def replay_scenario(
     engine: str = "scalar",
     workers: int = 4,
     batch_size: int = BATCH_SIZE,
-    share_columns: bool = True,
     detector_overrides: Optional[Dict[str, Any]] = None,
 ) -> List[Any]:
     """Stream the trace through ``SwitchNode.ingest_batch``; return digests.
@@ -166,7 +155,7 @@ def replay_scenario(
     recall and fail the committed floors.
     """
     node, stat4 = _build_node(scenario, detector_overrides)
-    batch_engine = _make_engine(stat4, engine, workers, share_columns)
+    batch_engine = _make_engine(stat4, engine, workers)
     digests: List[Any] = []
     parser = standard_parser()
     for batch in scenario.trace.iter_packet_batches(parser, batch_size):
@@ -261,7 +250,6 @@ def score_scenario(
     engine: str = "scalar",
     workers: int = 4,
     batch_size: int = BATCH_SIZE,
-    share_columns: bool = True,
     detector_overrides: Optional[Dict[str, Any]] = None,
 ) -> ScenarioScore:
     """Replay one scenario and score it."""
@@ -270,7 +258,6 @@ def score_scenario(
         engine=engine,
         workers=workers,
         batch_size=batch_size,
-        share_columns=share_columns,
         detector_overrides=detector_overrides,
     )
     return score_digests(

@@ -166,7 +166,7 @@ class DetectionService:
             :func:`default_config`).
         bindings: ``(stage, match, spec)`` entries (same defaulting).
         engine: ``"scalar"`` or ``"parallel"``.
-        workers / pool: parallel-engine fan-out shape.
+        workers: parallel-engine worker processes.
         queue_depth / policy / degraded_after: pipeline knobs (see
             :class:`ServicePipeline`).
         with_http: serve the JSON API (off for in-process bench use).
@@ -182,7 +182,6 @@ class DetectionService:
         bindings: Optional[Sequence[Tuple[int, BindingMatch, TrackSpec]]] = None,
         engine: str = "scalar",
         workers: int = 4,
-        pool: str = "process",
         queue_depth: int = 8,
         policy: str = "block",
         degraded_after: float = 5.0,
@@ -232,11 +231,7 @@ class DetectionService:
         if engine == "scalar":
             self.engine: BatchEngine = BatchEngine(self.stat4)
         elif engine == "parallel":
-            self.engine = ParallelBatchEngine(
-                self.stat4,
-                workers=workers,
-                executor=pool,
-            )
+            self.engine = ParallelBatchEngine(self.stat4, workers=workers)
         else:
             raise ValueError(f"unknown engine {engine!r}; pick scalar or parallel")
 

@@ -50,11 +50,11 @@ integer-only semantics are the spec; differential tests enforce equality):
 
 The engine is plain Python.  numpy is optional and used only where the
 data is already an array: frame decoding (:mod:`repro.stat4.frames`), the
-encoded column store, the parallel engine's worker-side tally and the bulk
-sparse slot hash.  Each of those picks numpy when it imports and a Python
-loop otherwise; both give the same values.
-:mod:`repro.stat4.parallel` builds a worker-pool execution layer on top of
-this engine (chunk tallies folded through the same
+parallel engine's shared-memory columns and their worker-side tally, and
+the bulk sparse slot hash.  Each of those picks numpy when it imports and
+a Python loop otherwise; both give the same values.
+:mod:`repro.stat4.parallel` builds a process-pool execution layer on top
+of this engine (chunk tallies folded through the same
 ``observe_frequencies`` telescoping).
 
 What is *not* preserved: per-register read/write accounting and the
@@ -68,8 +68,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import array as _array
-
 from repro.p4.packet import Packet
 from repro.p4.parser import Parser
 from repro.p4.switch import Digest, PacketContext, StandardMetadata
@@ -77,7 +75,6 @@ from repro.stat4.binding import TRACK_ACTION, binding_key_of
 from repro.stat4.compiled import KernelLibrary
 from repro.stat4.distributions import DistributionKind, KernelShape, TrackSpec
 from repro.stat4.library import Stat4, _to_us
-from repro.traffic.columns import ColumnStore, slice_backing
 
 try:  # pragma: no cover - absence exercised by the no-numpy CI job
     import numpy as _np
@@ -170,8 +167,6 @@ class PacketBatch:
         "_frames",
         "_raw_columns",
         "_value_columns",
-        "_store",
-        "_ts_array",
     )
 
     def __init__(
@@ -192,8 +187,6 @@ class PacketBatch:
         self._frames: Any = None
         self._raw_columns: Dict[str, Column] = dict(columns or {})
         self._value_columns: Dict[Tuple[Any, int, int], Column] = {}
-        self._store = ColumnStore()
-        self._ts_array: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -349,13 +342,10 @@ class PacketBatch:
         """A contiguous sub-batch over rows ``[start, stop)`` sharing storage.
 
         Where :meth:`select` copies element by element for arbitrary row
-        sets, a contiguous window uses C-level list slicing for the plain
-        Python fields and carries the decoded frames, every already-encoded
-        column of the backing :class:`~repro.traffic.columns.ColumnStore`
-        (and the cached timestamp array) as a true zero-copy view — numpy
-        slices or ``memoryview`` windows.  ``split_batch`` builds its worker
-        chunks through this, so chunking a batch for fan-out does no
-        per-element Python work and no column data movement.
+        sets, a contiguous window uses C-level list slicing for every
+        column, already-derived value columns included, and a window of
+        the decoded frames.  ``split_batch`` builds its chunks through
+        this, so chunking a batch does no per-element Python work.
         """
         sub = PacketBatch.__new__(PacketBatch)
         sub.timestamps = self.timestamps[start:stop]
@@ -380,12 +370,6 @@ class PacketBatch:
             key: column[start:stop]
             for key, column in self._value_columns.items()
         }
-        sub._store = self._store.slice(start, stop)
-        sub._ts_array = (
-            slice_backing(self._ts_array, start, stop)
-            if self._ts_array is not None
-            else None
-        )
         return sub
 
     # -- column access --------------------------------------------------------
@@ -472,32 +456,6 @@ class PacketBatch:
                     append(value)
         self._value_columns[cache_key] = out
         return out
-
-    def values_array_for(self, spec: TrackSpec) -> Any:
-        """Encoded value column for one spec: contiguous signed 64-bit.
-
-        ``None`` entries are stored as the columns sentinel ``-1`` (field
-        values are masked unsigned slices, so the sentinel is unambiguous).
-        The array lives in the batch's :class:`ColumnStore`, cached under
-        the same ``(extract, accept_lo, accept_hi)`` key as
-        :meth:`values_for`, and is what the parallel engine slices into
-        zero-copy worker chunks or packs into a shared-memory segment.
-        """
-        cache_key = (spec.extract, spec.accept_lo, spec.accept_hi)
-        if cache_key in self._store:
-            return self._store.get(cache_key)
-        return self._store.put(cache_key, self.values_for(spec))
-
-    def timestamps_array(self) -> Any:
-        """Contiguous float64 timestamp column (cached)."""
-        arr = self._ts_array
-        if arr is None:
-            if _np is not None:
-                arr = _np.asarray(self.timestamps, dtype=_np.float64)
-            else:
-                arr = _array.array("d", self.timestamps)
-            self._ts_array = arr
-        return arr
 
 
 @dataclass

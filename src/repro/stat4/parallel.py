@@ -18,18 +18,20 @@ concurrently, **without giving up bit-identity** with the scalar loop:
 Zero-copy shipping
 ------------------
 
-Worker chunks are views, not copies.  Thread workers receive zero-copy
-windows of the batch's encoded value column
-(:meth:`~repro.stat4.batch.PacketBatch.values_array_for`, backed by the
-batch's :class:`~repro.traffic.columns.ColumnStore`).  Process workers
-attach a ``multiprocessing.shared_memory`` segment by name and read the
-rows in place (:func:`~repro.traffic.columns.attach_column`): the pickled
-per-task payload is a ~100-byte :class:`ColumnDescriptor` instead of the
-chunk's data, which is what lets a process pool win on multi-GB traces.
-Segments are registered in the columns module; the engine releases them as
-soon as the batch is applied, and :func:`shutdown_pools` (atexit, plus a
-chained ``SIGTERM`` handler) sweeps anything a dying run leaves behind so
-repeated bench runs cannot exhaust ``/dev/shm``.
+Workers are processes, and the chunks they read never cross the pickle
+wire.  For each fanned-out run the engine encodes the run's values
+(:func:`~repro.traffic.columns.encode_column`) and, when the run
+speculates, its timestamps straight into one
+``multiprocessing.shared_memory`` segment
+(:class:`~repro.traffic.columns.SharedColumnSegment`).  A task's pickled
+payload is a ~100-byte :class:`ColumnDescriptor` plus its chunk bounds;
+the worker attaches the segment by name and reads its rows in place
+(:func:`~repro.traffic.columns.attach_column`).  Segments are registered
+in the columns module; the engine releases them as soon as the batch is
+applied, and :func:`shutdown_pools` (atexit, plus a chained ``SIGTERM``
+handler) sweeps anything a dying run leaves behind so repeated bench runs
+cannot exhaust ``/dev/shm``.  Where no segment can be created (no usable
+``/dev/shm``), that run takes the serial kernel, which is exact.
 
 One fan-out protocol, and why it is exact
 -----------------------------------------
@@ -105,22 +107,20 @@ Every resolution leaves the live slot state and its registers exactly
 where the serial kernel would after that chunk, so the next chunk's
 fixpoint check and silence proof read the true serial state.
 
-``tests/stat4/test_parallel_differential.py`` proves scalar vs threads vs
-shared-memory processes bit-identical — registers, digest order, alert
+``tests/stat4/test_parallel_differential.py`` proves the scalar loop and
+one, two and four workers bit-identical — registers, digest order, alert
 counts — for every ``DistributionKind``, with numpy importable and without.
 
 numpy is optional here too.  It is used only on data that is already an
-array: a worker tallies an int64 chunk with ``numpy.bincount`` and an
-event-ordered timestamp stream is packed as a float64 array.  Without
-numpy both take the ``array``-module and list paths, with the same
-results.
+array: a worker tallies its int64 chunk of the segment with
+``numpy.bincount``.  Without numpy the worker reads the same rows through
+a ``memoryview``, with the same results.
 """
 
 from __future__ import annotations
 
 import atexit
-import pickle
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.stat4.batch import (
@@ -147,7 +147,6 @@ from repro.traffic.columns import (
     encode_column,
     encode_digest_records,
     release_all_segments,
-    slice_backing,
 )
 
 try:  # pragma: no cover - absence exercised by the no-numpy CI job
@@ -160,8 +159,6 @@ __all__ = [
     "split_batch",
     "shutdown_pools",
 ]
-
-_EXECUTOR_KINDS = ("thread", "process")
 
 #: Lazily resolved ``(derived_table, shape_key_of_spec)`` pair, populated on
 #: the first fan-out decision so importing this module never pulls in the
@@ -181,23 +178,16 @@ def _eligibility() -> Tuple[Dict[str, Optional[str]], Any]:
     return _ELIGIBILITY
 
 
-#: Live executors, keyed by (kind, workers).  Worker pools are expensive to
-#: start (especially process pools); one bench run reuses them across
-#: batches and repeats.
-_EXECUTORS: Dict[Tuple[str, int], Executor] = {}
+#: Live process pools, keyed by worker count.  Pools are expensive to
+#: start; one bench run reuses them across batches and repeats.
+_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
 
 
-def _pool(kind: str, workers: int) -> Executor:
-    key = (kind, workers)
-    pool = _EXECUTORS.get(key)
+def _pool(workers: int) -> ProcessPoolExecutor:
+    pool = _EXECUTORS.get(workers)
     if pool is None:
-        if kind == "process":
-            pool = ProcessPoolExecutor(max_workers=workers)
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-ingest"
-            )
-        _EXECUTORS[key] = pool
+        pool = ProcessPoolExecutor(max_workers=workers)
+        _EXECUTORS[workers] = pool
     return pool
 
 
@@ -225,11 +215,9 @@ def split_batch(batch: PacketBatch, chunk_size: int) -> List[PacketBatch]:
     Processing the chunks in order through any engine leaves the same
     state as processing the whole batch at once (and as the scalar loop):
     every kernel finishes its chunk before the next starts, and
-    :meth:`PacketBatch.slice_view` carries every backing column over as a
-    view — C-level list slices for the Python fields, zero-copy windows
-    for the encoded :class:`~repro.traffic.columns.ColumnStore` columns.
-    An empty batch splits into no chunks at all (``[]``), not one empty
-    chunk.
+    :meth:`PacketBatch.slice_view` carries every backing column over with
+    C-level list slices (and a window of the decoded frames).  An empty
+    batch splits into no chunks at all (``[]``), not one empty chunk.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -242,18 +230,15 @@ def split_batch(batch: PacketBatch, chunk_size: int) -> List[PacketBatch]:
     ]
 
 
-def _tally_chunk(
-    values: Sequence[Optional[int]], size: int
-) -> Tuple[Dict[int, int], int]:
-    """Worker task core: count one chunk of a run's values.
+def _tally_chunk(values: Sequence[int], size: int) -> Tuple[Dict[int, int], int]:
+    """Worker task core: count one chunk of a run's encoded values.
 
     Returns ``(tally, dropped)`` — in-domain occurrence counts per value
     and the number of out-of-domain values (the scalar path's
-    ``values_dropped``).  Value-free packets are skipped, exactly as the
-    serial counting kernel skips them: ``None`` in plain list chunks, the
-    columns sentinel ``-1`` in encoded array/memoryview chunks.  On an
-    int64 ndarray chunk the count runs through ``numpy.bincount`` (which
-    releases the GIL, so thread workers genuinely run concurrently).
+    ``values_dropped``).  Value-free packets (the columns sentinel ``-1``)
+    are skipped, exactly as the serial counting kernel skips them.  An
+    int64 ndarray chunk is counted with ``numpy.bincount``; a
+    ``memoryview`` chunk (no numpy) with a loop.
     """
     if _np is not None and isinstance(values, _np.ndarray):
         present = values[values >= 0]
@@ -267,7 +252,7 @@ def _tally_chunk(
     tally: Dict[int, int] = {}
     dropped = 0
     for value in values:
-        if value is None or value < 0:
+        if value < 0:
             continue
         if value >= size:
             dropped += 1
@@ -276,9 +261,9 @@ def _tally_chunk(
     return tally, dropped
 
 
-def _chunk_max(timestamps: Optional[Sequence[float]]) -> Optional[float]:
-    """Max timestamp of a chunk (None when absent/empty) — cooldown bound."""
-    if timestamps is None or len(timestamps) == 0:
+def _chunk_max(timestamps: Sequence[float]) -> Optional[float]:
+    """Max timestamp of a chunk (None when empty) — cooldown bound."""
+    if len(timestamps) == 0:
         return None
     if _np is not None and isinstance(timestamps, _np.ndarray):
         return float(timestamps.max())
@@ -306,56 +291,31 @@ class _MergeEntry(NamedTuple):
     state: Tuple[Any, ...]
 
 
-def _kernel_list(column: Any) -> List[Any]:
-    """A chunk column as the plain list a generated kernel reads
-    (value-free packets as ``-1``)."""
-    if hasattr(column, "tolist"):
-        return column.tolist()
-    return [-1 if value is None else value for value in column]
-
-
 def _speculate(
-    entry: _MergeEntry, values: Any, timestamps: Any, encode: bool
+    entry: _MergeEntry, values: List[int], timestamps: List[float]
 ) -> Tuple[Any, int, bool, Tuple[Any, ...]]:
     """Run the serial generated kernel on one chunk from the snapshot.
 
     Returns the claim the reconciler may adopt: ``(records, observed,
     synced, exit_state)``, with the digest records packed into one int64
-    blob when ``encode`` (the process-pool ship-back shape).
+    blob for the trip back.
     """
     records: List[Tuple[int, ...]] = []
     kernel = compiled_kernel(entry.shape, entry.constants)
     _dropped, observed, synced, exit_state = kernel(
-        _kernel_list(values),
-        _kernel_list(timestamps),
+        values,
+        timestamps,
         entry.square,
         records,
         *copy_frequency_state(entry.state),
     )
     shipped: Any = records
-    if encode and records:
+    if records:
         try:
             shipped = encode_digest_records(records)
         except OverflowError:  # a field beyond int64: ship the raw tuples
             shipped = records
     return shipped, observed, synced, exit_state
-
-
-def _tally_task(
-    values: Sequence[Optional[int]],
-    size: int,
-    timestamps: Optional[Sequence[float]] = None,
-    entry: Optional[_MergeEntry] = None,
-    encode: bool = False,
-) -> Tuple[Dict[int, int], int, Optional[float], Any]:
-    """Worker task over in-memory chunks (thread views or pickled lists):
-    the chunk's tally, its max timestamp, and — when a snapshot was
-    shipped — the speculative kernel run."""
-    tally, dropped = _tally_chunk(values, size)
-    claim = None
-    if entry is not None:
-        claim = _speculate(entry, values, timestamps, encode)
-    return tally, dropped, _chunk_max(timestamps), claim
 
 
 def _tally_task_shm(  # worker-context
@@ -366,12 +326,14 @@ def _tally_task_shm(  # worker-context
     ts_desc: Optional[ColumnDescriptor] = None,
     entry: Optional[_MergeEntry] = None,
 ) -> Tuple[Dict[int, int], int, Optional[float], Any]:
-    """Worker task over shared-memory columns: attach, read in place.
+    """Worker task: attach the run's segment and read one chunk in place.
 
-    The pickled inputs are descriptors plus chunk bounds (~100 bytes) and,
-    for the speculating chunk, the slot snapshot; the chunk's rows never
-    cross the process boundary.  Views are dropped before the segment
-    handle closes so the parent's unlink can reclaim the memory promptly.
+    Returns the chunk's tally, its max timestamp, and — when a snapshot
+    was shipped — the speculative kernel run.  The pickled inputs are
+    descriptors plus chunk bounds (~100 bytes) and, for the speculating
+    chunk, the slot snapshot; the chunk's rows never cross the process
+    boundary.  Views are dropped before the segment handle closes so the
+    parent's unlink can reclaim the memory promptly.
     """
     with attach_column(values_desc) as column:
         window = column.values[start:stop]
@@ -388,9 +350,8 @@ def _tally_task_shm(  # worker-context
             del window
     claim = None
     if entry is not None:
-        claim = _speculate(entry, values, timestamps, encode=True)
+        claim = _speculate(entry, values, timestamps)
     return tally, dropped, max_ts, claim
-
 
 
 class ParallelBatchEngine(BatchEngine):
@@ -401,21 +362,12 @@ class ParallelBatchEngine(BatchEngine):
         workers: worker count; ``1`` (the default) delegates every batch
             to the serial engine, so ``workers=1`` and ``workers=N`` are
             interchangeable bit for bit.
-        executor: ``"thread"`` (the default: a thread pool over zero-copy
-            column views) or ``"process"`` (a process pool; chunks travel
-            as shared-memory descriptors, or picklable lists when
-            ``share_columns=False``).
+        executor: ``"process"``, the only pool: worker processes reading
+            each run's shared-memory segment.  Any other value raises
+            ``ValueError``.
         min_chunk: smallest per-worker chunk worth dispatching; batches or
             runs below ``2 * min_chunk`` stay serial (pool overhead would
             dominate).
-        share_columns: back process-pool chunks with
-            ``multiprocessing.shared_memory`` segments (the zero-copy
-            path).  ``False`` re-ships plain value lists per task — the
-            pre-zero-copy behaviour, kept as an A/B knob and fallback.
-        measure_shipping: account the pickled bytes of every process-pool
-            task payload in ``shipped_bytes`` / ``shipped_tasks`` /
-            ``last_batch_shipped_bytes`` (bench instrumentation; adds a
-            ``pickle.dumps`` per task, so off by default).
 
     Chunk accounting (cumulative across batches; every dispatched chunk
     lands in exactly one): ``merge_adopted_chunks`` fixpoint-proven
@@ -428,26 +380,18 @@ class ParallelBatchEngine(BatchEngine):
         self,
         stat4: Stat4,
         workers: int = 1,
-        executor: str = "thread",
+        executor: str = "process",
         min_chunk: int = 512,
-        share_columns: bool = True,
-        measure_shipping: bool = False,
     ):
         super().__init__(stat4)
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if executor not in _EXECUTOR_KINDS:
+        if executor != "process":
             raise ValueError(
-                f"unknown executor {executor!r}; pick one of {_EXECUTOR_KINDS}"
+                f"unknown executor {executor!r}; the only pool is 'process'"
             )
         self.workers = workers
-        self.executor = executor
         self.min_chunk = min_chunk
-        self.share_columns = share_columns
-        self.measure_shipping = measure_shipping
-        self.shipped_bytes = 0
-        self.shipped_tasks = 0
-        self.last_batch_shipped_bytes = 0
         self.merge_adopted_chunks = 0
         self.merge_folded_chunks = 0
         self.merge_replayed_chunks = 0
@@ -473,12 +417,10 @@ class ParallelBatchEngine(BatchEngine):
 
     # -- chunk preparation ----------------------------------------------------
 
-    def _run_full_coverage(
-        self, batch: PacketBatch, spec: TrackSpec, segment: List[_Event]
-    ) -> bool:
+    def _run_full_coverage(self, batch: PacketBatch, segment: List[_Event]) -> bool:
         """Single-stage run covering every packet in order — the common
         every-packet-matches case, where the batch columns ARE the run's
-        event streams and can be shipped without gathering."""
+        event streams and need no gathering."""
         m = len(segment)
         return (
             m == len(batch)
@@ -487,59 +429,37 @@ class ParallelBatchEngine(BatchEngine):
             and segment[-1][0] == m - 1
         )
 
-    def _run_columns(
+    def _share_run(
         self,
         batch: PacketBatch,
         spec: TrackSpec,
         segment: List[_Event],
         need_ts: bool,
-        as_arrays: bool,
-    ) -> Tuple[Any, Optional[Any]]:
-        """The run's event-ordered value (and timestamp) streams.
+    ) -> Optional[SharedColumnSegment]:
+        """Encode the run's event-ordered values (and timestamps, when it
+        speculates) into one shared segment.
 
-        ``as_arrays=True`` returns contiguous encoded columns (``None``
-        → ``-1``) ready for zero-copy slicing or shared-memory packing;
-        ``False`` returns plain lists (the picklable legacy shape).
+        Returns ``None`` when the segment cannot be created (no usable
+        ``/dev/shm``): the run then takes the serial kernel.
         """
-        if self._run_full_coverage(batch, spec, segment):
-            if as_arrays:
-                return (
-                    batch.values_array_for(spec),
-                    batch.timestamps_array() if need_ts else None,
-                )
-            return batch.values_for(spec), batch.timestamps if need_ts else None
         values = batch.values_for(spec)
         timestamps = batch.timestamps
-        column = [values[pkt] for pkt, _stage, _spec in segment]
-        ts = (
-            [timestamps[pkt] for pkt, _stage, _spec in segment]
-            if need_ts
-            else None
-        )
-        if as_arrays:
-            encoded = encode_column(column)
-            if ts is not None:
-                if _np is not None:
-                    ts = _np.asarray(ts, dtype=_np.float64)
-                else:
-                    import array as _array
-
-                    ts = _array.array("d", ts)
-            return encoded, ts
-        return column, ts
+        if not self._run_full_coverage(batch, segment):
+            values = [values[pkt] for pkt, _stage, _spec in segment]
+            if need_ts:
+                timestamps = [timestamps[pkt] for pkt, _stage, _spec in segment]
+        columns = [("values", "q", encode_column(values))]
+        if need_ts:
+            columns.append(("timestamps", "d", timestamps))
+        try:
+            return SharedColumnSegment.pack(columns)
+        except OSError:
+            return None
 
     def _chunk_bounds(self, m: int) -> List[Tuple[int, int]]:
         """Contiguous ``[start, stop)`` windows, at most one per worker."""
         chunk = -(-m // self.workers)  # ceil
         return [(i, min(i + chunk, m)) for i in range(0, m, chunk)]
-
-    def _account_shipping(self, payload: Any) -> None:
-        if not self.measure_shipping:
-            return
-        nbytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        self.shipped_bytes += nbytes
-        self.last_batch_shipped_bytes += nbytes
-        self.shipped_tasks += 1
 
     def _merge_entry(self, spec: TrackSpec) -> _MergeEntry:
         """Batch-entry snapshot of a speculating run's slot (submit phase).
@@ -581,76 +501,29 @@ class ParallelBatchEngine(BatchEngine):
 
     def _submit_run(
         self,
-        pool: Executor,
-        batch: PacketBatch,
-        spec: TrackSpec,
-        segment: List[_Event],
+        pool: ProcessPoolExecutor,
+        shm: SharedColumnSegment,
+        bounds: List[Tuple[int, int]],
         size: int,
         entry: Optional[_MergeEntry],
-    ) -> Tuple[List[Tuple[int, int]], List[Any], Optional[SharedColumnSegment]]:
-        """Dispatch one run's chunk tasks; returns (bounds, futures, shm).
+    ) -> List[Any]:
+        """Dispatch one run's chunk tasks over its segment; returns the
+        futures, one per chunk.
 
-        Thread pools get zero-copy views of the encoded columns.  Process
-        pools get shared-memory descriptors (``share_columns=True``) or
-        pickled list chunks (the legacy fallback, also taken when segment
-        creation fails — e.g. no ``/dev/shm``).  A speculating run
-        (``entry`` given) ships timestamps with every chunk and its
-        snapshot with the first chunk only: later chunks' entry states
-        almost always differ from the batch-entry snapshot, so their
-        speculation would be wasted.
+        A speculating run (``entry`` given) has a timestamp column, and
+        ships its snapshot with the first chunk only: later chunks' entry
+        states almost always differ from the batch-entry snapshot, so
+        their speculation would be wasted.
         """
-        bounds = self._chunk_bounds(len(segment))
+        values_desc = shm.descriptors["values"]
+        ts_desc = shm.descriptors.get("timestamps")
         futures: List[Any] = []
-        need_ts = entry is not None
-        if self.executor == "thread":
-            column, ts = self._run_columns(
-                batch, spec, segment, need_ts, as_arrays=True
-            )
-            for i, (start, stop) in enumerate(bounds):
-                vwin = slice_backing(column, start, stop)
-                twin = slice_backing(ts, start, stop) if ts is not None else None
-                futures.append(
-                    pool.submit(
-                        _tally_task, vwin, size, twin, entry if i == 0 else None
-                    )
-                )
-            return bounds, futures, None
-        segment_shm: Optional[SharedColumnSegment] = None
-        if self.share_columns:
-            try:
-                column, ts = self._run_columns(
-                    batch, spec, segment, need_ts, as_arrays=True
-                )
-                packed = [("values", "q", column)]
-                if ts is not None:
-                    packed.append(("timestamps", "d", ts))
-                segment_shm = SharedColumnSegment.pack(packed)
-            except Exception:
-                segment_shm = None  # no usable /dev/shm: ship lists below
-        if segment_shm is not None:
-            values_desc = segment_shm.descriptors["values"]
-            ts_desc = segment_shm.descriptors.get("timestamps")
-            for i, (start, stop) in enumerate(bounds):
-                payload: Tuple[Any, ...] = (values_desc, start, stop, size, ts_desc)
-                if i == 0 and entry is not None:
-                    payload += (entry,)
-                self._account_shipping(payload)
-                futures.append(pool.submit(_tally_task_shm, *payload))
-            return bounds, futures, segment_shm
-        column, ts = self._run_columns(
-            batch, spec, segment, need_ts, as_arrays=False
-        )
         for i, (start, stop) in enumerate(bounds):
-            payload = (
-                column[start:stop],
-                size,
-                ts[start:stop] if ts is not None else None,
-                entry if i == 0 else None,
-                True,
-            )
-            self._account_shipping(payload)
-            futures.append(pool.submit(_tally_task, *payload))
-        return bounds, futures, None
+            payload: Tuple[Any, ...] = (values_desc, start, stop, size, ts_desc)
+            if i == 0 and entry is not None:
+                payload += (entry,)
+            futures.append(pool.submit(_tally_task_shm, *payload))
+        return futures
 
     # -- entry point ----------------------------------------------------------
 
@@ -663,8 +536,9 @@ class ParallelBatchEngine(BatchEngine):
         main thread, resolving each fanned-out run chunk by chunk
         (:meth:`_apply_chunks`) and running the serial kernels everywhere
         else.  All state mutation happens in the apply phase, in scalar
-        order, on one thread.  Shared-memory segments created for this
-        batch are released before returning (crash sweeps are handled by
+        order, on one thread.  A run whose segment cannot be created takes
+        the serial kernel.  Shared-memory segments created for this batch
+        are released before returning (crash sweeps are handled by
         :func:`shutdown_pools` and the columns module's signal hook).
         """
         if self.workers <= 1 or len(batch) < 2 * self.min_chunk:
@@ -675,27 +549,33 @@ class ParallelBatchEngine(BatchEngine):
         stat4.packets_seen += n
         events = self._match(batch)
         sink = _DigestSink()
-        pool = _pool(self.executor, self.workers)
+        pool = _pool(self.workers)
         size = stat4.config.counter_size
-        self.last_batch_shipped_bytes = 0
         segments: List[SharedColumnSegment] = []
         plan = []
         try:
             for dist in sorted(events):
                 for spec, segment in self._split_runs(events[dist]):
-                    if (
-                        self._fan_out_mode(spec) is None
-                        or len(segment) < 2 * self.min_chunk
-                    ):
+                    fans_out = (
+                        self._fan_out_mode(spec) is not None
+                        and len(segment) >= 2 * self.min_chunk
+                    )
+                    speculate = (
+                        fans_out
+                        and kernel_of(KernelShape.of_spec(spec)) == "exact_loop"
+                    )
+                    shm = (
+                        self._share_run(batch, spec, segment, speculate)
+                        if fans_out
+                        else None
+                    )
+                    if shm is None:
                         plan.append((spec, segment, None, None, None))
                         continue
-                    speculate = kernel_of(KernelShape.of_spec(spec)) == "exact_loop"
+                    segments.append(shm)
                     entry = self._merge_entry(spec) if speculate else None
-                    bounds, futures, shm = self._submit_run(
-                        pool, batch, spec, segment, size, entry
-                    )
-                    if shm is not None:
-                        segments.append(shm)
+                    bounds = self._chunk_bounds(len(segment))
+                    futures = self._submit_run(pool, shm, bounds, size, entry)
                     plan.append((spec, segment, bounds, futures, entry))
             for spec, segment, bounds, futures, entry in plan:
                 if futures is None:

@@ -10,7 +10,6 @@ from repro.traffic.builders import (
 from repro.traffic.columns import (
     AttachedColumn,
     ColumnDescriptor,
-    ColumnStore,
     SharedColumnSegment,
     attach_column,
     decode_column,
@@ -37,7 +36,6 @@ __all__ = [
     "TraceTap",
     "AttachedColumn",
     "ColumnDescriptor",
-    "ColumnStore",
     "SharedColumnSegment",
     "attach_column",
     "decode_column",

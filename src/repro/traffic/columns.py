@@ -1,29 +1,28 @@
 # p4-ok-file — host-side columnar trace storage, not data-plane code.
-"""Columnar trace storage: contiguous per-field arrays with zero-copy views.
+"""Shared-memory columns: the parallel engine's one chunk transport.
 
-The batched ingest path (``repro.stat4.batch``) originally carried every
-per-packet field as a plain Python list.  Slicing those lists for the
-parallel engine copied element by element, and shipping a chunk into a
-process pool re-pickled the whole list on every batch — the dominant cost
-on multi-GB traces (the ROADMAP's "shared-memory value columns" item).
+The parallel engine (``repro.stat4.parallel``) fans a run's values out to
+a process pool.  Pickling each chunk as a list costs a copy per task and
+grows with the trace; this module moves the rows through shared memory
+instead, so a task's pickled payload is a small handle:
 
-This module provides the two layers that remove that data movement:
-
-* :class:`ColumnStore` — named, contiguous signed-64-bit columns backed by
-  a numpy ``int64`` array when numpy is importable and ``array.array('q')``
-  otherwise.  ``None`` entries (packets whose header did not yield a value)
-  are encoded as the :data:`NONE_SENTINEL` ``-1``; real values must be
-  non-negative, which every extracted P4 field is (they are masked unsigned
-  slices).  ``slice(start, stop)`` returns views — numpy slices share the
-  backing buffer, and the fallback returns ``memoryview`` windows — so
-  chunking a batch for worker fan-out allocates nothing per chunk.
+* :func:`encode_column` / :func:`decode_column` — a list of
+  ``Optional[int]`` as contiguous signed 64-bit items (a numpy ``int64``
+  array when numpy is importable, ``array.array('q')`` otherwise).
+  ``None`` entries (packets whose header did not yield a value) are
+  encoded as the :data:`NONE_SENTINEL` ``-1``; real values must be
+  non-negative, which every extracted P4 field is (they are masked
+  unsigned slices).
 
 * :class:`SharedColumnSegment` / :class:`ColumnDescriptor` — pack one or
   more columns into a single ``multiprocessing.shared_memory`` block.  A
   descriptor is a ~100-byte picklable ``(segment name, dtype, start,
-  length)`` handle; a process-pool worker calls :func:`attach_column` to
-  map the segment and reads the rows in place, so the per-task pickled
-  payload is the descriptor instead of the data.
+  length)`` handle; a pool worker calls :func:`attach_column` to map the
+  segment and reads the rows in place, so the per-task pickled payload is
+  the descriptor instead of the data.
+
+* :func:`encode_digest_records` / :func:`decode_digest_records` — the
+  compact blob a speculating worker ships its digest records back in.
 
 Segment lifecycle: every live segment is tracked in a module registry.
 The parallel engine releases its segments as soon as a batch is applied;
@@ -41,7 +40,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - absence exercised by the no-numpy CI job
     import numpy as _np
@@ -51,7 +50,6 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "NONE_SENTINEL",
     "ColumnDescriptor",
-    "ColumnStore",
     "SharedColumnSegment",
     "AttachedColumn",
     "attach_column",
@@ -168,86 +166,6 @@ def _raw_bytes(backing: Any, dtype: str) -> bytes:
     if hasattr(backing, "tobytes"):
         return backing.tobytes()
     return _array.array(dtype, backing).tobytes()
-
-
-class ColumnStore:
-    """Named, contiguous int64 columns with zero-copy slicing.
-
-    The store is a thin container: columns are added pre-encoded (via
-    :meth:`put_array`) or encoded on the way in (:meth:`put`).  ``slice``
-    produces a new store whose columns are *views* of the same backing
-    buffers — numpy slices, or ``memoryview`` windows in the fallback —
-    so splitting a batch into worker chunks never copies row data.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: Optional[Mapping[str, Any]] = None):
-        self._columns: Dict[str, Any] = dict(columns) if columns else {}
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._columns
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._columns)
-
-    def rows(self) -> int:
-        """Row count shared by every column (0 for an empty store)."""
-
-        for backing in self._columns.values():
-            return len(backing)
-        return 0
-
-    def put(self, name: str, values: Sequence[Optional[int]]) -> Any:
-        backing = encode_column(values)
-        self._columns[name] = backing
-        return backing
-
-    def put_array(self, name: str, backing: Any) -> Any:
-        self._columns[name] = backing
-        return backing
-
-    def get(self, name: str) -> Any:
-        return self._columns[name]
-
-    def column(self, name: str) -> Column:
-        """Decoded (``None``-bearing) list view of a column."""
-
-        return decode_column(self._columns[name])
-
-    def slice(self, start: int, stop: int) -> "ColumnStore":
-        """Zero-copy sub-store covering rows ``[start, stop)``."""
-
-        sliced: Dict[str, Any] = {}
-        for name, backing in self._columns.items():
-            sliced[name] = slice_backing(backing, start, stop)
-        return ColumnStore(sliced)
-
-    def share(self, names: Optional[Iterable[str]] = None) -> "SharedColumnSegment":
-        """Pack the named columns (all by default) into one shared segment."""
-
-        selected = tuple(names) if names is not None else self.names()
-        return SharedColumnSegment.pack(
-            [(name, "q", self._columns[name]) for name in selected]
-        )
-
-
-def slice_backing(backing: Any, start: int, stop: int) -> Any:
-    """Zero-copy window of a backing array.
-
-    numpy arrays slice to views natively.  ``array.array`` slicing would
-    copy, so the fallback goes through a ``memoryview`` (iterating one
-    yields plain ints, which is all the tally loop needs).
-    """
-
-    if _np is not None and isinstance(backing, _np.ndarray):
-        return backing[start:stop]
-    if isinstance(backing, memoryview):
-        return backing[start:stop]
-    return memoryview(backing)[start:stop]
 
 
 @dataclass(frozen=True)

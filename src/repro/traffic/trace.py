@@ -76,11 +76,9 @@ class PacketTrace:
     ) -> Iterator[Any]:
         """Yield parsed :class:`~repro.stat4.batch.PacketBatch` chunks.
 
-        The zero-copy pipeline entry point: each chunk of records is
-        parsed once into a columnar batch (value columns and their
-        :class:`~repro.traffic.columns.ColumnStore` encodings are built
-        lazily, then sliced as views by the parallel engine), ready for
-        ``BatchEngine.process`` / ``ParallelBatchEngine.process``.
+        Each chunk of records is decoded once into a columnar batch (value
+        columns are derived lazily), ready for ``BatchEngine.process`` /
+        ``ParallelBatchEngine.process``.
         """
         from repro.stat4.batch import PacketBatch
 

@@ -58,7 +58,7 @@ class TestRunSuite:
             "time_series",
             "sparse",
             "sharded_mean_variance",
-            "parallel_mean_variance",
+            "shm_parallel_mean_variance",
         } <= names
         for name in names:
             modes = {
@@ -92,6 +92,17 @@ class TestRunSuite:
         text = format_report(tiny_report)
         for row in tiny_report["kernels"]:
             assert row["name"] in text
+
+    def test_format_report_aligns_every_kernel_row(self, tiny_report):
+        # The longest kernel name must not push its row's columns right:
+        # every row's mode column starts at the header's offset.
+        lines = format_report(tiny_report).splitlines()
+        header = next(line for line in lines if line.startswith("kernel "))
+        offset = header.index("mode")
+        rows = lines[lines.index(header) + 1 :][: len(tiny_report["kernels"])]
+        for line, row in zip(rows, tiny_report["kernels"]):
+            assert line.startswith(row["name"]), line
+            assert line[offset:].startswith(row["mode"]), line
 
     def test_service_throughput_kernel_measured(self, tiny_report):
         rows = [

@@ -145,40 +145,6 @@ class TestIngest:
             assert shard in result.per_shard
             assert digest.name
 
-    def test_multi_worker_ingest_bit_identical_to_serial(self):
-        # Shards are shared-nothing, so fanning them onto a thread pool and
-        # collecting in sorted shard order must leave every shard's
-        # registers, counters, and digest list exactly as the serial loop.
-        contexts = make_trace(packets=800)
-        serial = build_cluster(4)
-        fanned = build_cluster(4)
-        result_serial = serial.ingest(PacketBatch.from_contexts(contexts))
-        result_fanned = fanned.ingest(
-            PacketBatch.from_contexts(contexts), workers=4
-        )
-        assert result_fanned.packets == result_serial.packets
-        assert result_fanned.per_shard == result_serial.per_shard
-        assert result_fanned.alerts == result_serial.alerts
-        assert [
-            (shard, d.name, d.fields, d.timestamp)
-            for shard, d in result_fanned.digests
-        ] == [
-            (shard, d.name, d.fields, d.timestamp)
-            for shard, d in result_serial.digests
-        ]
-        for node_a, node_b in zip(serial.nodes, fanned.nodes):
-            for reg_a, reg_b in zip(node_a.registers, node_b.registers):
-                assert reg_a.peek() == reg_b.peek(), reg_a.name
-        assert serial.merged_measures(0) == fanned.merged_measures(0)
-
-    def test_workers_on_single_shard_stays_serial(self):
-        # One shard means nothing to fan out; workers>1 must be harmless.
-        cluster = build_cluster(1)
-        result = cluster.ingest(
-            PacketBatch.from_contexts(make_trace(packets=64)), workers=4
-        )
-        assert result.packets == 64
-
     def test_merged_frequency_equals_single_switch(self):
         contexts = make_trace()
         oracle = Stat4(CONFIG)

@@ -1,8 +1,8 @@
 """Run a test body with numpy's optional array paths on, or hidden.
 
 numpy is optional in this package, and used only where the data is
-already an array: frame decoding, the encoded column store, the parallel
-engine's worker tally and the bulk sparse slot hash.  Each module picks
+already an array: frame decoding, the parallel engine's shared-memory
+columns and the worker tally over them, and the bulk sparse slot hash.  Each module picks
 numpy when it imports, so numpy's absence is the only thing that selects
 the Python fallbacks.  ``NUMPY_MODES`` parametrizes a differential over
 both: ``"numpy"`` runs with numpy as installed, ``"python"`` inside
@@ -31,9 +31,12 @@ def numpy_mode(mode):
     """Inside the block, ``"python"`` mode makes every ``repro`` module
     take its no-numpy path; ``"numpy"`` mode changes nothing.
 
-    A process pool forked inside the block keeps numpy hidden in its
-    workers for the rest of the session; both paths give the same
-    results, so later tests still hold, on whichever path they run."""
+    The engine's process pools are cached per worker count, so a pool
+    forked inside the block keeps numpy hidden in its workers for the
+    rest of the session, and a pool forked earlier keeps numpy in them.
+    Both paths give the same results, so later tests still hold, on
+    whichever path they run; the no-numpy CI job is what runs the
+    workers' memoryview paths for certain."""
     with pytest.MonkeyPatch.context() as patch:
         if mode == "python":
             for name, module in list(sys.modules.items()):

@@ -62,9 +62,7 @@ def test_digest_sequence_identical_across_chunk_boundaries(
     scalar_digests = process_scalar(scalar, contexts)
     assert scalar_digests, "scenario emitted no digests; test proves nothing"
     chunked = SCENARIOS[scenario_name]()
-    engine = ParallelBatchEngine(
-        chunked, workers=4, executor="thread", min_chunk=64
-    )
+    engine = ParallelBatchEngine(chunked, workers=4, min_chunk=64)
     chunked_digests = []
     with numpy_mode(mode):
         for chunk in split_batch(PacketBatch.from_contexts(contexts), 613):

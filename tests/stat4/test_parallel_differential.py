@@ -4,17 +4,20 @@ The contract of :mod:`repro.stat4.parallel`: for any trace, any chunking,
 and any worker count, :class:`ParallelBatchEngine` leaves exactly the state
 the scalar ``Stat4.process`` loop leaves — registers, working state, digest
 order, alert counts.  The hypothesis suite drives the same adversarial
-trace generator as the serial differential tests, three-way: scalar oracle
-vs ``workers=1`` vs ``workers=4``.
+trace generator as the serial differential tests: the scalar oracle vs
+``workers=1`` (the serial engine) vs ``workers=2`` and ``workers=4`` (the
+process pool over shared-memory columns).
 
 ``min_chunk`` is lowered so the ~5k-packet traces actually cross the
 fan-out threshold; ``TestFanOut`` pins that the eligible runs really went
 through the worker pool (``merge_parallel`` in the kernel counters, every
 chunk resolved once) rather than silently delegating to the serial path.
 The hypothesis suites run with numpy's optional array paths on and hidden
-(``tests.numpy_paths``): the worker tally, the column store and the
-shared-memory segments each have a Python path.
+(``tests.numpy_paths``): the worker tally and the shared-memory segments
+each have a Python path.
 """
+
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +34,8 @@ from repro.stat4 import (
     Stat4Runtime,
     split_batch,
 )
+from repro.stat4 import parallel
+from repro.traffic.columns import SharedColumnSegment, live_segment_count
 from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.test_batch_differential import (
     SCENARIOS,
@@ -44,20 +49,9 @@ CHUNK = 1_500  # trace-level chunk: several per trace, each above 2*min_chunk
 
 
 def process_parallel(
-    stat4,
-    contexts,
-    mode,
-    workers,
-    executor="thread",
-    chunk_size=CHUNK,
-    min_chunk=128,
+    stat4, contexts, mode, workers, chunk_size=CHUNK, min_chunk=128
 ):
-    engine = ParallelBatchEngine(
-        stat4,
-        workers=workers,
-        executor=executor,
-        min_chunk=min_chunk,
-    )
+    engine = ParallelBatchEngine(stat4, workers=workers, min_chunk=min_chunk)
     digests = []
     with numpy_mode(mode):
         for chunk in split_batch(PacketBatch.from_contexts(contexts), chunk_size):
@@ -70,56 +64,30 @@ def process_parallel(
 @settings(deadline=None, max_examples=2)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=0)
-def test_workers_equal_scalar_and_each_other(scenario_name, mode, seed):
-    contexts = generate_trace(seed, packets=TRACE_PACKETS)
-    scalar = SCENARIOS[scenario_name]()
-    serial = SCENARIOS[scenario_name]()
-    fanned = SCENARIOS[scenario_name]()
-    scalar_digests = process_scalar(scalar, contexts)
-    serial_digests = process_parallel(serial, contexts, mode, workers=1)
-    fanned_digests = process_parallel(fanned, contexts, mode, workers=4)
-    assert_equal_state(scalar, serial, scalar_digests, serial_digests)
-    assert_equal_state(scalar, fanned, scalar_digests, fanned_digests)
-
-
-@pytest.mark.parametrize("mode", NUMPY_MODES)
-@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-@settings(deadline=None, max_examples=2)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=3)
-def test_shm_process_pool_equals_scalar_and_threads(
-    scenario_name, mode, seed
-):
-    # The zero-copy three-way: the scalar oracle, the thread pool (shared
-    # address space), and the process pool (columns shipped through
-    # shared-memory segments, ~100-byte descriptors on the pickle wire)
-    # must agree bit-for-bit — including the newly eligible tracked and
-    # alerting frequency runs.
+def test_workers_equal_scalar_and_each_other(scenario_name, mode, seed):
+    # The serial engine and the process pool at two and four workers
+    # (columns in shared-memory segments, ~100-byte descriptors on the
+    # pickle wire) must each agree bit-for-bit with the scalar oracle.
     contexts = generate_trace(seed, packets=TRACE_PACKETS)
     scalar = SCENARIOS[scenario_name]()
-    threaded = SCENARIOS[scenario_name]()
-    shm = SCENARIOS[scenario_name]()
     scalar_digests = process_scalar(scalar, contexts)
-    threaded_digests = process_parallel(threaded, contexts, mode, workers=4)
-    shm_digests = process_parallel(
-        shm, contexts, mode, workers=2, executor="process"
-    )
-    assert_equal_state(scalar, threaded, scalar_digests, threaded_digests)
-    assert_equal_state(scalar, shm, scalar_digests, shm_digests)
+    for workers in (1, 2, 4):
+        fanned = SCENARIOS[scenario_name]()
+        digests = process_parallel(fanned, contexts, mode, workers=workers)
+        assert_equal_state(scalar, fanned, scalar_digests, digests)
 
 
 @pytest.mark.parametrize("mode", NUMPY_MODES)
 def test_process_pool_executor_smoke(mode):
     # The process pool ships chunks through shared memory; one fixed-seed
-    # run per mode proves the round trip is exact without paying process
-    # startup inside the hypothesis loop.
+    # run per mode, outside the hypothesis loop, proves the round trip
+    # exact at two workers.
     contexts = generate_trace(11, packets=TRACE_PACKETS)
     scalar = SCENARIOS["frequency"]()
     fanned = SCENARIOS["frequency"]()
     scalar_digests = process_scalar(scalar, contexts)
-    fanned_digests = process_parallel(
-        fanned, contexts, mode, workers=2, executor="process"
-    )
+    fanned_digests = process_parallel(fanned, contexts, mode, workers=2)
     assert_equal_state(scalar, fanned, scalar_digests, fanned_digests)
 
 
@@ -135,28 +103,23 @@ def _resolutions(engine):
 class TestFanOut:
     """Every dense frequency shape takes the one chunk loop.
 
-    On both pools, per batch: each dispatched chunk is
+    At four and at two workers, per batch: each dispatched chunk is
     adopted, folded or replayed exactly once, and every matched event is
     counted as ``merge_parallel``.  A shape with no digest stream (no k·σ,
     no percentile alert) has nothing to speculate or replay, so its
     chunks only fold.
     """
 
-    POOLS = (("thread", 4), ("process", 2))
+    WORKERS = (4, 2)
 
     def assert_every_chunk_resolved(self, scenario_name, digest_free=False):
         contexts = generate_trace(5, packets=4_000)
         scalar = SCENARIOS[scenario_name]()
         scalar_digests = process_scalar(scalar, contexts)
-        for executor, workers in self.POOLS:
+        for workers in self.WORKERS:
             stat4 = SCENARIOS[scenario_name]()
             table = stat4.binding_tables[0]
-            engine = ParallelBatchEngine(
-                stat4,
-                workers=workers,
-                executor=executor,
-                min_chunk=128,
-            )
+            engine = ParallelBatchEngine(stat4, workers=workers, min_chunk=128)
             digests = []
             for chunk in split_batch(PacketBatch.from_contexts(contexts), 2_000):
                 hits = table.hits
@@ -197,22 +160,46 @@ class TestFanOut:
         # speculates with the serial kernel, the main thread reconciles.
         self.assert_every_chunk_resolved(scenario_name)
 
-    def test_shm_shipping_stays_under_a_kilobyte_per_batch(self):
-        # The acceptance bound for the zero-copy path: a process-pool
-        # batch ships only column descriptors, not the column data.
+    def test_shm_shipping_stays_under_a_kilobyte_per_batch(self, monkeypatch):
+        # The acceptance bound for the zero-copy path: a batch ships only
+        # column descriptors, not the column data.  Every task the engine
+        # submits is pickled here, as the pool pickles it.
         contexts = generate_trace(7, packets=4_000)
         stat4 = SCENARIOS["frequency"]()
-        engine = ParallelBatchEngine(
-            stat4,
-            workers=2,
-            executor="process",
-            min_chunk=128,
-            measure_shipping=True,
-        )
+        engine = ParallelBatchEngine(stat4, workers=2, min_chunk=128)
+        pool = parallel._pool(2)
+        submit = pool.submit
+        shipped = []
+
+        def pickling_submit(fn, *args, **kwargs):
+            payload = (fn, args, kwargs)
+            shipped.append(len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)))
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "submit", pickling_submit)
         result = engine.process(PacketBatch.from_contexts(contexts))
         assert result.kernels.get("merge_parallel", 0) > 0
-        assert engine.shipped_tasks > 0
-        assert 0 < engine.last_batch_shipped_bytes < 1024
+        assert len(shipped) == 2
+        assert 0 < sum(shipped) < 1024
+
+    def test_run_without_a_segment_takes_the_serial_kernel(self, monkeypatch):
+        # No usable /dev/shm: packing the run's segment raises OSError, and
+        # the run applies through the serial kernel instead of fanning out.
+        def no_shared_memory(cls, columns):
+            raise OSError("no usable /dev/shm")
+
+        monkeypatch.setattr(
+            SharedColumnSegment, "pack", classmethod(no_shared_memory)
+        )
+        contexts = generate_trace(5, packets=4_000)
+        scalar = SCENARIOS["frequency_alerting"]()
+        scalar_digests = process_scalar(scalar, contexts)
+        stat4 = SCENARIOS["frequency_alerting"]()
+        engine = ParallelBatchEngine(stat4, workers=2, min_chunk=128)
+        result = engine.process(PacketBatch.from_contexts(contexts))
+        assert "merge_parallel" not in result.kernels
+        assert live_segment_count() == 0
+        assert_equal_state(scalar, stat4, scalar_digests, list(result.digests))
 
     def test_small_batch_delegates_to_serial_engine(self):
         contexts = generate_trace(5, packets=200)
@@ -262,12 +249,7 @@ class TestMergeResolution:
     """
 
     def _fan_out(self, stat4, contexts):
-        engine = ParallelBatchEngine(
-            stat4,
-            workers=4,
-            executor="thread",
-            min_chunk=128,
-        )
+        engine = ParallelBatchEngine(stat4, workers=4, min_chunk=128)
         digests = []
         for chunk in split_batch(PacketBatch.from_contexts(contexts), CHUNK):
             digests.extend(engine.process(chunk).digests)
@@ -281,9 +263,7 @@ class TestMergeResolution:
         scalar = SCENARIOS["frequency_tracked"]()
         stat4 = SCENARIOS["frequency_tracked"]()
         scalar_digests = process_scalar(scalar, contexts)
-        engine = ParallelBatchEngine(
-            stat4, workers=4, executor="thread", min_chunk=128
-        )
+        engine = ParallelBatchEngine(stat4, workers=4, min_chunk=128)
         result = engine.process(PacketBatch.from_contexts(contexts))
         assert engine.merge_adopted_chunks >= 1
         assert_equal_state(scalar, stat4, scalar_digests, list(result.digests))
@@ -323,16 +303,14 @@ class TestMergeResolution:
         assert_equal_state(scalar, fanned, scalar_digests, digests)
 
     def test_merge_fans_out_over_shm_process_pool(self):
-        # One fixed-seed shm run outside the hypothesis loop: the merge
-        # mode must ship column descriptors to a process pool and come
+        # One fixed-seed run at two workers outside the hypothesis loop:
+        # the merge mode must ship column descriptors to the pool and come
         # back bit-identical, with the merge kernel counter ticking.
         contexts = generate_trace(7, packets=4_000)
         scalar = SCENARIOS["frequency_tracked"]()
         shm = SCENARIOS["frequency_tracked"]()
         scalar_digests = process_scalar(scalar, contexts)
-        engine = ParallelBatchEngine(
-            shm, workers=2, executor="process", min_chunk=128
-        )
+        engine = ParallelBatchEngine(shm, workers=2, min_chunk=128)
         result = engine.process(PacketBatch.from_contexts(contexts))
         assert result.kernels.get("merge_parallel", 0) > 0
         assert_equal_state(scalar, shm, scalar_digests, list(result.digests))
@@ -380,7 +358,14 @@ class TestEngineValidation:
             ParallelBatchEngine(SCENARIOS["frequency"](), workers=0)
 
     def test_rejects_unknown_executor(self):
-        # Only the two pools are executors; one worker is the serial path.
-        for executor in ("fork_bomb", "auto", "serial"):
+        # The process pool is the only executor; one worker is the serial
+        # path, and the thread pool is gone.
+        for executor in ("fork_bomb", "auto", "serial", "thread"):
             with pytest.raises(ValueError):
                 ParallelBatchEngine(SCENARIOS["frequency"](), executor=executor)
+
+    def test_accepts_the_process_executor(self):
+        engine = ParallelBatchEngine(
+            SCENARIOS["frequency"](), workers=2, executor="process"
+        )
+        assert engine.workers == 2

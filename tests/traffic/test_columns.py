@@ -1,10 +1,9 @@
-"""Unit tests for the columnar trace storage layer.
+"""Unit tests for the shared-memory column layer.
 
 Covers the encode/decode round trip (``None`` sentinel included), the
-zero-copy guarantee of :meth:`ColumnStore.slice`, the descriptor round
-trip through a real ``multiprocessing.shared_memory`` segment (with the
-<1 KiB pickled-descriptor bound the parallel engine relies on), and the
-leak-sweeping cleanup hooks.
+descriptor round trip through a real ``multiprocessing.shared_memory``
+segment (with the <1 KiB pickled-descriptor bound the parallel engine
+relies on), and the leak-sweeping cleanup hooks.
 """
 
 import pickle
@@ -18,7 +17,6 @@ from repro.traffic.columns import (
     NONE_SENTINEL,
     AttachedColumn,
     ColumnDescriptor,
-    ColumnStore,
     SharedColumnSegment,
     attach_column,
     decode_column,
@@ -27,7 +25,6 @@ from repro.traffic.columns import (
     encode_digest_records,
     live_segment_count,
     release_all_segments,
-    slice_backing,
 )
 
 try:
@@ -85,39 +82,6 @@ class TestDigestRecordCodec:
             encode_digest_records([tuple(range(DIGEST_RECORD_STRIDE + 1))])
 
 
-class TestColumnStore:
-    def test_put_get_column(self):
-        store = ColumnStore()
-        store.put("dst", [5, None, 9])
-        assert "dst" in store
-        assert store.names() == ("dst",)
-        assert store.rows() == 3
-        assert store.column("dst") == [5, None, 9]
-
-    def test_slice_is_a_view_of_the_same_buffer(self):
-        store = ColumnStore()
-        backing = store.put("dst", list(range(10)))
-        window = store.slice(2, 7).get("dst")
-        assert decode_column(window) == [2, 3, 4, 5, 6]
-        if np is not None:
-            assert np.shares_memory(window, backing)
-        else:
-            assert isinstance(window, memoryview)
-            assert window.obj is backing
-
-    def test_slice_of_slice(self):
-        store = ColumnStore()
-        store.put("dst", list(range(10)))
-        inner = store.slice(2, 8).slice(1, 4)
-        assert inner.column("dst") == [3, 4, 5]
-
-    def test_slice_backing_on_memoryview_window(self):
-        backing = encode_column(list(range(6)))
-        window = slice_backing(backing, 1, 5)
-        again = slice_backing(window, 1, 3)
-        assert decode_column(again) == [2, 3]
-
-
 class TestDescriptor:
     def test_rejects_unknown_dtype(self):
         with pytest.raises(ValueError):
@@ -172,16 +136,6 @@ class TestSharedColumnSegment:
         try:
             with attach_column(segment.descriptors["v"]) as column:
                 assert len(column.values) == 0
-        finally:
-            segment.release()
-
-    def test_store_share_helper(self):
-        store = ColumnStore()
-        store.put("dst", [3, None, 5])
-        segment = store.share()
-        try:
-            with attach_column(segment.descriptors["dst"]) as column:
-                assert decode_column(column.values) == [3, None, 5]
         finally:
             segment.release()
 

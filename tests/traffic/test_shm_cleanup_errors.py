@@ -42,13 +42,13 @@ def _registry_is_balanced():
 
 
 def test_worker_exception_mid_batch_releases_every_segment(monkeypatch):
-    # Drive the process-pool submit path (which packs shared segments)
-    # but back it with a thread pool so the monkeypatched task raises in
-    # this very process without the cost of spawning workers.
+    # Drive the submit path (which packs shared segments) but back it
+    # with a thread pool so the monkeypatched task raises in this very
+    # process without the cost of spawning workers.
     from concurrent.futures import ThreadPoolExecutor
 
     substitute = ThreadPoolExecutor(max_workers=2)
-    monkeypatch.setattr(parallel, "_pool", lambda kind, workers: substitute)
+    monkeypatch.setattr(parallel, "_pool", lambda workers: substitute)
 
     def exploding_task(*args, **kwargs):
         raise RuntimeError("worker died mid-chunk")
@@ -56,12 +56,7 @@ def test_worker_exception_mid_batch_releases_every_segment(monkeypatch):
     monkeypatch.setattr(parallel, "_tally_task_shm", exploding_task)
 
     contexts = generate_trace(11, packets=5_000)
-    engine = ParallelBatchEngine(
-        SCENARIOS["frequency"](),
-        workers=4,
-        executor="process",
-        min_chunk=128,
-    )
+    engine = ParallelBatchEngine(SCENARIOS["frequency"](), workers=4, min_chunk=128)
     (batch,) = list(split_batch(PacketBatch.from_contexts(contexts), 5_000))
     with pytest.raises(RuntimeError, match="worker died mid-chunk"):
         engine.process(batch)
