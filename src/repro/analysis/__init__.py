@@ -18,11 +18,11 @@ checkable*.  This package is the checker: one analyzer with
 - binding-table consistency rules (:mod:`repro.analysis.bindings`);
 - deployment-file analysis (:mod:`repro.analysis.deployment`) tying the
   passes together over a JSON deployment description; and
-- a concurrency-exactness pass (:mod:`repro.analysis.concurrency`,
-  ``ST5xx``, opt-in via ``repro lint --concurrency``): kernel-shape
-  classification (mergeable / order-dependent) deriving the parallel
-  fan-out eligibility table, plus a shared-state race lint
-  over the parallel/shm layer.
+- the kernel-table audit (:mod:`repro.analysis.kernels`, ST504 and
+  ST510): every ``TrackSpec`` field is inside the kernel-shape projection
+  or justified, and every generated kernel stays inside the restricted
+  op set.  It audits the library itself, so it runs on a walk of the
+  package directory that defines the kernels.
 
 :func:`analyze_target` dispatches on what it is given (deployment config,
 P4 source, Python file, directory, or dotted module name); the ``repro
@@ -35,23 +35,6 @@ import os
 from typing import List, Optional, Tuple
 
 from repro.analysis.bindings import check_bindings, check_ewma
-from repro.analysis.concurrency import (
-    Classification,
-    Effect,
-    KernelShape,
-    audit_spec_fields,
-    check_generated_kernels,
-    check_kernel_file,
-    check_shared_state_file,
-    check_shared_state_source,
-    classification_report,
-    classify,
-    derive_eligibility_table,
-    enumerate_shapes,
-    kernel_effects,
-    kernel_table_diagnostics,
-    shape_key_of_spec,
-)
 from repro.analysis.dataflow import (
     OverflowBound,
     analyze_overflow,
@@ -77,6 +60,11 @@ from repro.analysis.expressibility import (
     scan_module,
     scan_package_dir,
     scan_source,
+)
+from repro.analysis.kernels import (
+    audit_spec_fields,
+    check_generated_kernels,
+    kernel_table_diagnostics,
 )
 from repro.analysis.p4source import check_p4_source
 from repro.analysis.report import format_json, format_text, sort_diagnostics
@@ -107,37 +95,19 @@ __all__ = [
     "format_text",
     "format_json",
     "sort_diagnostics",
-    "Classification",
-    "Effect",
-    "KernelShape",
     "audit_spec_fields",
     "check_generated_kernels",
-    "check_kernel_file",
-    "check_shared_state_file",
-    "check_shared_state_source",
-    "classification_report",
-    "classify",
-    "derive_eligibility_table",
-    "enumerate_shapes",
-    "kernel_effects",
     "kernel_table_diagnostics",
-    "shape_key_of_spec",
 ]
 
 
-def _concurrency_file_checks(path: str) -> List[Diagnostic]:
-    """The per-file half of ``--concurrency``: kernel pragmas + race lint.
-
-    Runs on every ``.py`` file, including ``# p4-ok-file``-pragma'd ones —
-    that pragma opts a *host-side* module out of the P4-expressibility
-    walk, and the parallel layer's modules are exactly the host-side ones
-    this pass exists to check.
-    """
-    return check_kernel_file(path) + check_shared_state_file(path)
+def _defines_the_kernels(directory: str) -> bool:
+    """Whether a directory is the package holding the generated kernels."""
+    return os.path.isfile(os.path.join(directory, "stat4", "compiled.py"))
 
 
 def analyze_target(
-    target: str, max_value: Optional[int] = None, concurrency: bool = False
+    target: str, max_value: Optional[int] = None
 ) -> Tuple[List[Diagnostic], bool]:
     """Analyze one CLI target; returns ``(diagnostics, resolved)``.
 
@@ -145,16 +115,15 @@ def analyze_target(
     (missing file, unimportable module) — the CLI turns that into exit
     code 2 rather than a clean report.
 
-    ``concurrency=True`` adds the ST5xx pass: per-binding kernel-shape
-    records for deployment configs, and the ``# parallel-mode:`` kernel
-    check plus the shared-state race lint for Python files/directories.
+    A directory that defines the kernels (``stat4/compiled.py``) also gets
+    the kernel-table audit (ST504, ST510).
     """
     if target.endswith(".json"):
         if not os.path.exists(target):
             return [], False
         spec, diags = load_deployment(target)
         if spec is not None:
-            diags = diags + analyze_deployment(spec, concurrency=concurrency)
+            diags = diags + analyze_deployment(spec)
         return diags, True
     if target.endswith(".p4"):
         if not os.path.exists(target):
@@ -165,19 +134,11 @@ def analyze_target(
     if target.endswith(".py"):
         if not os.path.exists(target):
             return [], False
-        diags = scan_file(target)
-        if concurrency:
-            diags = diags + _concurrency_file_checks(target)
-        return diags, True
+        return scan_file(target), True
     if os.path.isdir(target):
         diags = scan_package_dir(target)
-        if concurrency:
-            for dirpath, _dirnames, filenames in sorted(os.walk(target)):
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        diags = diags + _concurrency_file_checks(
-                            os.path.join(dirpath, filename)
-                        )
+        if _defines_the_kernels(target):
+            diags = diags + kernel_table_diagnostics()
         return diags, True
     try:
         return scan_module(target), True

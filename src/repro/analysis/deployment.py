@@ -161,73 +161,13 @@ def load_deployment(
     return spec, diagnostics
 
 
-def _classify_bindings(spec: DeploymentSpec) -> List[Diagnostic]:
-    """Per-binding ST501 records: the kernel shape each entry will run.
-
-    Part of the opt-in ``--concurrency`` pass (keeps the default JSON
-    profile golden-stable): each well-formed binding is projected onto its
-    kernel shape and looked up in the derived eligibility table, so a
-    deployment report states which of its distributions can fan out.
-    """
-    from repro.analysis.concurrency import (
-        KernelShape,
-        classify,
-        derive_eligibility_table,
-        kernel_effects,
-    )
-    from repro.stat4.distributions import DistributionKind
-
-    table = derive_eligibility_table()
-    diagnostics: List[Diagnostic] = []
-    for index, binding in enumerate(spec.bindings):
-        kind_raw = binding.get("kind", "frequency")
-        try:
-            kind = DistributionKind(kind_raw)
-        except ValueError:
-            continue  # check_bindings already flags the malformed kind
-        percent = binding.get("percent")
-        k_sigma = binding.get("k_sigma", 0)
-        if not isinstance(k_sigma, (int, float)) or isinstance(k_sigma, bool):
-            continue
-        shape = KernelShape(
-            kind=kind,
-            tracked=percent is not None,
-            alerting=k_sigma > 0,
-            percentile_alert=bool(binding.get("percentile_alert")),
-        )
-        mode = table.get(shape.key)
-        verdict = classify(kernel_effects(shape)).value
-        diagnostics.append(
-            make(
-                "ST501",
-                f"binding {index} (dist {binding.get('dist')}): kernel shape "
-                f"{shape.key} is {verdict} "
-                f"(fan-out {mode if mode is not None else 'serial'})",
-                file=spec.source_file,
-                binding=index,
-                shape=shape.key,
-                classification=verdict,
-                mode=mode,
-            )
-        )
-    return diagnostics
-
-
-def analyze_deployment(
-    spec: DeploymentSpec, concurrency: bool = False
-) -> List[Diagnostic]:
-    """Run every analyzer pass over one deployment.
-
-    ``concurrency=True`` additionally classifies each binding's kernel
-    shape against the derived fan-out eligibility table (ST501 records).
-    """
+def analyze_deployment(spec: DeploymentSpec) -> List[Diagnostic]:
+    """Run every analyzer pass over one deployment."""
     file = spec.source_file
     diagnostics = check_overflow(spec.config, spec.max_value, file=file)
     diagnostics.extend(check_bindings(spec.config, spec.bindings, file=file))
     if spec.ewma is not None:
         diagnostics.extend(check_ewma(spec.config, spec.ewma, file=file))
-    if concurrency:
-        diagnostics.extend(_classify_bindings(spec))
 
     # The same width requirements, checked against the program p4gen would
     # actually emit for this geometry (import deferred: p4gen pulls in the

@@ -12,8 +12,9 @@ Code blocks:
 - ``ST41x`` — register widths and overflow horizons (Sec. 2 units trick);
 - ``ST42x`` — binding-table / deployment consistency (Sec. 3 tables);
 - ``ST43x`` — malformed deployment descriptions;
-- ``ST50x`` — concurrency exactness of the parallel ingest layer
-  (:mod:`repro.analysis.concurrency`).
+- ``ST504``/``ST510`` — the kernel table: the ``TrackSpec`` projection
+  that picks a kernel, and the generated kernels' op set
+  (:mod:`repro.analysis.kernels`).
 """
 
 from __future__ import annotations
@@ -112,33 +113,14 @@ RULES: Dict[str, Rule] = {
         # -- deployment descriptions (ST43x) --------------------------------
         _rule("ST430", Severity.ERROR, "invalid deployment description",
               "Sec. 3: the config macros themselves must be well-formed"),
-        # -- concurrency exactness (ST50x) ----------------------------------
-        _rule("ST501", Severity.INFO, "kernel shape classified",
-              "parallel exactness: mergeable/order-dependent verdict per "
-              "kernel shape, on record"),
-        _rule("ST502", Severity.ERROR, "kernel declares unproven fan-out",
-              "parallel exactness: a '# parallel-mode:' claim exceeds what "
-              "the dataflow proves"),
-        _rule("ST503", Severity.ERROR, "unguarded shared-state mutation",
-              "parallel exactness: worker-reachable module state must hold "
-              "its lock"),
+        # -- the kernel table (ST504, ST510) ---------------------------------
         _rule("ST504", Severity.ERROR, "spec field outside shape projection",
-              "parallel exactness: every TrackSpec field is shape-relevant "
-              "or audited irrelevant"),
-        _rule("ST505", Severity.ERROR, "shared segment bypasses registry",
-              "parallel exactness: segment creation must register for the "
-              "crash sweep"),
-        _rule("ST506", Severity.INFO, "suppressed race finding",
-              "documented exceptions carry a '# race-ok' pragma"),
-        # -- generated kernels (ST51x) --------------------------------------
+              "kernel table: every TrackSpec field is a shape field or has "
+              "a stated reason to be left out"),
         _rule("ST510", Severity.ERROR, "generated kernel outside op set",
               "generated kernels: source must stay inside the "
               "restricted operation set (adds, shifts, compares, constant "
               "multiplies)"),
-        _rule("ST511", Severity.ERROR, "generated kernel pragma drift",
-              "generated kernels: a kernel's '# parallel-mode:' "
-              "pragma must match the dataflow-derived eligibility for its "
-              "shape"),
     )
 }
 

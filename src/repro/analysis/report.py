@@ -8,7 +8,7 @@ CI diffs stay readable.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 
@@ -51,16 +51,8 @@ def format_text(
     return "\n".join(lines)
 
 
-def format_json(
-    targets: Sequence[Tuple[str, Sequence[Diagnostic]]],
-    extra: Optional[Mapping[str, object]] = None,
-) -> str:
-    """Stable JSON report (the golden-tested form).
-
-    ``extra`` merges additional top-level keys into the payload — the
-    ``--concurrency`` run attaches the derived/declared eligibility
-    tables this way, without disturbing the golden keys.
-    """
+def format_json(targets: Sequence[Tuple[str, Sequence[Diagnostic]]]) -> str:
+    """Stable JSON report (the golden-tested form)."""
     combined: List[Diagnostic] = []
     rendered = []
     for target, diagnostics in targets:
@@ -79,6 +71,4 @@ def format_json(
         "targets": rendered,
         "summary": severity_counts(combined),
     }
-    if extra:
-        payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=False)

@@ -39,7 +39,6 @@ from repro.bench.suite import (
     SCENARIO_SCHEMA,
     SCHEMA_VERSION,
     format_kernels_markdown,
-    format_merge_markdown,
     format_report,
     format_scenario_table,
     run_suite,
@@ -53,7 +52,6 @@ __all__ = [
     "write_report",
     "format_report",
     "format_kernels_markdown",
-    "format_merge_markdown",
     "format_scenario_table",
     "compare_reports",
     "format_delta_table",

@@ -87,14 +87,13 @@ class ComparisonRow:
 
 @dataclass
 class ScenarioComparisonRow:
-    """One (scenario, engine, metric) checked against its committed floor.
+    """One (scenario, metric) checked against its committed floor.
 
     Quality scores are bit-deterministic (fixed traces, fixed seeds), so
     unlike speedup floors these are compared exactly — no tolerance band.
 
     Attributes:
         scenario: scenario name from the catalog.
-        engine: replay engine the row was measured under.
         metric: row metric name (``precision``/``recall``/``f1``/
             ``latency_intervals``).
         baseline: the committed floor (ceiling for latency); None on WARN
@@ -107,7 +106,6 @@ class ScenarioComparisonRow:
     """
 
     scenario: str
-    engine: str
     metric: str
     baseline: Optional[float]
     current: Optional[float]
@@ -117,7 +115,7 @@ class ScenarioComparisonRow:
     @property
     def label(self) -> str:
         """Identifier used in summaries and CI annotations."""
-        return f"{self.scenario}[{self.engine}]"
+        return self.scenario
 
 
 def load_baseline(path: str) -> Dict[str, Any]:
@@ -202,31 +200,22 @@ def compare_scenario_reports(
     the suite), and a measured scenario with no committed floors is a WARN
     row — quality is only actually gated once a floor lands in
     ``benchmarks/scenario_baseline.json``.
-
-    Floors apply per scenario, to *every* engine the report replayed —
-    scalar and parallel paths must both clear them.
     """
     section = report.get("scenarios") or {}
-    measured: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for row in section.get("rows", []):
-        measured.setdefault(row["scenario"], {})[row["engine"]] = row
+    measured = {row["scenario"]: row for row in section.get("rows", [])}
     floors = baseline["floors"]
     rows: List[ScenarioComparisonRow] = []
-    engines = sorted({engine for by_engine in measured.values() for engine in by_engine})
     for scenario in sorted(floors):
         scenario_floors = floors[scenario]
-        by_engine = measured.get(scenario, {})
-        if not by_engine:
+        row = measured.get(scenario)
+        if row is None:
             # Committed floor, nothing measured: the scenario fell out of
             # the suite — fail every metric the floor gates.
             for _, floor_key, _ in _SCENARIO_METRICS:
-                if floor_key not in scenario_floors:
-                    continue
-                for engine in engines or ["scalar"]:
+                if floor_key in scenario_floors:
                     rows.append(
                         ScenarioComparisonRow(
                             scenario=scenario,
-                            engine=engine,
                             metric=floor_key,
                             baseline=float(scenario_floors[floor_key]),
                             current=None,
@@ -234,46 +223,39 @@ def compare_scenario_reports(
                         )
                     )
             continue
-        for engine in sorted(by_engine):
-            row = by_engine[engine]
-            for metric, floor_key, direction in _SCENARIO_METRICS:
-                if floor_key not in scenario_floors:
-                    continue
-                floor = float(scenario_floors[floor_key])
-                current = row.get(metric)
-                if current is None:
-                    # Undefined latency = nothing detected; with a
-                    # committed ceiling that is a regression.
-                    regressed = True
-                elif direction == "min":
-                    regressed = float(current) < floor
-                else:
-                    regressed = float(current) > floor
-                rows.append(
-                    ScenarioComparisonRow(
-                        scenario=scenario,
-                        engine=engine,
-                        metric=metric,
-                        baseline=floor,
-                        current=None if current is None else float(current),
-                        regressed=regressed,
-                    )
-                )
-    for scenario in sorted(measured):
-        if scenario in floors:
-            continue
-        for engine in sorted(measured[scenario]):
+        for metric, floor_key, direction in _SCENARIO_METRICS:
+            if floor_key not in scenario_floors:
+                continue
+            floor = float(scenario_floors[floor_key])
+            current = row.get(metric)
+            if current is None:
+                # Undefined latency = nothing detected; with a committed
+                # ceiling that is a regression.
+                regressed = True
+            elif direction == "min":
+                regressed = float(current) < floor
+            else:
+                regressed = float(current) > floor
             rows.append(
                 ScenarioComparisonRow(
                     scenario=scenario,
-                    engine=engine,
-                    metric="f1",
-                    baseline=None,
-                    current=float(measured[scenario][engine]["f1"]),
-                    regressed=False,
-                    missing_floor=True,
+                    metric=metric,
+                    baseline=floor,
+                    current=None if current is None else float(current),
+                    regressed=regressed,
                 )
             )
+    for scenario in sorted(set(measured) - set(floors)):
+        rows.append(
+            ScenarioComparisonRow(
+                scenario=scenario,
+                metric="f1",
+                baseline=None,
+                current=float(measured[scenario]["f1"]),
+                regressed=False,
+                missing_floor=True,
+            )
+        )
     return rows
 
 
@@ -390,12 +372,11 @@ def format_scenario_delta_table(rows: List[ScenarioComparisonRow]) -> str:
     """The per-scenario quality table the scenario-smoke job prints."""
     lines = [
         "scenario-smoke: quality floors (exact — scores are deterministic)",
-        f"{'scenario':<18} {'engine':<9} {'metric':<18} {'floor':>7} "
-        f"{'current':>8}  verdict",
+        f"{'scenario':<18} {'metric':<18} {'floor':>7} {'current':>8}  verdict",
     ]
     for row in rows:
         lines.append(
-            f"{row.scenario:<18} {row.engine:<9} {row.metric:<18} "
+            f"{row.scenario:<18} {row.metric:<18} "
             f"{_scenario_value(row.baseline):>7} "
             f"{_scenario_value(row.current):>8}  {_scenario_verdict(row)}"
         )
@@ -408,8 +389,8 @@ def format_scenario_delta_markdown(rows: List[ScenarioComparisonRow]) -> str:
     lines = [
         "### scenario-smoke: detection quality floors",
         "",
-        "| scenario | engine | metric | floor | current | verdict |",
-        "| --- | --- | --- | ---: | ---: | --- |",
+        "| scenario | metric | floor | current | verdict |",
+        "| --- | --- | ---: | ---: | --- |",
     ]
     for row in rows:
         verdict = _scenario_verdict(row)
@@ -420,7 +401,7 @@ def format_scenario_delta_markdown(rows: List[ScenarioComparisonRow]) -> str:
         else:
             verdict = "✅ " + verdict
         lines.append(
-            f"| `{row.scenario}` | {row.engine} | {row.metric} | "
+            f"| `{row.scenario}` | {row.metric} | "
             f"{_scenario_value(row.baseline)} | {_scenario_value(row.current)} | "
             f"{verdict} |"
         )

@@ -91,17 +91,12 @@ def append_history(
     return report_path
 
 
-def _scenario_summary(
-    report: Dict[str, Any]
-) -> Optional[Dict[str, Dict[str, float]]]:
-    """``scenario -> engine -> f1`` from a report (None when none ran)."""
+def _scenario_summary(report: Dict[str, Any]) -> Optional[Dict[str, float]]:
+    """``scenario -> f1`` from a report (None when none ran)."""
     section = report.get("scenarios")
     if not section or not section.get("rows"):
         return None
-    summary: Dict[str, Dict[str, float]] = {}
-    for row in section["rows"]:
-        summary.setdefault(row["scenario"], {})[row["engine"]] = row["f1"]
-    return summary
+    return {row["scenario"]: row["f1"] for row in section["rows"]}
 
 
 def previous_report(
@@ -170,15 +165,10 @@ def format_trend(current: Dict[str, Any], previous: Dict[str, Any]) -> str:
         if shared_scenarios:
             lines.append("scenario detection quality (F1):")
             for scenario in shared_scenarios:
-                engines = sorted(
-                    set(scen_now[scenario]) & set(scen_before[scenario])
+                lines.append(
+                    f"  {scenario}: {scen_before[scenario]:.3f}"
+                    f" -> {scen_now[scenario]:.3f}"
                 )
-                for engine in engines:
-                    lines.append(
-                        f"  {scenario} [{engine}]: "
-                        f"{scen_before[scenario][engine]:.3f}"
-                        f" -> {scen_now[scenario][engine]:.3f}"
-                    )
     return "\n".join(lines)
 
 

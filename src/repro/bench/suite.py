@@ -12,11 +12,9 @@ One kernel per hot loop:
 - ``sharded_mean_variance`` — the cluster hot loop: key-hash routing,
   per-shard counting on a 4-shard :class:`~repro.cluster.sharded.ShardedStat4`,
   and the exact network-wide merge;
-- ``shm_parallel_mean_variance`` — the same counting workload through
-  :class:`~repro.stat4.parallel.ParallelBatchEngine` at ``--workers``
-  workers: columns packed into a ``multiprocessing.shared_memory``
-  segment, process workers attaching by descriptor, chunked tallies
-  merged exactly, against the scalar loop;
+- ``tracked_alerting`` — the tracker + k·σ + percentile-alert shape
+  (the generated per-packet loop) over the hot-key serving workload, the
+  one row whose alert streams fire;
 - ``service_throughput`` — the always-on serving stack end to end:
   pre-built batches through :class:`~repro.service.server.DetectionService`
   (bounded queue, producer/worker threads, alert log) against the scalar
@@ -66,12 +64,11 @@ __all__ = [
     "write_report",
     "format_report",
     "format_kernels_markdown",
-    "format_merge_markdown",
     "format_scenario_table",
 ]
 
 SCHEMA_VERSION = "repro-bench/2"
-SCENARIO_SCHEMA = "repro-scenarios/1"
+SCENARIO_SCHEMA = "repro-scenarios/2"
 
 #: (packets per kernel, timing repeats) per profile.
 _FULL_PROFILE = (20_000, 3)
@@ -152,7 +149,14 @@ def _bind(build_spec: Callable[[Stat4Runtime], Any], config: Stat4Config) -> Sta
     return stat4
 
 
-#: name -> (config, spec builder, timestamp gap).
+def _uniform_contexts(gap: float) -> Callable[[int], Any]:
+    """The multiplicative-walk workload at ``gap`` seconds per packet."""
+    return lambda packets: _make_contexts(
+        packets, dst_values=1024, timestamp_gap=gap
+    )
+
+
+#: name -> (config, spec builder, workload: packets -> contexts).
 def _kernel_definitions() -> Dict[str, Any]:
     freq_config = Stat4Config(counter_num=2, counter_size=256, binding_stages=1)
     sparse_config = Stat4Config(
@@ -162,32 +166,49 @@ def _kernel_definitions() -> Dict[str, Any]:
         "mean_variance": (
             freq_config,
             lambda rt: rt.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0xFF)),
-            1e-4,
+            _uniform_contexts(1e-4),
         ),
         "percentile": (
             freq_config,
             lambda rt: rt.frequency_of(
                 0, ExtractSpec.field("ipv4.dst", mask=0xFF), percent=50
             ),
-            1e-4,
+            _uniform_contexts(1e-4),
         ),
         "time_series": (
             freq_config,
             lambda rt: rt.rate_over_time(0, interval=0.008, k_sigma=2),
-            1e-3,
+            _uniform_contexts(1e-3),
         ),
         "sparse": (
             sparse_config,
             lambda rt: rt.sparse_frequency_of(0, ExtractSpec.field("ipv4.dst")),
-            1e-4,
+            _uniform_contexts(1e-4),
+        ),
+        # The all-three shape over the hot-key workload: both alert streams
+        # fire once the min-samples gate opens, and the day-long cooldown
+        # then silences them, so the row prices the generated per-packet
+        # loop with its tracker walk and alert gates.
+        "tracked_alerting": (
+            freq_config,
+            lambda rt: rt.frequency_of(
+                0,
+                ExtractSpec.field("ipv4.dst", mask=0xFF),
+                percent=50,
+                percentile_alert="median_moved",
+                k_sigma=2,
+                min_samples=64,
+                cooldown=86_400.0,
+            ),
+            _make_service_contexts,
         ),
     }
 
 
 def _time_stat4_kernels(packets: int, repeats: int) -> List[Dict[str, Any]]:
     results: List[Dict[str, Any]] = []
-    for name, (config, build_spec, gap) in _kernel_definitions().items():
-        contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=gap)
+    for name, (config, build_spec, workload) in _kernel_definitions().items():
+        contexts = workload(packets)
 
         def run_scalar():
             stat4 = _bind(build_spec, config)
@@ -205,138 +226,6 @@ def _time_stat4_kernels(packets: int, repeats: int) -> List[Dict[str, Any]]:
             _row(name, "batched", packets, _best_of(repeats, run_batched))
         )
     return results
-
-
-def _parallel_workload():
-    """Config + spec builder of the ``shm_parallel_mean_variance`` kernel."""
-    config = Stat4Config(counter_num=2, counter_size=256, binding_stages=1)
-
-    def build_spec(rt):
-        return rt.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0xFF))
-
-    return config, build_spec
-
-
-def _time_shm_parallel_kernels(
-    packets: int, repeats: int, workers: int
-) -> List[Dict[str, Any]]:
-    """The ``shm_parallel_mean_variance`` kernel: zero-copy process fan-out.
-
-    The committed floor gates the whole fan-out path — segment packing,
-    descriptor pickling, worker attach, tally, merge — against the scalar
-    loop.  At ``workers=1`` the engine delegates to the serial fast path,
-    which keeps the one-worker CI leg meaningful (the floor then gates the
-    serial batched kernel).
-    """
-    from repro.stat4.parallel import ParallelBatchEngine
-
-    config, build_spec = _parallel_workload()
-    contexts = _make_contexts(packets, dst_values=1024, timestamp_gap=1e-4)
-
-    def run_scalar():
-        stat4 = _bind(build_spec, config)
-        for ctx in contexts:
-            stat4.process(ctx)
-
-    batch = PacketBatch.from_contexts(contexts)
-
-    def run_shm():
-        stat4 = _bind(build_spec, config)
-        ParallelBatchEngine(stat4, workers=workers).process(batch)
-
-    name = "shm_parallel_mean_variance"
-    return [
-        _row(name, "scalar", packets, _best_of(repeats, run_scalar)),
-        _row(name, "batched", packets, _best_of(repeats, run_shm)),
-    ]
-
-
-def _merge_workload():
-    """Config + spec builder for the merge-engine ingest kernel.
-
-    The all-three shape (tracker + k·σ + percentile alert) over the
-    hot-key workload: both alert streams fire once the min-samples gate
-    opens, and the day-long cooldown then covers every later chunk, so
-    steady state exercises the fold path (telescoped moments + resumable
-    tracker walk) while the leading chunk exercises speculative adoption —
-    the regime the committed ``merge_parallel`` floor gates.
-    """
-    config = Stat4Config(counter_num=2, counter_size=256, binding_stages=1)
-
-    def build_spec(rt):
-        return rt.frequency_of(
-            0,
-            ExtractSpec.field("ipv4.dst", mask=0xFF),
-            percent=50,
-            percentile_alert="median_moved",
-            k_sigma=2,
-            min_samples=64,
-            cooldown=86_400.0,
-        )
-
-    return config, build_spec
-
-
-def _time_merge_parallel_kernels(packets: int, repeats: int, workers: int) -> Any:
-    """The ``merge_parallel`` kernel: tracked+alerting fan-out with merge.
-
-    The last previously-serial shape, driven through the merge engine
-    (the same transport the ``shm_parallel_mean_variance`` floor gates),
-    against the scalar per-packet loop.  Returns ``(kernel rows, merge section)``; the
-    section records the chunk-resolution mix (adopted / folded / replayed)
-    so the replay-fallback rate is a reported number rather than prose —
-    CI surfaces it next to the speedup delta.
-
-    This kernel pins its own geometry at four workers: below two the
-    engine delegates to the serial generated kernel, which would measure
-    the serial engine instead of the merge engine; the committed floor
-    gates the engine at its deployment geometry, not the CI matrix axis.
-    """
-    from repro.stat4.parallel import ParallelBatchEngine
-
-    workers = max(workers, 4)
-    config, build_spec = _merge_workload()
-    contexts = _make_service_contexts(packets)
-    name = "merge_parallel"
-
-    def run_scalar():
-        stat4 = _bind(build_spec, config)
-        for ctx in contexts:
-            stat4.process(ctx)
-
-    results = [_row(name, "scalar", packets, _best_of(repeats, run_scalar))]
-    batch = PacketBatch.from_contexts(contexts)
-    holder: Dict[str, Any] = {}
-
-    def run_merge():
-        stat4 = _bind(build_spec, config)
-        engine = ParallelBatchEngine(stat4, workers=workers)
-        engine.process(batch)
-        holder["engine"] = engine
-
-    # One untimed warm-up: the pinned geometry means this kernel may
-    # be the first to spawn its pool size (a workers=1 matrix leg
-    # never spawned one), and process spawn plus worker imports are
-    # not what the floor gates.
-    run_merge()
-    results.append(_row(name, "batched", packets, _best_of(repeats, run_merge)))
-    engine = holder["engine"]
-    resolved = (
-        engine.merge_adopted_chunks
-        + engine.merge_folded_chunks
-        + engine.merge_replayed_chunks
-    )
-    section = {
-        "packets": packets,
-        "workers": workers,
-        "adopted_chunks": engine.merge_adopted_chunks,
-        "folded_chunks": engine.merge_folded_chunks,
-        "replayed_chunks": engine.merge_replayed_chunks,
-        "fallback_replay_rate": (
-            engine.merge_replayed_chunks / resolved if resolved else 0.0
-        ),
-    }
-    return results, section
 
 
 def _make_service_contexts(packets: int, hot_every: int = 16):
@@ -409,7 +298,6 @@ def _time_service_kernels(packets: int, repeats: int) -> Any:
             ListSource(batches),
             config=config,
             bindings=default_bindings(),
-            engine="scalar",
             with_http=False,
         )
         service.start()
@@ -575,25 +463,16 @@ def _speedups(kernels: List[Dict[str, Any]]) -> Dict[str, float]:
     return speedups
 
 
-def _run_scenarios(workers: int, scenario_engine: str) -> Dict[str, Any]:
+def _run_scenarios() -> Dict[str, Any]:
     """The adversarial quality leaderboard (``repro bench --scenarios``).
 
     Scenario sizes are fixed by the catalog — never scaled by ``--quick``
     — so every row is bit-deterministic and the committed floors in
     ``benchmarks/scenario_baseline.json`` can be exact.
     """
-    from repro.scenarios import ENGINES, run_scenario_suite
+    from repro.scenarios import run_scenario_suite
 
-    engines = list(ENGINES) if scenario_engine == "both" else [scenario_engine]
-    rows: List[Dict[str, Any]] = []
-    for engine in engines:
-        rows.extend(run_scenario_suite(engine=engine, workers=workers))
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "engines": engines,
-        "workers": workers,
-        "rows": rows,
-    }
+    return {"schema": SCENARIO_SCHEMA, "rows": run_scenario_suite()}
 
 
 def run_suite(
@@ -601,10 +480,8 @@ def run_suite(
     skip_experiments: bool = False,
     packets: Optional[int] = None,
     repeats: Optional[int] = None,
-    workers: int = 4,
     scenarios: bool = False,
     scenarios_only: bool = False,
-    scenario_engine: str = "scalar",
 ) -> Dict[str, Any]:
     """Run the full suite; returns the report as a plain dict.
 
@@ -613,21 +490,11 @@ def run_suite(
             experiment set.
         skip_experiments: kernels only (used by unit tests).
         packets / repeats: override the profile (tests use tiny values).
-        workers: worker count for the parallel ingest kernels
-            (``repro bench --workers``); recorded in the report.
         scenarios: also run the labeled adversarial scenario suite and
             attach its quality leaderboard under ``report["scenarios"]``.
         scenarios_only: skip the perf kernels entirely — the scenario CI
             job wants quality rows without paying for timing runs.
-        scenario_engine: replay path for the scenario rows — ``"scalar"``,
-            ``"parallel"`` (process pool + shared-memory columns), or
-            ``"both"`` (scalar + parallel).
     """
-    if scenario_engine not in ("scalar", "parallel", "both"):
-        raise ValueError(
-            f"unknown scenario engine {scenario_engine!r}; "
-            "pick 'scalar', 'parallel' or 'both'"
-        )
     run_scenario_rows = scenarios or scenarios_only
     profile_packets, profile_repeats = _QUICK_PROFILE if quick else _FULL_PROFILE
     n = packets if packets is not None else profile_packets
@@ -635,13 +502,9 @@ def run_suite(
     if scenarios_only:
         kernels: List[Dict[str, Any]] = []
         service_section: Optional[Dict[str, Any]] = None
-        merge_section: Optional[Dict[str, Any]] = None
     else:
         kernels = _time_stat4_kernels(n, reps)
         kernels.extend(_time_cluster_kernels(n, reps))
-        kernels.extend(_time_shm_parallel_kernels(n, reps, workers))
-        merge_rows, merge_section = _time_merge_parallel_kernels(n, reps, workers)
-        kernels.extend(merge_rows)
         service_rows, service_section = _time_service_kernels(n, reps)
         kernels.extend(service_rows)
     # Absolute per-packet cost per row: the speedup ratios re-anchor
@@ -655,7 +518,6 @@ def run_suite(
         "python": platform.python_version(),
         "numpy": _numpy_version(),
         "quick": quick,
-        "workers": workers,
         "kernels": kernels,
         "experiments": (
             []
@@ -664,11 +526,10 @@ def run_suite(
         ),
         "cluster": [] if scenarios_only else _time_cluster_scaling(n, reps),
         "service": service_section,
-        "merge": merge_section,
         "speedups": _speedups(kernels),
     }
     if run_scenario_rows:
-        report["scenarios"] = _run_scenarios(workers, scenario_engine)
+        report["scenarios"] = _run_scenarios()
     return report
 
 
@@ -719,17 +580,6 @@ def format_report(report: Dict[str, Any]) -> str:
             f"{row['name']:<26} {row['mode']:<8} "
             f"{row['pps']:>12,.0f} {ns_text:>9} {ratio:>8}"
         )
-    merge = report.get("merge")
-    if merge:
-        lines.append("")
-        lines.append(
-            f"merge-engine chunk resolution ({merge['packets']:,} packets, "
-            f"{merge['workers']} workers): "
-            f"adopted {merge['adopted_chunks']}, "
-            f"folded {merge['folded_chunks']}, "
-            f"replayed {merge['replayed_chunks']}, "
-            f"fallback {merge['fallback_replay_rate'] * 100:.1f}%"
-        )
     service = report.get("service")
     if service:
         batch_p99 = (
@@ -776,33 +626,6 @@ def format_report(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def format_merge_markdown(report: Dict[str, Any]) -> str:
-    """Markdown twin of the merge-resolution table, or ``""`` without one.
-
-    CI appends this to ``GITHUB_STEP_SUMMARY`` so the fallback-replay
-    rate — the health metric of the merge engine's speculation — shows
-    on the run page next to the floor verdicts.  A creeping rate means
-    chunks keep missing the fixpoint/fold fast paths and the committed
-    ``merge_parallel`` floor is living on borrowed time.
-    """
-    merge = report.get("merge")
-    if not merge:
-        return ""
-    lines = [
-        "### Merge-engine chunk resolution",
-        "",
-        f"{merge['packets']:,} packets, {merge['workers']} workers",
-        "",
-        "| adopted | folded | replayed | fallback replay |",
-        "| ---: | ---: | ---: | ---: |",
-        f"| {merge['adopted_chunks']} | {merge['folded_chunks']} "
-        f"| {merge['replayed_chunks']} "
-        f"| {merge['fallback_replay_rate'] * 100:.1f}% |",
-        "",
-    ]
-    return "\n".join(lines)
-
-
 def format_kernels_markdown(report: Dict[str, Any]) -> str:
     """Markdown twin of the per-kernel table, or ``""`` without kernels.
 
@@ -840,7 +663,7 @@ def format_scenario_table(report: Dict[str, Any]) -> str:
         return ""
     lines = [
         f"scenario quality leaderboard ({section['schema']}):",
-        f"  {'scenario':<18} {'engine':<9} {'prec':>6} {'recall':>6} "
+        f"  {'scenario':<18} {'prec':>6} {'recall':>6} "
         f"{'f1':>6} {'latency':>8} {'fp':>4} {'victim':>7}",
     ]
     for row in section["rows"]:
@@ -851,7 +674,7 @@ def format_scenario_table(report: Dict[str, Any]) -> str:
         )
         victim = "-" if row["victim_identified"] is None else str(row["victim_identified"]).lower()
         lines.append(
-            f"  {row['scenario']:<18} {row['engine']:<9} "
+            f"  {row['scenario']:<18} "
             f"{row['precision']:>6.3f} {row['recall']:>6.3f} "
             f"{row['f1']:>6.3f} {latency:>8} "
             f"{row['false_positive_intervals']:>4} {victim:>7}"

@@ -46,15 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=1024, help="chunk size for --batched"
     )
     validate.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker count for --batched (ParallelBatchEngine's process "
-            "pool); 1 = serial"
-        ),
-    )
-    validate.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -93,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "static analysis: expressibility, widths, binding tables "
-            "(ST4xx), concurrency exactness (--concurrency, ST5xx)"
+            "(ST4xx), the kernel table (ST504, ST510)"
         ),
     )
     lint.add_argument(
@@ -120,14 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--rules", action="store_true", help="print the rule index and exit"
-    )
-    lint.add_argument(
-        "--concurrency",
-        action="store_true",
-        help=(
-            "add the ST5xx concurrency-exactness pass: kernel-shape "
-            "classification, fan-out eligibility drift, shared-state races"
-        ),
     )
 
     bench = sub.add_parser(
@@ -172,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="history directory (default benchmarks/history)",
     )
     bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker count for the parallel ingest kernels (default 4)",
-    )
-    bench.add_argument(
         "--scenarios",
         action="store_true",
         help=(
@@ -197,15 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "compare scenario quality against this committed floors file "
             "(implies --scenarios)"
-        ),
-    )
-    bench.add_argument(
-        "--scenario-engine",
-        choices=["scalar", "parallel", "both"],
-        default="scalar",
-        help=(
-            "replay engine(s) for the scenario suite (default scalar; "
-            "'both' runs the gated scalar+parallel pair)"
         ),
     )
 
@@ -251,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--loop", action="store_true", help="repeat a finite source forever"
     )
     serve.add_argument("--batch-size", type=int, default=2048)
-    serve.add_argument(
-        "--engine", choices=["scalar", "parallel"], default="scalar"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4, help="parallel-engine worker count"
-    )
     serve.add_argument(
         "--queue-depth",
         type=int,
@@ -345,7 +307,6 @@ def _cmd_validate(args) -> int:
             packets=args.packets,
             seed=args.seed,
             batch_size=args.batch_size,
-            workers=args.workers,
         )
         print(
             f"packets={diff.packets} batches={diff.batches} "
@@ -491,27 +452,14 @@ def _cmd_lint(args) -> int:
     reports = []
     unresolved = []
     for target in args.targets:
-        diagnostics, resolved = analyze_target(
-            target, max_value=args.max_value, concurrency=args.concurrency
-        )
+        diagnostics, resolved = analyze_target(target, max_value=args.max_value)
         if not resolved:
             unresolved.append(target)
             continue
         reports.append((target, diagnostics))
 
-    extra = None
-    if args.concurrency:
-        # The global kernel-table gate runs once per invocation, not per
-        # target: classify every shape (ST501), audit the TrackSpec fields
-        # (ST504) and the generated kernels (ST510/ST511).
-        from repro.analysis import kernel_table_diagnostics
-        from repro.analysis.concurrency import derive_eligibility_table
-
-        reports.append(("<kernel-table>", kernel_table_diagnostics()))
-        extra = {"concurrency": {"eligibility": derive_eligibility_table()}}
-
     if args.json:
-        print(format_json(reports, extra=extra))
+        print(format_json(reports))
     else:
         print(format_text(reports))
     for target in unresolved:
@@ -539,7 +487,6 @@ def _cmd_bench(args) -> int:
         format_delta_markdown,
         format_delta_table,
         format_kernels_markdown,
-        format_merge_markdown,
         format_report,
         format_scenario_delta_markdown,
         format_scenario_delta_table,
@@ -566,10 +513,8 @@ def _cmd_bench(args) -> int:
     )
     report = run_suite(
         quick=args.quick,
-        workers=args.workers,
         scenarios=want_scenarios,
         scenarios_only=args.scenarios_only,
-        scenario_engine=args.scenario_engine,
     )
     path = write_report(report, output=args.output)
     if args.json:
@@ -617,7 +562,6 @@ def _cmd_bench(args) -> int:
                 print(line)
         # On GitHub Actions, render the verdicts on the run page too.
         if summary_path:
-            merge_markdown = format_merge_markdown(report)
             with open(summary_path, "a", encoding="utf-8") as handle:
                 handle.write(format_delta_markdown(rows, args.tolerance))
                 handle.write("\n")
@@ -626,12 +570,6 @@ def _cmd_bench(args) -> int:
                     # Absolute ns/packet per kernel row: comparisons
                     # across revisions survive baseline re-anchoring.
                     handle.write(kernels_markdown)
-                    handle.write("\n")
-                if merge_markdown:
-                    # The fallback-replay rate belongs next to the floor
-                    # verdicts: a creeping rate forecasts a merge_parallel
-                    # regression before the floor actually breaks.
-                    handle.write(merge_markdown)
                     handle.write("\n")
                 if suggestions:
                     handle.write(format_suggestions_markdown(suggestions))
@@ -667,7 +605,6 @@ def _cmd_serve(args) -> int:
         TraceSource,
         install_signal_handlers,
     )
-    from repro.stat4.parallel import shutdown_pools
 
     pacer = RatePacer(args.rate) if args.rate > 0 else None
     feed = None
@@ -701,8 +638,6 @@ def _cmd_serve(args) -> int:
 
     service = DetectionService(
         source,
-        engine=args.engine,
-        workers=args.workers,
         queue_depth=args.queue_depth,
         policy=args.policy,
         degraded_after=args.degraded_after,
@@ -713,7 +648,7 @@ def _cmd_serve(args) -> int:
     install_signal_handlers(service)
     print(
         f"serving {label} on {service.url} "
-        f"(engine={args.engine}, policy={args.policy}, "
+        f"(policy={args.policy}, "
         f"queue_depth={args.queue_depth}, rate={args.rate or 'unpaced'})",
         flush=True,
     )
@@ -729,7 +664,6 @@ def _cmd_serve(args) -> int:
         if feed is not None:
             feed.close()
         service.close()
-        shutdown_pools()
         print("final " + json_module.dumps(service.stats()), flush=True)
     if service.pipeline.error is not None:
         print(f"pipeline error: {service.pipeline.error!r}", flush=True)

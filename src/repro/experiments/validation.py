@@ -205,7 +205,6 @@ def run_validation_batched(
     seed: int = 0,
     batch_size: int = 1024,
     gap: float = 0.0005,
-    workers: int = 1,
 ) -> BatchedValidationResult:
     """Figure-5 differential: batched ingestion vs the scalar library.
 
@@ -215,14 +214,10 @@ def run_validation_batched(
     then compares every register cell and every piece of working state.
     This is the validation experiment for the batched fast path: the paper
     validates switch-vs-host equality, this validates batched-vs-scalar
-    equality on the same workload.  With ``workers > 1`` the batched side
-    runs through :class:`~repro.stat4.parallel.ParallelBatchEngine`'s
-    process pool, so the same differential also covers the multi-worker
-    path.
+    equality on the same workload.
     """
     from repro.p4.switch import PacketContext, StandardMetadata
     from repro.stat4.batch import BatchEngine, PacketBatch
-    from repro.stat4.parallel import ParallelBatchEngine
 
     rng = random.Random(seed)
     values = [rng.randint(-255, 255) for _ in range(packets)]
@@ -241,10 +236,7 @@ def run_validation_batched(
     batched = build_echo_app()
     for ctx in contexts:
         scalar.stat4.process(ctx)
-    if workers > 1:
-        engine = ParallelBatchEngine(batched.stat4, workers=workers)
-    else:
-        engine = BatchEngine(batched.stat4)
+    engine = BatchEngine(batched.stat4)
     result = BatchedValidationResult(packets=packets)
     for start in range(0, packets, batch_size):
         engine.process(PacketBatch.from_contexts(contexts[start : start + batch_size]))

@@ -16,7 +16,6 @@ from repro.scenarios.catalog import (
     scenario_names,
 )
 from repro.scenarios.score import (
-    ENGINES,
     ScenarioScore,
     replay_scenario,
     run_scenario_suite,
@@ -33,7 +32,6 @@ __all__ = [
     "scenario_names",
     "build_scenario",
     "build_scenarios",
-    "ENGINES",
     "ScenarioScore",
     "replay_scenario",
     "score_digests",

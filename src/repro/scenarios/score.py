@@ -1,12 +1,12 @@
 # p4-ok-file — host-side scoring harness, not data-plane code.
 """Replay labeled scenarios and score the digests against ground truth.
 
-The harness builds a fresh :class:`~repro.stat4.library.Stat4` per replay
-(scalar and parallel paths must start bit-identical), installs the
-scenario's binding entries, and streams the rendered trace through
-:meth:`SwitchNode.ingest_batch` in columnar chunks — exactly the
-monitoring fast path the bench suite exercises, so quality numbers and
-throughput numbers describe the same code.
+The harness builds a fresh :class:`~repro.stat4.library.Stat4` per replay,
+installs the scenario's binding entries, and streams the rendered trace
+through :meth:`SwitchNode.ingest_batch` and the
+:class:`~repro.stat4.batch.BatchEngine` in columnar chunks — exactly the
+monitoring fast path the bench suite and ``repro serve`` run, so quality
+numbers and throughput numbers describe the same code.
 
 Scoring semantics (window recall, interval precision):
 
@@ -37,7 +37,6 @@ from repro.p4.pipeline import PipelineProgram
 from repro.p4.registers import RegisterFile
 from repro.stat4.batch import BatchEngine
 from repro.stat4.library import Stat4
-from repro.stat4.parallel import ParallelBatchEngine
 from repro.stat4.runtime import Stat4Runtime
 from repro.scenarios.catalog import build_scenarios
 from repro.scenarios.truth import LabeledScenario, ScenarioTruth
@@ -50,20 +49,16 @@ __all__ = [
     "run_scenario_suite",
 ]
 
-#: Replay chunk size; large enough that the parallel engine fans out
-#: (workers * min_chunk) and small enough to keep many chunks per trace.
+#: Replay chunk size: ``repro serve``'s default, and small enough to keep
+#: many chunks per trace.
 BATCH_SIZE = 2048
-
-#: The gated engine pair: every committed scenario floor exists for both.
-ENGINES = ("scalar", "parallel")
 
 
 @dataclass(frozen=True)
 class ScenarioScore:
-    """One scenario's quality numbers under one replay engine."""
+    """One scenario's quality numbers."""
 
     scenario: str
-    engine: str
     packets: int
     intervals: int
     windows: int
@@ -82,7 +77,6 @@ class ScenarioScore:
         """The schema-versioned leaderboard row (see bench suite)."""
         return {
             "scenario": self.scenario,
-            "engine": self.engine,
             "packets": self.packets,
             "intervals": self.intervals,
             "windows": self.windows,
@@ -132,18 +126,8 @@ def _build_node(
     return node, stat4
 
 
-def _make_engine(stat4: Stat4, engine: str, workers: int) -> BatchEngine:
-    if engine == "scalar":
-        return BatchEngine(stat4)
-    if engine == "parallel":
-        return ParallelBatchEngine(stat4, workers=workers)
-    raise ValueError(f"unknown replay engine {engine!r}; pick one of {ENGINES}")
-
-
 def replay_scenario(
     scenario: LabeledScenario,
-    engine: str = "scalar",
-    workers: int = 4,
     batch_size: int = BATCH_SIZE,
     detector_overrides: Optional[Dict[str, Any]] = None,
 ) -> List[Any]:
@@ -155,11 +139,11 @@ def replay_scenario(
     recall and fail the committed floors.
     """
     node, stat4 = _build_node(scenario, detector_overrides)
-    batch_engine = _make_engine(stat4, engine, workers)
+    engine = BatchEngine(stat4)
     digests: List[Any] = []
     parser = standard_parser()
     for batch in scenario.trace.iter_packet_batches(parser, batch_size):
-        result = node.ingest_batch(batch, batch_engine)
+        result = node.ingest_batch(batch, engine)
         digests.extend(result.digests)
     return digests
 
@@ -171,7 +155,6 @@ def score_digests(
     truth: ScenarioTruth,
     digests: Iterable[Any],
     scenario: str = "",
-    engine: str = "scalar",
     packets: int = 0,
 ) -> ScenarioScore:
     """Score a digest stream against the labels (pure function).
@@ -228,7 +211,6 @@ def score_digests(
     latency = sum(latencies) / len(latencies) if latencies else None
     return ScenarioScore(
         scenario=scenario,
-        engine=engine,
         packets=packets,
         intervals=truth.intervals,
         windows=len(truth.windows),
@@ -247,31 +229,22 @@ def score_digests(
 
 def score_scenario(
     scenario: LabeledScenario,
-    engine: str = "scalar",
-    workers: int = 4,
     batch_size: int = BATCH_SIZE,
     detector_overrides: Optional[Dict[str, Any]] = None,
 ) -> ScenarioScore:
     """Replay one scenario and score it."""
     digests = replay_scenario(
-        scenario,
-        engine=engine,
-        workers=workers,
-        batch_size=batch_size,
-        detector_overrides=detector_overrides,
+        scenario, batch_size=batch_size, detector_overrides=detector_overrides
     )
     return score_digests(
         scenario.truth,
         digests,
         scenario=scenario.name,
-        engine=engine,
         packets=len(scenario.trace),
     )
 
 
 def run_scenario_suite(
-    engine: str = "scalar",
-    workers: int = 4,
     names: Optional[Sequence[str]] = None,
     detector_overrides: Optional[Dict[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
@@ -283,11 +256,6 @@ def run_scenario_suite(
     """
     rows: List[Dict[str, Any]] = []
     for scenario in build_scenarios(names):
-        score = score_scenario(
-            scenario,
-            engine=engine,
-            workers=workers,
-            detector_overrides=detector_overrides,
-        )
+        score = score_scenario(scenario, detector_overrides=detector_overrides)
         rows.append(score.as_row())
     return rows

@@ -130,8 +130,8 @@ class LabeledScenario:
     The unit of the scenario suite: everything a replay needs to score one
     detector configuration against one adversarial workload.  The detector
     is carried as *configuration* (a Stat4 geometry plus binding-table
-    entries), not as live state — every replay builds a fresh library so
-    scalar and parallel paths start bit-identical.
+    entries), not as live state — every replay builds a fresh library, so
+    replays of one scenario start bit-identical.
 
     Attributes:
         name: stable identifier (also the floor key in

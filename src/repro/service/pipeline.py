@@ -9,10 +9,8 @@ Two threads around one ``queue.Queue(maxsize=N)``:
   engine) and folds the result into :class:`ServiceMetrics`.
 
 The handler's kernel counters flow through untouched, so ``/stats``
-shows exactly which ingest kernels a served workload hits — including
-``merge_parallel`` once a tracked+alerting binding fans out under the
-parallel engine's merge mode (previously those bindings pinned one core
-in the serial exact loop).
+shows exactly which ingest kernels (:func:`~repro.stat4.batch.kernel_of`)
+a served workload hits.
 
 Backpressure is an explicit policy, not an accident of buffer growth:
 

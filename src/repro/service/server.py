@@ -4,9 +4,8 @@
 :class:`DetectionService` composes the pieces the batch pipeline already
 has — a fresh :class:`~repro.stat4.library.Stat4` with binding entries
 installed through :class:`~repro.stat4.runtime.Stat4Runtime`, a
-:class:`~repro.netsim.switchnode.SwitchNode`, and a scalar
-:class:`~repro.stat4.batch.BatchEngine` or shm
-:class:`~repro.stat4.parallel.ParallelBatchEngine` — under the bounded
+:class:`~repro.netsim.switchnode.SwitchNode`, and the
+:class:`~repro.stat4.batch.BatchEngine` — under the bounded
 :class:`~repro.service.pipeline.ServicePipeline`, and exposes a stdlib
 ``ThreadingHTTPServer`` JSON API (no dependencies beyond the standard
 library):
@@ -20,7 +19,8 @@ library):
   incremental read, ``&timeout=<s>`` long-polls for new ones;
 - ``GET /bindings`` / ``POST /bindings`` — inspect and retune the live
   binding-table entries through ``Stat4Runtime.rebind`` (the paper's
-  runtime control-plane knob, now over HTTP);
+  runtime control-plane knob, now over HTTP); a request body is capped
+  at :data:`MAX_BODY_BYTES`;
 - ``POST /shutdown`` — graceful stop (same path as SIGTERM).
 
 Concurrency model: exactly one worker thread touches the detector, so
@@ -54,9 +54,7 @@ from repro.stat4.config import Stat4Config
 from repro.stat4.distributions import TrackSpec
 from repro.stat4.extract import ExtractSpec
 from repro.stat4.library import Stat4
-from repro.stat4.parallel import ParallelBatchEngine, shutdown_pools
 from repro.stat4.runtime import BindingHandle, Stat4Runtime
-from repro.traffic.columns import ensure_termination_cleanup
 
 __all__ = [
     "DetectionService",
@@ -86,6 +84,11 @@ RETUNE_FIELDS: Dict[str, Callable[[Any], Any]] = {
 
 #: Upper bound on an ``/alerts`` long-poll, regardless of the query.
 MAX_LONG_POLL = 30.0
+
+#: Largest ``POST`` body the server reads; a larger ``Content-Length`` gets
+#: 413 without the body being read.  A retune request is a few hundred
+#: bytes.
+MAX_BODY_BYTES = 64 * 1024
 
 
 def default_config() -> Stat4Config:
@@ -165,8 +168,6 @@ class DetectionService:
         config: detector geometry (default: the source's, else
             :func:`default_config`).
         bindings: ``(stage, match, spec)`` entries (same defaulting).
-        engine: ``"scalar"`` or ``"parallel"``.
-        workers: parallel-engine worker processes.
         queue_depth / policy / degraded_after: pipeline knobs (see
             :class:`ServicePipeline`).
         with_http: serve the JSON API (off for in-process bench use).
@@ -180,8 +181,6 @@ class DetectionService:
         source: Iterable[PacketBatch],
         config: Optional[Stat4Config] = None,
         bindings: Optional[Sequence[Tuple[int, BindingMatch, TrackSpec]]] = None,
-        engine: str = "scalar",
-        workers: int = 4,
         queue_depth: int = 8,
         policy: str = "block",
         degraded_after: float = 5.0,
@@ -203,7 +202,6 @@ class DetectionService:
         self.scenario = scenario
         self.config = config
         self.name = name
-        self.engine_kind = engine
         self._clock = clock
         self._detector_lock = threading.Lock()
 
@@ -228,12 +226,7 @@ class DetectionService:
         # which is what the alert log records.
         Network().add(self.node)
 
-        if engine == "scalar":
-            self.engine: BatchEngine = BatchEngine(self.stat4)
-        elif engine == "parallel":
-            self.engine = ParallelBatchEngine(self.stat4, workers=workers)
-        else:
-            raise ValueError(f"unknown engine {engine!r}; pick scalar or parallel")
+        self.engine = BatchEngine(self.stat4)
 
         self.metrics = ServiceMetrics(clock=clock)
         self.alerts = AlertLog(capacity=alert_capacity)
@@ -270,11 +263,7 @@ class DetectionService:
         return f"http://{address[0]}:{address[1]}"
 
     def start(self) -> "DetectionService":
-        """Install the shm sweep chain, start HTTP and the pipeline."""
-        # The columns SIGTERM sweep must sit underneath any handler the CLI
-        # chains on top — a served process dying mid-ingest must not leave
-        # /dev/shm segments behind (see install_signal_handlers).
-        ensure_termination_cleanup()
+        """Start HTTP and the pipeline."""
         if self._httpd is not None and self._http_thread is None:
             self._http_thread = threading.Thread(
                 target=self._httpd.serve_forever,
@@ -302,7 +291,7 @@ class DetectionService:
         return self.pipeline.join(timeout)
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop everything: pipeline, HTTP, and the engine's pool segments."""
+        """Stop everything: the pipeline, then HTTP."""
         self.pipeline.stop()
         self.pipeline.join(timeout)
         if self._httpd is not None:
@@ -311,12 +300,6 @@ class DetectionService:
             if self._http_thread is not None:
                 self._http_thread.join(timeout)
                 self._http_thread = None
-        if isinstance(self.engine, ParallelBatchEngine):
-            # Sweep any segment a killed-mid-batch fan-out left registered;
-            # pools themselves are process-global and swept at exit.
-            from repro.traffic.columns import release_all_segments
-
-            release_all_segments()
 
     # -- the worker-side handler ------------------------------------------
 
@@ -332,14 +315,12 @@ class DetectionService:
     def health(self) -> Dict[str, Any]:
         payload = self.pipeline.health()
         payload["service"] = self.name
-        payload["engine"] = self.engine_kind
         payload["alert_cursor"] = self.alerts.cursor
         return payload
 
     def stats(self) -> Dict[str, Any]:
         payload = self.metrics.snapshot()
         payload["service"] = self.name
-        payload["engine"] = self.engine_kind
         payload["state"] = self.pipeline.state()
         payload["queue_depth"] = self.pipeline.queue_depth
         payload["alert_cursor"] = self.alerts.cursor
@@ -347,15 +328,6 @@ class DetectionService:
         if bad_lines is not None:
             # A feed's lines that failed validation (FeedSource.bad_lines).
             payload["bad_lines"] = bad_lines
-        if isinstance(self.engine, ParallelBatchEngine):
-            # Merge-engine observability: how every fanned-out chunk was
-            # reconciled since start (adopt/fold are the fast paths; a high
-            # replay share means chunks keep crossing alert boundaries).
-            payload["merge_chunks"] = {
-                "adopted": self.engine.merge_adopted_chunks,
-                "folded": self.engine.merge_folded_chunks,
-                "replayed": self.engine.merge_replayed_chunks,
-            }
         return payload
 
     def describe_bindings(self) -> Dict[str, Any]:
@@ -433,17 +405,12 @@ def install_signal_handlers(
     service: DetectionService,
     signals: Sequence[int] = (signal.SIGINT, signal.SIGTERM),
 ) -> Dict[int, Any]:
-    """Graceful-then-forceful shutdown, chained over the shm sweep.
+    """Graceful-then-forceful shutdown.
 
-    The columns module's SIGTERM sweep is installed first (via
-    ``ensure_termination_cleanup`` in :meth:`DetectionService.start`), and
-    this handler chains on top of whatever was installed:
-
-    - first signal: request a graceful stop — the serve loop drains,
-      ``close()`` runs, and the CLI sweeps the pools on the way out;
-    - second signal (the operator insists): sweep pools and shm segments
-      *now*, then fall through to the previous disposition, which for
-      SIGTERM is the columns sweep chain ending in process death.
+    - first signal: request a graceful stop — the serve loop drains and
+      ``close()`` runs;
+    - second signal (the operator insists): fall through to the previous
+      disposition, which for SIGTERM's default is process death.
 
     Returns the previous handlers (main-thread only; callers in tests use
     it to restore).  Raises ValueError off the main thread, like
@@ -453,7 +420,6 @@ def install_signal_handlers(
 
     def _handle(signum: int, frame: Any) -> None:
         if service.stopping:
-            shutdown_pools()
             prior = previous.get(signum)
             if callable(prior):
                 prior(signum, frame)
@@ -491,11 +457,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- helpers -----------------------------------------------------------
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+    def _send_json(
+        self, status: int, payload: Dict[str, Any], close: bool = False
+    ) -> None:
+        """Send one JSON response; ``close`` ends the connection after it
+        (for a request whose unread body would be taken for the next one)."""
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -503,9 +475,29 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         raw = parse_qs(urlsplit(self.path).query)
         return {key: values[-1] for key, values in raw.items()}
 
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+    def _body_length(self) -> Optional[int]:
+        """The request's ``Content-Length``, or None after answering a bad
+        one: 400 when it is not a non-negative integer, 413 when it
+        exceeds :data:`MAX_BODY_BYTES`.  Either way the body stays unread
+        and the connection closes."""
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            self._send_json(
+                400, {"error": f"bad Content-Length {header!r}"}, close=True
+            )
+            return None
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413,
+                {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"},
+                close=True,
+            )
+            return None
+        return length
+
+    def _read_body(self, length: int) -> Any:
+        if length == 0:
             return {}
         raw = self.rfile.read(length)
         try:
@@ -535,6 +527,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 self._send_json(400, {"error": f"bad query parameter: {exc}"})
                 return
+            if since < 0:
+                self._send_json(
+                    400, {"error": f"bad query parameter: since={since} < 0"}
+                )
+                return
             self._send_json(200, service.recent_alerts(since, timeout, limit))
         elif route == "/bindings":
             self._send_json(200, service.describe_bindings())
@@ -548,14 +545,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             service.stop()
             self._send_json(200, {"stopping": True})
         elif route == "/bindings":
+            length = self._body_length()
+            if length is None:
+                return
             try:
-                body = self._read_body()
+                body = self._read_body(length)
                 if not isinstance(body, dict) or "id" not in body:
                     raise RetuneError('body must be {"id": N, "spec": {...}}')
+                binding_id = body["id"]
+                if type(binding_id) is not int:  # bool is an int subclass
+                    raise RetuneError(
+                        f"binding id must be an integer, got {binding_id!r}"
+                    )
                 overrides = body.get("spec")
                 if not isinstance(overrides, dict):
                     raise RetuneError('body must carry a "spec" object')
-                result = service.retune(int(body["id"]), overrides)
+                result = service.retune(binding_id, overrides)
             except RetuneError as exc:
                 self._send_json(400, {"error": str(exc)})
                 return

@@ -7,7 +7,13 @@ the configured anomaly checks fire.  Binding tables let a controller retune
 what is tracked at runtime without recompiling.
 """
 
-from repro.stat4.batch import HAS_NUMPY, BatchEngine, BatchResult, PacketBatch
+from repro.stat4.batch import (
+    HAS_NUMPY,
+    BatchEngine,
+    BatchResult,
+    PacketBatch,
+    split_batch,
+)
 from repro.stat4.binding import (
     MATCH_ALL,
     TRACK_ACTION,
@@ -19,7 +25,6 @@ from repro.stat4.config import DEFAULT_CONFIG, Stat4Config
 from repro.stat4.distributions import DistributionKind, DistributionState, TrackSpec
 from repro.stat4.extract import ExtractSpec
 from repro.stat4.library import Stat4
-from repro.stat4.parallel import ParallelBatchEngine, shutdown_pools, split_batch
 from repro.stat4.runtime import BindingHandle, Stat4Runtime
 from repro.stat4.sparse import HashedCells
 
@@ -28,9 +33,7 @@ __all__ = [
     "PacketBatch",
     "BatchEngine",
     "BatchResult",
-    "ParallelBatchEngine",
     "split_batch",
-    "shutdown_pools",
     "HAS_NUMPY",
     "Stat4Config",
     "DEFAULT_CONFIG",

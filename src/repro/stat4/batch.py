@@ -48,14 +48,12 @@ integer-only semantics are the spec; differential tests enforce equality):
     (slots hashed once per unique key per run), and the derived-measure
     registers synced once per run.
 
-The engine is plain Python.  numpy is optional and used only where the
-data is already an array: frame decoding (:mod:`repro.stat4.frames`), the
-parallel engine's shared-memory columns and their worker-side tally, and
-the bulk sparse slot hash.  Each of those picks numpy when it imports and
-a Python loop otherwise; both give the same values.
-:mod:`repro.stat4.parallel` builds a process-pool execution layer on top
-of this engine (chunk tallies folded through the same
-``observe_frequencies`` telescoping).
+The engine is plain Python and runs every batch on the calling thread,
+in scalar order.  numpy is optional and used only where the data is
+already an array: frame decoding (:mod:`repro.stat4.frames`) and the bulk
+sparse slot hash.  Each of those picks numpy when it imports and a Python
+loop otherwise; both give the same values.  :func:`split_batch` cuts a
+trace into time-ordered chunks that any engine may process in turn.
 
 What is *not* preserved: per-register read/write accounting and the
 σ-recomputation counter (the batch path coalesces touches by design).
@@ -94,6 +92,7 @@ __all__ = [
     "PacketBatch",
     "BatchResult",
     "BatchEngine",
+    "split_batch",
 ]
 
 #: Value columns: one optional int per packet (None = no value of interest).
@@ -469,8 +468,7 @@ class BatchResult:
         kernels: events handled per kernel, keyed by kernel name
             (:func:`kernel_of`: ``frequency_fast`` / ``percentile_fast`` /
             ``time_series`` for the hand-written kernels, ``exact_loop`` /
-            ``sparse_fast`` for the generated loops; the parallel engine
-            counts every fanned-out run under ``merge_parallel``).
+            ``sparse_fast`` for the generated loops).
     """
 
     packets: int = 0
@@ -531,6 +529,27 @@ class _DigestSink:
         trace.  ``tests/stat4/test_digest_ordering.py`` guards this.
         """
         return [d for _, _, d in sorted(self.records, key=lambda r: (r[0], r[1]))]
+
+
+def split_batch(batch: PacketBatch, chunk_size: int) -> List[PacketBatch]:
+    """Split a batch into time-ordered contiguous chunks.
+
+    Processing the chunks in order through an engine leaves the same
+    state as processing the whole batch at once (and as the scalar loop):
+    every kernel finishes its chunk before the next starts, and
+    :meth:`PacketBatch.slice_view` carries every backing column over with
+    C-level list slices (and a window of the decoded frames).  An empty
+    batch splits into no chunks at all (``[]``), not one empty chunk.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    n = len(batch)
+    if n == 0:
+        return []
+    return [
+        batch.slice_view(start, min(start + chunk_size, n))
+        for start in range(0, n, chunk_size)
+    ]
 
 
 #: One matched application: (packet index, binding stage, spec).
@@ -785,11 +804,7 @@ class BatchEngine:
         ``observe_frequencies`` identity for the moments, and one derived-
         measure sync at the end — bit-identical to replaying the
         occurrences one at a time (a near-wrap cell falls back to the
-        per-occurrence loop so width wrapping reproduces exactly).  This
-        is also the exact-merge step of the parallel engine: chunk tallies
-        folded here one after another land on the same final state as the
-        serial kernel, because the moments update of each occurrence
-        depends only on its own cell's prior count.
+        per-occurrence loop so width wrapping reproduces exactly).
         """
         stat4 = self.stat4
         counters = stat4.counters
@@ -862,11 +877,9 @@ class BatchEngine:
 
         ``events`` is the window's exact event sequence — a value in
         ``[0, domain)`` is one ``observe``, ``-1`` one ``tick`` — replayed
-        from whatever entry state the tracker currently holds, so callers
-        can chunk a run and walk it window by window (the parallel merge
-        engine folds provably-silent chunks through exactly this entry
-        point).  Each event steps the tracker one ``observe`` or ``tick``,
-        exactly as the scalar ``_update_frequency`` does.
+        from whatever entry state the tracker currently holds.  Each event
+        steps the tracker one ``observe`` or ``tick``, exactly as the
+        scalar ``_update_frequency`` does.
         Returns ``True`` when the window requires a position-register
         sync under the serial write gate: an observation landed, or the
         tracker entered the window holding a position and a value-free

@@ -1,8 +1,6 @@
 # p4-ok-file — host-side batch code generator; the per-packet P4 semantics
 # it specializes live (and are linted) in repro.stat4.library, and the
-# generated sources themselves are audited by ST510/ST511.
-# race-ok file: KernelLibrary holds no mutable state, and the one kernel
-# cache is a functools.lru_cache, which is safe to share across threads.
+# generated sources themselves are audited by ST510.
 """Generated per-packet kernels for the order-dependent shapes.
 
 The paper's pitch is that Stat4 runs at line rate because the restricted
@@ -19,38 +17,32 @@ accounting) is specialized away, and the source is ``exec``-compiled
 once per ``(shape, constants)``.
 
 The loops run over plain Python ints, so they need no numpy: the
-:class:`KernelLibrary` gathers a run's values into plain lists.  State the scalar library keeps in registers reaches a loop as
+:class:`KernelLibrary` gathers a run's values into plain lists.  State
+the scalar library keeps in registers reaches a loop as
 the registers' own cell lists, indexed directly: a dense slot's counter
 cells, and a sparse slot's key and count rows, whose probe, claim and
 lightest-cell eviction (``HashedCells.increment``) the sparse loop
 unrolls over the table's stage count.  The lists are fetched from the
 registers at the start of every run and never kept, since a slot reset
 (``RegisterArray.fill``) replaces them.  Batch mode keeps no per-access
-register accounting.  The same loop serves three callers —
-:class:`~repro.stat4.batch.BatchEngine`, the merge workers' speculation,
-and the parallel reconciler's replay (:mod:`repro.stat4.parallel`) — so
-a chunk replayed on the parent and a chunk speculated in a worker run
-the same code.
+register accounting.  :class:`~repro.stat4.batch.BatchEngine` is the
+one caller.
 
 A frequency kernel's working state travels as one flat tuple (see
 :func:`pack_frequency_state`); the loop takes it as its trailing
-positional arguments and returns it, updated, in the same layout.  A
-worker can therefore speculate from a shipped snapshot and hand back an
-exit state the parent installs exactly as a serial run's.
+positional arguments and returns it, updated, in the same layout, which
+:meth:`KernelLibrary.install_frequency_state` writes back.
 
 Exactness contract: a generated kernel leaves *bit-identical* state to the
 scalar library — registers, moments, tracker state, cooldown stamps,
 digests and their order.  The hypothesis differentials in
-``tests/stat4/test_batch_differential.py`` and
-``tests/stat4/test_parallel_differential.py`` gate this.
+``tests/stat4/test_batch_differential.py`` gate this.
 
 The generated source stays inside the restricted op set the analyzer can
 audit — integer add/sub/shift/mask, compile-time-constant multiplies,
 ``checked_multiply`` for the runtime multiplies of the σ²·N² check, and
 ``approx_isqrt``.  Rule ST510 walks every generated kernel's AST against
-that whitelist, and ST511 cross-checks each kernel's ``# parallel-mode:``
-pragma against the dataflow-derived eligibility table (see
-:func:`repro.analysis.concurrency.check_generated_kernels`).
+that whitelist (see :func:`repro.analysis.kernels.check_generated_kernels`).
 """
 
 from __future__ import annotations
@@ -69,12 +61,18 @@ from repro.stat4.distributions import (
     enumerate_shapes,
 )
 from repro.stat4.sparse import HashedCells
-from repro.traffic.columns import DIGEST_KIND_KSIGMA, DIGEST_KIND_PERCENTILE
 
 #: Cap on cached compiled kernels per process.  A rebind mints a new
 #: generation, which is part of the cache key, so a rebound slot misses
 #: and recompiles; the cap bounds what stale generations can pin.
 _CACHE_LIMIT = 64
+
+#: Kinds of the digest records a generated kernel appends, by layout:
+#: ``(kind, i, position, previous)`` for a percentile move and
+#: ``(kind, i, index, sample, scaled_sample, xsum, stddev_nx, count)`` for
+#: a k·σ outlier, where ``i`` is the packet's position in the kernel's input.
+DIGEST_KIND_PERCENTILE = 0
+DIGEST_KIND_KSIGMA = 1
 
 
 @dataclass(frozen=True)
@@ -137,11 +135,10 @@ class KernelConstants:
 # floats round-trip exactly.
 
 
-def _header(shape: KernelShape, mode: str) -> List[str]:
+def _header(shape: KernelShape) -> List[str]:
     return [
         "# generated by repro.stat4.compiled — do not edit",
         f"# shape: {shape.key}",
-        f"# parallel-mode: {mode}",
     ]
 
 
@@ -249,7 +246,7 @@ def _frequency_loop_source(shape: KernelShape, c: KernelConstants) -> str:
     specialized away; state lives in plain locals)."""
     tracked = shape.tracked
     state = _frequency_state_names(shape)
-    lines = _header(shape, "merge")
+    lines = _header(shape)
     lines.append(f"def kernel(vlist, tlist, square, records, {', '.join(state)}):")
     lines.append("    dropped = 0")
     lines.append("    observed = 0")
@@ -409,7 +406,7 @@ def _sparse_loop_source(shape: KernelShape, c: KernelConstants) -> str:
     state = ", ".join(_SPARSE_STATE)
     rows = ", ".join(_sparse_row_names(c.stages))
     slots = ", ".join(f"slot{s}" for s in range(c.stages))
-    lines = _header(shape, "serial")
+    lines = _header(shape)
     lines.append(f"def kernel(vlist, tlist, square, records, paths, {rows}, {state}):")
     lines.append("    observed = 0")
     lines.append("    claimed = 0")
@@ -480,8 +477,7 @@ _REFERENCE_CONSTANTS = KernelConstants(
 
 def reference_sources() -> Dict[str, str]:
     """One generated source per shape the engine dispatches to a
-    generated kernel — what ST510 (restricted op set) and ST511 (pragma
-    vs derived eligibility) audit.
+    generated kernel — what ST510 (restricted op set) audits.
 
     The shape set comes from the engine's own dispatch
     (:func:`repro.stat4.batch.kernel_of`), not from a list kept here.
@@ -522,8 +518,8 @@ def compiled_kernel(
 ) -> Callable[..., Any]:
     """The process-wide compiled kernel for one ``(shape, constants)``.
 
-    The one kernel cache: engines (through :class:`KernelLibrary`) and
-    merge workers alike compile each point once per process and reuse it.
+    The one kernel cache: every engine's :class:`KernelLibrary` compiles
+    each point once per process and reuses it.
     """
     return exec_compile(generate_kernel_source(shape, constants))
 
@@ -570,11 +566,6 @@ def pack_frequency_state(
     return tuple(packed)
 
 
-def copy_frequency_state(packed: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """A copy whose cell and freqs lists a kernel may mutate freely."""
-    return tuple(list(item) if isinstance(item, list) else item for item in packed)
-
-
 # -- the engine-side library ----------------------------------------------------------
 
 
@@ -609,7 +600,7 @@ class KernelLibrary:
     def _gather(self, spec, segment, batch) -> Tuple[List[int], List[float]]:
         """A run's value and timestamp lists, in event order.
 
-        Value-free packets read as ``-1`` (the columns sentinel).  When the
+        Value-free packets read as ``-1``, which the loops skip.  When the
         run covers every packet of a single-stage batch in order, the
         batch columns are the run's columns; otherwise a list
         comprehension picks the run's packets.
@@ -654,7 +645,7 @@ class KernelLibrary:
             )
             state.values_dropped += dropped
             self.install_frequency_state(state, exit_state, observed, synced)
-        self.install_records(spec, records, segment, 0, batch.timestamps, sink)
+        self.install_records(spec, records, segment, batch.timestamps, sink)
 
     def _run_sparse(self, kernel, state, vlist, tlist, records) -> None:
         unique = {value for value in vlist if value >= 0}
@@ -741,18 +732,18 @@ class KernelLibrary:
             stat4.reg_low.write(spec.dist, tracker.low)
             stat4.reg_high.write(spec.dist, tracker.high)
 
-    def install_records(self, spec, records, segment, start, timestamps, sink) -> None:
+    def install_records(self, spec, records, segment, timestamps, sink) -> None:
         """Replay kernel digest records into the sink, scalar-shaped.
 
         A record's second field is its packet's position in the kernel's
-        input, which started at ``segment[start]``; the record is tagged
-        with that event's ``(packet, stage)`` and stamped with the batch
-        timestamp of its packet, so the sink's scalar-order sort puts it
-        exactly where the serial loop would have emitted it.
+        input, the run's ``segment``; the record is tagged with that
+        event's ``(packet, stage)`` and stamped with the batch timestamp of
+        its packet, so the sink's scalar-order sort puts it exactly where
+        the serial loop would have emitted it.
         """
         stat4 = self.stat4
         for record in records:
-            pkt, stage, _spec = segment[start + record[1]]
+            pkt, stage, _spec = segment[record[1]]
             sink.set(pkt, stage, timestamps[pkt])
             if record[0] == DIGEST_KIND_KSIGMA:
                 sink.emit_digest(

@@ -31,7 +31,6 @@ __all__ = [
     "DistributionState",
     "KernelShape",
     "enumerate_shapes",
-    "shape_key_of_spec",
 ]
 
 
@@ -159,9 +158,8 @@ class KernelShape:
     """The projection of a :class:`TrackSpec` onto the fields that change
     its per-packet update: kind × tracker × k·σ × percentile alert.
 
-    The batch engine picks a kernel per shape, the compiled kernels are
-    generated per shape, and the concurrency analyzer classifies fan-out
-    per shape.
+    The batch engine picks a kernel per shape, and the compiled kernels
+    are generated per shape.
     """
 
     kind: DistributionKind
@@ -181,7 +179,7 @@ class KernelShape:
 
     @property
     def key(self) -> str:
-        """Stable string key of this shape (the eligibility-table key)."""
+        """Stable string name of this shape, e.g. ``frequency+tracked``."""
         parts = [self.kind.value]
         if self.tracked:
             parts.append("tracked")
@@ -190,11 +188,6 @@ class KernelShape:
         if self.percentile_alert:
             parts.append("percentile_alert")
         return "+".join(parts)
-
-
-def shape_key_of_spec(spec: TrackSpec) -> str:
-    """The eligibility-table key of a spec (what the engine looks up)."""
-    return KernelShape.of_spec(spec).key
 
 
 def enumerate_shapes() -> List[KernelShape]:

@@ -7,16 +7,6 @@ from repro.traffic.builders import (
     tcp_to,
     udp_to,
 )
-from repro.traffic.columns import (
-    AttachedColumn,
-    ColumnDescriptor,
-    SharedColumnSegment,
-    attach_column,
-    decode_column,
-    encode_column,
-    live_segment_count,
-    release_all_segments,
-)
 from repro.traffic.profiles import (
     Chooser,
     TrafficPhase,
@@ -34,14 +24,6 @@ __all__ = [
     "TraceRecord",
     "TraceReplayer",
     "TraceTap",
-    "AttachedColumn",
-    "ColumnDescriptor",
-    "SharedColumnSegment",
-    "attach_column",
-    "decode_column",
-    "encode_column",
-    "live_segment_count",
-    "release_all_segments",
     "PacketBuilder",
     "udp_to",
     "tcp_to",

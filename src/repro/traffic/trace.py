@@ -77,8 +77,7 @@ class PacketTrace:
         """Yield parsed :class:`~repro.stat4.batch.PacketBatch` chunks.
 
         Each chunk of records is decoded once into a columnar batch (value
-        columns are derived lazily), ready for ``BatchEngine.process`` /
-        ``ParallelBatchEngine.process``.
+        columns are derived lazily), ready for ``BatchEngine.process``.
         """
         from repro.stat4.batch import PacketBatch
 

@@ -31,12 +31,12 @@ def make_report(revision, speedups=None, cluster=None, scenarios=None):
         "cluster": cluster if cluster is not None else [],
     }
     if scenarios is not None:
-        report["scenarios"] = {"schema": "repro-scenarios/1", "rows": scenarios}
+        report["scenarios"] = {"schema": "repro-scenarios/2", "rows": scenarios}
     return report
 
 
-def scenario_row(scenario, engine, f1):
-    return {"scenario": scenario, "engine": engine, "f1": f1}
+def scenario_row(scenario, f1):
+    return {"scenario": scenario, "f1": f1}
 
 
 class TestAppendHistory:
@@ -99,18 +99,14 @@ class TestAppendHistory:
             make_report(
                 "abc",
                 scenarios=[
-                    scenario_row("flood", "scalar", 1.0),
-                    scenario_row("flood", "parallel", 1.0),
-                    scenario_row("scan", "scalar", 0.9),
+                    scenario_row("flood", 1.0),
+                    scenario_row("scan", 0.9),
                 ],
             ),
             history,
         )
         entry = load_index(history)["runs"][0]
-        assert entry["scenarios"] == {
-            "flood": {"scalar": 1.0, "parallel": 1.0},
-            "scan": {"scalar": 0.9},
-        }
+        assert entry["scenarios"] == {"flood": 1.0, "scan": 0.9}
 
     def test_no_scenario_section_records_none(self, tmp_path):
         history = str(tmp_path / "history")
@@ -180,23 +176,23 @@ class TestFormatTrend:
 
     def test_scenario_f1_trend_lines(self):
         previous = make_report(
-            "old", scenarios=[scenario_row("flood", "scalar", 0.8)]
+            "old", scenarios=[scenario_row("flood", 0.8)]
         )
         current = make_report(
             "new",
             scenarios=[
-                scenario_row("flood", "scalar", 1.0),
-                scenario_row("fresh", "scalar", 1.0),
+                scenario_row("flood", 1.0),
+                scenario_row("fresh", 1.0),
             ],
         )
         text = format_trend(current, previous)
         assert "scenario detection quality (F1):" in text
-        assert "flood [scalar]: 0.800 -> 1.000" in text
+        assert "flood: 0.800 -> 1.000" in text
         assert "fresh" not in text  # no shared previous entry
 
     def test_no_scenario_section_without_shared_runs(self):
         text = format_trend(
-            make_report("new", scenarios=[scenario_row("flood", "scalar", 1.0)]),
+            make_report("new", scenarios=[scenario_row("flood", 1.0)]),
             make_report("old"),
         )
         assert "scenario detection quality" not in text

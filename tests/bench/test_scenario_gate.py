@@ -22,10 +22,9 @@ from repro.bench import (
 from repro.bench.compare import SCENARIO_BASELINE_SCHEMA
 
 
-def make_row(scenario="flood", engine="scalar", **overrides):
+def make_row(scenario="flood", **overrides):
     row = {
         "scenario": scenario,
-        "engine": engine,
         "packets": 1000,
         "intervals": 50,
         "windows": 1,
@@ -45,7 +44,7 @@ def make_row(scenario="flood", engine="scalar", **overrides):
 
 
 def make_report(rows):
-    return {"scenarios": {"schema": "repro-scenarios/1", "rows": rows}}
+    return {"scenarios": {"schema": "repro-scenarios/2", "rows": rows}}
 
 
 def make_baseline(floors):
@@ -97,19 +96,6 @@ class TestCompareScenarioReports:
         assert rows[0].current is None
         assert rows[0].regressed
 
-    def test_floors_gate_every_replayed_engine(self):
-        rows = compare_scenario_reports(
-            make_report(
-                [
-                    make_row(engine="scalar"),
-                    make_row(engine="parallel", f1=0.5),
-                ]
-            ),
-            make_baseline({"flood": {"min_f1": 1.0}}),
-        )
-        verdicts = {(r.engine, r.regressed) for r in rows}
-        assert verdicts == {("scalar", False), ("parallel", True)}
-
     def test_committed_floor_with_no_measured_row_fails(self):
         # A scenario silently dropping out of the suite must not pass.
         rows = compare_scenario_reports(
@@ -128,7 +114,7 @@ class TestCompareScenarioReports:
         row = rows[0]
         assert row.missing_floor and not row.regressed
         assert row.metric == "f1"
-        assert row.label == "fresh[scalar]"
+        assert row.label == "fresh"
 
 
 class TestLoadScenarioBaseline:
@@ -155,7 +141,6 @@ class TestWarningAnnotations:
         rows = [
             ScenarioComparisonRow(
                 scenario="fresh",
-                engine="scalar",
                 metric="f1",
                 baseline=None,
                 current=1.0,
@@ -166,7 +151,7 @@ class TestWarningAnnotations:
         lines = warning_annotations(rows, "scenario-smoke")
         assert len(lines) == 1
         assert lines[0].startswith("::warning title=scenario-smoke")
-        assert "fresh[scalar]" in lines[0]
+        assert "fresh is measured" in lines[0]
 
     def test_perf_warn_rows_annotate_too(self):
         rows = [

@@ -119,11 +119,10 @@ class TestVictimAttribution:
 class TestRowContract:
     def test_as_row_rounds_and_serializes(self):
         score = score_digests(
-            micro_truth(), [spike(0.5), spike(1.5)], scenario="micro", engine="scalar"
+            micro_truth(), [spike(0.5), spike(1.5)], scenario="micro"
         )
         row = score.as_row()
         assert row["scenario"] == "micro"
-        assert row["engine"] == "scalar"
         assert row["f1"] == round(2.0 / 3.0, 6)
         assert row["latency_intervals"] == 0.0
         assert row["victim_identified"] is None

@@ -23,6 +23,7 @@ from repro.p4.switch import PacketContext, StandardMetadata
 from repro.scenarios import build_scenario
 from repro.scenarios.score import score_digests
 from repro.service.server import (
+    MAX_BODY_BYTES,
     DetectionService,
     RetuneError,
     default_bindings,
@@ -51,6 +52,23 @@ def request(url, path, method="GET", body=None):
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode("utf-8"))
+
+
+def raw_post(service, path, content_length, body):
+    """POST ``body`` under a hand-written ``Content-Length`` header;
+    returns (status, Connection header, payload)."""
+    host, port = service.address
+    connection = http.client.HTTPConnection(host, port, timeout=10.0)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(body or None)
+        response = connection.getresponse()
+        payload = json.loads(response.read().decode("utf-8"))
+        return response.status, response.getheader("Connection"), payload
+    finally:
+        connection.close()
 
 
 def wait_for(predicate, timeout=DEADLINE):
@@ -155,7 +173,6 @@ class TestHttpEndpoints:
         assert stats["alerts"] > 0
         assert stats["dropped_batches"] == 0
         assert stats["batch_latency_p99_ms"] is not None
-        assert stats["engine"] == "scalar"
         assert sum(stats["kernels"].values()) > 0
 
     def test_alerts_cursor_pagination_and_long_poll(self, live_service):
@@ -252,6 +269,49 @@ class TestHttpEndpoints:
             )
             assert status == 400, body
             assert fragment in payload["error"]
+
+    def test_alerts_rejects_a_negative_since(self, live_service):
+        # A cursor below zero is no cursor; it used to read as "dropped"
+        # records that never aged out.
+        service, _source = live_service
+        status, payload = request(service.url, "/alerts?since=-5")
+        assert status == 400
+        assert "bad query parameter" in payload["error"]
+
+    def test_bindings_post_rejects_a_non_integer_id(self, live_service):
+        service, _source = live_service
+        for binding_id in ("x", None, 1.5, True):
+            status, payload = request(
+                service.url,
+                "/bindings",
+                method="POST",
+                body={"id": binding_id, "spec": {"k_sigma": 3}},
+            )
+            assert status == 400, binding_id
+            assert "integer" in payload["error"]
+
+    def test_bindings_post_rejects_a_malformed_content_length(self, live_service):
+        service, _source = live_service
+        for length in ("abc", "-1"):
+            status, connection, payload = raw_post(
+                service, "/bindings", length, b'{"id": 0}'
+            )
+            assert status == 400, length
+            assert connection == "close"
+            assert "Content-Length" in payload["error"]
+
+    def test_bindings_post_refuses_an_oversized_body_unread(self, live_service):
+        # Announced far beyond the cap and never sent: the server must
+        # answer from the header alone instead of trying to read it.
+        service, _source = live_service
+        status, connection, payload = raw_post(
+            service, "/bindings", str(10**15), b""
+        )
+        assert status == 413
+        assert connection == "close"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        # The service is still serving.
+        assert request(service.url, "/healthz")[0] in (200, 503)
 
     def test_unknown_route_is_404(self, live_service):
         service, _source = live_service
@@ -393,10 +453,6 @@ class TestServiceConfiguration:
         service = DetectionService([], with_http=False)
         assert service.config.binding_stages == default_config().binding_stages
         assert len(service.handles) == len(default_bindings())
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            DetectionService([], engine="quantum", with_http=False)
 
     def test_retune_error_without_http(self):
         service = DetectionService([], with_http=False)

@@ -1,12 +1,11 @@
-"""Server shutdown under signals must not leak shared-memory segments.
+"""Server shutdown under signals: graceful first, forceful on a second.
 
-Two paths, both in subprocesses so the signal dispositions are real:
+Both paths run in subprocesses so the signal dispositions are real:
 
 - graceful: SIGTERM to a serving process stops the pipeline, ``close()``
-  runs, and the process exits 0 with no new ``/dev/shm`` segments;
-- forceful: a second SIGTERM while already stopping escalates — pools are
-  swept, the chained columns handler unlinks any registered segment, and
-  the process dies by the default disposition.
+  runs, and the process exits 0 with its final stats line;
+- forceful: a second SIGTERM while already stopping falls through to the
+  default disposition, and the process dies.
 """
 
 import os
@@ -14,140 +13,79 @@ import signal
 import subprocess
 import sys
 import time
-from multiprocessing import shared_memory
-
-import pytest
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 
-def _run(code, timeout=120):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+    return env
 
 
-def _shm_names():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-def test_sigterm_mid_ingest_serve_exits_clean_without_segments():
-    # Boot `repro serve` on a looping synthetic source with the parallel
-    # shm engine, SIGTERM it mid-ingest, and assert a zero exit with no
-    # shared segments left behind.
-    before = _shm_names()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+def _serve_then_sigterm(args, settle=0.0):
+    """Start ``repro serve`` with ``args``, SIGTERM it once it is serving
+    (after ``settle`` seconds), and return ``(returncode, stdout, stderr)``."""
     proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--synthetic",
-            "200000",
-            "--loop",
-            "--rate",
-            "50000",
-            "--engine",
-            "parallel",
-            "--workers",
-            "2",
-            "--port",
-            "0",
-        ],
+        [sys.executable, "-m", "repro.cli", "serve", *args, "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_env(),
     )
     try:
         banner = proc.stdout.readline()
         assert "serving" in banner, banner
-        time.sleep(1.0)  # let ingest get going so the kill lands mid-stream
+        time.sleep(settle)
         proc.send_signal(signal.SIGTERM)
         stdout, stderr = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=30)
-    assert proc.returncode == 0, stderr
+    return proc.returncode, stdout, stderr
+
+
+def test_sigterm_mid_ingest_serve_exits_clean():
+    # A looping synthetic source, SIGTERMed once ingest is under way.
+    code, stdout, stderr = _serve_then_sigterm(
+        ["--synthetic", "200000", "--loop", "--rate", "50000"], settle=1.0
+    )
+    assert code == 0, stderr
     assert "final" in stdout, stdout
-    leaked = _shm_names() - before
-    assert not leaked, f"serve leaked shm segments: {leaked}"
 
 
-def test_second_sigterm_while_stopping_sweeps_and_dies():
-    # Build a service with the signal chain installed, mark it stopping,
-    # pack a segment by hand (standing in for a mid-batch fan-out), then
-    # self-deliver SIGTERM: the escalation path must sweep the registry
-    # (unlinking the segment) and fall through to process death.
+def test_second_sigterm_while_stopping_dies():
+    # A service already stopping (the first signal's effect) that gets a
+    # second SIGTERM must fall through to process death.
     code = (
         "import os, signal\n"
         "from repro.service.server import DetectionService, install_signal_handlers\n"
-        "from repro.traffic.columns import SharedColumnSegment\n"
-        "service = DetectionService([], engine='parallel', workers=2,\n"
-        "                           with_http=False).start()\n"
+        "service = DetectionService([], with_http=False).start()\n"
         "install_signal_handlers(service)\n"
         "service.stop()  # first-signal equivalent: now 'stopping'\n"
-        "segment = SharedColumnSegment.pack([('values', 'q', [1, 2, 3])])\n"
-        "print(segment.name, flush=True)\n"
+        "print('stopping', flush=True)\n"
         "os.kill(os.getpid(), signal.SIGTERM)\n"
         "print('survived', flush=True)\n"
     )
-    proc = _run(code)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
     lines = proc.stdout.split()
-    assert lines, proc.stderr
-    name = lines[0]
-    assert "survived" not in lines, "escalated SIGTERM did not kill the process"
-    assert proc.returncode != 0
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
+    assert lines == ["stopping"], proc.stderr
+    assert proc.returncode == -signal.SIGTERM
 
 
 def test_first_sigterm_drains_and_exits_zero_via_cli():
     # Graceful single-signal path end to end through the CLI: a finite
     # scenario replay interrupted by one SIGTERM stops cleanly (exit 0)
     # and still prints its final stats line.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--scenario",
-            "volumetric_flood",
-            "--loop",
-            "--rate",
-            "5000",
-            "--port",
-            "0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
+    code, stdout, stderr = _serve_then_sigterm(
+        ["--scenario", "volumetric_flood", "--loop", "--rate", "5000"]
     )
-    try:
-        banner = proc.stdout.readline()
-        assert "serving" in banner, banner
-        proc.send_signal(signal.SIGTERM)
-        stdout, stderr = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate(timeout=30)
-    assert proc.returncode == 0, stderr
+    assert code == 0, stderr
     assert "final" in stdout, stdout

@@ -234,11 +234,9 @@ def _percentile_scenario():
 def _frequency_alerting_scenario():
     """Dense counting with k·σ alerts and a cooldown, no tracker.
 
-    In the parallel engine the first chunk's worker speculates with the
-    generated loop; the cooldown makes later chunks provably alert-free
-    (folded) while the rest replay per packet.  Scalar, serial-batched,
-    and fanned-out runs must agree on every digest and ``last_alert``
-    stamp.
+    The generated loop gates each k·σ digest on the live moments and the
+    cooldown stamp; scalar and batched runs must agree on every digest
+    and ``last_alert`` stamp.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)
@@ -275,11 +273,8 @@ def _frequency_tracked_scenario():
 def _frequency_tracked_ksigma_scenario():
     """Tracked percentile + k·σ alerts, no percentile alert.
 
-    One of the three previously-serial merge shapes: the tracker makes
-    the kernel order-dependent per chunk, but both digest streams are
-    replayable, so the parallel engine speculates in a worker and merges
-    (``merge_parallel``) instead of pinning a core in the per-packet
-    kernel.
+    The tracker walk and the k·σ stream interleave per packet, so the
+    shape runs the generated per-packet loop (``exact_loop``).
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)
@@ -298,9 +293,8 @@ def _frequency_tracked_ksigma_scenario():
 def _frequency_tracked_pa_scenario():
     """Tracked percentile + percentile-movement alerts, no k·σ.
 
-    The third merge shape: only the percentile digest stream is live, so
-    chunk silence hinges on the tracker staying put — the merge engine's
-    fixpoint/fold/replay resolution must still be bit-identical.
+    Only the percentile digest stream is live: each tracker move fires
+    it, gated by ``min_samples`` and the cooldown.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)
@@ -313,18 +307,6 @@ def _frequency_tracked_pa_scenario():
     )
     runtime.bind(0, BindingMatch(ether_type=0x0800), spec)
     return stat4
-
-
-#: The scenarios whose slot is a dense frequency distribution: the six
-#: kernel shapes the parallel engine fans out.
-DENSE_SCENARIOS = (
-    "frequency",
-    "percentile",
-    "frequency_alerting",
-    "frequency_tracked",
-    "frequency_tracked_ksigma",
-    "frequency_tracked_pa",
-)
 
 
 @scenario("time_series")

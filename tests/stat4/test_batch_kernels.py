@@ -208,9 +208,9 @@ class TestTrackerWalk:
         data=st.data(),
     )
     def test_windowed_walk_matches_one_pass(self, percent, data):
-        # The parallel merge folds a run chunk by chunk through this same
-        # entry point: resuming at any cut must land where one pass does,
-        # and a tick-only window after the first value still syncs.
+        # The walk resumes from whatever state the tracker holds: resuming
+        # at any cut must land where one pass does, and a tick-only window
+        # after the first value still syncs.
         events = data.draw(
             st.lists(st.integers(min_value=-1, max_value=5), max_size=80)
         )

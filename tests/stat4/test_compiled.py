@@ -1,9 +1,8 @@
 """Kernel dispatch and generated-kernel unit tests.
 
 Bit-identity of every kernel against the scalar oracle is pinned by the
-hypothesis differentials (``test_batch_differential`` for the serial
-engine, ``test_parallel_differential`` for both pool types, each with
-numpy's optional array paths on and hidden).  This module covers what
+hypothesis differentials (``test_batch_differential``, with numpy's
+optional array paths on and hidden).  This module covers what
 those sweeps cannot see:
 
 - every constructible shape runs the one kernel its dispatch names (the
@@ -324,7 +323,7 @@ def test_kernel_cache_stays_bounded(monkeypatch):
 
 
 def test_reference_sources_pass_the_generated_kernel_lint():
-    from repro.analysis.concurrency import check_generated_kernels
+    from repro.analysis.kernels import check_generated_kernels
 
     assert check_generated_kernels() == []
 
@@ -332,7 +331,7 @@ def test_reference_sources_pass_the_generated_kernel_lint():
 def test_lint_rejects_source_outside_the_op_set():
     import ast
 
-    from repro.analysis.concurrency import _generated_source_violations
+    from repro.analysis.kernels import _generated_source_violations
 
     division = "def kernel(x):\n    return x / 2\n"
     assert _generated_source_violations(ast.parse(division))
@@ -342,14 +341,11 @@ def test_lint_rejects_source_outside_the_op_set():
     assert _generated_source_violations(ast.parse(clean)) == []
 
 
-def test_generated_sources_compile_and_carry_pragmas():
-    from repro.analysis.concurrency import _KERNEL_PRAGMA, KERNEL_MODES
+def test_generated_sources_compile_and_name_their_shape():
     from repro.stat4.compiled import exec_compile, reference_sources
 
     sources = reference_sources()
     assert len(sources) == 6
     for shape_key, source in sources.items():
-        match = _KERNEL_PRAGMA.search(source)
-        assert match is not None, shape_key
-        assert match.group(1) in KERNEL_MODES, shape_key
+        assert f"# shape: {shape_key}\n" in source, shape_key
         assert callable(exec_compile(source)), shape_key

@@ -1,4 +1,4 @@
-"""Guard tests: digest emission order survives chunked/parallel ingest.
+"""Guard tests: digest emission order survives chunked ingest.
 
 ``_DigestSink.in_scalar_order`` promises packet-major, stage-minor order
 within one batch, and — because one sink serves exactly one batch and
@@ -11,7 +11,7 @@ sequence exactly.  These tests pin both halves of that promise; see the
 import pytest
 
 from repro.p4.switch import Digest
-from repro.stat4 import PacketBatch, ParallelBatchEngine, split_batch
+from repro.stat4 import BatchEngine, PacketBatch, split_batch
 from repro.stat4.batch import _DigestSink
 from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.test_batch_differential import (
@@ -62,7 +62,7 @@ def test_digest_sequence_identical_across_chunk_boundaries(
     scalar_digests = process_scalar(scalar, contexts)
     assert scalar_digests, "scenario emitted no digests; test proves nothing"
     chunked = SCENARIOS[scenario_name]()
-    engine = ParallelBatchEngine(chunked, workers=4, min_chunk=64)
+    engine = BatchEngine(chunked)
     chunked_digests = []
     with numpy_mode(mode):
         for chunk in split_batch(PacketBatch.from_contexts(contexts), 613):
