@@ -54,7 +54,7 @@ from repro.controller.aggregate import (
 )
 from repro.core.stats import ScaledStats
 from repro.p4.switch import Digest, PacketContext
-from repro.stat4.batch import BatchEngine, BatchResult, PacketBatch
+from repro.stat4.batch import BatchResult, PacketBatch
 from repro.stat4.binding import BindingMatch, binding_key_of
 from repro.stat4.config import DEFAULT_CONFIG, Stat4Config
 from repro.stat4.distributions import DistributionKind, TrackSpec
@@ -241,7 +241,7 @@ class ShardedStat4:
         """
         result = ClusterResult()
         for shard, sub_batch in self.route(batch).items():
-            shard_result = BatchEngine(self.nodes[shard]).process(sub_batch)
+            shard_result = self.nodes[shard].process_batch(sub_batch)
             result.per_shard[shard] = shard_result
             result.packets += shard_result.packets
             result.digests.extend((shard, digest) for digest in shard_result.digests)

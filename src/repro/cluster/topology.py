@@ -24,7 +24,7 @@ from repro.netsim.switchnode import SwitchNode
 from repro.p4.parser import standard_parser
 from repro.p4.pipeline import PipelineProgram
 from repro.p4.switch import CPU_PORT
-from repro.stat4.batch import BatchEngine, PacketBatch
+from repro.stat4.batch import PacketBatch
 
 __all__ = ["ClusterDeployment", "deploy_cluster"]
 
@@ -55,7 +55,7 @@ class ClusterDeployment:
         """
         result = ClusterResult()
         for shard, sub_batch in self.cluster.route(batch).items():
-            engine = BatchEngine(self.cluster.nodes[shard])
+            engine = self.cluster.nodes[shard].batch_engine()
             shard_result = self.switches[shard].ingest_batch(sub_batch, engine)
             result.per_shard[shard] = shard_result
             result.packets += shard_result.packets

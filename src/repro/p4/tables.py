@@ -14,6 +14,10 @@ Lookup semantics follow P4 targets:
 - a single-LPM table picks the longest matching prefix;
 - any table with a ternary or range key orders entries by priority
   (higher wins), as TCAM-backed tables do.
+
+Every control-plane write that changes a table bumps its ``version``, so
+a cache of lookup results (the batch engine's binding memo) stays valid
+exactly as long as the version it was filled under.
 """
 
 from __future__ import annotations
@@ -150,6 +154,8 @@ class Table:
         self.max_size = max_size
         self._entries: Dict[int, TableEntry] = {}
         self._ids = itertools.count(1)
+        #: Bumped by every add/modify/delete/clear that changes the entries.
+        self.version = 0
         self.lookups = 0
         self.hits = 0
 
@@ -182,6 +188,7 @@ class Table:
             params=entry_params,
             priority=priority,
         )
+        self.version += 1
         return entry_id
 
     def modify_entry(
@@ -197,29 +204,38 @@ class Table:
         This is the operation the drill-down controller uses: "the
         controller modifies the previously added entry so that the switch
         tracks the traffic per destination" (Sec. 4).
+
+        All or nothing: every argument is validated against the entry it
+        would produce before any field changes, so a write that raises
+        leaves the entry (and ``version``) as they were.
         """
         entry = self._get_entry(entry_id)
-        if action is not None:
-            spec = self._action_spec(action)
-            entry.action = action
-        else:
-            spec = self._action_spec(entry.action)
-        if params is not None:
-            self._check_params(spec, params)
-            entry.params = dict(params)
-        if matches is not None:
-            entry.matches = self._normalize_matches(matches)
+        if action is None and params is None and matches is None and priority is None:
+            return
+        new_action = entry.action if action is None else action
+        new_params = entry.params if params is None else dict(params)
+        self._check_params(self._action_spec(new_action), new_params)
+        new_matches = (
+            entry.matches if matches is None else self._normalize_matches(matches)
+        )
+        entry.action = new_action
+        entry.params = new_params
+        entry.matches = new_matches
         if priority is not None:
             entry.priority = priority
+        self.version += 1
 
     def delete_entry(self, entry_id: int) -> None:
         """Remove an installed entry."""
         self._get_entry(entry_id)
         del self._entries[entry_id]
+        self.version += 1
 
     def clear(self) -> None:
         """Remove every entry."""
-        self._entries.clear()
+        if self._entries:
+            self._entries.clear()
+            self.version += 1
 
     def entries(self) -> List[TableEntry]:
         """All installed entries (control-plane view)."""
@@ -231,17 +247,26 @@ class Table:
     # -- data plane ---------------------------------------------------------------
 
     def lookup(self, key_values: Sequence[int]) -> Optional[TableEntry]:
+        """:meth:`match`, counted: one data-plane lookup, and a hit when
+        an entry matched."""
+        entry = self.match(key_values)
+        self.lookups += 1
+        if entry is not None:
+            self.hits += 1
+        return entry
+
+    def match(self, key_values: Sequence[int]) -> Optional[TableEntry]:
         """Find the best-matching entry for the key tuple, or None on miss.
 
         LPM components prefer longer prefixes; ternary/range tables break
-        ties by priority (higher first), then by insertion order.
+        ties by priority (higher first), then by insertion order.  Leaves
+        the ``lookups``/``hits`` counters alone (see :meth:`lookup`).
         """
         if len(key_values) != len(self.keys):
             raise TableError(
                 f"table {self.name!r} expects {len(self.keys)} key values, "
                 f"got {len(key_values)}"
             )
-        self.lookups += 1
         best: Optional[TableEntry] = None
         best_rank: Tuple[int, int, int] = (-1, -1, -1)
         for entry in self._entries.values():
@@ -251,8 +276,6 @@ class Table:
             if best is None or rank > best_rank:
                 best = entry
                 best_rank = rank
-        if best is not None:
-            self.hits += 1
         return best
 
     def default(self) -> Optional[Tuple[str, Dict[str, Any]]]:

@@ -541,13 +541,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         service = self.server.service
         route = urlsplit(self.path).path.rstrip("/") or "/"
+        length = self._body_length()
+        if length is None:
+            return
+        if route != "/bindings":
+            # Read and drop a body no route uses: left unread on a
+            # keep-alive connection, it would be parsed as the next request.
+            self.rfile.read(length)
         if route == "/shutdown":
             service.stop()
             self._send_json(200, {"stopping": True})
         elif route == "/bindings":
-            length = self._body_length()
-            if length is None:
-                return
             try:
                 body = self._read_body(length)
                 if not isinstance(body, dict) or "id" not in body:

@@ -19,11 +19,16 @@ integer-only semantics are the spec; differential tests enforce equality):
   bytes (decoded column-wise by :mod:`repro.stat4.frames`), parsed
   contexts, or synthetic columns;
 - :class:`BatchEngine` — applies a batch to a :class:`Stat4` instance.
-  Binding lookups are memoized per unique key (entries are fixed for the
-  duration of a batch, exactly like a pipeline between control-plane
-  writes), matched packets are partitioned into per-distribution event
-  streams in scalar order, and each stream runs the one *exact* kernel its
-  shape dispatches to (:func:`kernel_of`):
+  Each distinct binding key is resolved once per control-plane
+  generation, not once per batch: the engine keeps a memo from key to
+  what every binding stage does with it (the spec it feeds, or a miss)
+  for as long as every binding table keeps its identity and ``version``
+  — which each table write bumps — and clears it whole on a change or
+  when it would pass :data:`MEMO_LIMIT` keys.  Matched packets become
+  runs of packet indices per distribution slot, in scalar order (when
+  every key of a batch resolves alike, each slot gets one run over the
+  whole batch with no per-packet work), and each run goes to the one
+  *exact* kernel its shape dispatches to (:func:`kernel_of`):
 
   * dense frequency slots with no percentile tracker and no k·σ check use a
     counting kernel — occurrences are tallied per unique value, folded
@@ -63,12 +68,15 @@ order, alert counts, table hit statistics, drop counters — is identical.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.p4.packet import Packet
 from repro.p4.parser import Parser
 from repro.p4.switch import Digest, PacketContext, StandardMetadata
+from repro.p4.tables import Table, TableEntry
 from repro.stat4.binding import TRACK_ACTION, binding_key_of
 from repro.stat4.compiled import KernelLibrary
 from repro.stat4.distributions import DistributionKind, KernelShape, TrackSpec
@@ -112,10 +120,6 @@ _KEY_FIELDS = (
     ("ipv4", "protocol"),
     ("tcp", "flags"),
 )
-
-#: Memoization miss sentinel (lookup results may legitimately be None).
-_MISS = object()
-
 
 #: Kernels that run a generated per-packet loop (:mod:`repro.stat4.compiled`);
 #: every other kernel is a hand-written batched one in this module.
@@ -552,12 +556,114 @@ def split_batch(batch: PacketBatch, chunk_size: int) -> List[PacketBatch]:
     ]
 
 
-#: One matched application: (packet index, binding stage, spec).
-_Event = Tuple[int, int, TrackSpec]
+#: The most binding keys a :class:`BatchEngine` remembers.  Past it the
+#: memo is cleared whole rather than evicted key by key, so a trace of
+#: random destinations cannot grow it without limit.
+MEMO_LIMIT = 16_384
+
+#: A composite binding key (:func:`~repro.stat4.binding.binding_key_of`).
+BindingKey = Tuple[int, int, int, int]
+
+
+class _Signature:
+    """What one binding key resolves to at every binding stage.
+
+    ``hits`` lists the stages whose table matched the key (each counts a
+    hit, whatever the entry's action); ``feeds`` maps every slot the key
+    feeds to its ``(stage, spec)`` pairs in stage order.
+    """
+
+    __slots__ = ("hits", "feeds")
+
+    def __init__(self, entries: Sequence[Optional[TableEntry]]):
+        self.hits = [stage for stage, entry in enumerate(entries) if entry is not None]
+        self.feeds: Dict[int, List[Tuple[int, TrackSpec]]] = {}
+        for stage, entry in enumerate(entries):
+            if entry is not None and entry.action == TRACK_ACTION:
+                spec = entry.params["spec"]
+                self.feeds.setdefault(spec.dist, []).append((stage, spec))
+
+
+class _Run:
+    """One slot's applications of one spec, in scalar order.
+
+    ``packets`` holds the batch index of each application: ``range(n)``
+    for a run over the whole batch, a list otherwise (where two stages
+    feed the slot a packet appears once per stage).  ``stage`` is the one
+    stage feeding the slot, or a list parallel to ``packets`` when
+    several do.
+    """
+
+    __slots__ = ("spec", "packets", "stage")
+
+    def __init__(self, spec: TrackSpec, packets: Sequence[int], stage: Any):
+        self.spec = spec
+        self.packets = packets
+        self.stage = stage
+
+    def pick(self, column: Sequence[Any]) -> Sequence[Any]:
+        """``column`` at the run's applications, in order — the column
+        itself for a run over the whole batch."""
+        packets = self.packets
+        if type(packets) is range:
+            return column
+        return [column[pkt] for pkt in packets]
+
+    def event(self, j: int) -> Tuple[int, int]:
+        """The ``(packet, stage)`` of the run's ``j``-th application."""
+        stage = self.stage
+        return self.packets[j], stage if type(stage) is int else stage[j]
+
+
+def _runs_of(parts: List[Tuple[Sequence[int], int, TrackSpec]], n: int) -> List[_Run]:
+    """One slot's runs from its ``(packets, stage, spec)`` parts (one part
+    per signature feeding it, each part's packets ascending).
+
+    Parts of one stage and equal specs merge into one run.  Otherwise the
+    parts interleave on ``(packet, stage)`` — the scalar path applies
+    stage 0 then stage 1 to packet i before packet i+1 — and every change
+    of spec starts a run, so each run maps to one ``_state_for`` call: the
+    scalar repurpose-per-application behaviour, amortized.
+    """
+    packets, stage, spec = parts[0]
+    specs = [part[2] for part in parts]
+    # Equal specs share a run: a part's class is its first equal spec.
+    classes = [
+        next(j for j, other in enumerate(specs) if other is each or other == each)
+        for each in specs
+    ]
+    one_stage = all(part[1] == stage for part in parts)
+    if one_stage and not any(classes):
+        if len(parts) > 1:
+            packets = sorted(itertools.chain.from_iterable(part[0] for part in parts))
+            if len(packets) == n:
+                packets = range(n)
+        return [_Run(spec, packets, stage)]
+    events = sorted(
+        itertools.chain.from_iterable(
+            zip(part[0], itertools.repeat(part[1]), itertools.repeat(index))
+            for index, part in enumerate(parts)
+        )
+    )
+    runs: List[_Run] = []
+    current = -1
+    for pkt, stage, index in events:
+        if classes[index] != current:
+            current = classes[index]
+            run = _Run(specs[index], [], stage if one_stage else [])
+            runs.append(run)
+        run.packets.append(pkt)
+        if not one_stage:
+            run.stage.append(stage)
+    return runs
 
 
 class BatchEngine:
     """Applies :class:`PacketBatch`es to a :class:`Stat4` instance.
+
+    The engine remembers what each binding key resolved to across
+    batches, for as long as every binding table keeps its identity and
+    ``version``: a control-plane write clears the memo whole.
 
     Args:
         stat4: the library instance to drive.
@@ -566,6 +672,9 @@ class BatchEngine:
     def __init__(self, stat4: Stat4):
         self.stat4 = stat4
         self._library = KernelLibrary(stat4)
+        self._memo: Dict[BindingKey, _Signature] = {}
+        self._interned: Dict[Tuple[int, ...], _Signature] = {}
+        self._tables_seen: List[Tuple[Table, int]] = []
 
     # -- entry point ----------------------------------------------------------
 
@@ -582,218 +691,143 @@ class BatchEngine:
         if n == 0:
             return result
         stat4.packets_seen += n
-        events = self._match(batch)
+        runs = self._match(batch)
         sink = _DigestSink()
-        for dist in sorted(events):
-            self._process_dist(events[dist], batch, sink, result)
-        digests = sink.in_scalar_order()
-        result.digests.extend(digests)
+        for dist in sorted(runs):
+            for run in runs[dist]:
+                self._process_run(run, batch, sink, result)
+        result.digests.extend(sink.in_scalar_order())
         return result
 
     # -- binding resolution ---------------------------------------------------
 
-    def _match(self, batch: PacketBatch) -> Dict[int, List[_Event]]:
-        """Matched applications grouped by distribution slot, in scalar order.
+    def _signatures(
+        self, distinct: set, tables: List[Table]
+    ) -> Dict[BindingKey, _Signature]:
+        """The memo, holding the signature of every key in ``distinct``.
 
-        Within a batch every distinct composite key resolves once per
-        table — entries are fixed for the batch — and the memo caches the
-        destination event bucket alongside the spec, so repeat keys cost
-        one dict probe.  The table's ``lookups``/``hits`` counters are set
-        to exactly what n scalar lookups would have left behind.
+        Only keys it has not seen reach ``Table.match``.  Keys that match
+        the same entries share one :class:`_Signature` object.  The memo
+        is cleared whole when a binding table is replaced or its version
+        moves, and when the new keys would take it past
+        :data:`MEMO_LIMIT`; a batch with more distinct keys than that
+        resolves into a dict of its own.
+        """
+        seen = [(table, table.version) for table in tables]
+        if seen != self._tables_seen:
+            self._tables_seen = seen
+            self._memo = {}
+            self._interned = {}
+        memo = self._memo
+        fresh = distinct.difference(memo)
+        if len(memo) + len(fresh) > MEMO_LIMIT:
+            memo.clear()
+            fresh = distinct
+            if len(distinct) > MEMO_LIMIT:
+                memo = {}
+        interned = self._interned
+        for key in fresh:
+            entries = [table.match(key) for table in tables]
+            ident = tuple(map(id, entries))
+            signature = interned.get(ident)
+            if signature is None:
+                signature = interned[ident] = _Signature(entries)
+            memo[key] = signature
+        return memo
 
-        The scalar path applies stage 0 then stage 1 for packet i before
-        touching packet i+1; slots are independent of each other, so each
-        slot's event stream in packet-major, stage-minor order replayed
-        sequentially reproduces the interleaved execution exactly — even
-        when two stages feed the *same* slot with different specs (the
-        repurpose-per-packet ping-pong case).  With one binding stage the
-        single pass below is already packet-major; with several, the
-        per-stage passes still fill each bucket packet-major, and bucket
-        merging is only needed when two stages share a dist — handled by a
-        packet-major merge pass.
+    def _match(self, batch: PacketBatch) -> Dict[int, List[_Run]]:
+        """Each slot's applications as runs of equal spec, in scalar order.
+
+        Binding keys resolve through the engine's memo (:meth:`_signatures`),
+        which outlives the batch: entries cannot change mid-batch, and a
+        write between batches moves a table's version and clears it.  Each
+        table's ``lookups`` grows by the batch size and its ``hits`` by the
+        packets whose key hit it — exactly what n scalar lookups leave.
+
+        When every key of the batch has one signature, each slot it feeds
+        from one stage gets one run over ``range(n)``, with no per-packet
+        work.  Otherwise one pass groups the packet indices by signature,
+        and :func:`_runs_of` builds each slot's runs from its groups.  Slots
+        are independent, so replaying each slot's runs in turn reproduces
+        the interleaved scalar execution.
         """
         keys = batch.keys
         n = len(keys)
         tables = self.stat4.binding_tables
-        events: Dict[int, List[_Event]] = {}
-        multi = len(tables) > 1
-        stage_dists: List[set] = []
-        for stage, table in enumerate(tables):
-            before_lookups = table.lookups
-            before_hits = table.hits
-            # memo: key -> None (miss) or (spec|None, bucket|None).
-            memo: Dict[Tuple[int, int, int, int], Any] = {}
-            memo_get = memo.get
-            matched = 0
-            dists: set = set()
+        distinct = set(keys)
+        memo = self._signatures(distinct, tables)
+        first = memo[keys[0]]
+        groups: Dict[_Signature, Sequence[int]]
+        if all(memo[key] is first for key in distinct):
+            groups = {first: range(n)}
+        else:
+            groups = {}
+            append_to: Dict[BindingKey, Any] = {}
+            for key in distinct:
+                rows = groups.setdefault(memo[key], [])
+                append_to[key] = rows.append
             for i, key in enumerate(keys):
-                hit = memo_get(key, _MISS)
-                if hit is _MISS:
-                    entry = table.lookup(key)
-                    if entry is None:
-                        hit = None
-                    elif entry.action == TRACK_ACTION:
-                        spec = entry.params["spec"]
-                        bucket = (
-                            events.setdefault((stage, spec.dist), [])
-                            if multi
-                            else events.setdefault(spec.dist, [])
-                        )
-                        dists.add(spec.dist)
-                        hit = (spec, bucket)
-                    else:
-                        hit = (None, None)
-                    memo[key] = hit
-                if hit is None:
-                    continue
-                matched += 1
-                spec, bucket = hit
-                if bucket is not None:
-                    bucket.append((i, stage, spec))
-            table.lookups = before_lookups + n
-            table.hits = before_hits + matched
-            stage_dists.append(dists)
-        if not multi:
-            return events
-        return self._merge_stage_buckets(events, stage_dists)
+                append_to[key](i)
+        hits = [0] * len(tables)
+        parts: Dict[int, List[Tuple[Sequence[int], int, TrackSpec]]] = {}
+        for signature, rows in groups.items():
+            for stage in signature.hits:
+                hits[stage] += len(rows)
+            for dist, feeds in signature.feeds.items():
+                for stage, spec in feeds:
+                    parts.setdefault(dist, []).append((rows, stage, spec))
+        for table, hit in zip(tables, hits):
+            table.lookups += n
+            table.hits += hit
+        return {dist: _runs_of(slot_parts, n) for dist, slot_parts in parts.items()}
 
-    @staticmethod
-    def _merge_stage_buckets(
-        staged: Dict[Any, List[_Event]], stage_dists: List[set]
-    ) -> Dict[int, List[_Event]]:
-        """Collapse per-(stage, dist) buckets into per-dist scalar order.
-
-        A dist fed by one stage keeps its bucket as-is (already
-        packet-major).  A dist fed by several stages merges their buckets
-        on ``(packet, stage)`` — both already sorted, so this is a linear
-        heap-free merge.
-        """
-        events: Dict[int, List[_Event]] = {}
-        all_dists = set()
-        for dists in stage_dists:
-            all_dists |= dists
-        for dist in all_dists:
-            buckets = [
-                staged[(stage, dist)]
-                for stage in range(len(stage_dists))
-                if (stage, dist) in staged
-            ]
-            if len(buckets) == 1:
-                events[dist] = buckets[0]
-                continue
-            merged: List[_Event] = []
-            cursors = [0] * len(buckets)
-            total = sum(len(b) for b in buckets)
-            while len(merged) < total:
-                best = None
-                best_rank = None
-                for b, bucket in enumerate(buckets):
-                    c = cursors[b]
-                    if c >= len(bucket):
-                        continue
-                    rank = (bucket[c][0], bucket[c][1])
-                    if best_rank is None or rank < best_rank:
-                        best_rank = rank
-                        best = b
-                merged.append(buckets[best][cursors[best]])
-                cursors[best] += 1
-            events[dist] = merged
-        return events
-
-    # -- per-distribution dispatch --------------------------------------------
-
-    @staticmethod
-    def _split_runs(
-        dist_events: List[_Event],
-    ) -> List[Tuple[TrackSpec, List[_Event]]]:
-        """Split one slot's event stream into runs of equal specs.
-
-        Each run is the longest prefix whose events carry the same spec
-        (identity first, equality as the fallback for rebind-equal specs),
-        so a run maps to exactly one ``_state_for`` call — the scalar
-        repurpose-per-application behaviour, amortized.
-        """
-        runs: List[Tuple[TrackSpec, List[_Event]]] = []
-        i = 0
-        n = len(dist_events)
-        while i < n:
-            spec = dist_events[i][2]
-            j = i + 1
-            while j < n:
-                other = dist_events[j][2]
-                if other is not spec and other != spec:
-                    break
-                j += 1
-            runs.append((spec, dist_events[i:j]))
-            i = j
-        return runs
-
-    def _process_dist(
-        self,
-        dist_events: List[_Event],
-        batch: PacketBatch,
-        sink: _DigestSink,
-        result: BatchResult,
-    ) -> None:
-        for spec, segment in self._split_runs(dist_events):
-            self._process_run(spec, segment, batch, sink, result)
+    # -- per-run dispatch -----------------------------------------------------
 
     def _process_run(
-        self,
-        spec: TrackSpec,
-        segment: List[_Event],
-        batch: PacketBatch,
-        sink: _DigestSink,
-        result: BatchResult,
+        self, run: _Run, batch: PacketBatch, sink: _DigestSink, result: BatchResult
     ) -> None:
         # One _state_for per run of equal specs — idempotent for the rest
         # of the run, resetting the slot iff it was repurposed (exactly
         # the scalar per-application behaviour).
+        spec = run.spec
         state = self.stat4._state_for(spec)
         name = kernel_of(KernelShape.of_spec(spec))
-        result.kernels[name] = result.kernels.get(name, 0) + len(segment)
+        result.kernels[name] = result.kernels.get(name, 0) + len(run.packets)
         if name in GENERATED_KERNELS:
-            self._library.run(spec, state, segment, batch, sink)
+            self._library.run(state, run, batch, sink)
         elif name == "time_series":
-            self._time_series_kernel(
-                state, segment, batch.values_for(spec), batch.timestamps, sink
-            )
-        elif name == "percentile_fast":
-            self._percentile_kernel(state, segment, batch.values_for(spec))
+            self._time_series_kernel(state, run, batch, sink)
         else:
-            self._frequency_kernel(state, segment, batch.values_for(spec))
+            values = run.pick(batch.values_for(spec))
+            self._frequency_kernel(state, values)
+            if name == "percentile_fast":
+                self._walk_tracker(state, values)
 
     # -- kernels -------------------------------------------------------------
 
-    def _frequency_kernel(
-        self, state, segment: List[_Event], values: Column
-    ) -> None:
-        """Dense frequency slots with no tracker and no k·σ check.
+    def _frequency_kernel(self, state, values: Sequence[Optional[int]]) -> None:
+        """Dense frequency slots with no k·σ check: the counting kernel.
 
         Occurrences are tallied per unique value and folded into the
         moments with the telescoped ``observe_frequencies`` identity; the
         cell register is written once per unique value and the derived
         measures are synced once.  Final register state is bit-identical to
         per-packet updates (a near-wrap cell falls back to the per-packet
-        loop so width wrapping reproduces exactly).
+        loop so width wrapping reproduces exactly).  A tracked slot's
+        tracker is walked separately (:meth:`_walk_tracker`): its state
+        does not feed the cells or the moments.
         """
-        stat4 = self.stat4
-        size = stat4.config.counter_size
-        observed: List[int] = []
-        dropped = 0
-        for pkt, _stage, _spec in segment:
-            value = values[pkt]
-            if value is None:
-                # Matched but no value of interest: with no percentile
-                # tracker the scalar path does nothing for this packet.
-                continue
-            if value >= size:
-                dropped += 1
-            else:
-                observed.append(value)
-        state.values_dropped += dropped
+        tally = Counter(values)
+        # Matched but no value of interest: with no percentile tracker the
+        # scalar path does nothing for this packet.
+        tally.pop(None, None)
+        size = self.stat4.config.counter_size
+        state.values_dropped += sum(
+            count for value, count in tally.items() if value >= size
+        )
+        observed = sorted(item for item in tally.items() if item[0] < size)
         if observed:
-            self._apply_counts(state, self._tally(observed))
+            self._apply_counts(state, observed)
 
     def _apply_counts(
         self, state, counts: Iterable[Tuple[int, int]]
@@ -825,27 +859,7 @@ class BatchEngine:
                 counters.write(cell, old + repeat)
         stat4._sync_stats(state)
 
-    @staticmethod
-    def _tally(observed: List[int]) -> List[Tuple[int, int]]:
-        """``(value, occurrences)`` pairs for in-domain observed values."""
-        tally: Dict[int, int] = {}
-        for value in observed:
-            tally[value] = tally.get(value, 0) + 1
-        return sorted(tally.items())
-
-    def _percentile_kernel(
-        self, state, segment: List[_Event], values: Column
-    ) -> None:
-        """Tracked frequency slots with no alerts.
-
-        Cells and moments take the counting kernel (the tracker's state
-        does not feed them), then the percentile tracker replays the run's
-        exact observe/tick sequence (:meth:`_walk_tracker`).
-        """
-        self._frequency_kernel(state, segment, values)
-        self._walk_tracker(state, segment, values)
-
-    def _walk_tracker(self, state, segment: List[_Event], values: Column) -> None:
+    def _walk_tracker(self, state, values: Sequence[Optional[int]]) -> None:
         """Replay a run's observe/tick sequence through the slot's tracker.
 
         Dropped values are excluded entirely and value-free packets tick,
@@ -856,14 +870,13 @@ class BatchEngine:
         would have synced at least once.
         """
         size = self.stat4.config.counter_size
-        events: List[int] = []
-        for pkt, _stage, _spec in segment:
-            value = values[pkt]
-            if value is None:
-                events.append(-1)  # value-free packet: a tracker tick
-            elif value < size:
-                events.append(value)
-            # else: dropped — the scalar path returns before the tracker.
+        # A value-free packet is a tracker tick (-1); a dropped value never
+        # reaches the tracker — the scalar path returns before it.
+        events = [
+            -1 if value is None else value
+            for value in values
+            if value is None or value < size
+        ]
         tracker = state.tracker
         if self._tracker_replay(tracker, events):
             stat4 = self.stat4
@@ -899,12 +912,7 @@ class BatchEngine:
         return bool(observed or (had_value and len(events) > observed))
 
     def _time_series_kernel(
-        self,
-        state,
-        segment: List[_Event],
-        values: Column,
-        timestamps: List[float],
-        sink: _DigestSink,
+        self, state, run: _Run, batch: PacketBatch, sink: _DigestSink
     ) -> None:
         """Segmented time-series scan: chunk-sum between interval closes.
 
@@ -916,15 +924,18 @@ class BatchEngine:
         the library's.  Only the per-packet ``reg_current`` writes are
         coalesced: the register holds the same final value either way.
         The close search resumes from the cursor after each close, so the
-        whole segment is scanned once.
+        whole run is scanned once.
         """
         stat4 = self.stat4
         spec = state.spec
         dist = spec.dist
         interval = spec.interval
-        m = len(segment)
-        ts = [timestamps[e[0]] for e in segment]
-        counts = [values[e[0]] if values[e[0]] is not None else 0 for e in segment]
+        ts = run.pick(batch.timestamps)
+        m = len(ts)
+        counts = [
+            0 if value is None else value
+            for value in run.pick(batch.values_for(spec))
+        ]
         idx = 0
         if state.interval_start is None:
             state.interval_start = ts[0]
@@ -943,7 +954,7 @@ class BatchEngine:
                 break
             if j > idx:
                 state.current_count += sum(counts[idx:j])
-            pkt, stage, _spec = segment[j]
+            pkt, stage = run.event(j)
             now = ts[j]
             sink.set(pkt, stage, now)
             stat4._close_interval(state, sink, now)

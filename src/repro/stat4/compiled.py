@@ -595,41 +595,30 @@ class KernelLibrary:
             KernelConstants.of_spec(spec, stat4.config, stat4.counters.width, cells),
         )
 
-    # -- gathers ----------------------------------------------------------------
-
-    def _gather(self, spec, segment, batch) -> Tuple[List[int], List[float]]:
-        """A run's value and timestamp lists, in event order.
-
-        Value-free packets read as ``-1``, which the loops skip.  When the
-        run covers every packet of a single-stage batch in order, the
-        batch columns are the run's columns; otherwise a list
-        comprehension picks the run's packets.
-        """
-        values = batch.values_for(spec)
-        timestamps = batch.timestamps
-        n = len(segment)
-        if (
-            n == len(batch)
-            and segment[-1][0] == n - 1
-            and len(self.stat4.binding_tables) == 1
-        ):
-            return [-1 if value is None else value for value in values], timestamps
-        pkts = [event[0] for event in segment]
-        return (
-            [-1 if values[pkt] is None else values[pkt] for pkt in pkts],
-            [timestamps[pkt] for pkt in pkts],
-        )
-
     # -- runs -------------------------------------------------------------------
 
-    def run(self, spec, state, segment, batch, sink) -> None:
-        """Run one spec-run through its generated kernel.
+    @staticmethod
+    def _gather(run, batch) -> Tuple[List[int], List[float]]:
+        """A run's value and timestamp lists, in application order.
+
+        Value-free packets read as ``-1``, which the loops skip.  A run
+        over the whole batch reads the batch columns directly.
+        """
+        values = run.pick(batch.values_for(run.spec))
+        vlist = [-1 if value is None else value for value in values]
+        return vlist, run.pick(batch.timestamps)
+
+    def run(self, state, run, batch, sink) -> None:
+        """Run one spec-run (a :class:`~repro.stat4.batch.BatchEngine`
+        run: its spec, packet indices and stages) through its generated
+        kernel.
 
         Leaves the slot's working state and every register exactly as the
-        scalar loop over the same events would.
+        scalar loop over the same applications would.
         """
+        spec = run.spec
         kernel = self.kernel_for(spec)
-        vlist, tlist = self._gather(spec, segment, batch)
+        vlist, tlist = self._gather(run, batch)
         records: List[Tuple[int, ...]] = []
         if spec.kind is DistributionKind.SPARSE_FREQUENCY:
             self._run_sparse(kernel, state, vlist, tlist, records)
@@ -645,7 +634,7 @@ class KernelLibrary:
             )
             state.values_dropped += dropped
             self.install_frequency_state(state, exit_state, observed, synced)
-        self.install_records(spec, records, segment, batch.timestamps, sink)
+        self.install_records(records, run, batch.timestamps, sink)
 
     def _run_sparse(self, kernel, state, vlist, tlist, records) -> None:
         unique = {value for value in vlist if value >= 0}
@@ -732,18 +721,19 @@ class KernelLibrary:
             stat4.reg_low.write(spec.dist, tracker.low)
             stat4.reg_high.write(spec.dist, tracker.high)
 
-    def install_records(self, spec, records, segment, timestamps, sink) -> None:
+    def install_records(self, records, run, timestamps, sink) -> None:
         """Replay kernel digest records into the sink, scalar-shaped.
 
-        A record's second field is its packet's position in the kernel's
-        input, the run's ``segment``; the record is tagged with that
-        event's ``(packet, stage)`` and stamped with the batch timestamp of
-        its packet, so the sink's scalar-order sort puts it exactly where
-        the serial loop would have emitted it.
+        A record's second field is its application's position in the
+        kernel's input, the ``run``; the record is tagged with that
+        application's ``(packet, stage)`` and stamped with the batch
+        timestamp of its packet, so the sink's scalar-order sort puts it
+        exactly where the serial loop would have emitted it.
         """
         stat4 = self.stat4
+        spec = run.spec
         for record in records:
-            pkt, stage, _spec = segment[record[1]]
+            pkt, stage = run.event(record[1])
             sink.set(pkt, stage, timestamps[pkt])
             if record[0] == DIGEST_KIND_KSIGMA:
                 sink.emit_digest(

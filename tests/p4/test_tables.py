@@ -208,3 +208,97 @@ class TestCompositeKeysAndDefaults:
         table.lookup([2])
         assert table.lookups == 2
         assert table.hits == 1
+
+
+def two_action_table():
+    return Table(
+        "t",
+        keys=[exact_key("port", 9)],
+        actions=[ActionSpec("a", ("x",)), ActionSpec("b", ("y",))],
+    )
+
+
+class TestVersion:
+    def test_each_write_bumps_the_version(self):
+        table = two_action_table()
+        assert table.version == 0
+        entry_id = table.add_entry([1], "a", {"x": 1})
+        assert table.version == 1
+        table.modify_entry(entry_id, params={"x": 2})
+        assert table.version == 2
+        table.modify_entry(entry_id, action="b", params={"y": 3})
+        table.modify_entry(entry_id, matches=[2])
+        table.modify_entry(entry_id, priority=4)
+        assert table.version == 5
+        table.delete_entry(entry_id)
+        assert table.version == 6
+        table.add_entry([3], "a", {"x": 1})
+        table.clear()
+        assert table.version == 8
+
+    def test_reads_and_no_op_writes_leave_the_version(self):
+        table = two_action_table()
+        entry_id = table.add_entry([1], "a", {"x": 1})
+        before = table.version
+        table.lookup([1])
+        table.lookup([2])
+        table.match([1])
+        table.modify_entry(entry_id)
+        table.clear()
+        table.clear()  # already empty: nothing changes
+        assert table.version == before + 1
+
+    def test_match_leaves_the_counters(self):
+        table = two_action_table()
+        table.add_entry([1], "a", {"x": 1})
+        assert table.match([1]).params == {"x": 1}
+        assert table.match([2]) is None
+        assert (table.lookups, table.hits) == (0, 0)
+        assert table.lookup([1]) is table.match([1])
+        assert (table.lookups, table.hits) == (1, 1)
+
+    def test_writes_that_raise_leave_the_version(self):
+        table = two_action_table()
+        entry_id = table.add_entry([1], "a", {"x": 1})
+        before = table.version
+        attempts = [
+            lambda: table.add_entry([1], "nope"),
+            lambda: table.add_entry([1 << 9], "a", {"x": 1}),
+            lambda: table.modify_entry(99, params={"x": 1}),
+            lambda: table.modify_entry(entry_id, params={"y": 1}),
+            lambda: table.modify_entry(entry_id, matches=[1 << 9]),
+            lambda: table.delete_entry(99),
+        ]
+        for attempt in attempts:
+            with pytest.raises(TableError):
+                attempt()
+        assert table.version == before
+
+
+class TestModifyIsAllOrNothing:
+    def test_action_change_with_the_old_actions_params_changes_nothing(self):
+        table = two_action_table()
+        entry_id = table.add_entry([1], "a", {"x": 1})
+        before = table.version
+        with pytest.raises(TableError):
+            table.modify_entry(entry_id, action="b", params={"x": 2})
+        entry = table.match([1])
+        assert (entry.action, entry.params) == ("a", {"x": 1})
+        assert table.version == before
+
+    def test_a_bad_match_leaves_action_and_params(self):
+        table = two_action_table()
+        entry_id = table.add_entry([1], "a", {"x": 1})
+        with pytest.raises(TableError):
+            table.modify_entry(
+                entry_id, matches=[1 << 9], action="b", params={"y": 2}, priority=7
+            )
+        entry = table.match([1])
+        assert (entry.action, entry.params, entry.priority) == ("a", {"x": 1}, 0)
+
+    def test_an_action_change_needs_params_that_fit_it(self):
+        table = two_action_table()
+        entry_id = table.add_entry([1], "a", {"x": 1})
+        with pytest.raises(TableError):
+            table.modify_entry(entry_id, action="b")
+        assert table.match([1]).action == "a"

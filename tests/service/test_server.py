@@ -318,6 +318,58 @@ class TestHttpEndpoints:
         assert request(service.url, "/nope")[0] == 404
         assert request(service.url, "/nope", method="POST", body={})[0] == 404
 
+    def test_unknown_post_body_is_not_read_as_the_next_request(self, live_service):
+        # An unread body on a keep-alive connection used to be parsed as
+        # the next request line, answering a valid GET with an HTML 400.
+        service, _source = live_service
+        host, port = service.address
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            body = b'{"a": 1}'
+            assert len(body) == 8
+            connection.request(
+                "POST", "/nope", body=body, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            assert response.status == 404
+            json.loads(response.read().decode("utf-8"))
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.getheader("Content-Type") == "application/json"
+            assert json.loads(response.read().decode("utf-8"))["service"] == "test"
+        finally:
+            connection.close()
+
+    def test_post_shutdown_reads_its_body(self, live_service):
+        service, source = live_service
+        host, port = service.address
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.request("POST", "/shutdown", body=b'{"now": true}')
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read().decode("utf-8")) == {"stopping": True}
+            # Nothing of the body is left on the connection: the next
+            # request is answered as itself.
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status in (200, 503)
+            assert response.getheader("Content-Type") == "application/json"
+            assert json.loads(response.read().decode("utf-8"))["service"] == "test"
+        finally:
+            connection.close()
+        source.release()
+        assert wait_for(lambda: service.stopping)
+
+    def test_post_shutdown_rejects_a_malformed_content_length(self, live_service):
+        service, _source = live_service
+        status, connection, payload = raw_post(service, "/shutdown", "abc", b"{}")
+        assert status == 400
+        assert connection == "close"
+        assert "Content-Length" in payload["error"]
+        assert not service.stopping
+
     def test_post_shutdown_stops_the_pipeline(self, live_service):
         service, source = live_service
         status, payload = request(service.url, "/shutdown", method="POST")

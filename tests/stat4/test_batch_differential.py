@@ -216,7 +216,7 @@ def _frequency_scenario():
 def _percentile_scenario():
     """Tracked median, no alerts — the ``percentile_fast`` kernel.
 
-    ``_percentile_kernel`` runs the counting kernel, then replays the
+    ``_frequency_kernel`` counts, then ``_walk_tracker`` replays the
     run's observe/tick sequence through the slot's tracker; it must land
     on the scalar tracker state bit for bit.
     """
