@@ -16,7 +16,7 @@ overhead of the two architectures — the crux of the paper's motivation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.p4.switch import Digest
 
@@ -75,6 +75,7 @@ class TableModify(ControlMessage):
     matches: Any = None
     action: Any = None
     params: Any = None
+    priority: Optional[int] = None
     request_id: int = 0
 
     def __len__(self) -> int:

@@ -129,6 +129,7 @@ class SwitchNode:
                 matches=message.matches,
                 action=message.action,
                 params=message.params,
+                priority=message.priority,
             )
         elif isinstance(message, TableDelete):
             self.switch.table(message.table).delete_entry(message.entry_id)

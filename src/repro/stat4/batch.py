@@ -433,30 +433,28 @@ class PacketBatch:
             return cached
         extract = spec.extract
         shift = extract.shift
-        mask = extract.mask
+        # ``& -1`` keeps every bit of any int, negative ones included.
+        mask = -1 if extract.mask is None else extract.mask
         lo = spec.accept_lo
         hi = spec.accept_hi
-        out: Column = []
-        append = out.append
-        if extract.source == _CONSTANT:
-            value = extract.constant_value >> shift
-            if mask is not None:
-                value &= mask
-            if value < lo or (hi != 0 and value >= hi):
-                value = None
-            out = [value] * len(self)
+        constant = extract.source == _CONSTANT
+        raw = [extract.constant_value] if constant else self.raw_column(extract.source)
+        # The filter's cases are settled here, once, not per item.
+        if hi:
+            out = [
+                None if v is None or not lo <= (x := (v >> shift) & mask) < hi else x
+                for v in raw
+            ]
+        elif lo or mask < 0:
+            out = [
+                None if v is None or (x := (v >> shift) & mask) < lo else x
+                for v in raw
+            ]
         else:
-            for item in self.raw_column(extract.source):
-                if item is None:
-                    append(None)
-                    continue
-                value = item >> shift
-                if mask is not None:
-                    value &= mask
-                if value < lo or (hi != 0 and value >= hi):
-                    append(None)
-                else:
-                    append(value)
+            # A masked value is never negative, so the filter admits it.
+            out = [None if v is None else (v >> shift) & mask for v in raw]
+        if constant:
+            out = out * len(self)
         self._value_columns[cache_key] = out
         return out
 

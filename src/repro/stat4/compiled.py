@@ -33,10 +33,20 @@ A frequency kernel's working state travels as one flat tuple (see
 positional arguments and returns it, updated, in the same layout, which
 :meth:`KernelLibrary.install_frequency_state` writes back.
 
+σ only when the comparison needs it: both loops share one k·σ check
+(:func:`_ksigma_lines`), and two σ-free bounds decide it before σ, whose
+MSB search is the check's dearest step, is computed.  An alert needs
+``N·x > Xsum + k·σ + N·margin`` with N, Xsum, k and σ never negative, so
+``x ≤ margin`` (a compare against a literal) and ``N·x ≤ Xsum +
+N·margin`` (no σ) each rule it out exactly.  A skipped recompute leaves
+the σ flag dirty, and the run's closing register sync computes σ from
+the same moments.
+
 Exactness contract: a generated kernel leaves *bit-identical* state to the
 scalar library — registers, moments, tracker state, cooldown stamps,
 digests and their order.  The hypothesis differentials in
-``tests/stat4/test_batch_differential.py`` gate this.
+``tests/stat4/test_batch_differential.py`` and
+``tests/stat4/test_ksigma_bounds.py`` gate this.
 
 The generated source stays inside the restricted op set the analyzer can
 audit — integer add/sub/shift/mask, compile-time-constant multiplies,
@@ -187,8 +197,23 @@ def _sync_percentile_lines(c: KernelConstants, pad: str, pa: bool) -> List[str]:
 
 def _ksigma_lines(c: KernelConstants, pad: str, sample: str, index: str) -> List[str]:
     """``Stat4._maybe_alert``: min-samples gate, cooldown gate, then the
-    division-free k·σ outlier check of ``ScaledStats.is_outlier`` (with
-    the lazy ``stddev_nx`` recompute inlined)."""
+    division-free k·σ outlier check of ``ScaledStats.is_outlier``, with σ
+    computed only when two σ-free bounds leave the outcome open.
+
+    An alert needs ``N·x > Xsum + k·σ + N·margin``, and N, Xsum, k and σ
+    are never negative, so each bound rules it out exactly:
+
+    - ``x ≤ margin`` gives ``N·x ≤ N·margin``: one compare against a
+      literal, emitted only for ``margin > 0`` (with margin 0 it always
+      holds, since every sample is at least 1);
+    - ``N·x ≤ Xsum + N·margin`` needs no σ.
+
+    Only a sample past both runs the lazy ``stddev_nx`` recompute and the
+    full compare, whose threshold sums the same terms as the scalar one.
+    A skipped recompute leaves ``sd_dirty`` set, so the next check, or the
+    run's closing ``_sync_stats``, computes σ from the same moments: the
+    slot ends bit-identical, and σ is fresh in every digest.
+    """
     p = pad
     lines = [f"{p}if count >= {c.min_samples}:"]
     inner = p + "    "
@@ -197,25 +222,27 @@ def _ksigma_lines(c: KernelConstants, pad: str, sample: str, index: str) -> List
             f"{inner}if last_alert is None or now - last_alert >= {c.cooldown!r}:"
         )
         inner = inner + "    "
-    lines += [
-        f"{inner}if sd_dirty:",
-        f"{inner}    var = checked_multiply(count, xsumsq, runtime_operands=2) - square(xsum)",
-        f"{inner}    if var < 0:",
-        f"{inner}        var = 0",
-        f"{inner}    cached_sd = approx_isqrt(var)",
-        f"{inner}    sd_dirty = False",
-        f"{inner}threshold = xsum + {c.k_sigma} * cached_sd",
-    ]
+    threshold = "xsum"
     if c.margin:
-        lines.append(
-            f"{inner}threshold = threshold + "
-            f"checked_multiply(count, {c.margin}, runtime_operands=2)"
-        )
+        lines += [
+            f"{inner}if {sample} > {c.margin}:",
+            f"{inner}    threshold = xsum + "
+            f"checked_multiply(count, {c.margin}, runtime_operands=2)",
+        ]
+        inner = inner + "    "
+        threshold = "threshold"
     lines += [
         f"{inner}scaled_sample = checked_multiply(count, {sample}, runtime_operands=2)",
-        f"{inner}if scaled_sample > threshold:",
-        f"{inner}    last_alert = now",
-        f"{inner}    records.append(({DIGEST_KIND_KSIGMA}, i, {index}, {sample}, "
+        f"{inner}if scaled_sample > {threshold}:",
+        f"{inner}    if sd_dirty:",
+        f"{inner}        var = checked_multiply(count, xsumsq, runtime_operands=2) - square(xsum)",
+        f"{inner}        if var < 0:",
+        f"{inner}            var = 0",
+        f"{inner}        cached_sd = approx_isqrt(var)",
+        f"{inner}        sd_dirty = False",
+        f"{inner}    if scaled_sample > {threshold} + {c.k_sigma} * cached_sd:",
+        f"{inner}        last_alert = now",
+        f"{inner}        records.append(({DIGEST_KIND_KSIGMA}, i, {index}, {sample}, "
         "scaled_sample, xsum, cached_sd, count))",
     ]
     return lines

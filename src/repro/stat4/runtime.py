@@ -100,7 +100,8 @@ class Stat4Runtime:
         """Rewrite an installed rule in place (the drill-down refinement).
 
         The new spec's generation is bumped automatically so the data plane
-        resets the slot.
+        resets the slot.  A ``priority`` rides on the returned message, and
+        a local table applies everything in one ``modify_entry`` write.
         """
         new_match = match if match is not None else handle.match
         base_spec = spec if spec is not None else handle.spec
@@ -111,6 +112,7 @@ class Stat4Runtime:
             matches=new_match.to_matches(),
             action=TRACK_ACTION,
             params={"spec": new_spec},
+            priority=priority,
         )
         if self.stat4 is not None:
             self._table(handle.stage).modify_entry(
@@ -118,11 +120,8 @@ class Stat4Runtime:
                 matches=message.matches,
                 action=message.action,
                 params=message.params,
+                priority=message.priority,
             )
-            if priority is not None:
-                self._table(handle.stage).modify_entry(
-                    handle.entry_id, priority=priority
-                )
         return BindingHandle(handle.stage, handle.entry_id, new_spec, new_match), message
 
     def unbind(self, handle: BindingHandle) -> TableDelete:

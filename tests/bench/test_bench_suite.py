@@ -56,6 +56,7 @@ class TestRunSuite:
             "percentile",
             "time_series",
             "sparse",
+            "sparse_alerting",
             "sharded_mean_variance",
             "tracked_alerting",
             "service_throughput",

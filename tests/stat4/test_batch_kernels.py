@@ -276,6 +276,55 @@ class TestPacketBatchConstruction:
         values = batch.values_for(spec)
         assert values == [None, 10, 15, 19, None, None]
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        raw=st.lists(
+            st.one_of(st.none(), st.integers(min_value=-(1 << 20), max_value=1 << 40)),
+            max_size=30,
+        ),
+        shift=st.integers(min_value=0, max_value=12),
+        mask=st.one_of(st.none(), st.integers(min_value=0, max_value=0xFFFF)),
+        lo=st.integers(min_value=0, max_value=1 << 12),
+        width=st.one_of(st.just(0), st.integers(min_value=1, max_value=1 << 12)),
+        constant=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 20)),
+    )
+    def test_values_for_matches_per_packet_extract(
+        self, raw, shift, mask, lo, width, constant
+    ):
+        """``values_for`` against ``ExtractSpec.extract`` and the accept
+        filter, packet by packet: ``None`` stays ``None``, and a value
+        the filter rejects becomes ``None``."""
+        from dataclasses import replace
+
+        from repro.p4.packet import ParsedPacket
+        from repro.p4.switch import PacketContext, StandardMetadata
+
+        if constant is None:
+            extract = ExtractSpec.metadata("v", shift=shift, mask=mask)
+        else:
+            extract = ExtractSpec("const", shift=shift, mask=mask, constant_value=constant)
+        spec = replace(
+            Stat4Runtime(None).frequency_of(0, extract),
+            accept_lo=lo,
+            accept_hi=lo + width if width else 0,
+        )
+        contexts = []
+        for value in raw:
+            ctx = PacketContext(
+                parsed=ParsedPacket(),
+                meta=StandardMetadata(ingress_port=0, timestamp=0.0),
+            )
+            if value is not None:
+                ctx.user["v"] = value
+            contexts.append(ctx)
+        expected = []
+        for ctx in contexts:
+            value = extract.extract(ctx, 0)
+            expected.append(None if value is None or not spec.accepts(value) else value)
+        batch = PacketBatch.from_contexts(contexts)
+        assert batch.values_for(spec) == expected
+        assert batch.values_for(spec) is batch.values_for(spec)
+
 
 class TestTraceBatching:
     def test_iter_batches_chunks(self):

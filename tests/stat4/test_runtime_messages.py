@@ -56,6 +56,16 @@ class TestMessageOnlyMode:
         handle3, _ = runtime.rebind(handle2)
         assert handle3.spec.generation > handle2.spec.generation
 
+    def test_rebind_message_carries_priority(self):
+        runtime = self.make_runtime()
+        spec = runtime.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0xFF))
+        handle, _ = runtime.bind(0, BindingMatch(ether_type=0x0800), spec, priority=1)
+        _, message = runtime.rebind(handle, priority=9)
+        assert message.priority == 9
+        assert len(message) < 128
+        _, unchanged = runtime.rebind(handle)
+        assert unchanged.priority is None
+
     def test_unbind_returns_delete_message(self):
         runtime = self.make_runtime()
         spec = runtime.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0xFF))
@@ -88,6 +98,18 @@ class TestGenerationBumpResetsSlot:
         assert state.stats.updates == 1
         assert stat4.counters.read(stat4.config.cell_index(0, 1)) == 1
         assert stat4.counters.read(stat4.config.cell_index(0, 2)) == 0
+
+    def test_local_rebind_with_priority_is_one_write(self):
+        stat4, runtime = self.build()
+        spec = runtime.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0x3F))
+        handle, _ = runtime.bind(0, BindingMatch(ether_type=0x0800), spec, priority=1)
+        table = stat4.binding_tables[0]
+        version = table.version
+        handle, _ = runtime.rebind(handle, priority=9)
+        assert table.version == version + 1
+        (entry,) = table.entries()
+        assert entry.priority == 9
+        assert entry.params["spec"] == handle.spec
 
     def test_reprocessing_without_rebind_keeps_state(self):
         stat4, runtime = self.build()
@@ -143,6 +165,23 @@ class TestRoundTripThroughSwitchNode:
         net.run()
         assert len(table) == installed
         assert switch.control_ops == 3
+
+    def test_rebind_priority_reaches_the_switch(self):
+        bundle, net, switch, controller = self.build()
+        remote = Stat4Runtime(None)
+        table = switch.table("stat4_binding_0")
+        spec = remote.frequency_of(0, ExtractSpec.field("stat4_echo.value"))
+        handle, add = remote.bind(0, BindingMatch(), spec, priority=1)
+        controller.send(add)
+        net.run()
+        handle.entry_id = table.entries()[-1].entry_id
+
+        _, modify = remote.rebind(handle, priority=9)
+        controller.send(modify)
+        net.run()
+        entry = next(e for e in table.entries() if e.entry_id == handle.entry_id)
+        assert entry.priority == 9
+        assert entry.params["spec"].generation == modify.params["spec"].generation
 
 
 class _ControllerStub:
