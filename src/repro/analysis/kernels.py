@@ -6,7 +6,7 @@ The batch engine runs one kernel per :class:`KernelShape`, the projection
 of a :class:`~repro.stat4.distributions.TrackSpec` onto the fields that
 change its per-packet update (``kind`` × tracker × k·σ × percentile
 alert).  That projection picks the kernel
-(:func:`~repro.stat4.batch.kernel_of`) and keys the generated kernels
+(:func:`~repro.stat4.compiled.kernel_of`) and keys the generated kernels
 (:func:`~repro.stat4.compiled.compiled_kernel`), so two checks keep it
 honest:
 

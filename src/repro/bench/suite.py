@@ -6,7 +6,8 @@ One kernel per hot loop:
 - ``mean_variance`` — dense frequency counting with moments only (the
   batched counting kernel; the headline scalar-vs-batched ratio);
 - ``percentile``  — frequency counting plus the one-step-per-packet
-  median walk (order-dependent, so batching only amortizes dispatch);
+  median walk, no alerts (order-dependent: the generated per-packet
+  loop, ``exact_loop``, so batching only amortizes dispatch);
 - ``time_series`` — interval closes over a circular window;
 - ``sparse``      — HashPipe-style hashed slots (order-dependent);
 - ``sparse_alerting`` — the same slots with the k·σ check open (a

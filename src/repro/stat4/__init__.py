@@ -7,13 +7,7 @@ the configured anomaly checks fire.  Binding tables let a controller retune
 what is tracked at runtime without recompiling.
 """
 
-from repro.stat4.batch import (
-    HAS_NUMPY,
-    BatchEngine,
-    BatchResult,
-    PacketBatch,
-    split_batch,
-)
+from repro.stat4.batch import HAS_NUMPY, BatchEngine, BatchResult, PacketBatch
 from repro.stat4.binding import (
     MATCH_ALL,
     TRACK_ACTION,
@@ -33,7 +27,6 @@ __all__ = [
     "PacketBatch",
     "BatchEngine",
     "BatchResult",
-    "split_batch",
     "HAS_NUMPY",
     "Stat4Config",
     "DEFAULT_CONFIG",

@@ -36,29 +36,25 @@ integer-only semantics are the spec; differential tests enforce equality):
     :meth:`~repro.core.stats.ScaledStats.observe_frequencies` identity, and
     the derived measures are synced once per batch (the final lazy-σ value
     is identical; only *how often* it was recomputed differs);
-  * tracked frequency slots with no alerts use the same counting kernel for
-    cells and moments plus a replay of the exact observe/tick sequence
-    through the slot's own tracker — the one-step-per-packet walk of
-    Figure 3, with the percentile registers synced once per run;
   * time-series slots scan for interval closes with the same
     ``now − start ≥ interval`` float comparison the scalar path evaluates
     and sum the in-between values in one step, calling the library's own
     ``_close_interval`` at each close so window/alert/silent-gap semantics
     stay byte-for-byte the library's;
-  * everything order-dependent — dense frequency with a k·σ check or a
-    percentile alert, and hashed sparse slots — runs a generated
-    monomorphic per-packet loop (:mod:`repro.stat4.compiled`): the
-    library's update inlined with every spec constant baked in, a sparse
-    table's probe, claim and eviction inlined over its rows' cell lists
-    (slots hashed once per unique key per run), and the derived-measure
-    registers synced once per run.
+  * everything order-dependent — dense frequency with a percentile
+    tracker (the one-step-per-packet walk of Figure 3) or a k·σ check,
+    and hashed sparse slots — runs a generated monomorphic per-packet
+    loop (:mod:`repro.stat4.compiled`): the library's update inlined with
+    every spec constant baked in, a sparse table's probe, claim and
+    eviction inlined over its rows' cell lists (slots hashed once per
+    unique key per run), and the derived-measure and percentile registers
+    synced once per run.
 
 The engine is plain Python and runs every batch on the calling thread,
 in scalar order.  numpy is optional and used only where the data is
 already an array: frame decoding (:mod:`repro.stat4.frames`) and the bulk
 sparse slot hash.  Each of those picks numpy when it imports and a Python
-loop otherwise; both give the same values.  :func:`split_batch` cuts a
-trace into time-ordered chunks that any engine may process in turn.
+loop otherwise; both give the same values.
 
 What is *not* preserved: per-register read/write accounting and the
 σ-recomputation counter (the batch path coalesces touches by design).
@@ -78,8 +74,8 @@ from repro.p4.parser import Parser
 from repro.p4.switch import Digest, PacketContext, StandardMetadata
 from repro.p4.tables import Table, TableEntry
 from repro.stat4.binding import TRACK_ACTION, binding_key_of
-from repro.stat4.compiled import KernelLibrary
-from repro.stat4.distributions import DistributionKind, KernelShape, TrackSpec
+from repro.stat4.compiled import GENERATED_KERNELS, KernelLibrary, kernel_of
+from repro.stat4.distributions import KernelShape, TrackSpec
 from repro.stat4.library import Stat4, _to_us
 
 try:  # pragma: no cover - absence exercised by the no-numpy CI job
@@ -100,7 +96,6 @@ __all__ = [
     "PacketBatch",
     "BatchResult",
     "BatchEngine",
-    "split_batch",
 ]
 
 #: Value columns: one optional int per packet (None = no value of interest).
@@ -120,24 +115,6 @@ _KEY_FIELDS = (
     ("ipv4", "protocol"),
     ("tcp", "flags"),
 )
-
-#: Kernels that run a generated per-packet loop (:mod:`repro.stat4.compiled`);
-#: every other kernel is a hand-written batched one in this module.
-GENERATED_KERNELS = ("exact_loop", "sparse_fast")
-
-
-def kernel_of(shape: KernelShape) -> str:
-    """The one kernel that runs a shape — the dispatch table of
-    :meth:`BatchEngine._process_run`, and the ``BatchResult.kernels`` name
-    its events are counted under."""
-    if shape.kind is DistributionKind.TIME_SERIES:
-        return "time_series"
-    if shape.kind is DistributionKind.SPARSE_FREQUENCY:
-        return "sparse_fast"
-    if shape.alerting or shape.percentile_alert:
-        return "exact_loop"
-    return "percentile_fast" if shape.tracked else "frequency_fast"
-
 
 class PacketBatch:
     """A structure-of-arrays view of many packets.
@@ -341,40 +318,6 @@ class PacketBatch:
             subset._frames = self._frames.take(_np.asarray(indices, dtype=_np.int64))
         return subset
 
-    def slice_view(self, start: int, stop: int) -> "PacketBatch":
-        """A contiguous sub-batch over rows ``[start, stop)`` sharing storage.
-
-        Where :meth:`select` copies element by element for arbitrary row
-        sets, a contiguous window uses C-level list slicing for every
-        column, already-derived value columns included, and a window of
-        the decoded frames.  ``split_batch`` builds its chunks through
-        this, so chunking a batch does no per-element Python work.
-        """
-        sub = PacketBatch.__new__(PacketBatch)
-        sub.timestamps = self.timestamps[start:stop]
-        sub.keys = self.keys[start:stop]
-        sub.contexts = (
-            self.contexts[start:stop] if self.contexts is not None else None
-        )
-        sub.frame_bytes = (
-            self.frame_bytes[start:stop] if self.frame_bytes is not None else None
-        )
-        sub.parse_errors = 0
-        sub._frames = (
-            self._frames.take(slice(start, stop))
-            if self._frames is not None
-            else None
-        )
-        sub._raw_columns = {
-            source: column[start:stop]
-            for source, column in self._raw_columns.items()
-        }
-        sub._value_columns = {
-            key: column[start:stop]
-            for key, column in self._value_columns.items()
-        }
-        return sub
-
     # -- column access --------------------------------------------------------
 
     def raw_column(self, source: str) -> Column:
@@ -468,9 +411,9 @@ class BatchResult:
         digests: every digest emitted, in scalar order (packet-major,
             binding-stage-minor).
         kernels: events handled per kernel, keyed by kernel name
-            (:func:`kernel_of`: ``frequency_fast`` / ``percentile_fast`` /
-            ``time_series`` for the hand-written kernels, ``exact_loop`` /
-            ``sparse_fast`` for the generated loops).
+            (:func:`kernel_of`: ``frequency_fast`` / ``time_series`` for
+            the hand-written kernels, ``exact_loop`` / ``sparse_fast`` for
+            the generated loops).
     """
 
     packets: int = 0
@@ -531,27 +474,6 @@ class _DigestSink:
         trace.  ``tests/stat4/test_digest_ordering.py`` guards this.
         """
         return [d for _, _, d in sorted(self.records, key=lambda r: (r[0], r[1]))]
-
-
-def split_batch(batch: PacketBatch, chunk_size: int) -> List[PacketBatch]:
-    """Split a batch into time-ordered contiguous chunks.
-
-    Processing the chunks in order through an engine leaves the same
-    state as processing the whole batch at once (and as the scalar loop):
-    every kernel finishes its chunk before the next starts, and
-    :meth:`PacketBatch.slice_view` carries every backing column over with
-    C-level list slices (and a window of the decoded frames).  An empty
-    batch splits into no chunks at all (``[]``), not one empty chunk.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    n = len(batch)
-    if n == 0:
-        return []
-    return [
-        batch.slice_view(start, min(start + chunk_size, n))
-        for start in range(0, n, chunk_size)
-    ]
 
 
 #: The most binding keys a :class:`BatchEngine` remembers.  Past it the
@@ -796,24 +718,20 @@ class BatchEngine:
         elif name == "time_series":
             self._time_series_kernel(state, run, batch, sink)
         else:
-            values = run.pick(batch.values_for(spec))
-            self._frequency_kernel(state, values)
-            if name == "percentile_fast":
-                self._walk_tracker(state, values)
+            self._frequency_kernel(state, run.pick(batch.values_for(spec)))
 
     # -- kernels -------------------------------------------------------------
 
     def _frequency_kernel(self, state, values: Sequence[Optional[int]]) -> None:
-        """Dense frequency slots with no k·σ check: the counting kernel.
+        """Dense frequency slots with no tracker and no k·σ check: the
+        counting kernel.
 
         Occurrences are tallied per unique value and folded into the
         moments with the telescoped ``observe_frequencies`` identity; the
         cell register is written once per unique value and the derived
         measures are synced once.  Final register state is bit-identical to
         per-packet updates (a near-wrap cell falls back to the per-packet
-        loop so width wrapping reproduces exactly).  A tracked slot's
-        tracker is walked separately (:meth:`_walk_tracker`): its state
-        does not feed the cells or the moments.
+        loop so width wrapping reproduces exactly).
         """
         tally = Counter(values)
         # Matched but no value of interest: with no percentile tracker the
@@ -856,58 +774,6 @@ class BatchEngine:
                 stats.observe_frequencies(old, repeat)
                 counters.write(cell, old + repeat)
         stat4._sync_stats(state)
-
-    def _walk_tracker(self, state, values: Sequence[Optional[int]]) -> None:
-        """Replay a run's observe/tick sequence through the slot's tracker.
-
-        Dropped values are excluded entirely and value-free packets tick,
-        precisely the scalar ``_update_frequency`` flow, through
-        :meth:`_tracker_replay`.  The percentile registers are synced
-        once at the end — same final contents as the scalar per-packet
-        ``_sync_percentile`` calls, and written only if the scalar path
-        would have synced at least once.
-        """
-        size = self.stat4.config.counter_size
-        # A value-free packet is a tracker tick (-1); a dropped value never
-        # reaches the tracker — the scalar path returns before it.
-        events = [
-            -1 if value is None else value
-            for value in values
-            if value is None or value < size
-        ]
-        tracker = state.tracker
-        if self._tracker_replay(tracker, events):
-            stat4 = self.stat4
-            dist = state.spec.dist
-            stat4.reg_pos.write(dist, tracker.value)
-            stat4.reg_low.write(dist, tracker.low)
-            stat4.reg_high.write(dist, tracker.high)
-
-    def _tracker_replay(self, tracker, events: List[int]) -> bool:
-        """Resumable tracker walk over one window of observe/tick events.
-
-        ``events`` is the window's exact event sequence — a value in
-        ``[0, domain)`` is one ``observe``, ``-1`` one ``tick`` — replayed
-        from whatever entry state the tracker currently holds.  Each event
-        steps the tracker one ``observe`` or ``tick``, exactly as the
-        scalar ``_update_frequency`` does.
-        Returns ``True`` when the window requires a position-register
-        sync under the serial write gate: an observation landed, or the
-        tracker entered the window holding a position and a value-free
-        packet ticked it.
-        """
-        if not events:
-            return False
-        had_value = tracker.has_value
-        observed = 0
-        for value in events:
-            if value < 0:
-                if tracker.has_value:
-                    tracker.tick()
-            else:
-                tracker.observe(value)
-                observed += 1
-        return bool(observed or (had_value and len(events) > observed))
 
     def _time_series_kernel(
         self, state, run: _Run, batch: PacketBatch, sink: _DigestSink

@@ -7,31 +7,35 @@ The paper's pitch is that Stat4 runs at line rate because the restricted
 operation set (adds, shifts, compares, table lookups) compiles to cheap
 hardware stages.  The software analogue of "compiles" is taken literally
 here: for every kernel shape whose update cannot be reordered — dense
-frequency with a k·σ check and/or a percentile alert, tracked or not, and
-hashed sparse frequency with or without k·σ — this module *generates
-Python source* for a monomorphic per-packet loop.  Every spec constant
-(cell domain, width masks, k·σ, cooldown, percentile weights, a sparse
-table's stage count) is baked in as a literal, every polymorphic
-dispatch of the scalar library (attribute lookups, None checks, register
-accounting) is specialized away, and the source is ``exec``-compiled
-once per ``(shape, constants)``.
+frequency with a percentile tracker or a k·σ check (the tracker moves one
+cell per packet, Figure 3), and hashed sparse frequency with or without
+k·σ — this module *generates Python source* for a monomorphic per-packet
+loop; :func:`kernel_of` is the one place that decides which shapes those
+are.  Every spec constant (cell domain, width masks, k·σ, cooldown,
+percentile weights, a sparse table's stage count) is baked in as a
+literal, every polymorphic dispatch of the scalar library (attribute
+lookups, None checks, register accounting) is specialized away, and the
+source is ``exec``-compiled once per ``(shape, constants)``.
 
 The loops run over plain Python ints, so they need no numpy: the
 :class:`KernelLibrary` gathers a run's values into plain lists.  State
-the scalar library keeps in registers reaches a loop as
-the registers' own cell lists, indexed directly: a dense slot's counter
-cells, and a sparse slot's key and count rows, whose probe, claim and
-lightest-cell eviction (``HashedCells.increment``) the sparse loop
-unrolls over the table's stage count.  The lists are fetched from the
-registers at the start of every run and never kept, since a slot reset
-(``RegisterArray.fill``) replaces them.  Batch mode keeps no per-access
-register accounting.  :class:`~repro.stat4.batch.BatchEngine` is the
-one caller.
+the scalar library keeps in registers reaches a loop as copies of the
+registers' cell lists, indexed directly: a dense slot's counter cells
+(with its tracker's frequencies), and a sparse slot's key and count
+rows, whose probe, claim and lightest-cell eviction
+(``HashedCells.increment``) the sparse loop unrolls over the table's
+stage count.  The copies are taken at the start of every run and
+installed when the loop returns, so a run that raises leaves its slot as
+it was; none is kept between runs, since a slot reset
+(``RegisterArray.fill``) replaces the lists.  Batch mode keeps no
+per-access register accounting.  :class:`~repro.stat4.batch.BatchEngine`
+is the one caller.
 
-A frequency kernel's working state travels as one flat tuple (see
-:func:`pack_frequency_state`); the loop takes it as its trailing
-positional arguments and returns it, updated, in the same layout, which
-:meth:`KernelLibrary.install_frequency_state` writes back.
+A kernel's working state travels as one flat tuple: the loop takes it
+as its trailing positional arguments and returns it, updated, in the
+same layout.  Both loops share its moments, σ and last-alert part
+(:data:`_SHARED_STATE`); a dense loop adds its cells and tracker
+(:func:`pack_frequency_state`).
 
 σ only when the comparison needs it: both loops share one k·σ check
 (:func:`_ksigma_lines`), and two σ-free bounds decide it before σ, whose
@@ -58,6 +62,7 @@ that whitelist (see :func:`repro.analysis.kernels.check_generated_kernels`).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -83,6 +88,29 @@ _CACHE_LIMIT = 64
 #: a k·σ outlier, where ``i`` is the packet's position in the kernel's input.
 DIGEST_KIND_PERCENTILE = 0
 DIGEST_KIND_KSIGMA = 1
+
+#: Kernels that run a generated per-packet loop; every other kernel is a
+#: hand-written batched one in :mod:`repro.stat4.batch`.
+GENERATED_KERNELS = ("exact_loop", "sparse_fast")
+
+
+def kernel_of(shape: KernelShape) -> str:
+    """The one kernel that runs a shape: the engine's dispatch table
+    (:meth:`~repro.stat4.batch.BatchEngine._process_run`), the
+    ``BatchResult.kernels`` name its events are counted under, and the
+    choice of which shapes get generated code.
+
+    A percentile tracker moves one cell per packet and a k·σ check reads
+    the moments as they stand at its packet, so a dense slot with either
+    runs the generated loop; plain counting does not depend on order.
+    """
+    if shape.kind is DistributionKind.TIME_SERIES:
+        return "time_series"
+    if shape.kind is DistributionKind.SPARSE_FREQUENCY:
+        return "sparse_fast"
+    if shape.tracked or shape.alerting:
+        return "exact_loop"
+    return "frequency_fast"
 
 
 @dataclass(frozen=True)
@@ -248,18 +276,33 @@ def _ksigma_lines(c: KernelConstants, pad: str, sample: str, index: str) -> List
     return lines
 
 
+#: The working state both generated loops take and return, in this order:
+#: the slot's moments, σ and its dirty flag, and the last k·σ alert time,
+#: as paths from the slot's :class:`DistributionState`.  A loop names each
+#: field by its attribute without the leading ``_``.
+_SHARED_STATE = (
+    "stats.count",
+    "stats.xsum",
+    "stats.xsumsq",
+    "stats.updates",
+    "stats._cached_sd",
+    "stats._sd_dirty",
+    "last_alert",
+)
+_SHARED_NAMES = [path.rpartition(".")[2].lstrip("_") for path in _SHARED_STATE]
+_shared_state = operator.attrgetter(*_SHARED_STATE)
+
+
+def _install_shared_state(state: DistributionState, values: Tuple[Any, ...]) -> None:
+    """Write a loop's exit values of :data:`_SHARED_STATE` into the slot."""
+    for path, value in zip(_SHARED_STATE, values):
+        owner, _, name = path.rpartition(".")
+        setattr(state.stats if owner else state, name, value)
+
+
 def _frequency_state_names(shape: KernelShape) -> List[str]:
     """The flat working-state layout of a dense frequency kernel."""
-    names = [
-        "cells",
-        "count",
-        "xsum",
-        "xsumsq",
-        "updates",
-        "cached_sd",
-        "sd_dirty",
-        "last_alert",
-    ]
+    names = ["cells", *_SHARED_NAMES]
     if shape.percentile_alert:
         names.append("last_pa")
     if shape.tracked:
@@ -268,9 +311,9 @@ def _frequency_state_names(shape: KernelShape) -> List[str]:
 
 
 def _frequency_loop_source(shape: KernelShape, c: KernelConstants) -> str:
-    """Dense frequency with alerts: the monomorphic per-packet loop
-    (``Stat4._update_frequency`` with every constant and attribute lookup
-    specialized away; state lives in plain locals)."""
+    """Dense frequency with a tracker or a k·σ check: the monomorphic
+    per-packet loop (``Stat4._update_frequency`` with every constant and
+    attribute lookup specialized away; state lives in plain locals)."""
     tracked = shape.tracked
     state = _frequency_state_names(shape)
     lines = _header(shape)
@@ -322,17 +365,6 @@ def _frequency_loop_source(shape: KernelShape, c: KernelConstants) -> str:
         lines += _ksigma_lines(c, "        ", sample="new", index="v")
     lines.append(f"    return dropped, observed, synced, ({', '.join(state)},)")
     return "\n".join(lines) + "\n"
-
-
-_SPARSE_STATE = (
-    "count",
-    "xsum",
-    "xsumsq",
-    "updates",
-    "cached_sd",
-    "sd_dirty",
-    "last_alert",
-)
 
 
 def _sparse_row_names(stages: int) -> List[str]:
@@ -430,7 +462,7 @@ def _sparse_loop_source(shape: KernelShape, c: KernelConstants) -> str:
     (:meth:`~repro.stat4.sparse.HashedCells.slot_paths`).  The loop
     returns the table's claim and eviction counts with the moments.
     """
-    state = ", ".join(_SPARSE_STATE)
+    state = ", ".join(_SHARED_NAMES)
     rows = ", ".join(_sparse_row_names(c.stages))
     slots = ", ".join(f"slot{s}" for s in range(c.stages))
     lines = _header(shape)
@@ -471,15 +503,14 @@ def generate_kernel_source(shape: KernelShape, constants: KernelConstants) -> st
     """The monomorphic kernel source for one shape × constants point.
 
     Raises:
-        ValueError: for a shape the engine runs through a hand-written
-            kernel (plain tally, tracked-only, time series).
+        ValueError: for a shape :func:`kernel_of` sends to a hand-written
+            kernel (plain counting, time series).
     """
-    if shape.kind is DistributionKind.SPARSE_FREQUENCY:
-        return _sparse_loop_source(shape, constants)
-    if shape.kind is DistributionKind.FREQUENCY and (
-        shape.alerting or shape.percentile_alert
-    ):
+    kernel = kernel_of(shape)
+    if kernel == "exact_loop":
         return _frequency_loop_source(shape, constants)
+    if kernel == "sparse_fast":
+        return _sparse_loop_source(shape, constants)
     raise ValueError(f"shape {shape.key!r} has no generated kernel")
 
 
@@ -503,14 +534,8 @@ _REFERENCE_CONSTANTS = KernelConstants(
 
 
 def reference_sources() -> Dict[str, str]:
-    """One generated source per shape the engine dispatches to a
-    generated kernel — what ST510 (restricted op set) audits.
-
-    The shape set comes from the engine's own dispatch
-    (:func:`repro.stat4.batch.kernel_of`), not from a list kept here.
-    """
-    from repro.stat4.batch import GENERATED_KERNELS, kernel_of
-
+    """One generated source per shape :func:`kernel_of` sends to a
+    generated kernel — what ST510 (restricted op set) audits."""
     return {
         shape.key: generate_kernel_source(shape, _REFERENCE_CONSTANTS)
         for shape in enumerate_shapes()
@@ -564,19 +589,8 @@ def pack_frequency_state(
     scalar ``_sync_percentile`` reads as the previous position.  The
     layout matches the generated kernel's trailing arguments.
     """
-    stats = state.stats
-    packed: List[Any] = [
-        cells,
-        stats.count,
-        stats.xsum,
-        stats.xsumsq,
-        stats.updates,
-        stats._cached_sd,
-        stats._sd_dirty,
-        state.last_alert,
-    ]
-    spec = state.spec
-    if spec.percentile_alert:
+    packed: List[Any] = [cells, *_shared_state(state)]
+    if state.spec.percentile_alert:
         packed.append(state.last_percentile_alert)
     tracker = state.tracker
     if tracker is not None:
@@ -669,34 +683,24 @@ class KernelLibrary:
             return
         stat4 = self.stat4
         cells = stat4.sparse_cells[state.spec.dist]
-        stats = state.stats
-        # Fetched per run, never kept: a slot reset (HashedCells.clear)
-        # refills every row, which replaces its cell list.
-        rows = [row._cells for row in cells.key_rows + cells.count_rows]
+        rows = cells.key_rows + cells.count_rows
+        # The loop writes copies of the rows, installed with the moments
+        # and counters on return, so a run that raises leaves the table as
+        # it was.  A slot reset (HashedCells.clear) replaces every row's
+        # cell list, so the lists are read per run, never kept.
+        copies = [row._cells[:] for row in rows]
         observed, claimed, evictions, evicted_mass, exit_state = kernel(
             vlist,
             tlist,
-            stats.square,
+            state.stats.square,
             records,
             cells.slot_paths(unique),
-            *rows,
-            stats.count,
-            stats.xsum,
-            stats.xsumsq,
-            stats.updates,
-            stats._cached_sd,
-            stats._sd_dirty,
-            state.last_alert,
+            *copies,
+            *_shared_state(state),
         )
-        (
-            stats.count,
-            stats.xsum,
-            stats.xsumsq,
-            stats.updates,
-            stats._cached_sd,
-            stats._sd_dirty,
-            state.last_alert,
-        ) = exit_state
+        for row, copy in zip(rows, copies):
+            row._cells = copy
+        _install_shared_state(state, exit_state)
         cells.resident_keys += claimed
         cells.evictions += evictions
         cells.evicted_mass += evicted_mass
@@ -715,18 +719,10 @@ class KernelLibrary:
         and the position registers when the tracker synced."""
         stat4 = self.stat4
         spec = state.spec
-        stats = state.stats
-        (
-            cells,
-            stats.count,
-            stats.xsum,
-            stats.xsumsq,
-            stats.updates,
-            stats._cached_sd,
-            stats._sd_dirty,
-            state.last_alert,
-        ) = packed[:8]
-        rest = packed[8:]
+        cells = packed[0]
+        end = 1 + len(_SHARED_STATE)
+        _install_shared_state(state, packed[1:end])
+        rest = packed[end:]
         if spec.percentile_alert:
             state.last_percentile_alert = rest[0]
             rest = rest[1:]

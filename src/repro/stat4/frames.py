@@ -99,7 +99,7 @@ class FrameColumns:
         self._layouts = layouts
 
     def take(self, rows: Any) -> "FrameColumns":
-        """The rows selected by ``rows`` (a slice gives views, an index array copies)."""
+        """The rows at the index array ``rows``, in its order."""
         return FrameColumns(
             self.buffer,
             {name: pos[rows] for name, pos in self.positions.items()},

@@ -214,11 +214,11 @@ def _frequency_scenario():
 
 @scenario("percentile")
 def _percentile_scenario():
-    """Tracked median, no alerts — the ``percentile_fast`` kernel.
+    """Tracked median, no alerts — the generated loop (``exact_loop``).
 
-    ``_frequency_kernel`` counts, then ``_walk_tracker`` replays the
-    run's observe/tick sequence through the slot's tracker; it must land
-    on the scalar tracker state bit for bit.
+    The loop walks the tracker one observe or tick per packet, as the
+    scalar path does; it must land on the scalar tracker state bit for
+    bit.
     """
     config = Stat4Config(counter_num=4, counter_size=256, binding_stages=1)
     stat4 = Stat4(config)

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.percentile import PercentileTracker
 from repro.core.stats import ScaledStats
 from repro.netsim.messages import DigestMessage
 from repro.netsim.network import Network
 from repro.netsim.switchnode import SwitchNode
-from repro.p4.packet import Packet
+from repro.p4.packet import Packet, ParsedPacket
 from repro.p4.parser import standard_parser
-from repro.p4.switch import CPU_PORT
+from repro.p4.switch import CPU_PORT, PacketContext, StandardMetadata
 from repro.stat4 import (
+    MATCH_ALL,
     BatchEngine,
     BindingMatch,
     ExtractSpec,
@@ -29,7 +29,9 @@ from repro.stat4 import (
 )
 from repro.traffic.builders import udp_to
 from repro.traffic.trace import PacketTrace, TraceRecord
+from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.conftest import make_ctx, udp_packet
+from tests.stat4.test_batch_differential import assert_equal_state, process_scalar
 
 
 def freq_stat4(mask=0xFF, counter_size=256, counter_width=32, **spec_kwargs):
@@ -133,104 +135,129 @@ class TestFrequencyKernel:
         assert batched.state_of(0).values_dropped == 3
 
 
-class TestTrackerWalk:
-    """The engine's tracker walk replays Fig. 3 exactly.
+#: The engine under both settings of numpy's optional array paths.
+MODES = [param.values[0] for param in NUMPY_MODES]
 
-    ``_tracker_replay`` steps a tracker through a window of events (a
-    value observes, -1 is a value-free tick) from whatever state it holds.
-    The oracle is the scalar ``_update_frequency`` flow driven one packet
-    at a time: observe every value, tick only a tracker that already holds
-    a position, and sync the percentile registers if either happened.
-    Small domains force the 0 and domain-1 boundary clamps; extreme
-    percentiles skew the move weights.
+#: One packet per event: -1 is value-free; values at or past the cell
+#: domain (2 to 8 cells below) are dropped before the tracker.
+EVENTS = st.lists(st.integers(min_value=-1, max_value=10), max_size=120)
+
+
+class TestTrackerWalk:
+    """The tracker walk of Fig. 3, run by the generated loop.
+
+    A tracked slot with no alerts (the ``frequency+tracked`` shape) runs
+    ``exact_loop``, which steps the slot's tracker one observe or tick per
+    packet from whatever state it holds.  The oracle is the scalar
+    ``Stat4`` fed the same packets: a value observes, a value-free packet
+    ticks a tracker that already holds a position, a value at or past
+    ``counter_size`` never reaches the tracker, and the percentile
+    registers are synced whenever either happened.  After every batch,
+    registers, moments, tracker state and digests must equal the
+    oracle's (``assert_equal_state``), and so must the tracked position,
+    with numpy's optional array paths on and hidden.  Small domains force
+    the 0 and ``counter_size - 1`` boundary clamps; extreme percentiles
+    skew the move weights.
     """
 
     @staticmethod
-    def replay_scalar(events, domain, percent):
-        tracker = PercentileTracker(domain, percent)
-        synced = False
-        for event in events:
-            if event >= 0:
-                tracker.observe(event)
-                synced = True
-            elif tracker.has_value:
-                tracker.tick()
-                synced = True
-        return tracker, synced
+    def build(counter_size, percent):
+        config = Stat4Config(
+            counter_num=2, counter_size=counter_size, binding_stages=1
+        )
+        stat4 = Stat4(config)
+        runtime = Stat4Runtime(stat4)
+        spec = runtime.frequency_of(0, ExtractSpec.metadata("v"), percent=percent)
+        runtime.bind(0, MATCH_ALL, spec)
+        return stat4
 
     @staticmethod
-    def walk_windows(events, domain, percent, cuts=()):
-        """Replay ``events`` window by window, split at ``cuts``."""
-        engine = BatchEngine(freq_stat4())
-        tracker = PercentileTracker(domain, percent)
-        bounds = [0, *sorted(cuts), len(events)]
-        synced = False
-        for start, stop in zip(bounds, bounds[1:]):
-            synced |= engine._tracker_replay(tracker, events[start:stop])
-        return tracker, synced
+    def contexts(events):
+        contexts = []
+        for index, value in enumerate(events):
+            ctx = PacketContext(
+                parsed=ParsedPacket(),
+                meta=StandardMetadata(ingress_port=0, timestamp=index * 0.001),
+            )
+            if value >= 0:
+                ctx.user["v"] = value
+            contexts.append(ctx)
+        return contexts
 
-    def assert_same(self, events, domain, percent, cuts=()):
-        scalar, scalar_synced = self.replay_scalar(events, domain, percent)
-        walked, walked_synced = self.walk_windows(events, domain, percent, cuts)
-        assert walked.freqs == scalar.freqs
-        assert (
-            walked.low,
-            walked.high,
-            walked.total,
-            walked.moves,
-            walked._position,
-        ) == (
-            scalar.low,
-            scalar.high,
-            scalar.total,
-            scalar.moves,
-            scalar._position,
-        )
-        assert walked_synced == scalar_synced
+    def assert_same(self, events, counter_size, percent, cuts=()):
+        """Feed ``events`` to the oracle and the engine in batches cut at
+        ``cuts``, once per mode, comparing after every batch; returns the
+        engine side's position register after each batch, per mode."""
+        contexts = self.contexts(events)
+        bounds = [0, *sorted(min(cut, len(events)) for cut in cuts), len(events)]
+        positions = []
+        for mode in MODES:
+            scalar = self.build(counter_size, percent)
+            batched = self.build(counter_size, percent)
+            engine = BatchEngine(batched)
+            walked = []
+            for start, stop in zip(bounds, bounds[1:]):
+                scalar_digests = process_scalar(scalar, contexts[start:stop])
+                with numpy_mode(mode):
+                    result = engine.process(
+                        PacketBatch.from_contexts(contexts[start:stop])
+                    )
+                assert set(result.kernels) <= {"exact_loop"}
+                assert_equal_state(scalar, batched, scalar_digests, result.digests)
+                if scalar.state_of(0) is not None:
+                    assert (
+                        scalar.state_of(0).tracker._position
+                        == batched.state_of(0).tracker._position
+                    )
+                walked.append(batched.reg_pos.peek()[0])
+            positions.append(walked)
+        return positions
 
     @settings(deadline=None, max_examples=120)
     @given(
-        domain=st.integers(min_value=2, max_value=8),
+        counter_size=st.integers(min_value=2, max_value=8),
         percent=st.sampled_from([1, 10, 50, 90, 99]),
-        data=st.data(),
+        events=EVENTS,
     )
-    def test_walk_matches_scalar_replay(self, domain, percent, data):
-        events = data.draw(
-            st.lists(
-                st.integers(min_value=-1, max_value=domain - 1), max_size=120
-            )
-        )
-        self.assert_same(events, domain, percent)
+    def test_walk_matches_scalar_replay(self, counter_size, percent, events):
+        self.assert_same(events, counter_size, percent)
 
     @settings(deadline=None, max_examples=40)
     @given(
+        counter_size=st.integers(min_value=2, max_value=8),
         percent=st.sampled_from([1, 50, 99]),
-        data=st.data(),
+        events=EVENTS,
+        cuts=st.lists(st.integers(min_value=0, max_value=120), max_size=4),
     )
-    def test_windowed_walk_matches_one_pass(self, percent, data):
-        # The walk resumes from whatever state the tracker holds: resuming
-        # at any cut must land where one pass does, and a tick-only window
-        # after the first value still syncs.
-        events = data.draw(
-            st.lists(st.integers(min_value=-1, max_value=5), max_size=80)
-        )
-        cuts = data.draw(
-            st.lists(st.integers(min_value=0, max_value=len(events)), max_size=4)
-        )
-        self.assert_same(events, 6, percent, cuts)
+    def test_windowed_walk_matches_one_pass(
+        self, counter_size, percent, events, cuts
+    ):
+        # The walk resumes from whatever state the tracker holds: a batch
+        # cut anywhere, empty batches included, must land where the
+        # scalar pass does.
+        self.assert_same(events, counter_size, percent, cuts)
 
     def test_empty_and_tick_only_streams(self):
-        self.assert_same([], 4, 50)
-        self.assert_same([-1, -1, -1], 4, 50)  # ticks before any value: no-op
-        assert self.walk_windows([-1, -1], 4, 50)[1] is False
-        assert self.walk_windows([3, -1], 4, 50, cuts=[1])[1] is True
+        assert self.assert_same([], 4, 50) == [[0]] * len(MODES)
+        # Ticks before any value: the tracker holds no position to move.
+        assert self.assert_same([-1, -1, -1], 4, 50) == [[0]] * len(MODES)
+        # A tick-only batch after the values still walks a position that
+        # lags behind its mass, and syncs it.
+        walked = self.assert_same([0, 5, 5, 5, 5, -1, -1], 6, 50, cuts=[5])
+        assert walked == [[3, 5]] * len(MODES)
 
     def test_alternating_extremes_pin_boundaries(self):
-        # Heavy mass at both ends drags the position into the clamps.
+        # Heavy mass at both ends drags the position into the clamps; the
+        # cuts give every phase of the stream a batch of its own.
         events = ([0] * 30 + [5] * 30 + [-1] * 10) * 4
-        self.assert_same(events, 6, 50)
-        self.assert_same(events, 6, 99)
-        self.assert_same(events, 6, 1)
+        cuts = [
+            start + offset
+            for start in range(0, len(events), 70)
+            for offset in (30, 60, 70)
+        ]
+        for percent in (50, 99, 1):
+            self.assert_same(events, 6, percent)
+            self.assert_same(events, 6, percent, cuts)
 
 
 class TestPacketBatchConstruction:
@@ -295,9 +322,6 @@ class TestPacketBatchConstruction:
         filter, packet by packet: ``None`` stays ``None``, and a value
         the filter rejects becomes ``None``."""
         from dataclasses import replace
-
-        from repro.p4.packet import ParsedPacket
-        from repro.p4.switch import PacketContext, StandardMetadata
 
         if constant is None:
             extract = ExtractSpec.metadata("v", shift=shift, mask=mask)

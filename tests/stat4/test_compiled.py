@@ -121,7 +121,7 @@ SHAPE_BUILDERS = {
 EXPECTED_KERNELS = {
     "frequency": "frequency_fast",
     "frequency+alerting": "exact_loop",
-    "frequency+tracked": "percentile_fast",
+    "frequency+tracked": "exact_loop",
     "frequency+tracked+alerting": "exact_loop",
     "frequency+tracked+percentile_alert": "exact_loop",
     "frequency+tracked+alerting+percentile_alert": "exact_loop",
@@ -162,7 +162,7 @@ def test_reference_sources_are_the_generated_dispatch_shapes():
         key for key, kernel in EXPECTED_KERNELS.items() if kernel in GENERATED_KERNELS
     }
     assert set(reference_sources()) == generated
-    assert len(generated) == 6
+    assert len(generated) == 7
 
 
 #: Binds every constructible shape on its own slot and stage, runs one
@@ -215,7 +215,7 @@ _IMPORT_PROBE = textwrap.dedent(
         columns={"ipv4.dst": [(i * 7919) % 4099 for i in range(n)]},
     )
     result = BatchEngine(stat4).process(batch)
-    assert len(result.kernels) == 5, result.kernels
+    assert len(result.kernels) == 4, result.kernels
     assert ("numpy" in sys.modules) == (sys.argv[1] == "numpy")
     print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
     """
@@ -342,10 +342,15 @@ def test_lint_rejects_source_outside_the_op_set():
 
 
 def test_generated_sources_compile_and_name_their_shape():
-    from repro.stat4.compiled import exec_compile, reference_sources
+    from repro.stat4.compiled import (
+        GENERATED_KERNELS,
+        exec_compile,
+        reference_sources,
+    )
 
     sources = reference_sources()
-    assert len(sources) == 6
+    generated = [k for k in EXPECTED_KERNELS.values() if k in GENERATED_KERNELS]
+    assert len(sources) == len(generated) == 7
     for shape_key, source in sources.items():
         assert f"# shape: {shape_key}\n" in source, shape_key
         assert callable(exec_compile(source)), shape_key

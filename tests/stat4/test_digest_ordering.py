@@ -11,7 +11,7 @@ sequence exactly.  These tests pin both halves of that promise; see the
 import pytest
 
 from repro.p4.switch import Digest
-from repro.stat4 import BatchEngine, PacketBatch, split_batch
+from repro.stat4 import BatchEngine, PacketBatch
 from repro.stat4.batch import _DigestSink
 from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.test_batch_differential import (
@@ -65,7 +65,8 @@ def test_digest_sequence_identical_across_chunk_boundaries(
     engine = BatchEngine(chunked)
     chunked_digests = []
     with numpy_mode(mode):
-        for chunk in split_batch(PacketBatch.from_contexts(contexts), 613):
+        for start in range(0, len(contexts), 613):
+            chunk = PacketBatch.from_contexts(contexts[start : start + 613])
             chunked_digests.extend(engine.process(chunk).digests)
     assert [
         (d.name, d.fields, d.timestamp) for d in chunked_digests

@@ -9,7 +9,8 @@ oracle after every batch, across the constants the bounds read:
 ``k_sigma``, ``margin`` (0, small, and above any count), the
 ``min_samples`` gate and the cooldown.  The last tests hold the
 target-profile gate: a target without a runtime multiplier refuses the
-batched k·σ check exactly as it refuses the scalar one.
+batched k·σ check exactly as it refuses the scalar one, and the refused
+run leaves its slot as it was.
 """
 
 import random
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.stats import ScaledStats
 from repro.p4.errors import UnsupportedOperationError
 from repro.p4.packet import HeaderType, ParsedPacket
 from repro.p4.switch import PacketContext, StandardMetadata
@@ -210,3 +212,46 @@ def test_tofino_like_target_refuses_the_batched_check(kernel, built_under):
             process_scalar(scalar, rest)
         with pytest.raises(UnsupportedOperationError):
             BatchEngine(batched).process(PacketBatch.from_contexts(rest))
+
+
+def slot_view(stat4):
+    """Every register (the slot's cells or key and count rows, and the
+    mirrored measures), the sparse table's counters and the slot's
+    moments, which are all zero before the slot's first packet."""
+    state = stat4.state_of(0)
+    stats = state.stats if state is not None else ScaledStats()
+    table = stat4.sparse_cells.get(0)
+    return (
+        [register.peek() for register in stat4.registers],
+        table and (table.resident_keys, table.evictions, table.evicted_mass),
+        (
+            stats.count,
+            stats.xsum,
+            stats.xsumsq,
+            stats.updates,
+            stats._cached_sd,
+            stats._sd_dirty,
+        ),
+    )
+
+
+@pytest.mark.parametrize("built_under", [BMV2, TOFINO_LIKE], ids=lambda t: t.name)
+@pytest.mark.parametrize("kernel", ["untracked", "sparse"])
+def test_a_refused_run_leaves_its_slot_as_it_was(kernel, built_under):
+    """A generated loop that raises installs nothing: the slot's cells or
+    rows, its moments and the sparse table's counters keep their values
+    from before the batch, on a fresh detector and on one that has run
+    under bmv2.  (``packets_seen`` and the binding tables' counters have
+    already counted the batch.)"""
+    sparse = KERNELS[kernel][1]
+    contexts = trace(3, SPARSE_KEYS if sparse else DENSE_VALUES, packets=400)
+    with use_target(built_under):
+        stat4 = build(kernel, k_sigma=2, margin=1, min_samples=4)
+        engine = BatchEngine(stat4)
+        if built_under is BMV2:
+            engine.process(PacketBatch.from_contexts(contexts[:100]))
+    before = slot_view(stat4)
+    with use_target(TOFINO_LIKE):
+        with pytest.raises(UnsupportedOperationError):
+            engine.process(PacketBatch.from_contexts(contexts[100:]))
+    assert slot_view(stat4) == before

@@ -5,7 +5,7 @@ subclass that validates ``workers`` and ``executor`` and runs every batch
 serially.  It stays because ``perfbench/harness.py`` builds it by name
 for the ``columns_parallel`` workload, so this module pins that contract:
 
-- any trace, chunked by :func:`split_batch` and fed through the alias at
+- any trace, cut into time-ordered batches and fed through the alias at
   any worker count, leaves exactly the scalar oracle's state (the same
   hypothesis trace generator as the serial differentials, with numpy's
   optional array paths on and hidden);
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.stat4 import BatchEngine, PacketBatch, split_batch
+from repro.stat4 import BatchEngine, PacketBatch
 from repro.stat4.parallel import ParallelBatchEngine
 from tests.numpy_paths import NUMPY_MODES, numpy_mode
 from tests.stat4.test_batch_differential import (
@@ -40,11 +40,17 @@ TRACE_PACKETS = 5_000
 CHUNK = 1_500  # trace-level chunk: several per trace
 
 
+def chunks_of(contexts, chunk_size):
+    """One batch per time-ordered chunk of ``contexts``."""
+    for start in range(0, len(contexts), chunk_size):
+        yield PacketBatch.from_contexts(contexts[start : start + chunk_size])
+
+
 def process_parallel(stat4, contexts, mode, workers, chunk_size=CHUNK):
     engine = ParallelBatchEngine(stat4, workers=workers)
     digests = []
     with numpy_mode(mode):
-        for chunk in split_batch(PacketBatch.from_contexts(contexts), chunk_size):
+        for chunk in chunks_of(contexts, chunk_size):
             digests.extend(engine.process(chunk).digests)
     return digests
 
@@ -68,24 +74,8 @@ def test_workers_equal_scalar_and_each_other(scenario_name, mode, seed):
 
 
 class TestSplitBatch:
-    def test_chunks_are_contiguous_and_cover(self):
-        contexts = generate_trace(1, packets=700)
-        batch = PacketBatch.from_contexts(contexts)
-        chunks = split_batch(batch, 300)
-        assert [len(chunk) for chunk in chunks] == [300, 300, 100]
-        rebuilt = [ts for chunk in chunks for ts in chunk.timestamps]
-        assert rebuilt == batch.timestamps
-
-    def test_empty_batch_yields_no_chunks(self):
-        # Regression: an empty batch used to come back as one empty
-        # chunk, costing a no-op engine pass per empty trace window.
-        batch = PacketBatch.from_contexts([])
-        assert split_batch(batch, 300) == []
-
-    def test_rejects_nonpositive_chunk_size(self):
-        batch = PacketBatch.from_contexts([])
-        with pytest.raises(ValueError):
-            split_batch(batch, 0)
+    """A trace cut into time-ordered batches, processed in turn, leaves
+    the state and digests of the whole trace as one batch."""
 
     def test_chunked_processing_equals_whole_batch(self):
         contexts = generate_trace(2, packets=1_000)
@@ -98,7 +88,7 @@ class TestSplitBatch:
         )
         engine = BatchEngine(chunked)
         chunked_digests = []
-        for chunk in split_batch(PacketBatch.from_contexts(contexts), 137):
+        for chunk in chunks_of(contexts, 137):
             chunked_digests.extend(engine.process(chunk).digests)
         assert_equal_state(whole, chunked, whole_digests, chunked_digests)
 
