@@ -4,32 +4,27 @@
 The suite measures packets/second through the scalar :meth:`Stat4.process`
 path and the batched :class:`~repro.stat4.batch.BatchEngine` path for each
 distribution kind, plus wall-clock for the paper-table experiments, and
-emits a schema-versioned ``BENCH_<rev>.json`` artifact.  CI compares the
+emits a schema-versioned ``BENCH_<rev>.json`` artifact.  CI checks the
 *speedup ratios* (batched over scalar, machine-independent to first order)
-against committed floors in ``benchmarks/baseline.json`` — see
-``docs/BENCHMARKS.md``.
+against committed floors in ``benchmarks/baseline.json``, and the scenario
+quality scores against ``benchmarks/scenario_baseline.json``, through one
+check — see ``docs/BENCHMARKS.md``.
 """
 
 from repro.bench.compare import (
-    ComparisonRow,
-    ScenarioComparisonRow,
-    compare_reports,
-    compare_scenario_reports,
-    format_delta_markdown,
-    format_delta_table,
-    format_scenario_delta_markdown,
-    format_scenario_delta_table,
-    load_baseline,
-    load_scenario_baseline,
+    FloorRow,
+    Floors,
+    check_floors,
+    format_table,
+    format_verdicts,
+    load_floors,
     warning_annotations,
 )
 from repro.bench.history import (
-    DEFAULT_HISTORY_DIR,
     HISTORY_SCHEMA,
     FloorSuggestion,
     append_history,
     format_suggestions,
-    format_suggestions_markdown,
     format_trend,
     load_index,
     previous_report,
@@ -38,7 +33,7 @@ from repro.bench.history import (
 from repro.bench.suite import (
     SCENARIO_SCHEMA,
     SCHEMA_VERSION,
-    format_kernels_markdown,
+    format_kernels,
     format_report,
     format_scenario_table,
     run_suite,
@@ -51,21 +46,16 @@ __all__ = [
     "run_suite",
     "write_report",
     "format_report",
-    "format_kernels_markdown",
+    "format_kernels",
     "format_scenario_table",
-    "compare_reports",
-    "format_delta_table",
-    "format_delta_markdown",
-    "load_baseline",
-    "ComparisonRow",
-    "ScenarioComparisonRow",
-    "compare_scenario_reports",
-    "format_scenario_delta_table",
-    "format_scenario_delta_markdown",
-    "load_scenario_baseline",
+    "Floors",
+    "FloorRow",
+    "load_floors",
+    "check_floors",
+    "format_table",
+    "format_verdicts",
     "warning_annotations",
     "HISTORY_SCHEMA",
-    "DEFAULT_HISTORY_DIR",
     "append_history",
     "load_index",
     "previous_report",
@@ -73,5 +63,4 @@ __all__ = [
     "FloorSuggestion",
     "suggest_floor_bumps",
     "format_suggestions",
-    "format_suggestions_markdown",
 ]

@@ -18,9 +18,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.bench.compare import Floors, format_table
+
 __all__ = [
     "HISTORY_SCHEMA",
-    "DEFAULT_HISTORY_DIR",
     "FloorSuggestion",
     "append_history",
     "load_index",
@@ -28,11 +29,9 @@ __all__ = [
     "format_trend",
     "suggest_floor_bumps",
     "format_suggestions",
-    "format_suggestions_markdown",
 ]
 
 HISTORY_SCHEMA = "repro-bench-history/2"
-DEFAULT_HISTORY_DIR = os.path.join("benchmarks", "history")
 _INDEX_NAME = "index.json"
 
 
@@ -51,9 +50,7 @@ def load_index(history_dir: str) -> Dict[str, Any]:
     return index
 
 
-def append_history(
-    report: Dict[str, Any], history_dir: str = DEFAULT_HISTORY_DIR
-) -> str:
+def append_history(report: Dict[str, Any], history_dir: str) -> str:
     """Write the report into the history and update the index.
 
     Returns the path of the written ``BENCH_<rev>.json``.
@@ -125,18 +122,12 @@ def previous_report(
 
 def format_trend(current: Dict[str, Any], previous: Dict[str, Any]) -> str:
     """Per-kernel speedup deltas vs the previous revision's report."""
-    lines = [
-        f"trend vs revision {previous.get('revision', '?')}:",
-        f"{'kernel':<26} {'previous':>9} {'current':>8} {'delta':>8}",
-    ]
     current_speedups = current.get("speedups", {})
     previous_speedups = previous.get("speedups", {})
-    kernels = sorted(set(current_speedups) | set(previous_speedups))
-    for kernel in kernels:
+    rows = []
+    for kernel in sorted(set(current_speedups) | set(previous_speedups)):
         now = current_speedups.get(kernel)
         before = previous_speedups.get(kernel)
-        now_text = f"{now:.2f}x" if now is not None else "-"
-        before_text = f"{before:.2f}x" if before is not None else "-"
         if now is not None and before is not None and before > 0:
             delta = f"{(now - before) / before * 100.0:+.0f}%"
         elif now is not None and before is None:
@@ -145,9 +136,15 @@ def format_trend(current: Dict[str, Any], previous: Dict[str, Any]) -> str:
             delta = "gone"
         else:
             delta = "-"
-        lines.append(
-            f"{kernel:<26} {before_text:>9} {now_text:>8} {delta:>8}"
+        rows.append((kernel, _ratio(before), _ratio(now), delta))
+    lines = [
+        format_table(
+            f"trend vs revision {previous.get('revision', '?')}:",
+            ("kernel", "previous", "current", "delta"),
+            "<>>>",
+            rows,
         )
+    ]
     merge_now = {row["shards"]: row for row in current.get("cluster", [])}
     merge_before = {row["shards"]: row for row in previous.get("cluster", [])}
     shared = sorted(set(merge_now) & set(merge_before))
@@ -186,10 +183,11 @@ class FloorSuggestion:
 def suggest_floor_bumps(
     current: Dict[str, Any],
     previous: Dict[str, Any],
-    baseline: Dict[str, Any],
+    floors: Floors,
     margin: float = 0.25,
 ) -> List[FloorSuggestion]:
-    """Floors that both the current and previous revision beat by > ``margin``.
+    """Speedup floors that both the current and previous revision beat by
+    more than ``margin``.
 
     Floors are deliberately conservative, so one lucky run is no reason to
     raise one — but when two consecutive revisions each clear a floor by
@@ -198,16 +196,18 @@ def suggest_floor_bumps(
     (``docs/BENCHMARKS.md``): half the worst observed ratio, rounded to
     two decimals, and only suggested when that actually raises the floor.
     Advisory output only; nothing here changes what the gate enforces.
+    Quality floors (no ``min_speedup`` bound) never get a suggestion.
     """
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
     current_speedups = current.get("speedups", {})
     previous_speedups = previous.get("speedups", {})
     suggestions: List[FloorSuggestion] = []
-    for kernel, floor in sorted(baseline.get("speedups", {}).items()):
+    for kernel, bounds in sorted(floors.bounds.items()):
+        floor = bounds.get("min_speedup")
         now = current_speedups.get(kernel)
         before = previous_speedups.get(kernel)
-        if now is None or before is None or floor <= 0:
+        if floor is None or now is None or before is None or floor <= 0:
             continue
         threshold = floor * (1.0 + margin)
         if now <= threshold or before <= threshold:
@@ -227,39 +227,24 @@ def suggest_floor_bumps(
     return suggestions
 
 
-def format_suggestions(suggestions: List[FloorSuggestion]) -> str:
-    """Human-readable floor-bump advisory for the trend output."""
+def _ratio(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.2f}x"
+
+
+def format_suggestions(
+    suggestions: List[FloorSuggestion], markdown: bool = False
+) -> str:
+    """The floor-bump advisory as a table, or ``""`` with no suggestion."""
     if not suggestions:
         return ""
-    lines = [
+    return format_table(
         "baseline floors beaten by >25% across two consecutive revisions "
-        "(advisory; see docs/BENCHMARKS.md \"Refreshing the baseline\"):",
-        f"{'kernel':<26} {'floor':>7} {'prev':>7} {'current':>8} {'suggest':>8}",
-    ]
-    for s in suggestions:
-        lines.append(
-            f"{s.kernel:<26} {s.floor:>6.2f}x {s.previous:>6.2f}x "
-            f"{s.current:>7.2f}x {s.suggested:>7.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def format_suggestions_markdown(suggestions: List[FloorSuggestion]) -> str:
-    """The same advisory as a GitHub-flavoured markdown table."""
-    if not suggestions:
-        return ""
-    lines = [
-        "### bench floors ready for a bump",
-        "",
-        "Beaten by >25% across two consecutive revisions — consider the",
-        'refresh procedure in `docs/BENCHMARKS.md` ("Refreshing the baseline").',
-        "",
-        "| kernel | floor | previous | current | suggested |",
-        "|---|---|---|---|---|",
-    ]
-    for s in suggestions:
-        lines.append(
-            f"| `{s.kernel}` | {s.floor:.2f}x | {s.previous:.2f}x "
-            f"| {s.current:.2f}x | **{s.suggested:.2f}x** |"
-        )
-    return "\n".join(lines)
+        '(advisory; see docs/BENCHMARKS.md "Refreshing the baseline")',
+        ("kernel", "floor", "previous", "current", "suggested"),
+        "<>>>>",
+        [
+            (s.kernel, *map(_ratio, (s.floor, s.previous, s.current, s.suggested)))
+            for s in suggestions
+        ],
+        markdown,
+    )

@@ -52,6 +52,7 @@ import subprocess
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.bench.compare import format_table
 from repro.p4.parser import standard_parser
 from repro.p4.switch import PacketContext, StandardMetadata
 from repro.stat4.batch import HAS_NUMPY, BatchEngine, PacketBatch
@@ -68,7 +69,7 @@ __all__ = [
     "run_suite",
     "write_report",
     "format_report",
-    "format_kernels_markdown",
+    "format_kernels",
     "format_scenario_table",
 ]
 
@@ -578,17 +579,6 @@ def _numpy_version() -> Optional[str]:
     return numpy.__version__
 
 
-def _ratio_and_ns(report: Dict[str, Any], row: Dict[str, Any]) -> Any:
-    """A kernel row's speedup text (batched rows only) and ns/packet text."""
-    ratio = ""
-    if row["mode"] == "batched":
-        value = report.get("speedups", {}).get(row["name"])
-        if value is not None:
-            ratio = f"{value:.1f}x"
-    ns = row.get("ns_per_packet")
-    return ratio, (f"{ns:,.0f}" if ns is not None else "-")
-
-
 def write_report(report: Dict[str, Any], output: Optional[str] = None) -> str:
     """Write the artifact; returns the path written.
 
@@ -601,22 +591,43 @@ def write_report(report: Dict[str, Any], output: Optional[str] = None) -> str:
     return path
 
 
-def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable kernel table plus experiment timings."""
-    lines = [
+def format_kernels(report: Dict[str, Any], markdown: bool = False) -> str:
+    """The per-kernel table: pps, absolute ns/packet and speedup per row.
+
+    The speedup ratios re-anchor whenever the scalar baseline moves, so
+    the ns/packet column is what keeps kernels comparable across
+    revisions of the same machine.
+    """
+    speedups = report.get("speedups", {})
+    rows = []
+    for row in report["kernels"]:
+        ratio = speedups.get(row["name"]) if row["mode"] == "batched" else None
+        ns = row.get("ns_per_packet")
+        rows.append(
+            (
+                row["name"],
+                row["mode"],
+                f"{row['pps']:,.0f}",
+                "-" if ns is None else f"{ns:,.0f}",
+                "" if ratio is None else f"{ratio:.1f}x",
+            )
+        )
+    return format_table(
         f"repro bench — revision {report['revision']} "
         f"(python {report['python']}, "
         f"numpy {report['numpy'] or 'unavailable'}, "
         f"{'quick' if report['quick'] else 'full'} profile)",
-        "",
-        f"{'kernel':<26} {'mode':<8} {'pps':>12} {'ns/pkt':>9} {'speedup':>8}",
-    ]
-    for row in report["kernels"]:
-        ratio, ns_text = _ratio_and_ns(report, row)
-        lines.append(
-            f"{row['name']:<26} {row['mode']:<8} "
-            f"{row['pps']:>12,.0f} {ns_text:>9} {ratio:>8}"
-        )
+        ("kernel", "mode", "pps", "ns/pkt", "speedup"),
+        "<<>>>",
+        rows,
+        markdown,
+    )
+
+
+def format_report(report: Dict[str, Any]) -> str:
+    """Human-readable kernel table plus the service, cluster, experiment
+    and scenario sections."""
+    lines = [format_kernels(report)]
     service = report.get("service")
     if service:
         batch_p99 = (
@@ -663,57 +674,29 @@ def format_report(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def format_kernels_markdown(report: Dict[str, Any]) -> str:
-    """Markdown twin of the per-kernel table, or ``""`` without kernels.
-
-    CI appends this to ``GITHUB_STEP_SUMMARY`` next to the floor
-    verdicts: the speedup ratios re-anchor whenever the scalar baseline
-    moves, so the absolute ns/packet column is what makes kernels
-    comparable across revisions of the same runner.
-    """
-    kernels = report.get("kernels")
-    if not kernels:
-        return ""
-    lines = [
-        "### Kernel timings",
-        "",
-        f"revision {report['revision']}, "
-        f"{'quick' if report.get('quick') else 'full'} profile",
-        "",
-        "| kernel | mode | pps | ns/pkt | speedup |",
-        "| --- | --- | ---: | ---: | ---: |",
-    ]
-    for row in kernels:
-        ratio, ns_text = _ratio_and_ns(report, row)
-        lines.append(
-            f"| {row['name']} | {row['mode']} "
-            f"| {row['pps']:,.0f} | {ns_text} | {ratio} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
 def format_scenario_table(report: Dict[str, Any]) -> str:
     """The quality-leaderboard table, or ``""`` when no scenarios ran."""
     section = report.get("scenarios")
     if not section or not section.get("rows"):
         return ""
-    lines = [
-        f"scenario quality leaderboard ({section['schema']}):",
-        f"  {'scenario':<18} {'prec':>6} {'recall':>6} "
-        f"{'f1':>6} {'latency':>8} {'fp':>4} {'victim':>7}",
-    ]
+    rows = []
     for row in section["rows"]:
-        latency = (
-            "-"
-            if row["latency_intervals"] is None
-            else f"{row['latency_intervals']:.1f}iv"
+        latency = row["latency_intervals"]
+        victim = row["victim_identified"]
+        rows.append(
+            (
+                row["scenario"],
+                f"{row['precision']:.3f}",
+                f"{row['recall']:.3f}",
+                f"{row['f1']:.3f}",
+                "-" if latency is None else f"{latency:.1f}iv",
+                str(row["false_positive_intervals"]),
+                "-" if victim is None else str(victim).lower(),
+            )
         )
-        victim = "-" if row["victim_identified"] is None else str(row["victim_identified"]).lower()
-        lines.append(
-            f"  {row['scenario']:<18} "
-            f"{row['precision']:>6.3f} {row['recall']:>6.3f} "
-            f"{row['f1']:>6.3f} {latency:>8} "
-            f"{row['false_positive_intervals']:>4} {victim:>7}"
-        )
-    return "\n".join(lines)
+    return format_table(
+        f"scenario quality leaderboard ({section['schema']}):",
+        ("scenario", "prec", "recall", "f1", "latency", "fp", "victim"),
+        "<>>>>>>",
+        rows,
+    )

@@ -9,6 +9,7 @@ exploring parameters without writing a script.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -128,31 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="artifact path (default BENCH_<rev>.json in the working dir)",
     )
-    bench.add_argument(
+    # The speed floors need the timing kernels that --scenarios-only skips.
+    speed_or_scenarios = bench.add_mutually_exclusive_group()
+    speed_or_scenarios.add_argument(
         "--baseline",
         type=str,
         default=None,
-        help="compare speedups against this committed baseline file",
+        help=(
+            "check speedups against this committed floors file (its "
+            "tolerance applies)"
+        ),
     )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed relative drop below a baseline floor (0.2 = 20%%)",
+    speed_or_scenarios.add_argument(
+        "--scenarios-only",
+        action="store_true",
+        help="run only the scenario suite (skip the throughput kernels)",
     )
     bench.add_argument(
         "--history",
-        action="store_true",
-        help=(
-            "append the report to the bench history and print trend deltas "
-            "vs the previous revision"
-        ),
-    )
-    bench.add_argument(
-        "--history-dir",
-        type=str,
+        nargs="?",
+        const=os.path.join("benchmarks", "history"),
         default=None,
-        help="history directory (default benchmarks/history)",
+        metavar="DIR",
+        help=(
+            "append the report to the bench history in DIR (default "
+            "benchmarks/history) and print trend deltas vs the previous "
+            "revision"
+        ),
     )
     bench.add_argument(
         "--scenarios",
@@ -161,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
             "also replay the labeled adversarial scenario suite and report "
             "precision/recall/F1 and detection latency per scenario"
         ),
-    )
-    bench.add_argument(
-        "--scenarios-only",
-        action="store_true",
-        help="run only the scenario suite (skip the throughput kernels)",
     )
     bench.add_argument(
         "--scenario-baseline",
@@ -477,24 +475,16 @@ def _cmd_lint(args) -> int:
 
 def _cmd_bench(args) -> int:
     import json as json_module
-    import os
 
     from repro.bench import (
-        DEFAULT_HISTORY_DIR,
         append_history,
-        compare_reports,
-        compare_scenario_reports,
-        format_delta_markdown,
-        format_delta_table,
-        format_kernels_markdown,
+        check_floors,
+        format_kernels,
         format_report,
-        format_scenario_delta_markdown,
-        format_scenario_delta_table,
         format_suggestions,
-        format_suggestions_markdown,
         format_trend,
-        load_baseline,
-        load_scenario_baseline,
+        format_verdicts,
+        load_floors,
         previous_report,
         run_suite,
         suggest_floor_bumps,
@@ -525,70 +515,48 @@ def _cmd_bench(args) -> int:
         print(f"wrote {path}")
 
     previous = None
-    if args.history or args.history_dir is not None:
-        history_dir = (
-            args.history_dir if args.history_dir is not None else DEFAULT_HISTORY_DIR
-        )
-        previous = previous_report(history_dir, report["revision"])
-        history_path = append_history(report, history_dir)
-        print(f"history: {history_path}", file=side)
+    if args.history is not None:
+        previous = previous_report(args.history, report["revision"])
+        print(f"history: {append_history(report, args.history)}", file=side)
         if previous is not None:
             print(format_trend(report, previous), file=side)
         else:
             print("history: no previous revision to compare against", file=side)
 
-    failed = False
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     # Workflow commands (::warning::) are parsed from the job log, so they
     # go to stdout — but only when actually running under Actions, to keep
     # local output clean.
     on_actions = bool(os.environ.get("GITHUB_ACTIONS"))
-
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        rows = compare_reports(report, baseline, args.tolerance)
-        print(format_delta_table(rows, args.tolerance), file=side)
-        # With both a baseline and a previous history run on record, flag
-        # floors the last two revisions both beat by a wide margin (advisory).
+    summary = [format_kernels(report, markdown=True)] if report["kernels"] else []
+    floors_paths = [
+        path for path in (args.baseline, args.scenario_baseline) if path is not None
+    ]
+    failed = False
+    for floors_path in floors_paths:
+        floors = load_floors(floors_path)
+        rows = check_floors(report, floors)
+        print(format_verdicts(rows, floors), file=side)
+        summary.append(format_verdicts(rows, floors, markdown=True))
+        # Floors the last two revisions both beat by a wide margin
+        # (advisory).
         suggestions = (
-            suggest_floor_bumps(report, previous, baseline)
+            suggest_floor_bumps(report, previous, floors)
             if previous is not None
             else []
         )
         if suggestions:
             print(format_suggestions(suggestions), file=side)
+            summary.append(format_suggestions(suggestions, markdown=True))
         if on_actions:
-            for line in warning_annotations(rows, "perf-smoke"):
+            for line in warning_annotations(rows, floors.gate):
                 print(line)
-        # On GitHub Actions, render the verdicts on the run page too.
-        if summary_path:
-            with open(summary_path, "a", encoding="utf-8") as handle:
-                handle.write(format_delta_markdown(rows, args.tolerance))
-                handle.write("\n")
-                kernels_markdown = format_kernels_markdown(report)
-                if kernels_markdown:
-                    # Absolute ns/packet per kernel row: comparisons
-                    # across revisions survive baseline re-anchoring.
-                    handle.write(kernels_markdown)
-                    handle.write("\n")
-                if suggestions:
-                    handle.write(format_suggestions_markdown(suggestions))
-                    handle.write("\n")
         failed = failed or any(row.regressed for row in rows)
 
-    if args.scenario_baseline is not None:
-        scenario_baseline = load_scenario_baseline(args.scenario_baseline)
-        scenario_rows = compare_scenario_reports(report, scenario_baseline)
-        print(format_scenario_delta_table(scenario_rows), file=side)
-        if on_actions:
-            for line in warning_annotations(scenario_rows, "scenario-smoke"):
-                print(line)
-        if summary_path:
-            with open(summary_path, "a", encoding="utf-8") as handle:
-                handle.write(format_scenario_delta_markdown(scenario_rows))
-                handle.write("\n")
-        failed = failed or any(row.regressed for row in scenario_rows)
-
+    # On GitHub Actions, render the tables on the run page too.
+    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary_path and floors_paths:
+        with open(summary_path, "a", encoding="utf-8") as handle:
+            handle.write("\n".join(summary) + "\n")
     return 1 if failed else 0
 
 

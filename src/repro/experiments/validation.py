@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional
 
 from repro.apps.echo import build_echo_app
 from repro.core.percentile import PercentileTracker
@@ -242,27 +242,53 @@ def run_validation_batched(
         engine.process(PacketBatch.from_contexts(contexts[start : start + batch_size]))
         result.batches += 1
 
-    for reg_a, reg_b in zip(scalar.stat4.registers, batched.stat4.registers):
-        if reg_a.peek() != reg_b.peek():
-            result.mismatches.append(f"register {reg_a.name} differs")
-    if scalar.stat4.packets_seen != batched.stat4.packets_seen:
-        result.mismatches.append("packets_seen differs")
-    state_a = scalar.stat4.state_of(0)
-    state_b = batched.stat4.state_of(0)
-    if (state_a is None) != (state_b is None):
-        result.mismatches.append("slot 0 bound on one side only")
-    elif state_a is not None and state_b is not None:
-        if state_a.stats.snapshot() != state_b.stats.snapshot():
-            result.mismatches.append("slot 0 moments differ")
-        tracker_a, tracker_b = state_a.tracker, state_b.tracker
-        if tracker_a is not None and tracker_b is not None:
-            if (
-                tracker_a.freqs != tracker_b.freqs
-                or (tracker_a.low, tracker_a.high, tracker_a.total)
-                != (tracker_b.low, tracker_b.high, tracker_b.total)
-            ):
-                result.mismatches.append("slot 0 percentile tracker differs")
+    expected = _working_state(scalar.stat4)
+    got = _working_state(batched.stat4)
+    result.mismatches = [
+        f"{name} differs"
+        for name in {**expected, **got}
+        if expected.get(name) != got.get(name)
+    ]
     return result
+
+
+def _working_state(stat4) -> Dict[str, Any]:
+    """Every piece of a detector's working state, by name: registers,
+    packet, alert and table counters, each slot's fields, moments and
+    tracker, and the sparse slots' claim and eviction counters."""
+    state: Dict[str, Any] = {
+        "packets_seen": stat4.packets_seen,
+        "alerts_emitted": stat4.alerts_emitted,
+    }
+    for register in stat4.registers:
+        state[f"register {register.name}"] = register.peek()
+    for table in stat4.binding_tables:
+        state[f"table {table.name} lookups"] = table.lookups
+        state[f"table {table.name} hits"] = table.hits
+    for dist in range(stat4.config.counter_num):
+        slot = stat4.state_of(dist)
+        state[f"slot {dist} bound"] = slot is not None
+        if slot is None:
+            continue
+        for item in fields(slot):
+            if item.name not in ("stats", "tracker"):
+                state[f"slot {dist} {item.name}"] = getattr(slot, item.name)
+        state[f"slot {dist} moments"] = slot.stats.snapshot()
+        state[f"slot {dist} updates"] = slot.stats.updates
+        tracker = slot.tracker
+        if tracker is not None:
+            for name in ("freqs", "low", "high", "total", "moves"):
+                state[f"slot {dist} tracker {name}"] = getattr(tracker, name)
+            state[f"slot {dist} tracker position"] = (
+                tracker.value if tracker.has_value else None
+            )
+    for dist, cells in stat4.sparse_cells.items():
+        state[f"slot {dist} sparse counters"] = (
+            cells.resident_keys,
+            cells.evictions,
+            cells.evicted_mass,
+        )
+    return state
 
 
 @dataclass

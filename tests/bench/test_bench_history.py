@@ -6,15 +6,15 @@ import pytest
 
 from repro.bench import (
     HISTORY_SCHEMA,
+    Floors,
     append_history,
     format_suggestions,
-    format_suggestions_markdown,
     format_trend,
     load_index,
     previous_report,
     suggest_floor_bumps,
 )
-from repro.bench.compare import BASELINE_SCHEMA
+from repro.bench.compare import BASELINE_SCHEMA, SCENARIO_BASELINE_SCHEMA
 from repro.bench.suite import SCHEMA_VERSION
 
 
@@ -199,7 +199,11 @@ class TestFormatTrend:
 
 
 def make_baseline(speedups, tolerance=0.2):
-    return {"schema": BASELINE_SCHEMA, "tolerance": tolerance, "speedups": speedups}
+    return Floors(
+        BASELINE_SCHEMA,
+        tolerance,
+        {kernel: {"min_speedup": floor} for kernel, floor in speedups.items()},
+    )
 
 
 class TestSuggestFloorBumps:
@@ -243,6 +247,14 @@ class TestSuggestFloorBumps:
         )
         assert suggestions == []
 
+    def test_quality_floors_get_no_suggestion(self):
+        suggestions = suggest_floor_bumps(
+            make_report("new", speedups={"k": 8.0}),
+            make_report("old", speedups={"k": 6.0}),
+            Floors(SCENARIO_BASELINE_SCHEMA, 0.0, {"k": {"min_f1": 1.5}}),
+        )
+        assert suggestions == []
+
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             suggest_floor_bumps(
@@ -251,7 +263,7 @@ class TestSuggestFloorBumps:
 
     def test_format_suggestions_empty_and_table(self):
         assert format_suggestions([]) == ""
-        assert format_suggestions_markdown([]) == ""
+        assert format_suggestions([], markdown=True) == ""
         suggestions = suggest_floor_bumps(
             make_report("new", speedups={"k": 8.0}),
             make_report("old", speedups={"k": 6.0}),
@@ -260,6 +272,7 @@ class TestSuggestFloorBumps:
         text = format_suggestions(suggestions)
         assert "advisory" in text
         assert "3.00x" in text
-        markdown = format_suggestions_markdown(suggestions)
-        assert markdown.startswith("### bench floors ready for a bump")
-        assert "| `k` | 1.50x | 6.00x | 8.00x | **3.00x** |" in markdown
+        markdown = format_suggestions(suggestions, markdown=True)
+        assert markdown.startswith("### baseline floors beaten by >25%")
+        assert "| kernel | floor | previous | current | suggested |" in markdown
+        assert "| k | 1.50x | 6.00x | 8.00x | 3.00x |" in markdown

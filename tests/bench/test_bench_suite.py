@@ -12,12 +12,12 @@ import pytest
 
 from repro.bench import (
     SCHEMA_VERSION,
-    ComparisonRow,
-    compare_reports,
-    format_delta_markdown,
-    format_delta_table,
+    FloorRow,
+    Floors,
+    check_floors,
     format_report,
-    load_baseline,
+    format_verdicts,
+    load_floors,
     run_suite,
     write_report,
 )
@@ -144,74 +144,88 @@ def make_report(speedups):
 
 
 def make_baseline(speedups, tolerance=0.2):
-    return {"schema": BASELINE_SCHEMA, "tolerance": tolerance, "speedups": speedups}
+    return Floors(
+        BASELINE_SCHEMA,
+        tolerance,
+        {kernel: {"min_speedup": floor} for kernel, floor in speedups.items()},
+    )
+
+
+def write_baseline(tmp_path, document):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(document))
+    return str(path)
 
 
 class TestCompareReports:
     def test_above_floor_passes(self):
-        rows = compare_reports(
+        rows = check_floors(
             make_report({"k": 3.5}),
             make_baseline({"k": 3.0}),
         )
-        assert [(r.kernel, r.regressed) for r in rows] == [("k", False)]
+        assert [(r.label, r.metric, r.regressed) for r in rows] == [
+            ("k", "speedup", False)
+        ]
 
     def test_within_tolerance_passes(self):
-        rows = compare_reports(
+        rows = check_floors(
             make_report({"k": 2.5}),
-            make_baseline({"k": 3.0}),
-            tolerance=0.2,
+            make_baseline({"k": 3.0}, tolerance=0.2),
         )
         assert not rows[0].regressed
 
     def test_below_tolerance_fails(self):
-        rows = compare_reports(
+        rows = check_floors(
             make_report({"k": 2.3}),
-            make_baseline({"k": 3.0}),
-            tolerance=0.2,
+            make_baseline({"k": 3.0}, tolerance=0.2),
         )
         assert rows[0].regressed
         assert rows[0].delta_percent < 0
 
     def test_missing_measurement_fails(self):
-        rows = compare_reports(
+        rows = check_floors(
             make_report({}),
             make_baseline({"k": 3.0}),
         )
         assert rows[0].regressed
         assert rows[0].current is None
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_reports(make_report({}), make_baseline({}), tolerance=-0.1)
+    def test_negative_tolerance_rejected(self, tmp_path):
+        path = write_baseline(
+            tmp_path,
+            {"schema": BASELINE_SCHEMA, "tolerance": -0.1, "speedups": {}},
+        )
+        with pytest.raises(ValueError, match="tolerance"):
+            load_floors(path)
 
     def test_delta_table_lists_verdicts(self):
         rows = [
-            ComparisonRow("good", 3.0, 3.6, False),
-            ComparisonRow("bad", 3.0, 1.0, True),
-            ComparisonRow("gone", 3.0, None, True),
+            FloorRow("good", "speedup", 3.0, 3.6, False),
+            FloorRow("bad", "speedup", 3.0, 1.0, True),
+            FloorRow("gone", "speedup", 3.0, None, True),
         ]
-        text = format_delta_table(rows)
+        text = format_verdicts(rows, make_baseline({}))
         assert "ok" in text
         assert "FAIL" in text
         assert "FAIL (not measured)" in text
-        assert "2 regression(s) detected" in text
+        assert "perf-smoke: 2 regression(s) detected" in text
 
     def test_measured_without_floor_warns_instead_of_silent_pass(self):
-        rows = compare_reports(
+        rows = check_floors(
             make_report({"k": 3.5, "unbaselined": 2.0}),
             make_baseline({"k": 3.0}),
         )
         warn = [row for row in rows if row.missing_floor]
-        assert [r.kernel for r in warn] == ["unbaselined"]
+        assert [r.label for r in warn] == ["unbaselined"]
         assert not warn[0].regressed
-        assert warn[0].baseline is None
+        assert warn[0].bound is None
         assert warn[0].delta_percent is None
-        text = format_delta_table(rows)
-        assert "WARN (no baseline floor)" in text
+        text = format_verdicts(rows, make_baseline({"k": 3.0}))
+        assert "WARN (no floor)" in text
         assert "missing a committed floor (not gated): unbaselined" in text
 
     def test_missing_floor_never_fails_the_gate(self):
-        rows = compare_reports(
+        rows = check_floors(
             make_report({"only_measured": 0.01}),
             make_baseline({}),
         )
@@ -222,63 +236,64 @@ class TestCompareReports:
 class TestFormatDeltaMarkdown:
     def test_renders_github_table(self):
         rows = [
-            ComparisonRow("good", 3.0, 3.6, False),
-            ComparisonRow("bad", 3.0, 1.0, True),
-            ComparisonRow("gone", 3.0, None, True),
-            ComparisonRow("unbaselined", None, 2.0, False, True),
+            FloorRow("good", "speedup", 3.0, 3.6, False),
+            FloorRow("bad", "speedup", 3.0, 1.0, True),
+            FloorRow("gone", "speedup", 3.0, None, True),
+            FloorRow("unbaselined", "speedup", None, 2.0, False, True),
         ]
-        text = format_delta_markdown(rows, tolerance=0.2)
-        assert text.startswith("### perf-smoke")
-        assert "| kernel | floor | current | delta | verdict |" in text
-        assert "| `good` | 3.00x | 3.60x | +20% | ✅ ok |" in text
-        assert "❌ FAIL" in text
-        assert "❌ FAIL (not measured)" in text
-        assert "⚠️ WARN (no baseline floor)" in text
+        text = format_verdicts(rows, make_baseline({}, tolerance=0.2), markdown=True)
+        assert text.startswith("### perf-smoke: committed floors (±20% tolerance)")
+        assert "| label | metric | bound | current | delta | verdict |" in text
+        assert "| --- | --- | ---: | ---: | ---: | --- |" in text
+        assert "| good | speedup | 3.000 | 3.600 | +20% | ok |" in text
+        assert "| bad | speedup | 3.000 | 1.000 | -67% | FAIL |" in text
+        assert "| gone | speedup | 3.000 | - | - | FAIL (not measured) |" in text
+        assert "| unbaselined | speedup | - | 2.000 | - | WARN (no floor) |" in text
         assert "2 regression(s) detected" in text
         assert "(not gated): unbaselined" in text
 
 
 class TestLoadBaseline:
     def test_loads_committed_baseline(self):
-        baseline = load_baseline(str(BASELINE_PATH))
-        assert baseline["schema"] == BASELINE_SCHEMA
-        assert "mean_variance" in baseline["speedups"]
+        baseline = load_floors(str(BASELINE_PATH))
+        assert baseline.schema == BASELINE_SCHEMA
+        assert baseline.gate == "perf-smoke"
+        assert baseline.tolerance == 0.2
+        assert "mean_variance" in baseline.bounds
 
     def test_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope", "speedups": {}}))
+        path = write_baseline(tmp_path, {"schema": "nope", "speedups": {}})
         with pytest.raises(ValueError):
-            load_baseline(str(path))
+            load_floors(path)
 
     def test_rejects_a_schema_1_baseline(self, tmp_path):
         # A /1 baseline (two floors per kernel) must be refused,
         # not read as one floor per kernel.
-        path = tmp_path / "old.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro-bench-baseline/1",
-                    "speedups": {"k": {"python": 3.0}},
-                }
-            )
+        path = write_baseline(
+            tmp_path,
+            {
+                "schema": "repro-bench-baseline/1",
+                "speedups": {"k": {"python": 3.0}},
+            },
         )
         with pytest.raises(ValueError, match="baseline/1"):
-            load_baseline(str(path))
+            load_floors(path)
 
     def test_committed_baseline_has_one_floor_per_kernel(self):
-        baseline = load_baseline(str(BASELINE_PATH))
-        for kernel, floor in baseline["speedups"].items():
+        baseline = load_floors(str(BASELINE_PATH))
+        for kernel, bounds in baseline.bounds.items():
+            (floor,) = bounds.values()
+            assert list(bounds) == ["min_speedup"], kernel
             assert isinstance(floor, float) and floor > 0, kernel
 
     def test_rejects_missing_speedups(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": BASELINE_SCHEMA}))
+        path = write_baseline(tmp_path, {"schema": BASELINE_SCHEMA})
         with pytest.raises(ValueError):
-            load_baseline(str(path))
+            load_floors(path)
 
     def test_committed_baseline_consistent_with_suite_kernels(self, tiny_report):
         # Every committed floor must name a kernel the suite measures, so
         # the perf-smoke gate can never silently check nothing.
-        baseline = load_baseline(str(BASELINE_PATH))
+        baseline = load_floors(str(BASELINE_PATH))
         measured = set(tiny_report["speedups"])
-        assert set(baseline["speedups"]) <= measured
+        assert set(baseline.bounds) <= measured

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -21,13 +23,13 @@ class TestParser:
 
     def test_bench_history_options(self):
         args = build_parser().parse_args(
-            ["bench", "--quick", "--history", "--history-dir", "somewhere"]
+            ["bench", "--quick", "--history", "somewhere"]
         )
-        assert args.history
-        assert args.history_dir == "somewhere"
-        defaults = build_parser().parse_args(["bench"])
-        assert not defaults.history
-        assert defaults.history_dir is None
+        assert args.history == "somewhere"
+        bare = build_parser().parse_args(["bench", "--history", "--quick"])
+        assert bare.history == os.path.join("benchmarks", "history")
+        assert bare.quick
+        assert build_parser().parse_args(["bench"]).history is None
 
     def test_case_study_options(self):
         args = build_parser().parse_args(

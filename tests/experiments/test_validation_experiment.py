@@ -1,6 +1,9 @@
-"""Tests for the Figure-5 validation experiment."""
+"""Tests for the Figure-5 validation experiment and its batched twin."""
 
-from repro.experiments.validation import run_validation
+import pytest
+
+from repro.experiments.validation import run_validation, run_validation_batched
+from repro.stat4.batch import BatchEngine
 
 
 class TestValidation:
@@ -23,3 +26,51 @@ class TestValidation:
     def test_every_request_answered(self):
         result = run_validation(packets=100, seed=1)
         assert result.replies == result.packets_sent
+
+
+def _bump_tracker_moves(stat4):
+    stat4.state_of(0).tracker.moves += 1
+
+
+def _bump_values_dropped(stat4):
+    stat4.state_of(0).values_dropped += 1
+
+
+def _bump_updates(stat4):
+    stat4.state_of(0).stats.updates += 1
+
+
+def _bump_table_hits(stat4):
+    stat4.binding_tables[0].hits += 1
+
+
+class TestBatchedValidation:
+    def test_clean_run_passes(self):
+        result = run_validation_batched(packets=600, batch_size=200)
+        assert result.batches == 3
+        assert result.mismatches == []
+        assert result.passed
+
+    @pytest.mark.parametrize(
+        "corrupt, name",
+        [
+            (_bump_tracker_moves, "slot 0 tracker moves"),
+            (_bump_values_dropped, "slot 0 values_dropped"),
+            (_bump_updates, "slot 0 updates"),
+            (_bump_table_hits, "table stat4_binding_0 hits"),
+        ],
+    )
+    def test_corrupted_state_is_a_named_mismatch(self, monkeypatch, corrupt, name):
+        # The batched side corrupts one piece of working state after every
+        # batch; the registers stay right, so only the state check sees it.
+        process = BatchEngine.process
+
+        def corrupting(engine, batch):
+            result = process(engine, batch)
+            corrupt(engine.stat4)
+            return result
+
+        monkeypatch.setattr(BatchEngine, "process", corrupting)
+        result = run_validation_batched(packets=600, batch_size=200)
+        assert result.mismatches == [f"{name} differs"]
+        assert not result.passed

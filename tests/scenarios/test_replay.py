@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.bench import compare_scenario_reports, load_scenario_baseline
+from repro.bench import check_floors, load_floors
 from repro.scenarios import (
     build_scenario,
     run_scenario_suite,
@@ -36,9 +36,9 @@ class TestScalarReplay:
         assert [row["scenario"] for row in replay_rows] == scenario_names()
 
     def test_scores_meet_the_committed_floors(self, replay_rows):
-        baseline = load_scenario_baseline(str(BASELINE_PATH))
+        baseline = load_floors(str(BASELINE_PATH))
         report = {"scenarios": {"rows": replay_rows}}
-        rows = compare_scenario_reports(report, baseline)
+        rows = check_floors(report, baseline)
         regressed = [r for r in rows if r.regressed]
         assert not regressed, f"floor regressions: {regressed}"
         # The committed baseline gates every scenario — no WARN rows.
@@ -62,13 +62,9 @@ class TestNegativeControl:
         assert all(row["alerts"] == 0 for row in rows)
         assert all(row["recall"] == 0.0 for row in rows)
         assert all(row["f1"] == 0.0 for row in rows)
-        baseline = load_scenario_baseline(str(BASELINE_PATH))
-        comparison = compare_scenario_reports(
-            {"scenarios": {"rows": rows}}, baseline
-        )
-        regressed = {
-            (r.scenario, r.metric) for r in comparison if r.regressed
-        }
+        baseline = load_floors(str(BASELINE_PATH))
+        comparison = check_floors({"scenarios": {"rows": rows}}, baseline)
+        regressed = {(r.label, r.metric) for r in comparison if r.regressed}
         for name in scenario_names():
             assert (name, "recall") in regressed
             assert (name, "f1") in regressed
