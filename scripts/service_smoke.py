@@ -14,7 +14,8 @@ process:
    alert totals consistent, nothing dropped);
 4. SIGTERM the server and require a zero exit;
 5. boot ``repro serve --feed`` and send good JSON lines mixed with lines
-   that fail validation: ``/healthz`` must never report ``error``,
+   that fail validation: every full batch must be served while the
+   connection is still open, ``/healthz`` must never report ``error``,
    ``/stats`` must count every bad line in ``bad_lines`` and exactly the
    good lines in ``packets``.  Without numpy (as in CI) this is also the
    run of the per-packet parse that builds the feed's batches.
@@ -50,6 +51,9 @@ DRAIN_TIMEOUT = 120.0
 #: Good feed lines, and lines the feed must count and skip: a port and an
 #: address out of range, a null and an infinite timestamp.
 FEED_GOOD = 4000
+#: The feed server's ``--batch-size``: 15 full batches, then 160 lines
+#: that flush only when the connection closes.
+FEED_BATCH = 256
 FEED_BAD = (
     b'{"dst": "10.0.0.9", "sport": 70000}',
     b'{"dst": 5000000000}',
@@ -124,7 +128,7 @@ def feed_phase(env):
                 "--feed",
                 "127.0.0.1:0",
                 "--batch-size",
-                "256",
+                str(FEED_BATCH),
                 "--port",
                 "0",
             ],
@@ -147,10 +151,25 @@ def feed_phase(env):
                 states.add(payload["state"])
                 return payload
 
+            full = FEED_GOOD // FEED_BATCH * FEED_BATCH
             with socket.create_connection((host, int(port)), timeout=10.0) as feed:
                 for start in range(0, len(lines), 500):
                     feed.sendall(b"\n".join(lines[start : start + 500]) + b"\n")
                     poll_health()
+                # Every full batch is served while the connection is open;
+                # only the partial last one waits for the close.
+                deadline = time.monotonic() + DRAIN_TIMEOUT
+                while time.monotonic() < deadline:
+                    served_open = (get_json(url, "/stats")[1] or {}).get("packets")
+                    if served_open == full:
+                        break
+                    poll_health()
+                    time.sleep(0.1)
+                else:
+                    fail(
+                        f"/stats packets {served_open} with the feed open, "
+                        f"sent {full} in full batches"
+                    )
             deadline = time.monotonic() + DRAIN_TIMEOUT
             while time.monotonic() < deadline:
                 health = poll_health()
@@ -177,6 +196,7 @@ def feed_phase(env):
                 server.kill()
                 server.wait(timeout=30)
     return [
+        f"| feed packets served while connected | {served_open} | {full} | ✅ |",
         f"| feed packets served | {stats['packets']} | {FEED_GOOD} | ✅ |",
         f"| feed bad lines counted | {stats['bad_lines']} | {bad} | ✅ |",
         f"| feed /healthz states | {', '.join(sorted(states))} | no error | ✅ |",

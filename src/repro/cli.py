@@ -16,6 +16,17 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -216,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--loop", action="store_true", help="repeat a finite source forever"
     )
-    serve.add_argument("--batch-size", type=int, default=2048)
+    serve.add_argument("--batch-size", type=_positive_int, default=2048)
     serve.add_argument(
         "--queue-depth",
-        type=int,
+        type=_positive_int,
         default=8,
         help="bounded ingest queue size (batches in flight)",
     )

@@ -163,15 +163,14 @@ class AlertLog:
         records that aged out of the ring before this read.
         """
         with self._cond:
-            oldest = self._records[0][0] if self._records else self._next_cursor
+            records = self._records
+            oldest = records[0][0] if records else self._next_cursor
             dropped = max(0, oldest - cursor)
-            fresh = [
-                {"cursor": c, **record}
-                for c, record in self._records
-                if c >= cursor
-            ]
-            if limit > 0:
-                fresh = fresh[:limit]
+            # Retained cursors are consecutive: ``cursor`` sits at index
+            # ``cursor - oldest``, so the read costs only what it returns.
+            start = max(cursor - oldest, 0)
+            window = records[start : start + limit] if limit > 0 else records[start:]
+            fresh = [{"cursor": c, **record} for c, record in window]
             next_cursor = (fresh[-1]["cursor"] + 1) if fresh else max(cursor, oldest)
             return {"cursor": next_cursor, "dropped": dropped, "alerts": fresh}
 

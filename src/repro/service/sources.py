@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import socket
+import struct
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -50,6 +51,17 @@ DEFAULT_BATCH_SIZE = 2048
 #: newline and counted once in ``bad_lines``, so a client that never
 #: sends a newline cannot make the source hold its stream.
 MAX_LINE_BYTES = 4096
+
+#: The shortest feed line that yields a packet, ``{"dst":0}`` and its
+#: newline: a batch ``k`` packets short of full needs at least ``k`` times
+#: this many more bytes.
+MIN_PACKET_LINE_BYTES = len(b'{"dst":0}\n')
+
+#: Bytes asked of one feed ``recv``, and the ceiling on its low-water mark.
+READ_BYTES = 65536
+
+_decode_json = json.JSONDecoder().decode
+_unpack_address = struct.Struct("!I").unpack
 
 
 class RatePacer:
@@ -190,6 +202,8 @@ class TraceSource:
     ):
         if (trace is None) == (path is None):
             raise ValueError("pass exactly one of trace= or path=")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.trace = trace if trace is not None else PacketTrace.load(path)
         self.batch_size = batch_size
         self.loop = loop
@@ -294,6 +308,14 @@ class FeedSource:
     line the client sends without a newline before closing is still a
     line.  Batches flush at ``batch_size`` lines or on connection close;
     iteration ends when a client disconnects (unless ``serve_forever``).
+
+    A connection is read once its buffered bytes could complete the batch
+    (``SO_RCVLOWAT``: :data:`MIN_PACKET_LINE_BYTES` per missing packet,
+    less the unfinished line held), at its end or error, or, on a quiet
+    connection, after ``accept_timeout``; so lines are validated, and
+    :attr:`bad_lines` counted, up to ``accept_timeout`` after they arrive,
+    and a full batch is never held back.  Where the option cannot be set,
+    every arrival is read.
     """
 
     def __init__(
@@ -305,6 +327,8 @@ class FeedSource:
         serve_forever: bool = False,
         accept_timeout: float = 0.5,
     ):
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.batch_size = batch_size
         self.timestamp_gap = timestamp_gap
         self.serve_forever = serve_forever
@@ -325,38 +349,30 @@ class FeedSource:
 
     @staticmethod
     def _ip_to_int(value: Any) -> int:
-        """A dotted quad or an integer in ``[0, 2**32)``; ValueError otherwise."""
-        if isinstance(value, int) and not isinstance(value, bool):
-            if not 0 <= value < 1 << 32:
+        """A dotted quad or an integer in ``[0, 2**32)``; ValueError otherwise.
+
+        ``inet_pton`` reads the strict form (four decimal octets, no
+        leading zeros); a string it refuses goes through the lenient split
+        below, which also takes leading zeros, read as decimal
+        (``"010.0.0.1"`` is 10.0.0.1).
+        """
+        if isinstance(value, str):
+            try:
+                return _unpack_address(socket.inet_pton(socket.AF_INET, value))[0]
+            except (OSError, ValueError):  # ValueError: NUL or a lone surrogate
+                pass
+            parts = value.split(".")
+            if len(parts) != 4:
                 raise ValueError(f"bad IPv4 address {value!r}")
+            result = 0
+            for part in parts:
+                if not (part.isascii() and part.isdigit()) or int(part) > 255:
+                    raise ValueError(f"bad IPv4 address {value!r}")
+                result = (result << 8) | int(part)
+            return result
+        if isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 1 << 32:
             return value
-        parts = value.split(".") if isinstance(value, str) else []
-        if len(parts) != 4:
-            raise ValueError(f"bad IPv4 address {value!r}")
-        result = 0
-        for part in parts:
-            if not (part.isascii() and part.isdigit()) or int(part) > 255:
-                raise ValueError(f"bad IPv4 address {value!r}")
-            result = (result << 8) | int(part)
-        return result
-
-    @staticmethod
-    def _port(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 16:
-            raise ValueError(f"bad port {value!r}")
-        return value
-
-    @staticmethod
-    def _timestamp(value: Any) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"ts must be a number, got {value!r}")
-        try:
-            when = float(value)
-        except OverflowError:
-            raise ValueError(f"ts {value!r} is not a finite float") from None
-        if not math.isfinite(when):
-            raise ValueError(f"ts {value!r} is not finite")
-        return when
+        raise ValueError(f"bad IPv4 address {value!r}")
 
     def _frame_of(self, line: bytes, fallback_ts: float) -> Tuple[bytes, float]:
         """Validate one feed line into its UDP frame and timestamp.
@@ -365,15 +381,30 @@ class FeedSource:
             ValueError: the line is not UTF-8 JSON, not an object with a
                 ``dst``, or a field is out of range (see the class docstring).
         """
-        record = json.loads(line.decode("utf-8"))
-        if not isinstance(record, dict) or "dst" not in record:
+        record = _decode_json(line.decode("utf-8"))
+        if type(record) is not dict or "dst" not in record:
             raise ValueError("feed line must be an object with a 'dst'")
-        when = self._timestamp(record.get("ts", fallback_ts))
+        when = record.get("ts", fallback_ts)
+        if type(when) is not float:
+            if type(when) is not int:
+                raise ValueError(f"ts must be a number, got {when!r}")
+            try:
+                when = float(when)
+            except OverflowError:
+                raise ValueError(f"ts {when!r} is not a finite float") from None
+        if not math.isfinite(when):
+            raise ValueError(f"ts {when!r} is not finite")
+        sport = record.get("sport", 40000)
+        if type(sport) is not int or not 0 <= sport < 1 << 16:
+            raise ValueError(f"bad port {sport!r}")
+        dport = record.get("dport", 9000)
+        if type(dport) is not int or not 0 <= dport < 1 << 16:
+            raise ValueError(f"bad port {dport!r}")
         frame = udp_frame(
             self._ip_to_int(record["dst"]),
             src_ip=self._ip_to_int(record.get("src", "1.1.1.1")),
-            sport=self._port(record.get("sport", 40000)),
-            dport=self._port(record.get("dport", 9000)),
+            sport=sport,
+            dport=dport,
         )
         return frame, when
 
@@ -384,13 +415,32 @@ class FeedSource:
         synthetic_ts = 0.0
         splitter = _LineSplitter()
         conn.settimeout(self.accept_timeout)
+        # The receive low-water mark: a read wakes once the batch could be
+        # full, or at EOF or an error. 0 once the option fails here.
+        mark = 1
+        quiet = False
         while not self._closed:
+            if mark:
+                wanted = 1
+                if not quiet:
+                    short = self.batch_size - len(frames)
+                    needed = short * MIN_PACKET_LINE_BYTES - len(splitter.pending)
+                    wanted = min(max(needed, 1), READ_BYTES)
+                if wanted != mark:
+                    try:
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVLOWAT, wanted)
+                        mark = wanted
+                    except OSError:
+                        mark = 0
             try:
-                chunk = conn.recv(65536)
+                chunk = conn.recv(READ_BYTES)
             except socket.timeout:
+                # A quiet connection: take what is buffered on the next read.
+                quiet = True
                 continue
             except OSError:
                 break
+            quiet = False
             if chunk:
                 lines, overlong = splitter.feed(chunk)
                 self.bad_lines += overlong

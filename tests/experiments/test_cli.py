@@ -31,6 +31,26 @@ class TestParser:
         assert bare.quick
         assert build_parser().parse_args(["bench"]).history is None
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--queue-depth"])
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    @pytest.mark.parametrize(
+        "source", [["--synthetic", "100"], ["--trace", "x.pcap"], ["--feed", "127.0.0.1:0"]]
+    )
+    def test_serve_sizes_must_be_positive(self, source, flag, value, capsys):
+        # A usage error (exit 2) before any source is built or bound.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["serve", *source, flag, value, "--port", "0"])
+        assert exited.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_serve_sizes_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--feed", "127.0.0.1:0", "--batch-size", "1", "--queue-depth", "3"]
+        )
+        assert (args.batch_size, args.queue_depth) == (1, 3)
+        defaults = build_parser().parse_args(["serve", "--synthetic", "10"])
+        assert (defaults.batch_size, defaults.queue_depth) == (2048, 8)
+
     def test_case_study_options(self):
         args = build_parser().parse_args(
             ["case-study", "--interval", "0.1", "--window", "10", "--seed", "3"]

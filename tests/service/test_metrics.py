@@ -113,6 +113,27 @@ class TestAlertLog:
         assert result["dropped"] == 7
         assert [a["cursor"] for a in result["alerts"]] == [7, 8, 9]
 
+    def test_since_slices_like_a_scan_of_every_record(self):
+        # The read slices the ring at ``cursor - oldest``; the reference is
+        # the full scan it replaced, over cursors before, inside and past
+        # the retained eight.
+        log = AlertLog(capacity=8)
+        for index in range(20):
+            log.append(FakeDigest(fields={"index": index}, timestamp=float(index)))
+
+        def scanned(cursor, limit):
+            records = log._records
+            oldest = records[0][0] if records else log._next_cursor
+            fresh = [{"cursor": c, **record} for c, record in records if c >= cursor]
+            if limit > 0:
+                fresh = fresh[:limit]
+            next_cursor = (fresh[-1]["cursor"] + 1) if fresh else max(cursor, oldest)
+            return {"cursor": next_cursor, "dropped": max(0, oldest - cursor), "alerts": fresh}
+
+        for cursor in range(26):
+            for limit in (0, 1, 3):
+                assert log.since(cursor, limit) == scanned(cursor, limit), (cursor, limit)
+
     def test_records_carry_digest_payload(self):
         log = AlertLog()
         log.append(FakeDigest(name="imbalance", fields={"index": 9}, timestamp=2.5))
