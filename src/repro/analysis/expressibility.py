@@ -51,7 +51,6 @@ P4_CLAIMING_MODULES: Tuple[str, ...] = (
     "repro.core.bitops",
     "repro.core.approx",
     "repro.core.stats",
-    "repro.core.outlier",
     "repro.core.ewma",
     "repro.core.percentile",
 )

@@ -41,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table2", help="Table 2: approximate-sqrt error profile")
 
     table3 = sub.add_parser("table3", help="Table 3: online-median error")
-    table3.add_argument("--repetitions", type=int, default=20)
+    table3.add_argument("--repetitions", type=_positive_int, default=20)
     table3.add_argument(
         "--max-n", type=int, default=65536, help="largest domain size to run"
     )
 
     validate = sub.add_parser("validate", help="Figure 5: echo validation")
-    validate.add_argument("--packets", type=int, default=10_000)
+    validate.add_argument("--packets", type=_positive_int, default=10_000)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument(
         "--batched",
@@ -55,12 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential run: batched ingestion vs the scalar library",
     )
     validate.add_argument(
-        "--batch-size", type=int, default=1024, help="chunk size for --batched"
+        "--batch-size",
+        type=_positive_int,
+        default=1024,
+        help="chunk size for --batched",
     )
     validate.add_argument(
         "--shards",
-        type=int,
-        default=0,
+        type=_positive_int,
         metavar="N",
         help=(
             "differential run: route the stream across N switch shards and "
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--poisson", action="store_true")
 
     sweep = sub.add_parser("sweep", help="Figure 6: interval/window sweep")
-    sweep.add_argument("--repetitions", type=int, default=1)
+    sweep.add_argument("--repetitions", type=_positive_int, default=1)
 
     sub.add_parser("reactivity", help="Figure 1: push vs pull trade-off")
     sub.add_parser("resources", help="Sec. 4: resource consumption report")
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         "multiswitch", help="Sec. 5: sharded cross-switch aggregation"
     )
     multiswitch.add_argument(
-        "--shards", type=int, default=4, help="cluster size (switches)"
+        "--shards", type=_positive_int, default=4, help="cluster size (switches)"
     )
     sub.add_parser("identify", help="victim-identification strategies")
     sub.add_parser("ablations", help="all design-choice ablations")
@@ -259,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser(
         "generate", help="emit the P4-16 program for a configuration"
     )
-    generate.add_argument("--counter-num", type=int, default=8)
-    generate.add_argument("--counter-size", type=int, default=256)
-    generate.add_argument("--binding-stages", type=int, default=2)
+    generate.add_argument("--counter-num", type=_positive_int, default=8)
+    generate.add_argument("--counter-size", type=_positive_int, default=256)
+    generate.add_argument("--binding-stages", type=_positive_int, default=2)
     generate.add_argument(
         "--output", type=str, default="-", help="file path or - for stdout"
     )
@@ -290,7 +292,7 @@ def _cmd_table3(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.experiments.validation import run_validation
 
-    if args.shards:
+    if args.shards is not None:
         from repro.experiments.validation import run_validation_sharded
 
         sharded = run_validation_sharded(

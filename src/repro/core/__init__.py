@@ -9,12 +9,6 @@ of :mod:`repro.core.welford`, the host-side floating-point ground truth.
 from repro.core.approx import approx_isqrt, approx_isqrt_parts, approx_square
 from repro.core.bitops import msb_position, msb_position_if_chain
 from repro.core.ewma import EwmaDetector
-from repro.core.outlier import (
-    KSigmaRule,
-    MeanTargetRule,
-    StaticThresholdRule,
-    Verdict,
-)
 from repro.core.percentile import (
     MultiPercentileTracker,
     PercentileTracker,
@@ -42,10 +36,6 @@ __all__ = [
     "PercentileTracker",
     "MultiPercentileTracker",
     "true_percentile_of_freqs",
-    "KSigmaRule",
-    "MeanTargetRule",
-    "StaticThresholdRule",
-    "Verdict",
     "WelfordAccumulator",
     "RunningPercentile",
     "exact_percentile",

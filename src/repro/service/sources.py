@@ -8,9 +8,8 @@ the producer stage of the service pipeline.  Four concrete shapes:
   traces the quality floors gate), optionally rate-controlled and looped;
 - :class:`TraceSource` — replay a pcap capture at a controlled rate,
   decoding each batch's frames when the replay first reaches it;
-- :class:`SyntheticSource` — a deterministic generator (multiplicative
-  walk over a destination domain with a configurable hot-key share), the
-  workload the throughput bench drives;
+- :class:`SyntheticSource` — a deterministic generator: the throughput
+  bench's destination walk with a configurable hot-key share;
 - :class:`FeedSource` — a line-delimited TCP feed: one JSON object per
   line is validated and packed into a UDP frame, accumulated into batches.
 
@@ -31,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.p4.parser import standard_parser
 from repro.stat4.batch import PacketBatch
-from repro.traffic.builders import udp_frame
+from repro.traffic.builders import udp_frame, walk_dst
 from repro.traffic.trace import PacketTrace
 
 __all__ = [
@@ -116,16 +115,15 @@ class ListSource:
 class SyntheticSource:
     """Deterministic synthetic traffic: a multiplicative walk plus a hot key.
 
-    Every packet is a UDP datagram; destinations walk ``0x0A000000 |
-    (i * 2654435761 % dst_values)`` (the bench workload), except every
-    ``hot_every``-th packet which hits ``hot_dst`` — a standing heavy key
-    that drives k·σ alerts once the detector's ``min_samples`` gate opens.
-    Timestamps advance ``timestamp_gap`` seconds per packet.
+    Every packet is a UDP datagram to the bench walk's destination
+    (:func:`~repro.traffic.builders.walk_dst`): every ``hot_every``-th
+    packet hits a standing heavy key that drives k·σ alerts once the
+    detector's ``min_samples`` gate opens.  Timestamps advance
+    ``timestamp_gap`` seconds per packet.
 
     Args:
         packets: total packets to emit (per loop iteration).
         batch_size: packets per emitted batch.
-        dst_values: size of the walked destination domain.
         hot_every: emit the hot destination every N packets (0 disables).
         loop: repeat the stream forever (an always-on soak source).
     """
@@ -134,9 +132,7 @@ class SyntheticSource:
         self,
         packets: int = 20_000,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        dst_values: int = 1024,
         hot_every: int = 16,
-        hot_dst: int = 0x0A000007,
         timestamp_gap: float = 1e-4,
         loop: bool = False,
         pacer: Optional[RatePacer] = None,
@@ -147,9 +143,7 @@ class SyntheticSource:
             raise ValueError("batch_size must be positive")
         self.packets = packets
         self.batch_size = batch_size
-        self.dst_values = dst_values
         self.hot_every = hot_every
-        self.hot_dst = hot_dst
         self.timestamp_gap = timestamp_gap
         self.loop = loop
         self._pacer = pacer
@@ -157,16 +151,9 @@ class SyntheticSource:
     def _build_batch(self, start: int, count: int, epoch: int) -> PacketBatch:
         parser = standard_parser()
         base = epoch * self.packets
-        frames = []
-        timestamps = []
-        for offset in range(count):
-            index = start + offset
-            if self.hot_every and index % self.hot_every == 0:
-                dst = self.hot_dst
-            else:
-                dst = 0x0A000000 | ((index * 2654435761) % self.dst_values)
-            frames.append(udp_frame(dst))
-            timestamps.append((base + index) * self.timestamp_gap)
+        indices = range(start, start + count)
+        frames = [udp_frame(walk_dst(index, self.hot_every)) for index in indices]
+        timestamps = [(base + index) * self.timestamp_gap for index in indices]
         return PacketBatch.from_frames(frames, timestamps, parser)
 
     def __iter__(self) -> Iterator[PacketBatch]:

@@ -10,7 +10,16 @@ from repro.p4 import headers as hdr
 from repro.p4.errors import ValueRangeError
 from repro.p4.packet import Packet
 
-__all__ = ["udp_frame", "udp_to", "tcp_to", "tcp_syn_to", "echo_frame", "PacketBuilder"]
+__all__ = [
+    "WALK_HOT_DST",
+    "walk_dst",
+    "udp_frame",
+    "udp_to",
+    "tcp_to",
+    "tcp_syn_to",
+    "echo_frame",
+    "PacketBuilder",
+]
 
 _MAC_DST = 0x0200_0000_0001
 _MAC_SRC = 0x0200_0000_0002
@@ -20,6 +29,23 @@ _MAC_SRC = 0x0200_0000_0002
 #: and fragment offset in one 16-bit word.
 _UDP_FRAME = struct.Struct("!12sHBBHHHBBHIIHHHH")
 _MAC_PAIR = (_MAC_DST << 48 | _MAC_SRC).to_bytes(12, "big")
+
+
+#: The destination a hot-key walk sends every ``hot_every``-th packet to.
+WALK_HOT_DST = 0x0A000007
+
+
+def walk_dst(index: int, hot_every: int = 0) -> int:
+    """The ``index``-th destination of the deterministic workload walk.
+
+    A multiplicative walk, ``0x0A000000 | (index·2654435761 mod 1024)``,
+    gives each of 1,024 destinations roughly equal mass without a random
+    source.  With ``hot_every``, every ``hot_every``-th packet goes to
+    :data:`WALK_HOT_DST` instead: a standing heavy key.
+    """
+    if hot_every and index % hot_every == 0:
+        return WALK_HOT_DST
+    return 0x0A000000 | (index * 2654435761) % 1024
 
 
 def udp_frame(

@@ -1,6 +1,9 @@
-"""Unit tests for the anomaly rules."""
+"""The paper's anomaly rules as ``ScaledStats`` runs them.
 
-from repro.core.outlier import KSigmaRule, MeanTargetRule, StaticThresholdRule
+The k·σ rule is ``ScaledStats.is_outlier`` and the mean-target rule is
+``ScaledStats.mean_exceeds``; the generated per-packet check mirrors both.
+"""
+
 from repro.core.stats import ScaledStats
 
 
@@ -11,58 +14,27 @@ def stats_of(values):
     return stats
 
 
+def first_firing_sample(stats, k_sigma):
+    return next(x for x in range(10**4) if stats.is_outlier(x, k_sigma=k_sigma))
+
+
 class TestKSigmaRule:
     def test_fires_on_spike(self):
         stats = stats_of([100, 102, 98, 101, 99, 100, 103, 97])
-        verdict = KSigmaRule(k_sigma=2).check(stats, 200)
-        assert verdict.anomalous
-        assert verdict.observed > verdict.threshold
+        assert stats.is_outlier(200, k_sigma=2)
 
     def test_silent_on_normal_sample(self):
         stats = stats_of([100, 102, 98, 101, 99, 100, 103, 97])
-        verdict = KSigmaRule(k_sigma=2).check(stats, 101)
-        assert not verdict.anomalous
-
-    def test_min_samples_guard(self):
-        stats = stats_of([100])
-        verdict = KSigmaRule(k_sigma=2, min_samples=2).check(stats, 10**6)
-        assert not verdict.anomalous
+        assert not stats.is_outlier(101, k_sigma=2)
 
     def test_threshold_grows_with_k(self):
         stats = stats_of([10, 30, 10, 30, 10, 30])
-        rule1 = KSigmaRule(k_sigma=1).check(stats, 0)
-        rule4 = KSigmaRule(k_sigma=4).check(stats, 0)
-        assert rule4.threshold > rule1.threshold
-
-    def test_zero_variance_reduces_to_mean_comparison(self):
-        stats = stats_of([50] * 10)
-        assert KSigmaRule().check(stats, 51).anomalous
-        assert not KSigmaRule().check(stats, 50).anomalous
+        thresholds = [first_firing_sample(stats, k) for k in (1, 2, 3, 4)]
+        assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
 
 
 class TestMeanTargetRule:
     def test_detects_mean_drift(self):
         stats = stats_of([10, 12, 14])  # mean 12
-        assert MeanTargetRule(target=11).check(stats, 0).anomalous
-        assert not MeanTargetRule(target=12).check(stats, 0).anomalous
-
-    def test_verdict_scales_are_consistent(self):
-        stats = stats_of([10, 12, 14])
-        verdict = MeanTargetRule(target=11).check(stats, 0)
-        assert verdict.observed == 36  # Xsum
-        assert verdict.threshold == 33  # N * T
-
-
-class TestStaticThresholdRule:
-    def test_plain_comparison(self):
-        stats = stats_of([1, 2, 3])
-        assert StaticThresholdRule(threshold=10).check(stats, 11).anomalous
-        assert not StaticThresholdRule(threshold=10).check(stats, 10).anomalous
-
-    def test_ignores_statistics(self):
-        # Thresholding is static: history does not move the threshold.
-        quiet = stats_of([1] * 100)
-        loud = stats_of([1000] * 100)
-        rule = StaticThresholdRule(threshold=500)
-        assert rule.check(quiet, 600).anomalous
-        assert rule.check(loud, 600).anomalous
+        assert stats.mean_exceeds(11)
+        assert not stats.mean_exceeds(12)

@@ -14,7 +14,6 @@ from repro.analysis.expressibility import scan_source
 from repro.core import approx as approx_module
 from repro.core import bitops as bitops_module
 from repro.core import ewma as ewma_module
-from repro.core import outlier as outlier_module
 from repro.core import percentile as percentile_module
 from repro.core import stats as stats_module
 from repro.core import welford as welford_module
@@ -24,7 +23,6 @@ P4_MODULES = [
     bitops_module,
     approx_module,
     stats_module,
-    outlier_module,
     ewma_module,
 ]
 

@@ -183,6 +183,17 @@ class TestOutlierCheck:
         assert stats.is_outlier(30, k_sigma=1)
         assert not stats.is_outlier(30, k_sigma=50)
 
+    def test_zero_variance_leaves_the_margin_as_the_threshold(self):
+        stats = ScaledStats()
+        for v in [50] * 10:
+            stats.add_value(v)
+        assert stats.variance_nx == 0
+        # σ is zero, so the check is N·x > Xsum + N·margin.
+        assert stats.is_outlier(51, margin=0)
+        assert not stats.is_outlier(50, margin=0)
+        assert not stats.is_outlier(51, margin=1)
+        assert stats.is_outlier(52, margin=1)
+
     def test_mean_exceeds_compares_without_division(self):
         stats = ScaledStats()
         for v in [10, 12, 14]:  # mean 12

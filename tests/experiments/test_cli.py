@@ -19,7 +19,44 @@ class TestParser:
     def test_validate_shards_option(self):
         args = build_parser().parse_args(["validate", "--shards", "4"])
         assert args.shards == 4
-        assert build_parser().parse_args(["validate"]).shards == 0
+        assert build_parser().parse_args(["validate"]).shards is None
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "validate --packets",
+            "validate --batched --packets",
+            "validate --batched --batch-size",
+            "validate --shards 2 --batch-size",
+            "validate --shards",
+            "multiswitch --shards",
+            "table3 --repetitions",
+            "sweep --repetitions",
+            "generate --counter-num",
+            "generate --counter-size",
+            "generate --binding-stages",
+        ],
+        ids=lambda command: command.replace(" ", "_"),
+    )
+    def test_counts_must_be_positive(self, command, value, capsys):
+        # A usage error (exit 2) before the command runs: nothing printed
+        # to stdout, and argparse names the flag.
+        *argv, flag = command.split()
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, flag, value])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}" in captured.err
+
+    def test_ci_commands_parse(self):
+        parser = build_parser()
+        sharded = parser.parse_args(["validate", "--shards", "4", "--packets", "3000"])
+        assert (sharded.shards, sharded.packets, sharded.batched) == (4, 3000, False)
+        batched = parser.parse_args(["validate", "--batched", "--packets", "3000"])
+        assert (batched.shards, batched.packets, batched.batched) == (None, 3000, True)
+        assert parser.parse_args(["multiswitch", "--shards", "4"]).shards == 4
 
     def test_bench_history_options(self):
         args = build_parser().parse_args(

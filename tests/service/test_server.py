@@ -20,7 +20,7 @@ import pytest
 from repro.p4.packet import Packet
 from repro.p4.parser import standard_parser
 from repro.p4.switch import PacketContext, StandardMetadata
-from repro.scenarios import build_scenario
+from repro.scenarios import build_scenario, replay_scenario, scenario_names
 from repro.scenarios.score import score_digests
 from repro.service.server import (
     MAX_BODY_BYTES,
@@ -141,6 +141,35 @@ class TestScenarioSmoke:
         snap = service.metrics.snapshot()
         assert snap["packets"] == len(source.scenario.trace)
         assert snap["alerts"] == len(digests)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_served_digests_equal_the_scored_replay(self, name):
+        # The quality floors score replay_scenario; the service must emit
+        # the same digests in the same order.  They are read from every
+        # handler result, not from the bounded /alerts ring.
+        service = DetectionService(ScenarioSource(name), with_http=False)
+        served = []
+        handle = service.pipeline.handler
+
+        def recording(batch):
+            result = handle(batch)
+            served.extend(result.digests)
+            return result
+
+        service.pipeline.handler = recording
+        service.start()
+        try:
+            assert service.wait(DEADLINE)
+            assert service.pipeline.error is None
+        finally:
+            service.close()
+
+        def view(digests):
+            return [(d.name, d.fields, d.timestamp) for d in digests]
+
+        scored = replay_scenario(build_scenario(name))
+        assert scored, f"{name} raised no alerts to compare"
+        assert view(served) == view(scored)
 
 
 class TestHttpEndpoints:

@@ -27,7 +27,7 @@ from repro.service.sources import (
     TraceSource,
 )
 from repro.stat4.batch import PacketBatch
-from repro.traffic.builders import udp_frame
+from repro.traffic.builders import WALK_HOT_DST, udp_frame
 from repro.traffic.trace import PacketTrace
 
 #: Feed lines that fail validation, each of which once killed the service.
@@ -107,7 +107,7 @@ class TestSyntheticSource:
         source = SyntheticSource(packets=64, batch_size=64, hot_every=16)
         (batch,) = list(source)
         dsts = list(batch.raw_column("ipv4.dst"))
-        hot = [i for i, d in enumerate(dsts) if d == source.hot_dst]
+        hot = [i for i, d in enumerate(dsts) if d == WALK_HOT_DST]
         assert hot == [0, 16, 32, 48]
 
     def test_loop_advances_timestamps_across_epochs(self):
