@@ -9,6 +9,7 @@ exploring parameters without writing a script.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -16,15 +17,31 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded(kind: type, low: float, high: float = math.inf, above: bool = False):
+    """An argparse type: a ``kind`` (int or float) value in ``[low, high]``,
+    or in ``(low, high]`` when ``above``."""
+    bounds = f"{'(' if above else '['}{low}, {high}{']' if high < math.inf else ')'}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        past_low = low < value if above else low <= value
+        # NaN fails every comparison, and infinity the last one.
+        if not (past_low and value <= high and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be in {bounds}, got {text}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _bounded(int, 1)
+_POSITIVE_FLOAT = _bounded(float, 0, above=True)
+_NON_NEGATIVE_FLOAT = _bounded(float, 0)
+_PORT = _bounded(int, 0, 65535)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table2", help="Table 2: approximate-sqrt error profile")
 
     table3 = sub.add_parser("table3", help="Table 3: online-median error")
-    table3.add_argument("--repetitions", type=_positive_int, default=20)
+    table3.add_argument("--repetitions", type=_POSITIVE_INT, default=20)
     table3.add_argument(
-        "--max-n", type=int, default=65536, help="largest domain size to run"
+        "--max-n", type=_bounded(int, 100), default=65536, help="largest domain size"
     )
 
     validate = sub.add_parser("validate", help="Figure 5: echo validation")
-    validate.add_argument("--packets", type=_positive_int, default=10_000)
+    validate.add_argument("--packets", type=_POSITIVE_INT, default=10_000)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument(
         "--batched",
@@ -56,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--batch-size",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         default=1024,
         help="chunk size for --batched",
     )
     validate.add_argument(
         "--shards",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         metavar="N",
         help=(
             "differential run: route the stream across N switch shards and "
@@ -72,16 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     case = sub.add_parser("case-study", help="Figure 6: detection + drill-down")
-    case.add_argument("--interval", type=float, default=0.008, help="seconds")
-    case.add_argument("--window", type=int, default=100)
+    case.add_argument("--interval", type=_POSITIVE_FLOAT, default=0.008, help="seconds")
+    case.add_argument("--window", type=_bounded(int, 0), default=100)
     case.add_argument("--seed", type=int, default=1)
-    case.add_argument("--control-delay", type=float, default=0.02)
-    case.add_argument("--processing", type=float, default=0.05)
-    case.add_argument("--spike-intervals", type=int, default=80)
+    case.add_argument("--control-delay", type=_NON_NEGATIVE_FLOAT, default=0.02)
+    case.add_argument("--processing", type=_NON_NEGATIVE_FLOAT, default=0.05)
+    case.add_argument("--spike-intervals", type=_POSITIVE_INT, default=80)
     case.add_argument("--poisson", action="store_true")
 
     sweep = sub.add_parser("sweep", help="Figure 6: interval/window sweep")
-    sweep.add_argument("--repetitions", type=_positive_int, default=1)
+    sweep.add_argument("--repetitions", type=_POSITIVE_INT, default=1)
 
     sub.add_parser("reactivity", help="Figure 1: push vs pull trade-off")
     sub.add_parser("resources", help="Sec. 4: resource consumption report")
@@ -89,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "multiswitch", help="Sec. 5: sharded cross-switch aggregation"
     )
     multiswitch.add_argument(
-        "--shards", type=_positive_int, default=4, help="cluster size (switches)"
+        "--shards", type=_POSITIVE_INT, default=4, help="cluster size (switches)"
     )
     sub.add_parser("identify", help="victim-identification strategies")
     sub.add_parser("ablations", help="all design-choice ablations")
@@ -119,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--max-value",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         help="worst-case value magnitude for width checks on .p4 targets",
     )
@@ -207,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument(
         "--synthetic",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="PACKETS",
         help="deterministic synthetic generator (PACKETS per loop)",
@@ -221,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--rate",
-        type=float,
+        type=_NON_NEGATIVE_FLOAT,
         default=0.0,
         metavar="PPS",
         help="pace replay at this many packets/sec (0 = as fast as possible)",
@@ -229,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--loop", action="store_true", help="repeat a finite source forever"
     )
-    serve.add_argument("--batch-size", type=_positive_int, default=2048)
+    serve.add_argument("--batch-size", type=_POSITIVE_INT, default=2048)
     serve.add_argument(
         "--queue-depth",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         default=8,
         help="bounded ingest queue size (batches in flight)",
     )
@@ -244,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--degraded-after",
-        type=float,
+        type=_NON_NEGATIVE_FLOAT,
         default=5.0,
         help="seconds of ingest silence before /healthz turns degraded",
     )
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8080, help="HTTP port (0 = pick a free one)"
+        "--port", type=_PORT, default=8080, help="HTTP port (0 = pick a free one)"
     )
     serve.add_argument(
         "--exit-when-drained",
@@ -261,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser(
         "generate", help="emit the P4-16 program for a configuration"
     )
-    generate.add_argument("--counter-num", type=_positive_int, default=8)
-    generate.add_argument("--counter-size", type=_positive_int, default=256)
-    generate.add_argument("--binding-stages", type=_positive_int, default=2)
+    generate.add_argument("--counter-num", type=_POSITIVE_INT, default=8)
+    generate.add_argument("--counter-size", type=_POSITIVE_INT, default=256)
+    generate.add_argument("--binding-stages", type=_POSITIVE_INT, default=2)
     generate.add_argument(
         "--output", type=str, default="-", help="file path or - for stdout"
     )

@@ -283,16 +283,6 @@ class ScaledStats:
         stats._sd_dirty = True
         return stats
 
-    def snapshot(self) -> dict:
-        """A plain-dict view of the tracked integers (for digests/tests)."""
-        return {
-            "count": self.count,
-            "xsum": self.xsum,
-            "xsumsq": self.xsumsq,
-            "variance_nx": self.variance_nx,
-            "stddev_nx": self.stddev_nx,
-        }
-
     # -- internals ---------------------------------------------------------
 
     def _mark_dirty(self) -> None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import List
 
 from repro.apps.echo import build_echo_app
 from repro.core.percentile import PercentileTracker
@@ -211,13 +211,14 @@ def run_validation_batched(
     Builds two identical echo applications, drives the same echo-value
     stream through ``Stat4.process`` one packet at a time on one side and
     through :class:`~repro.stat4.batch.BatchEngine` chunks on the other,
-    then compares every register cell and every piece of working state.
+    then names each path in which the two detectors' ``snapshot()`` differ.
     This is the validation experiment for the batched fast path: the paper
     validates switch-vs-host equality, this validates batched-vs-scalar
     equality on the same workload.
     """
     from repro.p4.switch import PacketContext, StandardMetadata
     from repro.stat4.batch import BatchEngine, PacketBatch
+    from repro.stat4.library import diff
 
     rng = random.Random(seed)
     values = [rng.randint(-255, 255) for _ in range(packets)]
@@ -242,53 +243,11 @@ def run_validation_batched(
         engine.process(PacketBatch.from_contexts(contexts[start : start + batch_size]))
         result.batches += 1
 
-    expected = _working_state(scalar.stat4)
-    got = _working_state(batched.stat4)
     result.mismatches = [
-        f"{name} differs"
-        for name in {**expected, **got}
-        if expected.get(name) != got.get(name)
+        f"{path} differs"
+        for path in diff(scalar.stat4.snapshot(), batched.stat4.snapshot())
     ]
     return result
-
-
-def _working_state(stat4) -> Dict[str, Any]:
-    """Every piece of a detector's working state, by name: registers,
-    packet, alert and table counters, each slot's fields, moments and
-    tracker, and the sparse slots' claim and eviction counters."""
-    state: Dict[str, Any] = {
-        "packets_seen": stat4.packets_seen,
-        "alerts_emitted": stat4.alerts_emitted,
-    }
-    for register in stat4.registers:
-        state[f"register {register.name}"] = register.peek()
-    for table in stat4.binding_tables:
-        state[f"table {table.name} lookups"] = table.lookups
-        state[f"table {table.name} hits"] = table.hits
-    for dist in range(stat4.config.counter_num):
-        slot = stat4.state_of(dist)
-        state[f"slot {dist} bound"] = slot is not None
-        if slot is None:
-            continue
-        for item in fields(slot):
-            if item.name not in ("stats", "tracker"):
-                state[f"slot {dist} {item.name}"] = getattr(slot, item.name)
-        state[f"slot {dist} moments"] = slot.stats.snapshot()
-        state[f"slot {dist} updates"] = slot.stats.updates
-        tracker = slot.tracker
-        if tracker is not None:
-            for name in ("freqs", "low", "high", "total", "moves"):
-                state[f"slot {dist} tracker {name}"] = getattr(tracker, name)
-            state[f"slot {dist} tracker position"] = (
-                tracker.value if tracker.has_value else None
-            )
-    for dist, cells in stat4.sparse_cells.items():
-        state[f"slot {dist} sparse counters"] = (
-            cells.resident_keys,
-            cells.evictions,
-            cells.evicted_mass,
-        )
-    return state
 
 
 @dataclass

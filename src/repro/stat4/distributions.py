@@ -11,7 +11,8 @@ percentile position bookkeeping, window cursor).  The :class:`Stat4`
 library keeps the authoritative copies in its register file and uses the
 core trackers (:class:`~repro.core.stats.ScaledStats`,
 :class:`~repro.core.percentile.PercentileTracker`) as the in-pipeline
-working state; tests cross-check both views stay identical.
+working state; :meth:`Stat4.snapshot` reads both as one view, which the
+differential tests and ``repro validate --batched`` compare.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ is mirrored in the registers the controller can read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.p4.errors import ResourceError
 from repro.p4.pipeline import DependencyGraph, PipelineProgram
@@ -37,7 +37,7 @@ from repro.stat4.distributions import (
 )
 from repro.stat4.sparse import HashedCells
 
-__all__ = ["Stat4"]
+__all__ = ["Stat4", "SNAPSHOT_EXCLUDED", "diff"]
 
 
 class Stat4:
@@ -449,6 +449,61 @@ class Stat4:
                 f"distribution {dist} has no sparse storage"
             ) from None
         return cells.items()
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The detector's state as a plain nested mapping, read with no side
+        effect.  Slot attributes (with ``stats`` and ``tracker`` nested) are
+        walked, not listed, so a field added later joins every comparison;
+        :data:`SNAPSHOT_EXCLUDED` names what is left out."""
+        return {
+            "packets_seen": self.packets_seen,
+            "alerts_emitted": self.alerts_emitted,
+            "registers": {reg.name: reg.peek() for reg in self.registers},
+            "tables": {
+                t.name: {"lookups": t.lookups, "hits": t.hits} for t in self.binding_tables
+            },
+            "slots": {dist: _attributes(s) for dist, s in sorted(self._states.items())},
+            "sparse": {
+                dist: {name: getattr(cells, name) for name in _SPARSE_COUNTERS}
+                for dist, cells in self.sparse_cells.items()
+            },
+        }
+
+
+#: What :meth:`Stat4.snapshot` leaves out, and why.  Register read/write
+#: accounting is left out too, for the first reason: ``peek`` skips it.
+SNAPSHOT_EXCLUDED = {
+    "sd_recomputations": "the batch path coalesces σ recomputation by design",
+    "square": "code, not state",
+}
+_SPARSE_COUNTERS = ("resident_keys", "evictions", "evicted_mass")
+_ABSENT = object()
+
+
+def _attributes(obj: Any) -> Dict[str, Any]:
+    """``vars(obj)`` bar :data:`SNAPSHOT_EXCLUDED`, with lists copied and a
+    slot's ``stats`` and ``tracker`` nested."""
+    view = {}
+    for name, value in vars(obj).items():
+        if name in ("stats", "tracker") and value is not None:
+            value = _attributes(value)
+        if name not in SNAPSHOT_EXCLUDED:
+            view[name] = list(value) if isinstance(value, list) else value
+    return view
+
+
+def diff(a: Mapping[Any, Any], b: Mapping[Any, Any]) -> List[str]:
+    """The dotted paths of the entries two snapshots differ in, in order,
+    such as ``slots.0.tracker.moves``; an entry one side lacks (a slot
+    bound on one side only) differs whole."""
+    paths: List[str] = []
+    for key in {**a, **b}:
+        left, right = a.get(key, _ABSENT), b.get(key, _ABSENT)
+        if isinstance(left, Mapping) and isinstance(right, Mapping):
+            paths += [f"{key}.{path}" for path in diff(left, right)]
+        elif left != right:
+            paths.append(str(key))
+    return paths
 
 
 def _to_us(seconds: float) -> int:

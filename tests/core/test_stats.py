@@ -241,13 +241,3 @@ class TestTargetProfiles:
             for v in [15, 15, 15, 15]:
                 stats.add_value(v)
             assert stats.variance_nx >= 0
-
-    def test_snapshot_round_trip(self):
-        stats = ScaledStats()
-        for v in [1, 2, 3]:
-            stats.add_value(v)
-        snap = stats.snapshot()
-        assert snap["count"] == 3
-        assert snap["xsum"] == 6
-        assert snap["xsumsq"] == 14
-        assert snap["variance_nx"] == 3 * 14 - 36

@@ -7,6 +7,22 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: A finite source that exits once drained, on a free port: a value that
+#: slips through a check runs briefly instead of serving on.
+SERVE_ONCE = "serve --port 0 --exit-when-drained"
+
+
+def assert_usage_error(argv, capsys):
+    # A usage error (exit 2) before the command runs: nothing printed to
+    # stdout, and argparse names the flag (the next-to-last argument).
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}" in captured.err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -36,19 +52,37 @@ class TestParser:
             "generate --counter-num",
             "generate --counter-size",
             "generate --binding-stages",
+            "case-study --spike-intervals",
+            f"{SERVE_ONCE} --synthetic",
+            "lint --max-value",
         ],
         ids=lambda command: command.replace(" ", "_"),
     )
     def test_counts_must_be_positive(self, command, value, capsys):
-        # A usage error (exit 2) before the command runs: nothing printed
-        # to stdout, and argparse names the flag.
-        *argv, flag = command.split()
-        with pytest.raises(SystemExit) as exited:
-            main([*argv, flag, value])
-        assert exited.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument {flag}" in captured.err
+        assert_usage_error([*command.split(), value], capsys)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "case-study --window -3",
+            "case-study --interval 0",
+            "case-study --interval -1",
+            "case-study --interval inf",
+            "case-study --control-delay nan",
+            "case-study --control-delay -1",
+            "case-study --processing -1",
+            "table3 --max-n 99",
+            "table3 --max-n 0",
+            "table3 --max-n -5",
+            f"{SERVE_ONCE} --synthetic 10 --rate -5",
+            f"{SERVE_ONCE} --synthetic 10 --degraded-after -1",
+            "serve --synthetic 10 --exit-when-drained --port 70000",
+            "serve --synthetic 10 --exit-when-drained --port -1",
+        ],
+        ids=lambda command: command.replace(" ", "_"),
+    )
+    def test_values_out_of_range_are_usage_errors(self, command, capsys):
+        assert_usage_error(command.split(), capsys)
 
     def test_ci_commands_parse(self):
         parser = build_parser()
@@ -87,6 +121,10 @@ class TestParser:
         assert (args.batch_size, args.queue_depth) == (1, 3)
         defaults = build_parser().parse_args(["serve", "--synthetic", "10"])
         assert (defaults.batch_size, defaults.queue_depth) == (2048, 8)
+        edges = build_parser().parse_args(
+            ["serve", "--synthetic", "1", "--port", "65535"]
+        )
+        assert (edges.synthetic, edges.port) == (1, 65535)
 
     def test_case_study_options(self):
         args = build_parser().parse_args(
@@ -96,6 +134,10 @@ class TestParser:
         assert args.window == 10
         assert args.seed == 3
         assert not args.poisson
+        zeros = build_parser().parse_args(
+            ["case-study", "--window", "0", "--processing", "0"]
+        )
+        assert (zeros.window, zeros.processing) == (0, 0.0)
 
 
 class TestCommands:

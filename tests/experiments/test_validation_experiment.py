@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.apps.echo import build_echo_app
 from repro.experiments.validation import run_validation, run_validation_batched
-from repro.stat4.batch import BatchEngine
+from repro.p4.parser import standard_parser
+from repro.stat4.batch import BatchEngine, PacketBatch
+from repro.stat4.library import SNAPSHOT_EXCLUDED
+from repro.traffic.builders import echo_frame
 
 
 class TestValidation:
@@ -28,20 +32,29 @@ class TestValidation:
         assert result.replies == result.packets_sent
 
 
-def _bump_tracker_moves(stat4):
-    stat4.state_of(0).tracker.moves += 1
+#: The echo detector's objects whose fields the walk corrupts, by their
+#: path in the snapshot.
+OWNERS = {
+    "": lambda stat4: stat4,
+    "tables.stat4_binding_0": lambda stat4: stat4.binding_tables[0],
+    "slots.0": lambda stat4: stat4.state_of(0),
+    "slots.0.stats": lambda stat4: stat4.state_of(0).stats,
+    "slots.0.tracker": lambda stat4: stat4.state_of(0).tracker,
+}
 
 
-def _bump_values_dropped(stat4):
-    stat4.state_of(0).values_dropped += 1
-
-
-def _bump_updates(stat4):
-    stat4.state_of(0).stats.updates += 1
-
-
-def _bump_table_hits(stat4):
-    stat4.binding_tables[0].hits += 1
+def walked_fields():
+    """The packet, alert and binding-table counters, and every int or
+    bool attribute of the echo app's bound slot, its ``stats`` and its
+    ``tracker`` bar the named exclusions, by snapshot path."""
+    probe = build_echo_app().stat4
+    probe.process_batch(PacketBatch.from_packets([echo_frame(1)], standard_parser()))
+    return ["packets_seen", "alerts_emitted", "tables.stat4_binding_0.hits"] + [
+        f"{owner}.{name}"
+        for owner in ("slots.0", "slots.0.stats", "slots.0.tracker")
+        for name, value in vars(OWNERS[owner](probe)).items()
+        if isinstance(value, int) and name not in SNAPSHOT_EXCLUDED
+    ]
 
 
 class TestBatchedValidation:
@@ -51,26 +64,22 @@ class TestBatchedValidation:
         assert result.mismatches == []
         assert result.passed
 
-    @pytest.mark.parametrize(
-        "corrupt, name",
-        [
-            (_bump_tracker_moves, "slot 0 tracker moves"),
-            (_bump_values_dropped, "slot 0 values_dropped"),
-            (_bump_updates, "slot 0 updates"),
-            (_bump_table_hits, "table stat4_binding_0 hits"),
-        ],
-    )
-    def test_corrupted_state_is_a_named_mismatch(self, monkeypatch, corrupt, name):
-        # The batched side corrupts one piece of working state after every
-        # batch; the registers stay right, so only the state check sees it.
+    @pytest.mark.parametrize("path", walked_fields())
+    def test_corrupted_state_is_a_named_mismatch(self, monkeypatch, path):
+        # The batched side corrupts one field once, after its last batch,
+        # so the corruption cannot spread to another field.
         process = BatchEngine.process
+        owner, _, name = path.rpartition(".")
 
         def corrupting(engine, batch):
             result = process(engine, batch)
-            corrupt(engine.stat4)
+            if engine.stat4.packets_seen == 600:
+                target = OWNERS[owner](engine.stat4)
+                value = getattr(target, name)
+                setattr(target, name, not value if isinstance(value, bool) else value + 1)
             return result
 
         monkeypatch.setattr(BatchEngine, "process", corrupting)
         result = run_validation_batched(packets=600, batch_size=200)
-        assert result.mismatches == [f"{name} differs"]
+        assert result.mismatches == [f"{path} differs"]
         assert not result.passed

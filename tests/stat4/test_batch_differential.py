@@ -3,16 +3,16 @@
 The tentpole guarantee of :mod:`repro.stat4.batch`: for any trace, feeding
 it through :class:`BatchEngine` (in arbitrary chunk sizes, with numpy's
 optional array paths on or hidden) leaves *exactly* the state the scalar
-``Stat4.process`` loop leaves — every register cell, every working-state
-field, every digest in the same order with the same fields.  Hypothesis generates the traces; a
-seed expands deterministically into a ≥10k-packet mixture of matching,
-non-matching, value-free and out-of-domain packets for every
-DistributionKind.
+``Stat4.process`` loop leaves — equal ``Stat4.snapshot()``s, which hold
+every register cell and every working-state field, σ's cache and the
+tracker's position included — and every digest in the same order with
+the same fields.  Hypothesis generates the traces; a seed expands
+deterministically into a ≥10k-packet mixture of matching, non-matching,
+value-free and out-of-domain packets for every DistributionKind.
 
-Intentionally excluded from the comparison (documented in
-``docs/BENCHMARKS.md``): per-register read/write accounting and
-``ScaledStats.sd_recomputations`` — the batch path coalesces those touches
-by design.
+What the snapshot leaves out, and why, is named in one place:
+``repro.stat4.library.SNAPSHOT_EXCLUDED`` (documented in
+``docs/BENCHMARKS.md``).
 """
 
 import random
@@ -34,6 +34,7 @@ from repro.stat4 import (
     Stat4Config,
     Stat4Runtime,
 )
+from repro.stat4.library import diff
 from tests.numpy_paths import NUMPY_MODES, numpy_mode
 
 TRACE_PACKETS = 10_000
@@ -125,64 +126,7 @@ def feed_batches(engine, contexts, seed):
 
 
 def assert_equal_state(scalar, batched, scalar_digests, batched_digests):
-    for reg_a, reg_b in zip(scalar.registers, batched.registers):
-        assert reg_a.peek() == reg_b.peek(), f"register {reg_a.name} differs"
-    assert scalar.packets_seen == batched.packets_seen
-    assert scalar.alerts_emitted == batched.alerts_emitted
-    for table_a, table_b in zip(scalar.binding_tables, batched.binding_tables):
-        assert table_a.lookups == table_b.lookups, table_a.name
-        assert table_a.hits == table_b.hits, table_a.name
-    for dist in range(scalar.config.counter_num):
-        state_a = scalar.state_of(dist)
-        state_b = batched.state_of(dist)
-        assert (state_a is None) == (state_b is None), f"dist {dist}"
-        if state_a is None:
-            continue
-        assert state_a.spec == state_b.spec, f"dist {dist} spec"
-        assert state_a.stats.snapshot() == state_b.stats.snapshot(), f"dist {dist}"
-        assert state_a.stats.updates == state_b.stats.updates, f"dist {dist}"
-        assert (
-            state_a.window_index,
-            state_a.window_filled,
-            state_a.interval_start,
-            state_a.current_count,
-            state_a.last_alert,
-            state_a.last_percentile_alert,
-            state_a.intervals_closed,
-            state_a.values_dropped,
-        ) == (
-            state_b.window_index,
-            state_b.window_filled,
-            state_b.interval_start,
-            state_b.current_count,
-            state_b.last_alert,
-            state_b.last_percentile_alert,
-            state_b.intervals_closed,
-            state_b.values_dropped,
-        ), f"dist {dist} working state"
-        if state_a.tracker is not None:
-            assert state_b.tracker is not None
-            assert state_a.tracker.freqs == state_b.tracker.freqs
-            assert (
-                state_a.tracker.low,
-                state_a.tracker.high,
-                state_a.tracker.total,
-                state_a.tracker.moves,
-            ) == (
-                state_b.tracker.low,
-                state_b.tracker.high,
-                state_b.tracker.total,
-                state_b.tracker.moves,
-            ), f"dist {dist} tracker"
-    for dist, cells_a in scalar.sparse_cells.items():
-        cells_b = batched.sparse_cells[dist]
-        # Slot contents live in the shared register file, already compared
-        # above; the claim and eviction counters are the only private state.
-        assert (cells_a.resident_keys, cells_a.evictions, cells_a.evicted_mass) == (
-            cells_b.resident_keys,
-            cells_b.evictions,
-            cells_b.evicted_mass,
-        ), f"dist {dist} sparse counters"
+    assert diff(scalar.snapshot(), batched.snapshot()) == []
     assert [
         (digest.name, digest.fields, digest.timestamp) for digest in scalar_digests
     ] == [

@@ -287,3 +287,26 @@ class TestSlotManagement:
                 interval=0.01,
                 percent=50,
             )
+
+
+class TestSnapshot:
+    def test_taking_a_snapshot_changes_nothing(self):
+        stat4, rt = build(sparse_dists=(1,))
+        prefix = BindingMatch.ipv4_prefix("10.0.0.0", 8)
+        dst = ExtractSpec.field("ipv4.dst", mask=0xF)
+        rt.bind(0, prefix, rt.frequency_of(0, dst, percent=50))
+        rt.bind(1, prefix, rt.sparse_frequency_of(1, dst))
+        for i in range(40):
+            stat4.process(make_ctx(udp_packet(f"10.0.{i % 3}.{i % 7}"), now=i * 0.001))
+        slots = [stat4.state_of(0), stat4.state_of(1)]
+        slots[0].stats.observe_frequency(0)  # σ is stale until the next read
+
+        def counters():
+            recomputations = [s.stats.sd_recomputations for s in slots]
+            return stat4.registers.io_counters(), recomputations
+
+        before = counters()
+        first = stat4.snapshot()
+        assert stat4.snapshot() == first
+        assert counters() == before
+        assert slots[0].stats._sd_dirty and first["slots"][0]["stats"]["_sd_dirty"]
