@@ -3,12 +3,14 @@
 
 The suite measures packets/second through the scalar :meth:`Stat4.process`
 path and the batched :class:`~repro.stat4.batch.BatchEngine` path for each
-distribution kind, plus wall-clock for the paper-table experiments, and
-emits a schema-versioned ``BENCH_<rev>.json`` artifact.  CI checks the
-*speedup ratios* (batched over scalar, machine-independent to first order)
-against committed floors in ``benchmarks/baseline.json``, and the scenario
-quality scores against ``benchmarks/scenario_baseline.json``, through one
-check — see ``docs/BENCHMARKS.md``.
+distribution kind, runs each of the paper's claims once
+(:mod:`repro.bench.paper`), and emits a schema-versioned
+``BENCH_<rev>.json`` artifact.  CI checks the *speedup ratios* (batched
+over scalar, machine-independent to first order) against committed floors
+in ``benchmarks/baseline.json``, the claims' numbers against
+``benchmarks/paper_baseline.json``, and the scenario quality scores
+against ``benchmarks/scenario_baseline.json``, through one check — see
+``docs/BENCHMARKS.md``.
 """
 
 from repro.bench.compare import (

@@ -1,8 +1,9 @@
 # p4-ok-file — host-side benchmarking harness, not data-plane code.
-"""The committed-floor gate behind ``repro bench --baseline`` and
-``--scenario-baseline``, and the one table writer every bench table uses.
+"""The committed-floor gate behind ``repro bench --baseline``, and the one
+table writer every bench table uses.
 
-Two files commit floors, and one check reads both:
+Three files commit floors, and one check reads them all; each file's
+schema names the report section it checks:
 
 - ``benchmarks/baseline.json`` (``repro-bench-baseline/2``): a floor per
   kernel on the batched-over-scalar *speedup ratio*.  CI never compares
@@ -11,27 +12,33 @@ Two files commit floors, and one check reads both:
   first order.  The file's ``tolerance`` is how far below its floor a
   ratio may read before it fails.
 - ``benchmarks/scenario_baseline.json`` (``repro-scenario-baseline/1``):
-  detection-quality floors per labeled scenario.  Scores are
-  bit-deterministic, so the file carries no tolerance and the comparison
-  is exact.
+  detection-quality floors per labeled scenario.
+- ``benchmarks/paper_baseline.json`` (``repro-paper-baseline/1``): bounds
+  on the numbers behind each of the paper's claims
+  (:mod:`repro.bench.paper`).
+
+Scenario scores and paper numbers are deterministic, so those files carry
+no tolerance and the comparison is exact.
 
 Every bound reads its direction from its key: ``min_<metric>`` is a
 floor, ``max_<metric>`` a ceiling, and a speedup is a floor.  A bound
-whose metric the report does not hold FAILs (the kernel or scenario
-silently dropped out, or nothing was detected so latency is undefined);
-a measured kernel or scenario with no bound is a WARN row, never a
-silent pass.
+whose metric the report does not hold, or holds as NaN or infinity, FAILs
+(the kernel, scenario or claim silently dropped out, or nothing was
+detected so latency is undefined); a measured kernel, scenario or claim
+with no bound is a WARN row, never a silent pass.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "BASELINE_SCHEMA",
     "SCENARIO_BASELINE_SCHEMA",
+    "PAPER_BASELINE_SCHEMA",
     "Floors",
     "FloorRow",
     "load_floors",
@@ -43,6 +50,7 @@ __all__ = [
 
 BASELINE_SCHEMA = "repro-bench-baseline/2"
 SCENARIO_BASELINE_SCHEMA = "repro-scenario-baseline/1"
+PAPER_BASELINE_SCHEMA = "repro-paper-baseline/1"
 
 
 def _speedups(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
@@ -57,11 +65,17 @@ def _scenario_rows(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return {row["scenario"]: row for row in section.get("rows", [])}
 
 
-#: schema -> (CI job the gate runs in, key of the bounds mapping, the
-#: report's measured rows by label, the metric a floor-less row shows).
+def _paper_claims(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    return report.get("paper") or {}
+
+
+#: schema -> (the gate's name in table titles and annotations, key of the
+#: bounds mapping, the report's measured rows by label, the metric a
+#: floor-less row shows: None for a claim's first metric).
 _SCHEMAS = {
     BASELINE_SCHEMA: ("perf-smoke", "speedups", _speedups, "speedup"),
     SCENARIO_BASELINE_SCHEMA: ("scenario-smoke", "floors", _scenario_rows, "f1"),
+    PAPER_BASELINE_SCHEMA: ("paper-claims", "claims", _paper_claims, None),
 }
 
 
@@ -80,7 +94,7 @@ class Floors:
 
     @property
     def gate(self) -> str:
-        """The CI job name used in table titles and annotations."""
+        """The gate's name in table titles and annotations."""
         return _SCHEMAS[self.schema][0]
 
 
@@ -117,11 +131,29 @@ class FloorRow:
         return "FAIL" if self.regressed else "ok"
 
 
+def _finite(path: str, where: str, value: Any) -> float:
+    """``value`` as a float, or a ValueError naming where it was read."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: {where}: {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: {where}: {value!r} is not finite")
+    return float(value)
+
+
 def load_floors(path: str) -> Floors:
-    """Read and sanity-check either committed floors file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    schema = data.get("schema")
+    """Read and sanity-check a committed floors file.
+
+    Every fault — an unreadable file, an unknown schema, a key that is not
+    ``min_``/``max_``, a bound that is not a finite number — raises
+    ValueError naming ``path``, so the caller can refuse the file before
+    anything runs.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ValueError(f"{path}: cannot read floors file: {error}") from None
+    schema = data.get("schema") if isinstance(data, dict) else None
     if schema not in _SCHEMAS:
         raise ValueError(
             f"{path}: unknown floors schema {schema!r} "
@@ -130,20 +162,29 @@ def load_floors(path: str) -> Floors:
     section = data.get(_SCHEMAS[schema][1])
     if not isinstance(section, dict):
         raise ValueError(f"{path}: no {_SCHEMAS[schema][1]!r} mapping")
-    tolerance = float(data.get("tolerance", 0.0))
+    tolerance = _finite(path, "tolerance", data.get("tolerance", 0.0))
     if tolerance < 0:
         raise ValueError(f"{path}: tolerance cannot be negative")
     if schema == BASELINE_SCHEMA:
         section = {kernel: {"min_speedup": floor} for kernel, floor in section.items()}
-    for label, bounds in section.items():
-        for key in bounds:
+    bounds: Dict[str, Dict[str, float]] = {}
+    for label, entry in section.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: {label}: bounds must be a mapping")
+        for key in entry:
             if not key.startswith(("min_", "max_")):
                 raise ValueError(f"{path}: {label}: {key!r} is not min_/max_")
-    return Floors(schema, tolerance, section)
+        bounds[label] = {
+            key: _finite(path, f"{label}: {key}", bound) for key, bound in entry.items()
+        }
+    return Floors(schema, tolerance, bounds)
 
 
 def check_floors(report: Dict[str, Any], floors: Floors) -> List[FloorRow]:
-    """Check a bench report against committed floors, in both directions."""
+    """Check a bench report against committed floors, in both directions.
+
+    A value that is missing or not a finite number fails either way.
+    """
     _, _, measured_rows, headline = _SCHEMAS[floors.schema]
     measured = measured_rows(report)
     rows: List[FloorRow] = []
@@ -152,7 +193,7 @@ def check_floors(report: Dict[str, Any], floors: Floors) -> List[FloorRow]:
         for key, bound in floors.bounds[label].items():
             direction, metric = key.split("_", 1)
             current = values.get(metric)
-            if current is None:
+            if current is None or not math.isfinite(current):
                 regressed = True
             elif direction == "min":
                 regressed = current < bound * (1.0 - floors.tolerance)
@@ -160,8 +201,8 @@ def check_floors(report: Dict[str, Any], floors: Floors) -> List[FloorRow]:
                 regressed = current > bound * (1.0 + floors.tolerance)
             rows.append(FloorRow(label, metric, bound, current, regressed))
     for label in sorted(set(measured) - set(floors.bounds)):
-        current = measured[label][headline]
-        rows.append(FloorRow(label, headline, None, current, False, True))
+        metric = headline or next(iter(measured[label]))
+        rows.append(FloorRow(label, metric, None, measured[label][metric], False, True))
     return rows
 
 

@@ -27,7 +27,9 @@ One kernel per hot loop:
 
 A separate ``cluster`` report section sweeps the same workload across
 1→8 shards, splitting routed-ingest time from controller-side merge time
-(the scale-out overhead curve in ``docs/BENCHMARKS.md``).
+(the scale-out overhead curve in ``docs/BENCHMARKS.md``).  The ``paper``
+section runs each of the paper's claims once (:mod:`repro.bench.paper`)
+and reports the numbers ``benchmarks/paper_baseline.json`` bounds.
 
 Every row is one declaration, ``(scalar setup, scalar run, batched setup,
 batched run)``, over a workload drawn from one destination walk
@@ -38,10 +40,10 @@ service) before the timer starts.  Batch *assembly* (parsing, column
 extraction) is excluded from the batched timings, and the value-column
 cache is shared across repeats exactly as a long-lived engine would.
 
-The emitted report is schema-versioned (``repro-bench/2``: one batched
-row and one ``speedups`` ratio per kernel); CI compares the ``speedups``
-section against committed floors, never the absolute pps
-(machine-dependent).
+The emitted report is schema-versioned (``repro-bench/3``: one batched
+row and one ``speedups`` ratio per kernel, and the ``paper`` section); CI
+compares the ``speedups`` section against committed floors, never the
+absolute pps (machine-dependent).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.compare import format_table
+from repro.bench.paper import run_claims
 from repro.cluster.sharded import ShardedStat4
 from repro.p4.parser import standard_parser
 from repro.p4.switch import PacketContext, StandardMetadata
@@ -79,7 +82,7 @@ __all__ = [
     "format_scenario_table",
 ]
 
-SCHEMA_VERSION = "repro-bench/2"
+SCHEMA_VERSION = "repro-bench/3"
 SCENARIO_SCHEMA = "repro-scenarios/2"
 
 #: (packets per kernel, timing repeats) per profile.
@@ -397,34 +400,6 @@ def _time_cluster_scaling(packets: int, repeats: int) -> List[Dict[str, Any]]:
     return rows
 
 
-def _time_experiments(quick: bool) -> List[Dict[str, Any]]:
-    from repro.experiments.table2_sqrt import run_table2
-    from repro.experiments.validation import run_validation, run_validation_batched
-
-    experiments: List[Dict[str, Any]] = []
-
-    def timed(name: str, run: Callable[[], Any]) -> None:
-        start = time.perf_counter()
-        run()
-        experiments.append(
-            {"name": name, "seconds": time.perf_counter() - start}
-        )
-
-    timed("table2_sqrt", run_table2)
-    packets = 2_000 if quick else 10_000
-    timed(f"validation_{packets}", lambda: run_validation(packets=packets))
-    timed(
-        f"validation_batched_{packets}",
-        lambda: run_validation_batched(packets=packets),
-    )
-    if not quick:
-        from repro.experiments.table3_median import DEFAULT_SIZES, run_table3
-
-        sizes = [(n, label) for n, label in DEFAULT_SIZES if n <= 4096]
-        timed("table3_median_4096", lambda: run_table3(sizes=sizes, repetitions=3))
-    return experiments
-
-
 def _run_scenarios() -> Dict[str, Any]:
     """The adversarial quality leaderboard (``repro bench --scenarios``).
 
@@ -439,7 +414,7 @@ def _run_scenarios() -> Dict[str, Any]:
 
 def run_suite(
     quick: bool = False,
-    skip_experiments: bool = False,
+    skip_paper: bool = False,
     packets: Optional[int] = None,
     repeats: Optional[int] = None,
     scenarios: bool = False,
@@ -448,13 +423,13 @@ def run_suite(
     """Run the full suite; returns the report as a plain dict.
 
     Args:
-        quick: the CI profile — fewer packets, fewer repeats, cheaper
-            experiment set.
-        skip_experiments: kernels only (used by unit tests).
+        quick: the CI profile — fewer packets and repeats per kernel (the
+            paper section and the scenarios run the same either way).
+        skip_paper: leave out the paper section (used by unit tests).
         packets / repeats: override the profile (tests use tiny values).
         scenarios: also run the labeled adversarial scenario suite and
             attach its quality leaderboard under ``report["scenarios"]``.
-        scenarios_only: skip the perf kernels entirely — the scenario CI
+        scenarios_only: run the scenario suite alone — the scenario CI
             job wants quality rows without paying for timing runs.
     """
     profile_packets, profile_repeats = _QUICK_PROFILE if quick else _FULL_PROFILE
@@ -471,14 +446,10 @@ def run_suite(
         "numpy": _numpy_version(),
         "quick": quick,
         "kernels": kernels,
-        "experiments": (
-            []
-            if skip_experiments or scenarios_only
-            else _time_experiments(quick)
-        ),
         "cluster": [] if scenarios_only else _time_cluster_scaling(n, reps),
         "service": service,
         "speedups": speedups,
+        "paper": {} if skip_paper or scenarios_only else run_claims(),
     }
     if scenarios or scenarios_only:
         report["scenarios"] = _run_scenarios()
@@ -543,8 +514,8 @@ def _ms(value: Optional[float]) -> str:
 
 
 def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable kernel table plus the service, cluster, experiment
-    and scenario sections."""
+    """Human-readable kernel table plus the service, cluster, paper and
+    scenario sections."""
     sections = [format_kernels(report)]
     service = report.get("service")
     if service:
@@ -573,15 +544,28 @@ def format_report(report: Dict[str, Any]) -> str:
         title = "cluster scaling (routed ingest + merge):"
         header = ("shards", "ingest pps", "merge")
         sections.append(format_table(title, header, ">>>", cluster))
-    experiments = [
-        (row["name"], f"{row['seconds']:.2f}s")
-        for row in report.get("experiments") or ()
-    ]
-    if experiments:
-        header = ("experiment", "seconds")
-        sections.append(format_table("experiments:", header, "<>", experiments))
+    sections.append(_paper_table(report))
     sections.append(format_scenario_table(report))
     return "\n\n".join(section for section in sections if section)
+
+
+def _claim_value(value: Optional[float]) -> str:
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return "-" if value is None else str(value)
+
+
+def _paper_table(report: Dict[str, Any]) -> str:
+    """Every number the paper section measured, or ``""`` when it did not
+    run."""
+    rows = [
+        (claim, metric, _claim_value(value))
+        for claim, metrics in (report.get("paper") or {}).items()
+        for metric, value in metrics.items()
+    ]
+    if not rows:
+        return ""
+    return format_table("paper claims:", ("claim", "metric", "value"), "<<>", rows)
 
 
 def format_scenario_table(report: Dict[str, Any]) -> str:

@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="Figure 5: echo validation")
     validate.add_argument("--packets", type=_POSITIVE_INT, default=10_000)
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument(
+    differential = validate.add_mutually_exclusive_group()
+    differential.add_argument(
         "--batched",
         action="store_true",
         help="differential run: batched ingestion vs the scalar library",
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="chunk size for --batched",
     )
-    validate.add_argument(
+    differential.add_argument(
         "--shards",
         type=_POSITIVE_INT,
         metavar="N",
@@ -159,21 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="artifact path (default BENCH_<rev>.json in the working dir)",
     )
-    # The speed floors need the timing kernels that --scenarios-only skips.
-    speed_or_scenarios = bench.add_mutually_exclusive_group()
-    speed_or_scenarios.add_argument(
+    bench.add_argument(
         "--baseline",
-        type=str,
-        default=None,
+        action="append",
+        default=[],
+        metavar="FILE",
         help=(
-            "check speedups against this committed floors file (its "
-            "tolerance applies)"
+            "check the report against this committed floors file; repeat "
+            "for several.  The file's schema picks the report section: "
+            "speedups (its tolerance applies), scenarios or paper claims"
         ),
     )
-    speed_or_scenarios.add_argument(
+    bench.add_argument(
         "--scenarios-only",
         action="store_true",
-        help="run only the scenario suite (skip the throughput kernels)",
+        help="run only the scenario suite (skip the kernels and paper claims)",
     )
     bench.add_argument(
         "--history",
@@ -193,15 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also replay the labeled adversarial scenario suite and report "
             "precision/recall/F1 and detection latency per scenario"
-        ),
-    )
-    bench.add_argument(
-        "--scenario-baseline",
-        type=str,
-        default=None,
-        help=(
-            "compare scenario quality against this committed floors file "
-            "(implies --scenarios)"
         ),
     )
 
@@ -521,19 +513,31 @@ def _cmd_bench(args) -> int:
         warning_annotations,
         write_report,
     )
+    from repro.bench.compare import SCENARIO_BASELINE_SCHEMA
+
+    # Every floors file is read before anything runs: a bad one is a usage
+    # error (exit 2), never a regression found after the whole suite.
+    try:
+        floors_files = [load_floors(path) for path in args.baseline]
+    except ValueError as error:
+        print(f"repro bench: {error}", file=sys.stderr)
+        return 2
+    schemas = {floors.schema for floors in floors_files}
+    if args.scenarios_only and schemas - {SCENARIO_BASELINE_SCHEMA}:
+        print(
+            "repro bench: --scenarios-only runs neither the kernels nor the "
+            "paper claims, so it takes only scenario floors files",
+            file=sys.stderr,
+        )
+        return 2
 
     # Under --json, everything except the report itself goes to stderr so
     # stdout stays parseable.
     side = sys.stderr if args.json else sys.stdout
 
-    # A committed scenario floors file is meaningless without the scenario
-    # rows to check it against, so --scenario-baseline implies --scenarios.
-    want_scenarios = (
-        args.scenarios or args.scenarios_only or args.scenario_baseline is not None
-    )
     report = run_suite(
         quick=args.quick,
-        scenarios=want_scenarios,
+        scenarios=args.scenarios or SCENARIO_BASELINE_SCHEMA in schemas,
         scenarios_only=args.scenarios_only,
     )
     path = write_report(report, output=args.output)
@@ -558,12 +562,8 @@ def _cmd_bench(args) -> int:
     # local output clean.
     on_actions = bool(os.environ.get("GITHUB_ACTIONS"))
     summary = [format_kernels(report, markdown=True)] if report["kernels"] else []
-    floors_paths = [
-        path for path in (args.baseline, args.scenario_baseline) if path is not None
-    ]
     failed = False
-    for floors_path in floors_paths:
-        floors = load_floors(floors_path)
+    for floors in floors_files:
         rows = check_floors(report, floors)
         print(format_verdicts(rows, floors), file=side)
         summary.append(format_verdicts(rows, floors, markdown=True))
@@ -584,7 +584,7 @@ def _cmd_bench(args) -> int:
 
     # On GitHub Actions, render the tables on the run page too.
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path and floors_paths:
+    if summary_path and floors_files:
         with open(summary_path, "a", encoding="utf-8") as handle:
             handle.write("\n".join(summary) + "\n")
     return 1 if failed else 0

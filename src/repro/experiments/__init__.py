@@ -8,6 +8,7 @@
 | Figure 6 / Sec. 4 case study | :mod:`repro.experiments.case_study` |
 | Sec. 4 resources | :mod:`repro.experiments.resources_report` |
 | Figure 1 / Sec. 1 reactivity | :mod:`repro.experiments.reactivity` |
+| Figure 1c local rate-limit reaction | :mod:`repro.experiments.mitigation` |
 | design ablations | :mod:`repro.experiments.ablations` |
 """
 

@@ -15,6 +15,10 @@ alternative:
    significant memory to be accurate", Sec. 2) vs Stat4's scaled tracking.
 5. :func:`ablate_unit_coarsening` — order-of-magnitude counting (Sec. 2's
    Gb-unit trick): memory saved vs relative error introduced.
+6. :func:`ablate_quantile_sketch` — Stat4's percentile cells vs a
+   QPipe-style KLL sketch (domain-bounded memory vs randomized error).
+7. :func:`ablate_sparse_storage` — hashed sparse slots for a domain too
+   wide for dense cells (Sec. 5's "using hash-tables similarly to [23]").
 """
 
 from __future__ import annotations
@@ -22,14 +26,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.approx import approx_isqrt, approx_square
 from repro.core.bitops import msb_position_if_chain
 from repro.core.ewma import EwmaDetector
 from repro.core.percentile import PercentileTracker
+from repro.baselines.quantile_sketch import KLLSketch
 from repro.core.stats import ScaledStats, exact_square
 from repro.experiments.common import FenwickMedian, format_rows
+from repro.stat4.sparse import HashedCells
 
 __all__ = [
     "EwmaComparison",
@@ -47,6 +53,10 @@ __all__ = [
     "format_division_table",
     "UnitCoarseningRow",
     "ablate_unit_coarsening",
+    "QuantileSketchRow",
+    "ablate_quantile_sketch",
+    "SparseStorageResult",
+    "ablate_sparse_storage",
 ]
 
 
@@ -532,3 +542,99 @@ def ablate_unit_coarsening(
             )
         )
     return rows
+
+
+# -- 6. percentile cells vs a quantile sketch ---------------------------------------
+
+
+@dataclass(frozen=True)
+class QuantileSketchRow:
+    """Stat4's dense percentile cells vs a KLL sketch on one value domain.
+
+    The paper's related work cites QPipe [13] for in-data-plane quantiles;
+    Stat4 instead keeps one frequency cell per possible value:
+    deterministic O(1) updates, memory bounded by the domain.
+    """
+
+    domain: int
+    exact: int
+    tracker_value: int
+    tracker_bytes: int
+    sketch_value: int
+    sketch_bytes: int
+
+
+def ablate_quantile_sketch(
+    domains: Sequence[int] = (512, 1 << 16), packets: int = 20_000, seed: int = 0
+) -> List[QuantileSketchRow]:
+    """Track the median of the same uniform stream both ways, per domain."""
+    rows = []
+    for domain in domains:
+        rng = random.Random(seed)
+        tracker = PercentileTracker(domain, percent=50)
+        sketch = KLLSketch(k=64, seed=seed)
+        stream = [rng.randrange(domain) for _ in range(packets)]
+        for value in stream:
+            tracker.observe(value)
+            sketch.update(value)
+        rows.append(
+            QuantileSketchRow(
+                domain=domain,
+                exact=sorted(stream)[len(stream) >> 1],
+                tracker_value=tracker.value,
+                tracker_bytes=domain * 4 + 3 * 4,  # cells + low/high/pos
+                sketch_value=sketch.quantile(0.5),
+                sketch_bytes=sketch.bytes_used,
+            )
+        )
+    return rows
+
+
+# -- 7. dense cells vs hashed sparse storage -----------------------------------------
+
+
+@dataclass(frozen=True)
+class SparseStorageResult:
+    """How well HashPipe-style slots keep a zipf-ish stream's heavy keys.
+
+    Attributes:
+        capacity / bytes_used: the slot table's size.
+        heavy_resident: of the ten heaviest keys, how many hold a slot.
+        heavy_exact: of those ten, how many hold their exact count.
+        evictions / evicted_mass: slots given up, and the packets they held.
+    """
+
+    distinct_keys: int
+    packets: int
+    capacity: int
+    bytes_used: int
+    heavy_resident: int
+    heavy_exact: int
+    evictions: int
+    evicted_mass: int
+
+
+def ablate_sparse_storage(
+    distinct_keys: int = 300, packets: int = 20_000, slots: int = 128, seed: int = 0
+) -> SparseStorageResult:
+    """Count random 32-bit keys of zipf-ish popularity in two-stage slots."""
+    rng = random.Random(seed)
+    keys = [rng.getrandbits(32) for _ in range(distinct_keys)]
+    weights = [1.0 / (rank + 1) for rank in range(distinct_keys)]
+    cells = HashedCells(slots_per_stage=slots, stages=2)
+    truth: Dict[int, int] = {}
+    for _ in range(packets):
+        key = rng.choices(keys, weights=weights, k=1)[0]
+        truth[key] = truth.get(key, 0) + 1
+        cells.increment(key)
+    heavy = sorted(truth, key=truth.get, reverse=True)[:10]
+    return SparseStorageResult(
+        distinct_keys=distinct_keys,
+        packets=packets,
+        capacity=cells.capacity,
+        bytes_used=cells.bytes_used,
+        heavy_resident=sum(cells.count_of(key) > 0 for key in heavy),
+        heavy_exact=sum(cells.count_of(key) == truth[key] for key in heavy),
+        evictions=cells.evictions,
+        evicted_mass=cells.evicted_mass,
+    )

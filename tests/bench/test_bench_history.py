@@ -26,7 +26,7 @@ def make_report(revision, speedups=None, cluster=None, scenarios=None):
         "numpy": "2.0",
         "quick": True,
         "kernels": [],
-        "experiments": [],
+        "paper": {},
         "speedups": speedups if speedups is not None else {"k": 2.0},
         "cluster": cluster if cluster is not None else [],
     }

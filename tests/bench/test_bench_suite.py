@@ -6,6 +6,7 @@ baseline comparison semantics, not actual performance numbers.
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -21,7 +22,7 @@ from repro.bench import (
     run_suite,
     write_report,
 )
-from repro.bench.compare import BASELINE_SCHEMA
+from repro.bench.compare import BASELINE_SCHEMA, SCENARIO_BASELINE_SCHEMA
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
@@ -30,10 +31,10 @@ BASELINE_PATH = (
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    # One shared tiny run: 200 packets, 1 repeat, kernels only.
+    # One shared tiny run: 200 packets, 1 repeat, no paper claims.
     return run_suite(
         quick=True,
-        skip_experiments=True,
+        skip_paper=True,
         packets=200,
         repeats=1,
     )
@@ -45,7 +46,7 @@ class TestRunSuite:
         assert tiny_report["quick"] is True
         assert isinstance(tiny_report["revision"], str)
         assert isinstance(tiny_report["python"], str)
-        assert tiny_report["experiments"] == []
+        assert tiny_report["paper"] == {}
         assert isinstance(tiny_report["kernels"], list)
         assert tiny_report["kernels"], "suite measured no kernels"
 
@@ -105,6 +106,16 @@ class TestRunSuite:
             assert line.startswith(row["name"]), line
             assert line[offset:].startswith(row["mode"]), line
 
+    def test_format_report_lists_every_paper_number(self, tiny_report):
+        paper = {"claim": {"count": 3, "ratio": 0.125, "gone": None}}
+        lines = format_report(dict(tiny_report, paper=paper)).splitlines()
+        start = lines.index("paper claims:")
+        assert [line.split() for line in lines[start + 2 : start + 5]] == [
+            ["claim", "count", "3"],
+            ["claim", "ratio", "0.125"],
+            ["claim", "gone", "-"],
+        ]
+
     def test_service_throughput_kernel_measured(self, tiny_report):
         rows = [
             row for row in tiny_report["kernels"]
@@ -138,7 +149,7 @@ def make_report(speedups):
         "numpy": "2.0",
         "quick": True,
         "kernels": [],
-        "experiments": [],
+        "paper": {},
         "speedups": speedups,
     }
 
@@ -224,6 +235,21 @@ class TestCompareReports:
         assert "WARN (no floor)" in text
         assert "missing a committed floor (not gated): unbaselined" in text
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bounds", [{"min_f1": 1.0}, {"max_latency_intervals": 0.0}]
+    )
+    def test_a_value_that_is_not_finite_fails_either_way(self, bounds, value):
+        report = {
+            "scenarios": {
+                "rows": [{"scenario": "s", "f1": value, "latency_intervals": value}]
+            }
+        }
+        floors = Floors(SCENARIO_BASELINE_SCHEMA, 0.0, {"s": bounds})
+        (row,) = check_floors(report, floors)
+        assert row.regressed
+        assert row.verdict == "FAIL"
+
     def test_missing_floor_never_fails_the_gate(self):
         rows = check_floors(
             make_report({"only_measured": 0.01}),
@@ -285,6 +311,40 @@ class TestLoadBaseline:
             (floor,) = bounds.values()
             assert list(bounds) == ["min_speedup"], kernel
             assert isinstance(floor, float) and floor > 0, kernel
+
+    @pytest.mark.parametrize(
+        "document, fault",
+        [
+            ({"schema": BASELINE_SCHEMA, "speedups": {"k": "3.0"}}, "not a number"),
+            ({"schema": BASELINE_SCHEMA, "speedups": {"k": True}}, "not a number"),
+            ({"schema": BASELINE_SCHEMA, "speedups": {"k": math.nan}}, "not finite"),
+            (
+                {"schema": BASELINE_SCHEMA, "tolerance": math.nan, "speedups": {}},
+                "not finite",
+            ),
+            (
+                {"schema": SCENARIO_BASELINE_SCHEMA, "floors": {"s": [1.0]}},
+                "mapping",
+            ),
+            ([BASELINE_SCHEMA], "unknown floors schema"),
+        ],
+    )
+    def test_rejects_a_bound_that_is_not_a_finite_number(
+        self, tmp_path, document, fault
+    ):
+        path = write_baseline(tmp_path, document)
+        with pytest.raises(ValueError, match=fault) as error:
+            load_floors(path)
+        assert str(error.value).startswith(path)
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_an_unreadable_file_is_a_value_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "floors.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ValueError, match="cannot read floors file") as error:
+            load_floors(str(path))
+        assert str(error.value).startswith(str(path))
 
     def test_rejects_missing_speedups(self, tmp_path):
         path = write_baseline(tmp_path, {"schema": BASELINE_SCHEMA})

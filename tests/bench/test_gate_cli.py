@@ -2,7 +2,7 @@
 ``::warning::`` annotations and the job summary.
 
 ``repro.bench.run_suite`` is replaced by a hand-built report, so each
-case pins one gate decision without timing anything.
+case pins one gate decision without timing anything or running a driver.
 """
 
 import json
@@ -12,11 +12,13 @@ import pytest
 
 import repro.bench
 from repro.bench.compare import BASELINE_SCHEMA
+from repro.bench.paper import CLAIMS
 from repro.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 BASELINE = ROOT / "benchmarks" / "baseline.json"
 SCENARIO_BASELINE = ROOT / "benchmarks" / "scenario_baseline.json"
+PAPER_BASELINE = ROOT / "benchmarks" / "paper_baseline.json"
 
 
 def committed(path):
@@ -44,7 +46,7 @@ def scenario_row(name, **overrides):
     return row
 
 
-def make_report(speedups=None, scenarios=None):
+def make_report(speedups=None, scenarios=None, paper=None):
     """A report that clears every committed floor unless overridden."""
     if speedups is None:
         speedups = {
@@ -68,10 +70,10 @@ def make_report(speedups=None, scenarios=None):
             }
             for kernel in speedups
         ],
-        "experiments": [],
         "cluster": [],
         "service": None,
         "speedups": speedups,
+        "paper": paper or {},
     }
     if scenarios is not None:
         report["scenarios"] = {"schema": "repro-scenarios/2", "rows": scenarios}
@@ -80,6 +82,20 @@ def make_report(speedups=None, scenarios=None):
 
 def passing_scenarios():
     return [scenario_row(name) for name in committed(SCENARIO_BASELINE)["floors"]]
+
+
+def passing_claims():
+    """Every committed paper claim, each metric halfway between its bounds
+    (or on its one bound)."""
+    claims = {}
+    for claim, bounds in committed(PAPER_BASELINE)["claims"].items():
+        by_metric = {}
+        for key, bound in bounds.items():
+            by_metric.setdefault(key.split("_", 1)[1], []).append(bound)
+        claims[claim] = {
+            metric: sum(values) / len(values) for metric, values in by_metric.items()
+        }
+    return claims
 
 
 @pytest.fixture
@@ -114,16 +130,47 @@ def write_baseline(tmp_path, speedups, tolerance):
 
 
 def test_every_floor_holds_exits_0(bench, capsys):
-    report = make_report(scenarios=passing_scenarios())
+    report = make_report(scenarios=passing_scenarios(), paper=passing_claims())
     code = bench(
         report,
         "--baseline", str(BASELINE),
-        "--scenario-baseline", str(SCENARIO_BASELINE),
+        "--baseline", str(SCENARIO_BASELINE),
+        "--baseline", str(PAPER_BASELINE),
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "perf-smoke" in out and "scenario-smoke" in out
-    assert "FAIL" not in out
+    assert "perf-smoke" in out and "scenario-smoke" in out and "paper-claims" in out
+    assert "FAIL" not in out and "WARN" not in out
+
+
+def test_a_claim_past_its_bound_exits_1_and_is_named(bench, capsys):
+    claims = passing_claims()
+    claims["resources"]["longest_chain"] = 13
+    code = bench(make_report(paper=claims), "--baseline", str(PAPER_BASELINE))
+    out = capsys.readouterr().out
+    assert code == 1
+    failed = [line.split() for line in out.splitlines() if line.endswith("FAIL")]
+    assert [row[:2] for row in failed] == [["resources", "longest_chain"]]
+    assert "paper-claims: 1 regression(s) detected" in out
+
+
+def test_a_claim_with_no_bound_is_a_warn_row(bench, monkeypatch, capsys):
+    monkeypatch.setenv("GITHUB_ACTIONS", "true")
+    claims = dict(passing_claims(), fresh_claim={"ratio": 2.0, "count": 3})
+    code = bench(make_report(paper=claims), "--baseline", str(PAPER_BASELINE))
+    out = capsys.readouterr().out
+    assert code == 0
+    (warn,) = [line for line in out.splitlines() if line.endswith("WARN (no floor)")]
+    assert warn.split()[:2] == ["fresh_claim", "ratio"]
+    assert "::warning title=paper-claims" in out
+
+
+def test_paper_baseline_bounds_every_claim():
+    paper = committed(PAPER_BASELINE)
+    assert paper["schema"] == "repro-paper-baseline/1"
+    assert list(paper["claims"]) == list(CLAIMS)
+    for claim, bounds in paper["claims"].items():
+        assert bounds, f"{claim} has no bound"
 
 
 @pytest.mark.parametrize("factor, expected", [(0.81, 0), (0.79, 1)])
@@ -156,9 +203,7 @@ def test_scenario_below_its_floor_exits_1(bench, capsys):
     scenarios = passing_scenarios()
     scenarios[0]["recall"] = 0.99
     report = make_report(speedups={}, scenarios=scenarios)
-    code = bench(
-        report, "--scenarios-only", "--scenario-baseline", str(SCENARIO_BASELINE)
-    )
+    code = bench(report, "--scenarios-only", "--baseline", str(SCENARIO_BASELINE))
     assert code == 1
     assert "regression(s) detected" in capsys.readouterr().out
 
@@ -185,16 +230,17 @@ def test_step_summary_holds_a_verdict_row_per_floor(bench, monkeypatch, tmp_path
     monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
     # The two CI gate commands, as ci.yml runs them.
     assert bench(
-        make_report(),
-        "--quick", "--json", "--baseline", str(BASELINE), "--history",
+        make_report(paper=passing_claims()),
+        "--quick", "--json", "--baseline", str(BASELINE),
+        "--baseline", str(PAPER_BASELINE), "--history",
     ) == 0
     assert bench(
         make_report(speedups={}, scenarios=passing_scenarios()),
         "--quick", "--json", "--scenarios-only",
-        "--scenario-baseline", str(SCENARIO_BASELINE),
+        "--baseline", str(SCENARIO_BASELINE),
     ) == 0
     # Verdict rows are the table rows whose last cell reads "ok"; their
-    # first cell is the kernel or scenario.
+    # first cell is the kernel, scenario or claim.
     verdicts = {}
     for line in summary.read_text().splitlines():
         if line.startswith("| ") and line.endswith("ok |"):
@@ -203,13 +249,15 @@ def test_step_summary_holds_a_verdict_row_per_floor(bench, monkeypatch, tmp_path
     expected = {kernel: 1 for kernel in committed(BASELINE)["speedups"]}
     for scenario, bounds in committed(SCENARIO_BASELINE)["floors"].items():
         expected[scenario] = len(bounds)
+    for claim, bounds in committed(PAPER_BASELINE)["claims"].items():
+        expected[claim] = len(bounds)
     assert verdicts == expected
     assert (tmp_path / "benchmarks" / "history" / "index.json").exists()
 
 
 def test_scenario_baseline_alone_produces_scenario_rows(bench, capsys):
     report = make_report(scenarios=passing_scenarios())
-    assert bench(report, "--scenario-baseline", str(SCENARIO_BASELINE)) == 0
+    assert bench(report, "--baseline", str(SCENARIO_BASELINE)) == 0
     assert bench.calls[-1]["scenarios"] is True
     out = capsys.readouterr().out
     assert "scenario-smoke" in out
@@ -219,11 +267,37 @@ def test_scenario_baseline_alone_produces_scenario_rows(bench, capsys):
 
 
 def test_scenarios_only_with_a_speed_baseline_is_a_usage_error(bench, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        bench(make_report(), "--scenarios-only", "--baseline", str(BASELINE))
-    assert exit_info.value.code == 2
+    # Nor with a paper baseline: --scenarios-only runs neither section.
+    for baseline in (BASELINE, PAPER_BASELINE):
+        code = bench(make_report(), "--scenarios-only", "--baseline", str(baseline))
+        assert code == 2
+        assert bench.calls == []
+        assert "--scenarios-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        None,
+        {"schema": "repro-scenario-baseline/1", "floors": {"s": {"f1": 1.0}}},
+        {"schema": "repro-scenario-baseline/1", "floors": {"s": {"min_f1": "1"}}},
+        {"schema": "repro-nothing/1", "floors": {}},
+    ],
+    ids=["missing", "no-direction", "string-bound", "unknown-schema"],
+)
+def test_a_bad_floors_file_is_refused_before_anything_runs(
+    bench, tmp_path, capsys, document
+):
+    path = tmp_path / "floors.json"
+    if document is not None:
+        path.write_text(json.dumps(document))
+    code = bench(
+        make_report(), "--scenarios-only", "--baseline", str(SCENARIO_BASELINE),
+        "--baseline", str(path),
+    )
+    assert code == 2
     assert bench.calls == []
-    assert "not allowed with" in capsys.readouterr().err
+    assert str(path) in capsys.readouterr().err
 
 
 def test_history_takes_its_directory(bench, tmp_path):

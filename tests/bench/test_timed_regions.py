@@ -41,7 +41,7 @@ def logged_run(monkeypatch):
         return time.perf_counter()
 
     monkeypatch.setattr(suite, "time", types.SimpleNamespace(perf_counter=perf_counter))
-    report = run_suite(quick=True, skip_experiments=True, packets=200, repeats=1)
+    report = run_suite(quick=True, skip_paper=True, packets=200, repeats=1)
     return log, report
 
 

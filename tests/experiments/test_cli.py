@@ -91,6 +91,29 @@ class TestParser:
         batched = parser.parse_args(["validate", "--batched", "--packets", "3000"])
         assert (batched.shards, batched.packets, batched.batched) == (None, 3000, True)
         assert parser.parse_args(["multiswitch", "--shards", "4"]).shards == 4
+        perf = parser.parse_args(
+            "bench --quick --json --baseline benchmarks/baseline.json "
+            "--baseline benchmarks/paper_baseline.json --history "
+            "--output bench-report.json".split()
+        )
+        assert perf.baseline == [
+            "benchmarks/baseline.json",
+            "benchmarks/paper_baseline.json",
+        ]
+        assert (perf.quick, perf.json, perf.scenarios_only) == (True, True, False)
+        scenarios = parser.parse_args(
+            "bench --quick --json --scenarios-only "
+            "--baseline benchmarks/scenario_baseline.json "
+            "--output scenario-leaderboard.json".split()
+        )
+        assert scenarios.baseline == ["benchmarks/scenario_baseline.json"]
+        assert scenarios.scenarios_only
+
+    def test_batched_and_sharded_validation_are_exclusive(self, capsys):
+        # One differential per run: --batched used to be dropped silently.
+        assert_usage_error(
+            ["validate", "--batched", "--packets", "500", "--shards", "2"], capsys
+        )
 
     def test_bench_history_options(self):
         args = build_parser().parse_args(
