@@ -104,7 +104,8 @@ class FloorRow:
 
     ``bound`` is None on a WARN row (measured, no committed bound);
     ``current`` is None when the report holds no value for a bound, which
-    FAILs.
+    FAILs.  ``direction`` is ``"min"`` for a floor, ``"max"`` for a
+    ceiling.
     """
 
     label: str
@@ -113,6 +114,7 @@ class FloorRow:
     current: Optional[float]
     regressed: bool
     missing_floor: bool = False
+    direction: str = "min"
 
     @property
     def delta_percent(self) -> Optional[float]:
@@ -199,7 +201,9 @@ def check_floors(report: Dict[str, Any], floors: Floors) -> List[FloorRow]:
                 regressed = current < bound * (1.0 - floors.tolerance)
             else:
                 regressed = current > bound * (1.0 + floors.tolerance)
-            rows.append(FloorRow(label, metric, bound, current, regressed))
+            rows.append(
+                FloorRow(label, metric, bound, current, regressed, direction=direction)
+            )
     for label in sorted(set(measured) - set(floors.bounds)):
         metric = headline or next(iter(measured[label]))
         rows.append(FloorRow(label, metric, None, measured[label][metric], False, True))
@@ -234,8 +238,32 @@ def format_table(
     return "\n".join(lines)
 
 
-def _value(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.3f}"
+def _numbers(*values: Optional[float]) -> List[str]:
+    """``values`` as text: ``-`` for None, a whole number without
+    decimals, any other at the fewest significant digits, three or more,
+    that print distinct values differently."""
+
+    def text(value: Optional[float], digits: int) -> str:
+        if value is None:
+            return "-"
+        if float(value).is_integer():
+            return f"{value:.0f}"
+        return f"{value:.{digits}g}"
+
+    for digits in range(3, 18):
+        texts = [text(value, digits) for value in values]
+        if len(set(texts)) == len(set(values)):
+            break
+    return texts
+
+
+def _cells(row: FloorRow) -> List[str]:
+    """A row's bound, with its direction (``≥`` a floor, ``≤`` a ceiling),
+    and its current value."""
+    bound, current = _numbers(row.bound, row.current)
+    if row.bound is not None:
+        bound = f"{'≥' if row.direction == 'min' else '≤'} {bound}"
+    return [bound, current]
 
 
 def format_verdicts(
@@ -251,8 +279,7 @@ def format_verdicts(
             (
                 row.label,
                 row.metric,
-                _value(row.bound),
-                _value(row.current),
+                *_cells(row),
                 "-" if row.delta_percent is None else f"{row.delta_percent:+.0f}%",
                 row.verdict,
             )

@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 __all__ = ["main", "build_parser"]
 
@@ -42,6 +42,15 @@ _POSITIVE_INT = _bounded(int, 1)
 _POSITIVE_FLOAT = _bounded(float, 0, above=True)
 _NON_NEGATIVE_FLOAT = _bounded(float, 0)
 _PORT = _bounded(int, 0, 65535)
+
+
+def _host_port(text: str) -> Tuple[str, int]:
+    """An argparse type: ``HOST:PORT`` with the port in [0, 65535]; an
+    empty host is 127.0.0.1."""
+    host, colon, port = text.rpartition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host or "127.0.0.1", _PORT(port)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument(
         "--feed",
-        type=str,
+        type=_host_port,
         default=None,
         metavar="HOST:PORT",
         help="listen for a line-delimited JSON packet feed on this address",
@@ -233,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_NON_NEGATIVE_FLOAT,
         default=0.0,
         metavar="PPS",
-        help="pace replay at this many packets/sec (0 = as fast as possible)",
+        help=(
+            "pace a scenario, trace or synthetic source at this many "
+            "packets/sec (0 = as fast as possible; a feed is paced by its sender)"
+        ),
     )
     serve.add_argument(
         "--loop", action="store_true", help="repeat a finite source forever"
@@ -603,36 +615,56 @@ def _cmd_serve(args) -> int:
         TraceSource,
         install_signal_handlers,
     )
+    from repro.traffic.trace import PacketTrace
 
+    if args.feed is not None and args.rate > 0:
+        print(
+            "repro serve: error: argument --rate: a feed is paced by its sender, "
+            "not by --rate",
+            file=sys.stderr,
+        )
+        return 2
     pacer = RatePacer(args.rate) if args.rate > 0 else None
     feed = None
-    if args.scenario is not None:
-        source = ScenarioSource(
-            args.scenario, batch_size=args.batch_size, loop=args.loop, pacer=pacer
-        )
-        label = f"scenario:{args.scenario}"
-    elif args.trace is not None:
-        source = TraceSource(
-            path=args.trace, batch_size=args.batch_size, loop=args.loop, pacer=pacer
-        )
-        label = f"trace:{args.trace}"
-    elif args.synthetic is not None:
-        source = SyntheticSource(
-            packets=args.synthetic,
-            batch_size=args.batch_size,
-            loop=args.loop,
-            pacer=pacer,
-        )
-        label = f"synthetic:{args.synthetic}"
-    else:
-        host, _, port = args.feed.rpartition(":")
-        feed = source = FeedSource(
-            host=host or "127.0.0.1",
-            port=int(port),
-            batch_size=args.batch_size,
-            serve_forever=args.loop,
-        )
-        label = f"feed:{source.address[0]}:{source.address[1]}"
+    # A source that cannot be built is a usage error naming its flag.
+    try:
+        if args.scenario is not None:
+            flag = "--scenario"
+            source = ScenarioSource(
+                args.scenario, batch_size=args.batch_size, loop=args.loop, pacer=pacer
+            )
+            label = f"scenario:{args.scenario}"
+        elif args.trace is not None:
+            flag = "--trace"
+            trace = PacketTrace.load(args.trace)
+            flag = "--loop"
+            source = TraceSource(
+                trace=trace, batch_size=args.batch_size, loop=args.loop, pacer=pacer
+            )
+            label = f"trace:{args.trace}"
+        elif args.synthetic is not None:
+            flag = "--synthetic"
+            source = SyntheticSource(
+                packets=args.synthetic,
+                batch_size=args.batch_size,
+                loop=args.loop,
+                pacer=pacer,
+            )
+            label = f"synthetic:{args.synthetic}"
+        else:
+            flag = "--feed"
+            host, port = args.feed
+            feed = source = FeedSource(
+                host=host,
+                port=port,
+                batch_size=args.batch_size,
+                serve_forever=args.loop,
+            )
+            label = f"feed:{source.address[0]}:{source.address[1]}"
+    except (KeyError, OSError, ValueError) as error:
+        message = error.args[0] if isinstance(error, KeyError) else error
+        print(f"repro serve: error: argument {flag}: {message}", file=sys.stderr)
+        return 2
 
     service = DetectionService(
         source,

@@ -6,10 +6,10 @@ simulated network: one :class:`~repro.netsim.switchnode.SwitchNode` per
 shard (each running a pipeline program around that shard's Stat4), plus an
 :class:`~repro.controller.aggregate.AggregatingController` star-wired to
 every shard's CPU port (:meth:`~repro.netsim.network.Network.wire_star`).
-Batches are routed by the cluster's key hash and ingested through each
-switch node, so digests ride the control channel with realistic delays, and
-register dumps pay the paper's "several milliseconds for thousands of
-registers" cost before the controller merges them.
+Batches are ingested by the cluster's shard engines and each digest is
+pushed out of its shard's switch, so digests ride the control channel with
+realistic delays, and register dumps pay the paper's "several milliseconds
+for thousands of registers" cost before the controller merges them.
 """
 
 from __future__ import annotations
@@ -49,18 +49,13 @@ class ClusterDeployment:
     def ingest(self, batch: PacketBatch) -> ClusterResult:
         """Route one batch through the shard switch nodes.
 
-        Same state evolution as :meth:`ShardedStat4.ingest`, but every
-        digest is pushed out of its switch's CPU port into the simulated
-        control channel (run the network to deliver them).
+        :meth:`ShardedStat4.ingest`, then every digest is pushed out of its
+        switch's CPU port into the simulated control channel, shard by
+        shard (run the network to deliver them).
         """
-        result = ClusterResult()
-        for shard, sub_batch in self.cluster.route(batch).items():
-            engine = self.cluster.nodes[shard].batch_engine()
-            shard_result = self.switches[shard].ingest_batch(sub_batch, engine)
-            result.per_shard[shard] = shard_result
-            result.packets += shard_result.packets
-            result.digests.extend((shard, digest) for digest in shard_result.digests)
-        self.cluster.packets_routed += len(batch)
+        result = self.cluster.ingest(batch)
+        for shard, digest in result.digests:
+            self.switches[shard].push_digest(digest)
         return result
 
     def collect(self) -> Dict[str, List[int]]:

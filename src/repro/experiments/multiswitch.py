@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 from repro.cluster.sharded import ShardedStat4
 from repro.cluster.topology import deploy_cluster
 from repro.p4.parser import standard_parser
-from repro.stat4.batch import PacketBatch
+from repro.stat4.batch import BatchEngine, PacketBatch
 from repro.stat4.binding import BindingMatch
 from repro.stat4.config import Stat4Config
 from repro.stat4.extract import ExtractSpec
@@ -144,7 +144,7 @@ def run_multiswitch(
     parser = standard_parser()
     batch = PacketBatch.from_packets(packets, parser, timestamps=timestamps)
 
-    oracle.process_batch(batch)
+    BatchEngine(oracle).process(batch)
     deployment.ingest(batch)
     deployment.network.run()
 

@@ -26,7 +26,7 @@ from repro.netsim.messages import (
 from repro.netsim.network import Network, WiringError
 from repro.p4.packet import Packet
 from repro.p4.pipeline import PipelineProgram
-from repro.p4.switch import CPU_PORT, BehavioralSwitch
+from repro.p4.switch import CPU_PORT, BehavioralSwitch, Digest
 
 __all__ = ["SwitchNode"]
 
@@ -83,8 +83,12 @@ class SwitchNode:
                 continue
             self.network.transmit(self, out_port, out_packet)
         for digest in output.digests:
-            self.digests_pushed += 1
-            self._push_control(DigestMessage(switch=self.name, digest=digest))
+            self.push_digest(digest)
+
+    def push_digest(self, digest: Digest) -> None:
+        """Push one digest out of the CPU port, as the pipeline does."""
+        self.digests_pushed += 1
+        self._push_control(DigestMessage(switch=self.name, digest=digest))
 
     def _push_control(self, message: Any) -> None:
         assert self.network is not None
@@ -108,8 +112,7 @@ class SwitchNode:
         """
         result = engine.process(batch)
         for digest in result.digests:
-            self.digests_pushed += 1
-            self._push_control(DigestMessage(switch=self.name, digest=digest))
+            self.push_digest(digest)
         return result
 
     # -- control plane -----------------------------------------------------------

@@ -7,7 +7,7 @@ the producer stage of the service pipeline.  Four concrete shapes:
 - :class:`ScenarioSource` — replay a labeled catalog scenario (the same
   traces the quality floors gate), optionally rate-controlled and looped;
 - :class:`TraceSource` — replay a pcap capture at a controlled rate,
-  decoding each batch's frames when the replay first reaches it;
+  decoding each batch's frames when the replay reaches it;
 - :class:`SyntheticSource` — a deterministic generator: the throughput
   bench's destination walk with a configurable hot-key share;
 - :class:`FeedSource` — a line-delimited TCP feed: one JSON object per
@@ -173,10 +173,15 @@ class SyntheticSource:
 class TraceSource:
     """Replay a :class:`PacketTrace` (or pcap file) as decoded batches.
 
-    Each batch is decoded when the replay first reaches it, so the first
-    batch is out after one batch's decode rather than the whole
-    capture's, and kept: batches are read-only to every engine, so a
-    looped replay reuses the decoded columnar form.
+    Each batch is decoded when the replay reaches it, so the first batch
+    is out after one batch's decode rather than the whole capture's, and
+    nothing is kept.  A looped replay moves time forward, as
+    :class:`SyntheticSource`'s epochs do: pass ``k`` is the capture with
+    ``k`` periods added to every timestamp, a period being the capture's
+    span plus its mean gap, so a time-series detector keeps closing
+    intervals.  A capture with fewer than two records, or whose first and
+    last records share a timestamp, has no period and cannot loop
+    (ValueError).
     """
 
     def __init__(
@@ -195,22 +200,36 @@ class TraceSource:
         self.batch_size = batch_size
         self.loop = loop
         self._pacer = pacer
-        self._cached: List[PacketBatch] = []
+        self.period = 0.0
+        if loop:
+            span = self.trace.duration
+            if span <= 0:
+                raise ValueError(
+                    f"cannot loop a trace of {len(self.trace)} record(s) spanning "
+                    f"{span} s: each pass must start after the previous one ends"
+                )
+            self.period = span + span / (len(self.trace) - 1)
 
     def __iter__(self) -> Iterator[PacketBatch]:
         parser = standard_parser()
-        cached = self._cached
+        passes = 0
         while True:
-            chunks = self.trace.iter_batches(self.batch_size)
-            for index, records in enumerate(chunks):
-                if index == len(cached):
-                    cached.append(PacketBatch.from_trace(records, parser))
-                batch = cached[index]
+            offset = passes * self.period
+            for records in self.trace.iter_batches(self.batch_size):
+                if offset:
+                    batch = PacketBatch.from_frames(
+                        [record.data for record in records],
+                        [record.timestamp + offset for record in records],
+                        parser,
+                    )
+                else:
+                    batch = PacketBatch.from_trace(records, parser)
                 if self._pacer is not None:
                     self._pacer.pace(len(batch))
                 yield batch
             if not self.loop:
                 return
+            passes += 1
 
 
 class ScenarioSource(TraceSource):

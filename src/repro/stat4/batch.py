@@ -79,15 +79,11 @@ from repro.stat4.distributions import KernelShape, TrackSpec
 from repro.stat4.library import Stat4, _to_us
 
 try:  # pragma: no cover - absence exercised by the no-numpy CI job
-    import numpy as _np
+    from repro.stat4.frames import decode_frames
 
     HAS_NUMPY = True
 except ImportError:  # pragma: no cover
-    _np = None
     HAS_NUMPY = False
-
-if HAS_NUMPY:
-    from repro.stat4.frames import decode_frames
 
 __all__ = [
     "HAS_NUMPY",
@@ -285,38 +281,6 @@ class PacketBatch:
             parser,
             ingress_port,
         )
-
-    def select(self, indices: Sequence[int]) -> "PacketBatch":
-        """A new batch holding the given rows, in the given order.
-
-        The shard router uses this to split one ingest batch into
-        per-owner sub-batches: every backing column (decoded frames,
-        contexts, raw value columns, frame sizes) is subset consistently,
-        so a sub-batch behaves exactly like a batch built from those
-        packets alone.  ``parse_errors`` stays with the original batch —
-        the dropped frames never made it into any row.
-        """
-        subset = PacketBatch(
-            timestamps=[self.timestamps[i] for i in indices],
-            keys=[self.keys[i] for i in indices],
-            contexts=(
-                [self.contexts[i] for i in indices]
-                if self.contexts is not None
-                else None
-            ),
-            columns={
-                source: [column[i] for i in indices]
-                for source, column in self._raw_columns.items()
-            },
-            frame_bytes=(
-                [self.frame_bytes[i] for i in indices]
-                if self.frame_bytes is not None
-                else None
-            ),
-        )
-        if self._frames is not None:
-            subset._frames = self._frames.take(_np.asarray(indices, dtype=_np.int64))
-        return subset
 
     # -- column access --------------------------------------------------------
 
@@ -535,11 +499,15 @@ class _Run:
         return self.packets[j], stage if type(stage) is int else stage[j]
 
 
-def _runs_of(parts: List[Tuple[Sequence[int], int, TrackSpec]], n: int) -> List[_Run]:
+def _runs_of(
+    parts: List[Tuple[Sequence[int], int, TrackSpec]], rows: Sequence[int]
+) -> List[_Run]:
     """One slot's runs from its ``(packets, stage, spec)`` parts (one part
-    per signature feeding it, each part's packets ascending).
+    per signature feeding it, each part's packets ascending), over the
+    batch ``rows`` the engine applies.
 
-    Parts of one stage and equal specs merge into one run.  Otherwise the
+    Parts of one stage and equal specs merge into one run, which is
+    ``rows`` itself when it covers them all.  Otherwise the
     parts interleave on ``(packet, stage)`` — the scalar path applies
     stage 0 then stage 1 to packet i before packet i+1 — and every change
     of spec starts a run, so each run maps to one ``_state_for`` call: the
@@ -556,8 +524,8 @@ def _runs_of(parts: List[Tuple[Sequence[int], int, TrackSpec]], n: int) -> List[
     if one_stage and not any(classes):
         if len(parts) > 1:
             packets = sorted(itertools.chain.from_iterable(part[0] for part in parts))
-            if len(packets) == n:
-                packets = range(n)
+            if len(packets) == len(rows):
+                packets = rows
         return [_Run(spec, packets, stage)]
     events = sorted(
         itertools.chain.from_iterable(
@@ -598,20 +566,33 @@ class BatchEngine:
 
     # -- entry point ----------------------------------------------------------
 
-    def process(self, batch: PacketBatch) -> BatchResult:
-        """Ingest one batch; returns the digests and kernel statistics.
+    def process(
+        self, batch: PacketBatch, rows: Optional[Sequence[int]] = None
+    ) -> BatchResult:
+        """Ingest one batch, or only its packets at ``rows``; returns the
+        digests and kernel statistics.
+
+        ``rows`` holds ascending indices into the batch, and None means
+        every packet.  The packets at ``rows`` leave the state a batch of
+        those packets alone would, read from this batch's columns and
+        value cache; a shard's engine runs the cluster's one batch this
+        way, and each digest's packet index stays the batch's own.
 
         Table entries must not change mid-batch (they cannot: the batch is
         the data-plane unit of work, and control-plane writes land between
         batches — the same atomicity a pipeline gives a single packet).
         """
         stat4 = self.stat4
-        n = len(batch)
+        if rows is not None:
+            # Ascending rows as many as the batch's are all of it; any
+            # other subset is a list, which ``_Run.pick`` reads row by row.
+            rows = None if len(rows) == len(batch) else list(rows)
+        n = len(batch) if rows is None else len(rows)
         result = BatchResult(packets=n)
         if n == 0:
             return result
         stat4.packets_seen += n
-        runs = self._match(batch)
+        runs = self._match(batch, rows)
         sink = _DigestSink()
         for dist in sorted(runs):
             for run in runs[dist]:
@@ -655,51 +636,63 @@ class BatchEngine:
             memo[key] = signature
         return memo
 
-    def _match(self, batch: PacketBatch) -> Dict[int, List[_Run]]:
+    def _match(
+        self, batch: PacketBatch, rows: Optional[List[int]]
+    ) -> Dict[int, List[_Run]]:
         """Each slot's applications as runs of equal spec, in scalar order.
 
         Binding keys resolve through the engine's memo (:meth:`_signatures`),
         which outlives the batch: entries cannot change mid-batch, and a
         write between batches moves a table's version and clears it.  Each
-        table's ``lookups`` grows by the batch size and its ``hits`` by the
-        packets whose key hit it — exactly what n scalar lookups leave.
+        table's ``lookups`` grows by the packets applied and its ``hits`` by
+        those whose key hit it — exactly what that many scalar lookups
+        leave.
 
-        When every key of the batch has one signature, each slot it feeds
-        from one stage gets one run over ``range(n)``, with no per-packet
-        work.  Otherwise one pass groups the packet indices by signature,
-        and :func:`_runs_of` builds each slot's runs from its groups.  Slots
-        are independent, so replaying each slot's runs in turn reproduces
-        the interleaved scalar execution.
+        When every applied key has one signature, each slot it feeds from
+        one stage gets one run over every applied packet — ``range(n)`` for
+        the whole batch, with no per-packet work.  Otherwise one pass groups
+        the packet indices by signature, and :func:`_runs_of` builds each
+        slot's runs from its groups.  Slots are independent, so replaying
+        each slot's runs in turn reproduces the interleaved scalar
+        execution.
         """
         keys = batch.keys
-        n = len(keys)
         tables = self.stat4.binding_tables
-        distinct = set(keys)
+        whole = rows is None
+        if whole:
+            rows = range(len(keys))
+            distinct = set(keys)
+        else:
+            distinct = {keys[i] for i in rows}
         memo = self._signatures(distinct, tables)
-        first = memo[keys[0]]
+        first = memo[keys[rows[0]]]
         groups: Dict[_Signature, Sequence[int]]
         if all(memo[key] is first for key in distinct):
-            groups = {first: range(n)}
+            groups = {first: rows}
         else:
             groups = {}
             append_to: Dict[BindingKey, Any] = {}
             for key in distinct:
-                rows = groups.setdefault(memo[key], [])
-                append_to[key] = rows.append
-            for i, key in enumerate(keys):
-                append_to[key](i)
+                group = groups.setdefault(memo[key], [])
+                append_to[key] = group.append
+            if whole:
+                for i, key in enumerate(keys):
+                    append_to[key](i)
+            else:
+                for i in rows:
+                    append_to[keys[i]](i)
         hits = [0] * len(tables)
         parts: Dict[int, List[Tuple[Sequence[int], int, TrackSpec]]] = {}
-        for signature, rows in groups.items():
+        for signature, group in groups.items():
             for stage in signature.hits:
-                hits[stage] += len(rows)
+                hits[stage] += len(group)
             for dist, feeds in signature.feeds.items():
                 for stage, spec in feeds:
-                    parts.setdefault(dist, []).append((rows, stage, spec))
+                    parts.setdefault(dist, []).append((group, stage, spec))
         for table, hit in zip(tables, hits):
-            table.lookups += n
+            table.lookups += len(rows)
             table.hits += hit
-        return {dist: _runs_of(slot_parts, n) for dist, slot_parts in parts.items()}
+        return {dist: _runs_of(slot_parts, rows) for dist, slot_parts in parts.items()}
 
     # -- per-run dispatch -----------------------------------------------------
 

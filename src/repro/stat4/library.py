@@ -104,7 +104,6 @@ class Stat4:
         ]
         self.graph = _declare_steps()
         self._states: Dict[int, DistributionState] = {}
-        self._engine = None
         self.alerts_emitted = 0
         self.packets_seen = 0
 
@@ -134,26 +133,6 @@ class Stat4:
                 continue
             spec: TrackSpec = entry.params["spec"]
             self._apply(ctx, spec, now)
-
-    def process_batch(self, batch):
-        """Apply every binding stage to a whole :class:`PacketBatch`.
-
-        The batched fast path: bit-identical register and working state to
-        calling :meth:`process` per packet, at a fraction of the cost (see
-        :mod:`repro.stat4.batch`).  Returns the :class:`BatchResult` with
-        the digests the batch produced, in scalar emission order.
-        """
-        return self.batch_engine().process(batch)
-
-    def batch_engine(self):
-        """This instance's :class:`~repro.stat4.batch.BatchEngine`, built on
-        first use and kept, so its binding memo lives as long as the
-        instance."""
-        if self._engine is None:
-            from repro.stat4.batch import BatchEngine
-
-            self._engine = BatchEngine(self)
-        return self._engine
 
     def _apply(self, ctx: PacketContext, spec: TrackSpec, now: float) -> None:
         state = self._state_for(spec)

@@ -22,7 +22,11 @@ from repro.bench import (
     run_suite,
     write_report,
 )
-from repro.bench.compare import BASELINE_SCHEMA, SCENARIO_BASELINE_SCHEMA
+from repro.bench.compare import (
+    BASELINE_SCHEMA,
+    PAPER_BASELINE_SCHEMA,
+    SCENARIO_BASELINE_SCHEMA,
+)
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
@@ -271,12 +275,63 @@ class TestFormatDeltaMarkdown:
         assert text.startswith("### perf-smoke: committed floors (±20% tolerance)")
         assert "| label | metric | bound | current | delta | verdict |" in text
         assert "| --- | --- | ---: | ---: | ---: | --- |" in text
-        assert "| good | speedup | 3.000 | 3.600 | +20% | ok |" in text
-        assert "| bad | speedup | 3.000 | 1.000 | -67% | FAIL |" in text
-        assert "| gone | speedup | 3.000 | - | - | FAIL (not measured) |" in text
-        assert "| unbaselined | speedup | - | 2.000 | - | WARN (no floor) |" in text
+        assert "| good | speedup | ≥ 3 | 3.6 | +20% | ok |" in text
+        assert "| bad | speedup | ≥ 3 | 1 | -67% | FAIL |" in text
+        assert "| gone | speedup | ≥ 3 | - | - | FAIL (not measured) |" in text
+        assert "| unbaselined | speedup | - | 2 | - | WARN (no floor) |" in text
         assert "2 regression(s) detected" in text
         assert "(not gated): unbaselined" in text
+
+
+class TestVerdictNumbers:
+    """Each row says which way its bound points, and prints its bound and
+    value so that distinct numbers read differently."""
+
+    CLAIMS = {
+        "case_study_pinpoint": {
+            "min_pinpoint_seconds": 2.0,
+            "max_pinpoint_seconds": 3.0,
+        },
+        "ablation_division_table": {
+            "max_finest_error": 0.001,
+            "min_finest_table_bytes": 102401,
+        },
+    }
+    MEASURED = {
+        "case_study_pinpoint": {"pinpoint_seconds": 2.07},
+        "ablation_division_table": {
+            "finest_error": 0.00098,
+            "finest_table_bytes": 102401,
+        },
+    }
+
+    def verdicts(self, markdown):
+        floors = Floors(PAPER_BASELINE_SCHEMA, 0.0, self.CLAIMS)
+        rows = check_floors({"paper": self.MEASURED}, floors)
+        return format_verdicts(rows, floors, markdown=markdown)
+
+    def test_text(self):
+        lines = [" ".join(line.split()) for line in self.verdicts(False).splitlines()]
+        assert "case_study_pinpoint pinpoint_seconds ≥ 2 2.07 +3% ok" in lines
+        assert "case_study_pinpoint pinpoint_seconds ≤ 3 2.07 -31% ok" in lines
+        assert "ablation_division_table finest_error ≤ 0.001 0.00098 -2% ok" in lines
+        assert (
+            "ablation_division_table finest_table_bytes ≥ 102401 102401 +0% ok" in lines
+        )
+
+    def test_markdown(self):
+        text = self.verdicts(True)
+        pinpoint = "| case_study_pinpoint | pinpoint_seconds |"
+        assert f"{pinpoint} ≥ 2 | 2.07 | +3% | ok |" in text
+        assert f"{pinpoint} ≤ 3 | 2.07 | -31% | ok |" in text
+        assert (
+            "| ablation_division_table | finest_error | ≤ 0.001 | 0.00098 | -2% | ok |"
+            in text
+        )
+        assert (
+            "| ablation_division_table | finest_table_bytes | ≥ 102401 | 102401 | +0% "
+            "| ok |" in text
+        )
 
 
 class TestLoadBaseline:

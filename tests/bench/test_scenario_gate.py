@@ -212,5 +212,5 @@ class TestFormatters:
         rows = check_floors(make_report([make_row(f1=0.5)]), baseline)
         markdown = format_verdicts(rows, baseline, markdown=True)
         assert markdown.startswith("### scenario-smoke")
-        assert "| flood | f1 | 1.000 | 0.500 | -50% | FAIL |" in markdown
+        assert "| flood | f1 | ≥ 1 | 0.5 | -50% | FAIL |" in markdown
         assert "scenario-smoke: 1 regression(s) detected" in markdown

@@ -81,26 +81,20 @@ class TestConstruction:
 class TestRoute:
     def test_partition_covers_every_row_once(self):
         cluster = build_cluster(4)
-        contexts = make_trace()
-        batch = PacketBatch.from_contexts(contexts)
+        batch = PacketBatch.from_contexts(make_trace())
         routed = cluster.route(batch)
-        assert sum(len(sub) for sub in routed.values()) == len(batch)
+        assert list(routed) == sorted(routed)
         assert set(routed) <= set(range(4))
-        # Each sub-batch holds exactly the owner's keys, in arrival order.
-        for shard, sub in routed.items():
-            assert all(cluster.shard_of_key(key) == shard for key in sub.keys)
-        expected_order = {shard: [] for shard in routed}
-        for key in batch.keys:
-            expected_order[cluster.shard_of_key(key)].append(key)
-        for shard, sub in routed.items():
-            assert list(sub.keys) == expected_order[shard]
+        # Each shard holds exactly the rows of its keys, ascending.
+        expected = {}
+        for index, key in enumerate(batch.keys):
+            expected.setdefault(cluster.shard_of_key(key), []).append(index)
+        assert routed == expected
 
     def test_single_shard_shortcut(self):
         cluster = build_cluster(1)
         batch = PacketBatch.from_contexts(make_trace(packets=8))
-        routed = cluster.route(batch)
-        assert list(routed) == [0]
-        assert routed[0] is batch
+        assert cluster.route(batch) == {0: range(8)}
         assert cluster.route(PacketBatch.from_contexts([])) == {}
 
     def test_scalar_process_agrees_with_router(self):

@@ -99,3 +99,8 @@ class TestCollect:
         before = len(deployment.controller.alerts)
         deployment.network.run()
         assert len(deployment.controller.alerts) == before + result.alerts
+        # Each digest leaves its own shard's switch, in the cluster's order.
+        pushed = deployment.controller.alerts[before:]
+        assert [(switch, digest) for _, switch, digest in pushed] == [
+            (f"shard{shard}", digest) for shard, digest in result.digests
+        ]

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.traffic.builders import udp_frame
+from repro.traffic.trace import PacketTrace, TraceRecord
 
 
 #: A finite source that exits once drained, on a free port: a value that
@@ -78,6 +80,10 @@ class TestParser:
             f"{SERVE_ONCE} --synthetic 10 --degraded-after -1",
             "serve --synthetic 10 --exit-when-drained --port 70000",
             "serve --synthetic 10 --exit-when-drained --port -1",
+            f"{SERVE_ONCE} --feed 127.0.0.1:70000",
+            f"{SERVE_ONCE} --feed 127.0.0.1:-1",
+            f"{SERVE_ONCE} --feed 127.0.0.1:abc",
+            f"{SERVE_ONCE} --feed nohost",
         ],
         ids=lambda command: command.replace(" ", "_"),
     )
@@ -136,6 +142,50 @@ class TestParser:
             build_parser().parse_args(["serve", *source, flag, value, "--port", "0"])
         assert exited.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, flag",
+        [
+            (["--scenario", "nosuch"], "--scenario"),
+            (["--trace", "{missing}"], "--trace"),
+            (["--trace", "{not_pcap}"], "--trace"),
+            (["--trace", "{one_record}", "--loop"], "--loop"),
+            (["--feed", "127.0.0.1:0", "--rate", "100"], "--rate"),
+        ],
+        ids=[
+            "unknown_scenario", "missing_trace", "not_a_pcap", "unloopable", "paced_feed"
+        ],
+    )
+    def test_a_source_that_cannot_serve_is_a_usage_error(
+        self, source, flag, tmp_path, capsys
+    ):
+        (tmp_path / "not.pcap").write_bytes(b"not a capture")
+        PacketTrace([TraceRecord(1.0, udp_frame(0x0A000001))]).save(
+            str(tmp_path / "one.pcap")
+        )
+        paths = {
+            "missing": tmp_path / "missing.pcap",
+            "not_pcap": tmp_path / "not.pcap",
+            "one_record": tmp_path / "one.pcap",
+        }
+        argv = SERVE_ONCE.split() + [part.format(**paths) for part in source]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repro serve: error: argument {flag}: " in captured.err
+
+    def test_serve_feed_address(self):
+        parser = build_parser()
+        # perfbench's two command lines.
+        feed = parser.parse_args(
+            "serve --feed 127.0.0.1:0 --batch-size 2048 --port 0".split()
+        )
+        assert (feed.feed, feed.rate) == (("127.0.0.1", 0), 0.0)
+        trace = parser.parse_args(
+            "serve --trace x.pcap --batch-size 2048 --port 0".split()
+        )
+        assert (trace.trace, trace.feed) == ("x.pcap", None)
+        assert parser.parse_args(["serve", "--feed", ":9"]).feed == ("127.0.0.1", 9)
 
     def test_serve_sizes_parse(self):
         args = build_parser().parse_args(

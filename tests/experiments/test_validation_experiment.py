@@ -48,7 +48,9 @@ def walked_fields():
     bool attribute of the echo app's bound slot, its ``stats`` and its
     ``tracker`` bar the named exclusions, by snapshot path."""
     probe = build_echo_app().stat4
-    probe.process_batch(PacketBatch.from_packets([echo_frame(1)], standard_parser()))
+    BatchEngine(probe).process(
+        PacketBatch.from_packets([echo_frame(1)], standard_parser())
+    )
     return ["packets_seen", "alerts_emitted", "tables.stat4_binding_0.hits"] + [
         f"{owner}.{name}"
         for owner in ("slots.0", "slots.0.stats", "slots.0.tracker")

@@ -14,6 +14,9 @@ import subprocess
 import sys
 import time
 
+from repro.traffic.builders import udp_frame
+from repro.traffic.trace import PacketTrace, TraceRecord
+
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 
@@ -53,6 +56,17 @@ def test_sigterm_mid_ingest_serve_exits_clean():
     )
     assert code == 0, stderr
     assert "final" in stdout, stdout
+
+
+def test_perfbench_command_lines_serve(tmp_path):
+    # perfbench launches `repro serve` with these two source lines.
+    capture = str(tmp_path / "capture.pcap")
+    records = [TraceRecord(i * 1e-3, udp_frame(0x0A000000 | i)) for i in range(64)]
+    PacketTrace(records).save(capture)
+    for source in (["--trace", capture], ["--feed", "127.0.0.1:0"]):
+        code, stdout, stderr = _serve_then_sigterm([*source, "--batch-size", "2048"])
+        assert code == 0, stderr
+        assert "final" in stdout, stdout
 
 
 def test_second_sigterm_while_stopping_dies():

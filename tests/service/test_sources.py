@@ -9,6 +9,7 @@ import math
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from repro.service.sources import (
     SyntheticSource,
     TraceSource,
 )
+from repro.stat4 import BatchEngine, Stat4, Stat4Runtime
 from repro.stat4.batch import PacketBatch
 from repro.traffic.builders import WALK_HOT_DST, udp_frame
 from repro.traffic.trace import PacketTrace
@@ -149,16 +151,18 @@ class TestTraceAndScenarioSources:
         with pytest.raises(ValueError):
             TraceSource(trace=PacketTrace(), batch_size=batch_size)
 
-    def test_scenario_replay_matches_trace_and_caches(self):
+    def test_scenario_replay_matches_trace_and_caches_nothing(self):
         scenario = build_scenario("volumetric_flood")
         source = ScenarioSource("volumetric_flood", batch_size=4096)
         assert source.scenario.name == "volumetric_flood"
         batches = list(source)
         assert sum(len(b) for b in batches) == len(scenario.trace)
-        cached = source._cached
-        assert cached is not None
-        list(source)  # second replay reuses the parsed batches
-        assert source._cached is cached
+        times = [when for batch in batches for when in batch.timestamps]
+        assert times == [record.timestamp for record in scenario.trace.records]
+        # A second replay decodes its own batches, with the same times.
+        again = list(source)
+        assert all(new is not old for new, old in zip(again, batches))
+        assert [when for batch in again for when in batch.timestamps] == times
 
     def test_first_batch_is_out_after_decoding_one_batch(self, monkeypatch):
         trace = PacketTrace()
@@ -178,8 +182,8 @@ class TestTraceAndScenarioSources:
         assert decoded == [16]
         assert sum(len(batch) for batch in iterator) == 84
         assert decoded == [16] * 6 + [4]
-        list(source)  # a replay reuses the decoded batches
-        assert len(decoded) == 7
+        list(source)  # a replay decodes again: nothing is kept
+        assert decoded == ([16] * 6 + [4]) * 2
 
     def test_loop_replays_until_stopped(self):
         source = ScenarioSource("volumetric_flood", batch_size=8192, loop=True)
@@ -187,6 +191,67 @@ class TestTraceAndScenarioSources:
         per_pass = len(list(ScenarioSource("volumetric_flood", batch_size=8192)))
         for _ in range(2 * per_pass + 1):  # more than two full passes
             assert next(iterator) is not None
+
+    def test_a_looped_pass_starts_after_the_last_one_ends(self):
+        trace = PacketTrace()
+        for when in (1.0, 1.5, 3.0):
+            trace.append(when, udp_frame(0x0A000001))
+        source = TraceSource(trace=trace, batch_size=2, loop=True)
+        assert source.period == 3.0  # a span of 2 s plus its mean gap of 1 s
+        iterator = iter(source)
+        times = [when for _ in range(6) for when in next(iterator).timestamps]
+        assert times == [1.0, 1.5, 3.0, 4.0, 4.5, 6.0, 7.0, 7.5, 9.0]
+        assert times == sorted(times)
+
+    @pytest.mark.parametrize("times", [[], [2.0], [2.0, 2.0, 2.0], [2.0, 3.0, 2.0]])
+    def test_a_trace_that_spans_no_time_cannot_loop(self, times):
+        trace = PacketTrace()
+        for when in times:
+            trace.append(when, udp_frame(0x0A000001))
+        TraceSource(trace=trace)  # a single pass is fine
+        with pytest.raises(ValueError, match="cannot loop"):
+            TraceSource(trace=trace, loop=True)
+
+    @staticmethod
+    def looped_passes(window=None, passes=3):
+        """Intervals closed and ``traffic_spike`` digests per pass of the
+        looped ``volumetric_flood`` replay, through the scenario's own
+        detector (its window replaced by ``window`` when given)."""
+        scenario = build_scenario("volumetric_flood")
+        stat4 = Stat4(scenario.config)
+        runtime = Stat4Runtime(stat4)
+        for stage, match, spec in scenario.bindings:
+            runtime.bind(stage, match, replace(spec, window=window or spec.window))
+        engine = BatchEngine(stat4)
+        per_pass = len(list(ScenarioSource("volumetric_flood", batch_size=2048)))
+        batches = iter(ScenarioSource("volumetric_flood", batch_size=2048, loop=True))
+        closed, spikes = [], []
+        total = 0
+        for _ in range(passes):
+            digests = [
+                digest
+                for _ in range(per_pass)
+                for digest in engine.process(next(batches)).digests
+            ]
+            closed.append(stat4.state_of(0).intervals_closed - total)
+            total += closed[-1]
+            spikes.append(sum(digest.name == "traffic_spike" for digest in digests))
+        return closed, spikes
+
+    def test_every_looped_pass_closes_intervals(self):
+        # The capture spans 65 intervals; the first pass leaves its last
+        # one open.  The scenario's 64-interval window still holds the
+        # last pass's flood when the next flood starts, so only the first
+        # pass raises spikes.
+        closed, spikes = self.looped_passes()
+        assert min(closed) >= 64, closed
+        assert spikes == [7, 0, 0]
+
+    def test_every_looped_pass_raises_spikes_once_the_flood_leaves_the_window(self):
+        closed, spikes = self.looped_passes(window=16)
+        assert min(closed) >= 64, closed
+        assert spikes[0] > 0
+        assert spikes == spikes[:1] * 3
 
 
 class TestFeedSource:

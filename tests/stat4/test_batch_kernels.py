@@ -396,11 +396,3 @@ class TestSwitchNodeIngestBatch:
         assert switch.digests_pushed == len(result.digests)
         assert len(collector.inbox) == len(result.digests)
         assert all(isinstance(m, DigestMessage) for m in collector.inbox)
-
-    def test_process_batch_convenience(self):
-        stat4 = freq_stat4()
-        result = stat4.process_batch(
-            PacketBatch.from_contexts(contexts_for([1, 2, 3]))
-        )
-        assert result.packets == 3
-        assert stat4.packets_seen == 3

@@ -136,15 +136,20 @@ class TestMemoLifetime:
 class TestRuns:
     def test_one_stage_one_spec_is_one_run_over_the_merged_groups(self):
         spec = SPECS[0]
-        (run,) = _runs_of([([0, 3], 1, spec), ([1, 2], 1, spec)], 5)
+        (run,) = _runs_of([([0, 3], 1, spec), ([1, 2], 1, spec)], range(5))
         assert (run.spec, run.packets, run.stage) == (spec, [0, 1, 2, 3], 1)
-        (whole,) = _runs_of([([0, 3], 0, spec), ([1, 2], 0, spec)], 4)
+        (whole,) = _runs_of([([0, 3], 0, spec), ([1, 2], 0, spec)], range(4))
         assert whole.packets == range(4)
         assert whole.pick(["a", "b", "c", "d"]) == ["a", "b", "c", "d"]
+        # Over a row subset, the merged run is the rows themselves.
+        rows = [1, 2, 4, 6]
+        (subset,) = _runs_of([([1, 6], 0, spec), ([2, 4], 0, spec)], rows)
+        assert subset.packets is rows
+        assert subset.pick("abcdefg") == ["b", "c", "e", "g"]
 
     def test_two_stages_with_one_spec_interleave_on_packet_then_stage(self):
         spec = SPECS[0]
-        (run,) = _runs_of([(range(3), 0, spec), (range(3), 1, spec)], 3)
+        (run,) = _runs_of([(range(3), 0, spec), (range(3), 1, spec)], range(3))
         assert run.packets == [0, 0, 1, 1, 2, 2]
         assert run.stage == [0, 1, 0, 1, 0, 1]
         assert [run.event(j) for j in range(6)] == [
@@ -154,7 +159,7 @@ class TestRuns:
 
     def test_every_change_of_spec_starts_a_run(self):
         a, b = SPECS[0], SPECS[1]
-        runs = _runs_of([([0, 2], 0, a), ([1, 2, 3], 1, b)], 4)
+        runs = _runs_of([([0, 2], 0, a), ([1, 2, 3], 1, b)], range(4))
         assert [(run.spec, run.packets, run.stage) for run in runs] == [
             (a, [0], [0]),
             (b, [1], [1]),
@@ -166,26 +171,17 @@ class TestRuns:
         a = SPECS[0]
         copy = replace(a)
         assert copy is not a and copy == a
-        runs = _runs_of([([0], 0, a), ([1], 0, SPECS[1]), ([2], 0, copy)], 3)
+        runs = _runs_of([([0], 0, a), ([1], 0, SPECS[1]), ([2], 0, copy)], range(3))
         assert [(run.packets, run.stage) for run in runs] == [
             ([0], 0),
             ([1], 0),
             ([2], 0),
         ]
-        (run,) = _runs_of([([0, 2], 0, a), ([1], 0, copy)], 4)
+        (run,) = _runs_of([([0, 2], 0, a), ([1], 0, copy)], range(4))
         assert (run.spec, run.packets) == (a, [0, 1, 2])
 
 
 class TestOneEnginePerDetector:
-    def test_process_batch_keeps_its_engine(self, match_calls):
-        stat4, runtime, handle = frequency_stat4()
-        stat4.process_batch(column_batch([1, 2, 3]))
-        stat4.process_batch(column_batch([1, 2, 3]))
-        assert len(match_calls) == 3
-        runtime.rebind(handle, spec=handle.spec)
-        stat4.process_batch(column_batch([1, 2, 3]))
-        assert len(match_calls) == 6
-
     def build_cluster(self):
         cluster = ShardedStat4(3, config=Stat4Config(counter_num=2, counter_size=256))
         spec = cluster.specs.frequency_of(0, ExtractSpec.field("ipv4.dst", mask=0xFF))

@@ -6,10 +6,9 @@
 per-packet path — ``Parser.parse`` and a ``PacketContext`` per frame, the
 numpy-less fallback — is the oracle: on random and malformed frames both
 must give the same rows, rejects, binding keys, timestamps (bit for bit),
-header-field, ``frame.size`` and ``meta.*`` columns, also after
-``select``, and the same digests and detector state through
-``BatchEngine``, with numpy's other array paths (the sparse slot hash) on
-and hidden while the engines run.
+header-field, ``frame.size`` and ``meta.*`` columns, and the same digests
+and detector state through ``BatchEngine``, with numpy's other array paths
+(the sparse slot hash) on and hidden while the engines run.
 """
 
 import struct
@@ -169,24 +168,6 @@ def test_decoded_batch_equals_per_packet_parse(trace):
     oracle = per_packet(PacketBatch.from_trace, records, parser)
     assert decoded.parse_errors == oracle.parse_errors
     assert_same_batch(decoded, oracle)
-
-
-@settings(deadline=None, max_examples=100)
-@given(traces, st.data())
-def test_select_and_slice_view_keep_the_rows(trace, data):
-    records = [TraceRecord(timestamp=when, data=frame) for when, frame in trace]
-    parser = standard_parser()
-    decoded = PacketBatch.from_trace(records, parser)
-    oracle = per_packet(PacketBatch.from_trace, records, parser)
-    n = len(decoded)
-    indices = data.draw(st.lists(st.integers(0, max(0, n - 1)), max_size=n * 2 if n else 0))
-    assert_same_batch(decoded.select(indices), oracle.select(indices))
-    # A selection of a selection, and columns read before selecting.
-    decoded.raw_column("ipv4.dst")
-    half = list(range(len(indices) // 2))
-    assert_same_batch(
-        decoded.select(indices).select(half), oracle.select(indices).select(half)
-    )
 
 
 def test_from_packets_uses_packet_times_and_rejects_like_the_parser():
